@@ -21,9 +21,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # Hygiene subset applied to non-src trees (advisory only).
 ADVISORY_RULES="no-import-random,no-global-np-random,mutable-default,float-equality"
 # Per-file rule families for --changed: the whole-program rules
-# (rng-reachability, units-call, ...) need the full tree and would
+# (rng-reachability, fork-safety, ...) need the full tree and would
 # false-positive on a file subset.
-CHANGED_RULES="no-import-random,no-global-np-random,rng-construction,rng-annotation,float-equality,mutable-default,units-arithmetic,probability-domain,rng-order"
+CHANGED_RULES="no-import-random,no-global-np-random,rng-construction,rng-annotation,float-equality,mutable-default,rng-order"
 
 if [[ "${1:-}" == "--changed" ]]; then
     base="${CHANGED_BASE:-HEAD}"

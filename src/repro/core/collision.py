@@ -112,7 +112,6 @@ class RecordStore:
         self._records.append(record)
         # Indexing a record under each unknown tag mutates shared dicts:
         # per-record bookkeeping, not a numeric loop.
-        # repro: allow-vectorization-antipattern -- bookkeeping, not numeric
         for tag in record.unknown_participants():
             self._by_tag.setdefault(tag, []).append(record)
         resolved: list[tuple[int, int]] = []
@@ -156,7 +155,6 @@ class RecordStore:
         queue = [tag_id]
         # Zigzag decoding is a worklist fixpoint: each newly learned tag can
         # unlock more records, so iterations are inherently ordered.
-        # repro: allow-vectorization-antipattern -- worklist fixpoint
         while queue:
             current = queue.pop()
             for record in self._by_tag.pop(current, []):

@@ -44,7 +44,6 @@ _ESTIMATOR_MODES = ("ewma", "last", "average")
 _ESTIMATOR_SOURCES = ("collision", "empty")
 
 
-# repro: pure
 def invert_empty_count(n_0: int, frame_size: int, p: float) -> float:
     """Estimate N from the empty-slot count: ``E(n0) = f (1-p)^N`` (Eq. 7).
 
@@ -76,7 +75,6 @@ def _invert_exact(n_c: float, frame_size: int, p: float) -> float:
     return load / p
 
 
-# repro: pure
 def invert_collision_count(n_c: int, frame_size: int, p: float,
                            omega: float) -> float:
     """The paper's closed-form estimator N_hat (Eq. 12).
@@ -90,7 +88,6 @@ def invert_collision_count(n_c: int, frame_size: int, p: float,
     return _invert_paper(float(n_c), frame_size, p, omega)
 
 
-# repro: pure
 def invert_collision_count_exact(n_c: int, frame_size: int, p: float) -> float:
     """Exact inversion of the Poisson-form expectation.
 
@@ -159,7 +156,6 @@ class EmbeddedEstimator:
         """Estimated number of tags still participating (never below 1)."""
         return max(self._remaining, 1.0)
 
-    # repro: effects(mutates-args)
     def update(self, n_c: int, p: float, identified_at_frame_start: int,
                identified_at_frame_end: int,
                n_empty: int | None = None) -> None:
@@ -216,7 +212,6 @@ class EmbeddedEstimator:
             self._remaining = max(
                 self.total_estimate - identified_at_frame_end, 0.0)
 
-    # repro: effects(mutates-args)
     def force_at_least(self, remaining: float) -> None:
         """Raise the estimate after external evidence of survivors.
 

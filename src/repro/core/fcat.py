@@ -164,7 +164,6 @@ class _FcatSession:
         # BENCH cells there -- what remains here is the bit-pinned
         # golden path and the ZigZag/trace configurations the kernel
         # does not implement.
-        # repro: allow-vectorization-antipattern -- scalar reference; hot path lives in repro.kernels.fcat
         while True:
             empty_slots_in_frame = self._run_frame()
             if empty_slots_in_frame == self.config.frame_size:

@@ -135,7 +135,6 @@ class Scat(TagReadingProtocol):
         # belief process with block-at-once draws on draw-free channels,
         # so what remains hot here is the impaired-channel and
         # pre-estimation configurations the kernel routes back.
-        # repro: allow-vectorization-antipattern -- scalar reference; hot path lives in repro.kernels.scat
         while True:
             if slot_index >= max_slots:
                 raise RuntimeError(

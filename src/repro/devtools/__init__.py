@@ -5,11 +5,11 @@ fractions) assume two things review alone cannot keep true at scale: every
 Monte-Carlo path is deterministic under its seed, and every protocol speaks
 the exact same read-session contract.  This package machine-checks those
 invariants with a two-pass whole-program lint engine: pass 1 indexes every
-module (symbol tables, call records, function signatures with inferred
-quantity kinds) behind a content-hash cache; pass 2 runs the cross-file
-rule families -- units/dimension checking, probability-domain interval
-analysis, RNG reachability over the call graph, experiment-registry
-completeness -- alongside the original per-file hygiene rules.
+module (symbol tables, call records, function signatures, module-global
+access) behind a content-hash cache; pass 2 runs the cross-file rule
+families -- RNG reachability over the call graph, experiment-registry
+completeness, fork-safety of the sweep workers, kernel-equivalence
+registration -- alongside the per-file hygiene and data-flow rules.
 ``repro-lint src`` runs it from the command line and
 ``tests/test_static_analysis.py`` runs it in tier-1 CI.
 
@@ -20,13 +20,7 @@ and the suppression syntax.
 from repro.devtools.baseline import Baseline
 from repro.devtools.cache import CacheEntry, LintCache
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.dataflow import (
-    DefUse,
-    TagFlow,
-    build_cfg,
-    def_use_records,
-    global_access,
-)
+from repro.devtools.dataflow import TagFlow, build_cfg, global_access
 from repro.devtools.engine import LintEngine, parse_suppressions
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import (
@@ -35,9 +29,7 @@ from repro.devtools.index import (
     ProjectIndex,
     build_module_index,
 )
-from repro.devtools.intervals import interval_of_expr, provably_outside_unit
 from repro.devtools.reporters import render_json, render_text
-from repro.devtools.shapes import ShapeInfo, infer_expr, parse_shape_contracts
 from repro.devtools.rules import (
     ModuleContext,
     ProjectContext,
@@ -47,7 +39,6 @@ from repro.devtools.rules import (
     register,
     rule_names,
 )
-from repro.devtools.units import kind_of_name, kind_of_qualified
 
 __all__ = [
     "Baseline",
@@ -55,24 +46,17 @@ __all__ = [
     "LintCache",
     "DEFAULT_CONFIG",
     "LintConfig",
-    "DefUse",
     "TagFlow",
     "build_cfg",
-    "def_use_records",
     "global_access",
     "LintEngine",
     "parse_suppressions",
-    "ShapeInfo",
-    "infer_expr",
-    "parse_shape_contracts",
     "Finding",
     "LintReport",
     "FunctionInfo",
     "ModuleIndex",
     "ProjectIndex",
     "build_module_index",
-    "interval_of_expr",
-    "provably_outside_unit",
     "render_json",
     "render_text",
     "ModuleContext",
@@ -82,6 +66,4 @@ __all__ = [
     "describe_rules",
     "register",
     "rule_names",
-    "kind_of_name",
-    "kind_of_qualified",
 ]

@@ -12,9 +12,9 @@ build.  A finding that changes its message (e.g. because the offending code
 changed) stops matching and must be re-fixed or re-baselined, which is the
 point.
 
-The committed baseline of this repository is empty: the R5--R8 sweep fixed
-everything it found.  The machinery stays because the next rule family will
-want it.
+The committed baseline of this repository is empty: every rule family
+landed with a fully swept tree.  The machinery stays because the next rule
+family will want it.
 """
 
 from __future__ import annotations

@@ -32,7 +32,10 @@ from repro.devtools.index import ModuleIndex
 #: the per-module index.
 #: 4: loop-carried dependence summaries, local effect facts, argument
 #: roots and class bases joined the per-module index.
-CACHE_SCHEMA = 4
+#: 5: quantity kinds, intervals, shape contracts, def-use records, loop
+#: summaries, local effects and the module-global name list left the
+#: per-module index again.
+CACHE_SCHEMA = 5
 
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
 

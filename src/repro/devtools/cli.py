@@ -7,7 +7,6 @@ Examples::
     repro-lint --rules float-equality,mutable-default src/repro/core
     repro-lint --no-baseline src      # strict: baselined findings block
     repro-lint --write-baseline src   # grandfather today's findings
-    repro-lint --hotspots src         # rank hot loops for the kernel PR
     repro-lint --list-rules
 
 Exit status: 0 clean, 1 blocking findings, 2 usage error.  ``--warn-only``
@@ -37,9 +36,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=("Whole-program static analysis of the repro simulator: "
                      "determinism, protocol conformance, numeric hygiene, "
-                     "public-API consistency, units/dimension checking, "
-                     "probability-domain verification, RNG reachability and "
-                     "experiment-registry completeness."))
+                     "public-API consistency, RNG reachability, "
+                     "experiment-registry completeness, event schema, "
+                     "fork-safety and kernel-equivalence registration."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
@@ -66,10 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "baseline and exit 0")
     parser.add_argument("--warn-only", action="store_true",
                         help="report findings but always exit 0")
-    parser.add_argument("--hotspots", action="store_true",
-                        help="instead of linting, rank hot loops (reachable "
-                             "from BENCH entry points) by vectorization "
-                             "payoff and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
     return parser
@@ -119,21 +114,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.jobs < 1:
         print("repro-lint: --jobs must be >= 1", file=sys.stderr)
         return 2
-    if options.hotspots:
-        import json
-
-        from repro.devtools.hotspots import kernel_scalar_refs, \
-            rank_hotspots, render_hotspots_text
-
-        project, _ = engine.build_project(
-            [Path(path) for path in options.paths], jobs=options.jobs)
-        payload = rank_hotspots(project.index, engine.config,
-                                scalar_refs=kernel_scalar_refs(project.modules))
-        if options.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(render_hotspots_text(payload))
-        return 0
     report = engine.lint_paths(options.paths, jobs=options.jobs)
     if options.write_baseline:
         if baseline_path is None:

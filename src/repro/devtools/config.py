@@ -101,18 +101,6 @@ class LintConfig:
         "repro/service/sharding.py",
     )
 
-    # --- R5: units/dimension analysis -----------------------------------
-    #: Directories whose arithmetic and call arguments are kind-checked
-    #: (the packages that move seconds/bits/slots across call boundaries).
-    units_dirs: tuple[str, ...] = ("air", "analysis", "core", "sim",
-                                   "dynamics", "estimate")
-
-    # --- R6: probability-domain interval analysis -----------------------
-    #: Probability checks run tree-wide; directories here additionally
-    #: check dataclass-field defaults (the config-object hot spots).
-    probability_dirs: tuple[str, ...] = ("core", "analysis", "sim",
-                                         "dynamics", "baselines")
-
     # --- R7: whole-program RNG reachability ------------------------------
     #: Helper functions that mint Generators from seeds; a function calling
     #: one of these (or a raw factory) roots the rng-flow reachability walk.
@@ -183,33 +171,6 @@ class LintConfig:
         # fresh, and the captured counters return via
         # ChunkOutcome.observation for a deterministic parent-side merge.
         "repro.obs.scope:_current",
-    )
-
-    # --- R12: shape/dtype contracts ---------------------------------------
-    #: Directories whose array code is shape/dtype checked.
-    shape_dirs: tuple[str, ...] = ("phy", "core", "sim")
-
-    # --- R13: vectorization antipatterns ----------------------------------
-    #: Directories whose hot loops are checked (the batching candidates,
-    #: plus the kernels themselves -- a serial loop sneaking back into a
-    #: batched engine should be just as visible as one in the reference).
-    vectorization_dirs: tuple[str, ...] = ("sim", "core", "phy", "kernels")
-    #: BENCH cell entry points (``module.dotted:qualname``): a loop is
-    #: "hot" when its function is call-graph reachable from one of these.
-    #: run_chunk is its own root because the pool passes it as a value;
-    #: run_many is the public top-level batch API (exported from
-    #: ``repro`` itself) that outside callers drive directly.
-    hotspot_entry_points: tuple[str, ...] = (
-        "repro.experiments.runner:run_cell",
-        "repro.experiments.runner:sweep",
-        "repro.experiments.executor:run_chunk",
-        # The adaptive planner's sequential-stopping loop: with
-        # --precision this is the frame every bench/CLI cell runs under.
-        "repro.experiments.planner:plan_cells",
-        "repro.sim.base:run_many",
-        # The kernel engine's chunk entry: under engine="kernel" this is
-        # what the BENCH cells actually spend their time in.
-        "repro.kernels.engine:run_batch",
     )
 
     # --- R15: kernel-equivalence registry ---------------------------------

@@ -1,18 +1,15 @@
-"""Intraprocedural data-flow analysis: CFG, reaching defs, tag lattice.
+"""Intraprocedural data-flow analysis: CFG, tag lattice, global access.
 
 The R1--R9 families see *occurrences* -- a call here, a parameter there.
-The R10--R12 families need to know how values *flow*: which names hold a
-Generator when a loop body draws from it, which module globals a
-worker-reachable function touches, which shape/dtype an array carries at a
-call site.  This module supplies the shared machinery:
+R10 and R11 need to know how values *flow*: which names hold a Generator
+when a loop body draws from it, and which module globals a
+worker-reachable function touches.  This module supplies the shared
+machinery:
 
 * :func:`build_cfg` -- a statement-level control-flow graph per function
   (compound statements contribute their *header* -- test, iterator,
   context expression -- as a CFG statement; their bodies become successor
   blocks, with back edges for loops and conservative edges for ``try``).
-* :func:`reaching_definitions` -- the classic forward may-analysis over
-  the CFG; yields per-statement reaching-def sets and the def-use chains
-  the pass-1 index serializes (:class:`DefUse`).
 * :class:`TagFlow` -- a small abstract-value lattice (sets of
   :data:`TAG_RNG` / :data:`TAG_UNORDERED` tags, joined by union at CFG
   merge points) propagated through assignments, containers and calls.
@@ -23,9 +20,9 @@ call site.  This module supplies the shared machinery:
   call graph.
 
 Everything here is deliberately conservative in the direction each client
-rule needs: reaching definitions and tag sets over-approximate (more flow
-reported than real), so a *hazard* finding rests on provable flow, while
-the absence of a tag never fires anything.
+rule needs: tag sets over-approximate (more flow reported than real), so
+a *hazard* finding rests on provable flow, while the absence of a tag
+never fires anything.
 """
 
 from __future__ import annotations
@@ -62,8 +59,6 @@ class Block:
     id: int
     stmts: list[int] = field(default_factory=list)
     succs: set[int] = field(default_factory=set)
-    #: Synthetic definitions at block entry (``except E as name:``).
-    extra_defs: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -193,10 +188,7 @@ class _CFGBuilder:
             # Conservative: an exception may fire before or after any
             # statement of the body, so the handler sees defs from both
             # the entry and the body's end.
-            block = self._start_block(entry, body_exit)
-            if handler.name:
-                block.extra_defs.append((handler.name, handler.lineno))
-            self.current = block
+            self.current = self._start_block(entry, body_exit)
             self._body(handler.body)
             exits.append(self.current.id)
         if node.orelse:
@@ -213,17 +205,9 @@ class _CFGBuilder:
         exits = [header]  # no case may match
         for case in node.cases:
             self.current = self._start_block(header)
-            for name in _pattern_names(case.pattern):
-                self.current.extra_defs.append((name, case.pattern.lineno))
             self._body(case.body)
             exits.append(self.current.id)
         self.current = self._start_block(*exits)
-
-
-def _pattern_names(pattern: ast.pattern) -> Iterator[str]:
-    for node in ast.walk(pattern):
-        if isinstance(node, (ast.MatchAs, ast.MatchStar)) and node.name:
-            yield node.name
 
 
 def build_cfg(body: Sequence[ast.stmt]) -> ControlFlowGraph:
@@ -295,224 +279,6 @@ def stmt_use_exprs(node: ast.stmt) -> list[ast.expr]:
         return _header_exprs(node)
     return [child for child in ast.iter_child_nodes(node)
             if isinstance(child, ast.expr)]
-
-
-_COMP_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-
-
-def _comp_bound_names(node: ast.expr) -> set[str]:
-    """Names bound by a comprehension's own generators."""
-    bound: set[str] = set()
-    for gen in node.generators:
-        bound.update(_target_names(gen.target))
-    return bound
-
-
-def _expr_load_nodes(node: ast.expr, bound: set[str],
-                     out: list[ast.Name]) -> None:
-    """Collect Load-context Names, honouring comprehension scoping.
-
-    A comprehension's targets are local to the comprehension: only the
-    *first* iterable evaluates in the enclosing scope, everything else
-    (element, conditions, later iterables) sees the targets.  Names bound
-    there are therefore not uses of same-named outer variables.
-    """
-    if isinstance(node, ast.Name):
-        if isinstance(node.ctx, ast.Load) and node.id not in bound:
-            out.append(node)
-        return
-    if isinstance(node, _COMP_NODES):
-        inner = bound | _comp_bound_names(node)
-        first = node.generators[0]
-        _expr_load_nodes(first.iter, bound, out)
-        for cond in first.ifs:
-            _expr_load_nodes(cond, inner, out)
-        for gen in node.generators[1:]:
-            _expr_load_nodes(gen.iter, inner, out)
-            for cond in gen.ifs:
-                _expr_load_nodes(cond, inner, out)
-        parts = (node.key, node.value) if isinstance(node, ast.DictComp) \
-            else (node.elt,)
-        for part in parts:
-            _expr_load_nodes(part, inner, out)
-        return
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.expr):
-            _expr_load_nodes(child, bound, out)
-        elif isinstance(child, ast.keyword):
-            _expr_load_nodes(child.value, bound, out)
-        elif isinstance(child, ast.arguments):  # lambda defaults
-            for default in [*child.defaults,
-                            *(d for d in child.kw_defaults if d)]:
-                _expr_load_nodes(default, bound, out)
-
-
-def stmt_uses(node: ast.stmt) -> list[str]:
-    """Names this CFG statement reads (header-only for compound stmts)."""
-    loads: list[ast.Name] = []
-    for expr in stmt_use_exprs(node):
-        _expr_load_nodes(expr, set(), loads)
-    uses = [load.id for load in loads]
-    if isinstance(node, ast.AugAssign):
-        uses.extend(_target_names(node.target))
-    return uses
-
-
-# ---------------------------------------------------------------------------
-# reaching definitions
-
-@dataclass(frozen=True)
-class DefUse:
-    """One definition and the lines of the uses it reaches."""
-
-    name: str
-    def_line: int
-    use_lines: tuple[int, ...] = ()
-
-    def to_list(self) -> list:
-        return [self.name, self.def_line, list(self.use_lines)]
-
-    @classmethod
-    def from_list(cls, data: Sequence) -> "DefUse":
-        return cls(name=data[0], def_line=data[1],
-                   use_lines=tuple(data[2]))
-
-
-class ReachingDefinitions:
-    """Worklist reaching-defs over a CFG; defs keyed ``(name, site)``."""
-
-    PARAM_SITE = -1  # synthetic site id for parameter definitions
-
-    def __init__(self, cfg: ControlFlowGraph,
-                 params: Sequence[str] = ()) -> None:
-        self.cfg = cfg
-        self.params = tuple(params)
-        #: block id -> {name -> frozenset of def site ids} at block entry.
-        self.block_in: dict[int, dict[str, frozenset[int]]] = {}
-        self._solve()
-
-    def _solve(self) -> None:
-        entry_env = {name: frozenset([self.PARAM_SITE])
-                     for name in self.params}
-        self.block_in = {block.id: ({} if block.id else dict(entry_env))
-                         for block in self.cfg.blocks}
-        preds = self.cfg.preds()
-        changed = True
-        while changed:
-            changed = False
-            for block in self.cfg.blocks:
-                env = dict(self.block_in[block.id]) if block.id == 0 \
-                    else _join([self._block_out(p) for p in
-                                sorted(preds[block.id])] or [{}])
-                if block.id == 0:
-                    env = _join([env, entry_env])
-                if env != self.block_in[block.id]:
-                    self.block_in[block.id] = env
-                    changed = True
-
-    def _block_out(self, block_id: int) -> dict[str, frozenset[int]]:
-        env = dict(self.block_in[block_id])
-        block = self.cfg.blocks[block_id]
-        for name, _ in block.extra_defs:
-            env[name] = frozenset()
-        for stmt_id in block.stmts:
-            for name in stmt_defs(self.cfg.stmts[stmt_id]):
-                env[name] = frozenset([stmt_id])
-        return env
-
-    def defs_reaching(self) -> dict[int, dict[str, frozenset[int]]]:
-        """Per CFG-statement id: ``name -> def site ids`` at its entry."""
-        reaching: dict[int, dict[str, frozenset[int]]] = {}
-        for block in self.cfg.blocks:
-            env = {name: sites for name, sites
-                   in self.block_in[block.id].items()}
-            for name, _ in block.extra_defs:
-                env[name] = frozenset()
-            for stmt_id in block.stmts:
-                reaching[stmt_id] = dict(env)
-                for name in stmt_defs(self.cfg.stmts[stmt_id]):
-                    env[name] = frozenset([stmt_id])
-        return reaching
-
-
-def _join(envs: Sequence[dict[str, frozenset[int]]]
-          ) -> dict[str, frozenset[int]]:
-    joined: dict[str, frozenset[int]] = {}
-    for env in envs:
-        for name, sites in env.items():
-            joined[name] = joined.get(name, frozenset()) | sites
-    return joined
-
-
-def comprehension_def_uses(node: ast.stmt) -> list[DefUse]:
-    """Def-use records for names bound only inside comprehensions.
-
-    Comprehension targets never escape to the enclosing function scope,
-    so the CFG-level analysis cannot see them; each target still gets a
-    :class:`DefUse` record whose definition site is the generator target
-    and whose uses are the Load occurrences in the parts it scopes over
-    (its conditions, later generators, and the element expression).
-    """
-    records: list[DefUse] = []
-    for expr in stmt_use_exprs(node):
-        for sub in ast.walk(expr):
-            if isinstance(sub, _COMP_NODES):
-                records.extend(_comp_records(sub))
-    return records
-
-
-def _comp_records(comp: ast.expr) -> list[DefUse]:
-    records: list[DefUse] = []
-    for index, gen in enumerate(comp.generators):
-        scoped: list[ast.expr] = list(gen.ifs)
-        for later in comp.generators[index + 1:]:
-            scoped.append(later.iter)
-            scoped.extend(later.ifs)
-        if isinstance(comp, ast.DictComp):
-            scoped.extend((comp.key, comp.value))
-        else:
-            scoped.append(comp.elt)
-        loads: list[ast.Name] = []
-        for part in scoped:
-            # bound=set(): a nested comprehension re-shadows its own
-            # targets inside the collector, so shadowed loads drop out.
-            _expr_load_nodes(part, set(), loads)
-        for name in sorted(set(_target_names(gen.target))):
-            records.append(DefUse(
-                name=name, def_line=gen.target.lineno,
-                use_lines=tuple(sorted({load.lineno for load in loads
-                                        if load.id == name}))))
-    return records
-
-
-def def_use_records(func: ast.FunctionDef | ast.AsyncFunctionDef
-                    ) -> list[DefUse]:
-    """Def-use chains of one function, in (def line, name) order.
-
-    Parameters appear with the ``def`` line as their definition site.
-    These records are serialized into the pass-1 module index so warm
-    cache runs can replay them without re-running the analysis.
-    """
-    cfg = build_cfg(func.body)
-    params = [arg.arg for arg in [*func.args.posonlyargs, *func.args.args,
-                                  *func.args.kwonlyargs]
-              + [a for a in (func.args.vararg, func.args.kwarg) if a]]
-    analysis = ReachingDefinitions(cfg, params)
-    reaching = analysis.defs_reaching()
-    uses: dict[tuple[str, int], set[int]] = {}
-    for stmt_id, node in enumerate(cfg.stmts):
-        env = reaching.get(stmt_id, {})
-        for name in stmt_uses(node):
-            for site in env.get(name, frozenset()):
-                key = (name, func.lineno if site == analysis.PARAM_SITE
-                       else cfg.stmts[site].lineno)
-                uses.setdefault(key, set()).add(node.lineno)
-    records = [DefUse(name=name, def_line=line,
-                      use_lines=tuple(sorted(lines)))
-               for (name, line), lines in uses.items()]
-    for node in cfg.stmts:
-        records.extend(comprehension_def_uses(node))
-    return sorted(records, key=lambda r: (r.def_line, r.name))
 
 
 # ---------------------------------------------------------------------------

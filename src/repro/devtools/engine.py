@@ -11,9 +11,9 @@ skip parsing entirely (ASTs stay lazy).
 
 **Pass 2** assembles the module indexes into a
 :class:`~repro.devtools.index.ProjectIndex` and runs every rule's
-``check_project`` -- the whole-program families (units, probability
-domain, rng reachability, experiment registry) plus the older cross-file
-checks (protocol conformance, public API).
+``check_project`` -- the whole-program families (rng reachability,
+experiment registry, fork-safety, kernel equivalence) plus the older
+cross-file checks (protocol conformance, public API).
 
 Afterwards the engine resolves ``# repro: allow-<rule>`` suppressions and
 applies the baseline (:mod:`repro.devtools.baseline`).
@@ -58,14 +58,10 @@ from repro.devtools.cache import (
     rule_sources_digest,
 )
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.dependence import CLASS_REDUCTION, CLASS_SERIAL, \
-    CLASS_VECTORIZABLE
-from repro.devtools.effects import ALL_EFFECTS, EffectAnalysis
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import ProjectIndex, build_module_index
 from repro.devtools.rules import ModuleContext, ProjectContext, Rule, \
     create_rules
-from repro.devtools.shapes import parse_shape_contracts
 
 _SUPPRESS = re.compile(r"#\s*repro:\s*allow-([a-z0-9_,\-]+)")
 
@@ -214,8 +210,7 @@ class LintEngine:
         entry = CacheEntry(
             digest=digest, findings=module_findings,
             suppressions=module.suppressions,
-            index=build_module_index(module.dotted_name, relpath, tree,
-                                     parse_shape_contracts(source)))
+            index=build_module_index(module.dotted_name, relpath, tree))
         if self.cache is not None:
             self.cache.store(relpath, entry)
         return module, entry, None
@@ -343,31 +338,7 @@ class LintEngine:
             resolved = self.baseline.apply(resolved)
         return LintReport(findings=sorted(resolved),
                           modules_checked=len(project.modules),
-                          rules_run=tuple(rule.name for rule in self.rules),
-                          analysis=_analysis_summary(project))
-
-
-def _analysis_summary(project: ProjectContext) -> dict:
-    """Tree-wide dependence/effect tallies for the JSON report.
-
-    ``loops`` counts every indexed loop by classification; ``effects``
-    counts functions by closed interprocedural effect (a function with two
-    effects counts under both; ``pure`` means the empty effect set).
-    """
-    if project.index is None:
-        return {}
-    loops = {CLASS_VECTORIZABLE: 0, CLASS_REDUCTION: 0, CLASS_SERIAL: 0}
-    for _, info in project.index.all_functions():
-        for loop in info.loops:
-            loops[loop.classification] += 1
-    effects = {"pure": 0, **{name: 0 for name in sorted(ALL_EFFECTS)}}
-    analysis = EffectAnalysis(project.index)
-    for summary in analysis.summaries.values():
-        if not summary:
-            effects["pure"] += 1
-        for name in summary:
-            effects[name] += 1
-    return {"loops": loops, "effects": effects}
+                          rules_run=tuple(rule.name for rule in self.rules))
 
 
 def _pass1_work(item: tuple[str, str, str, str, tuple[str, ...],
@@ -393,6 +364,5 @@ def _pass1_work(item: tuple[str, str, str, str, tuple[str, ...],
     entry = CacheEntry(
         digest=digest, findings=module_findings,
         suppressions=suppressions,
-        index=build_module_index(module.dotted_name, relpath, tree,
-                                 parse_shape_contracts(source)))
+        index=build_module_index(module.dotted_name, relpath, tree))
     return entry, None

@@ -78,10 +78,6 @@ class LintReport:
     cache_misses: int = 0
     #: Wall-clock seconds pass 1 (discovery + parse + index) took.
     index_seconds: float = 0.0
-    #: Tree-wide dependence/effect tallies: ``{"loops": {classification:
-    #: count}, "effects": {effect-or-"pure": function count}}``.  Empty
-    #: when the report was built without a project index.
-    analysis: dict = field(default_factory=dict)
 
     @property
     def unsuppressed(self) -> list[Finding]:

@@ -1,21 +1,19 @@
 """Pass 1 of the whole-program analyzer: the project index.
 
 For every module the engine builds a :class:`ModuleIndex` -- import aliases,
-module-level numeric constants, and a :class:`FunctionInfo` per function or
-method holding its signature (each parameter classified with a quantity
-kind from :mod:`repro.devtools.units` and, where provable, a default value
-interval) and every call it makes (callee as written, plus the kind and
-interval of each argument).  Module indexes are plain-data and serializable,
-so the on-disk cache can persist them per content hash.
+class bases, module-level OS handles and a :class:`FunctionInfo` per
+function or method holding its signature (parameter names and
+annotations), every call it makes (callee as written) and its
+module-global reads and writes.  Module indexes are plain-data and
+serializable, so the on-disk cache can persist them per content hash.
 
 :class:`ProjectIndex` assembles the per-module records into whole-program
 structure: a global function table, alias-aware call resolution (falling
 back to name-based method matching, the classic cheap-call-graph move) and
-the call graph the R5--R8 rule families walk.
+the call graph the reachability and fork-safety rules walk.
 
 Nested functions are folded into their enclosing function: their calls
-count as the parent's (so closures do not break reachability), and their
-parameters are simply unclassified.
+count as the parent's, so closures do not break reachability.
 """
 
 from __future__ import annotations
@@ -24,148 +22,13 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.devtools.dataflow import DefUse, def_use_records, global_access
-from repro.devtools.dependence import LoopSummary, analyze_loops
-from repro.devtools.effects import local_effects
-from repro.devtools.intervals import Interval, interval_of_expr
-from repro.devtools.shapes import ShapeInfo, infer_expr
-from repro.devtools.units import (
-    HARD_KINDS,
-    KIND_DIMENSIONLESS,
-    KIND_SECONDS,
-    is_probability_name,
-    kind_of_name,
-    kind_of_qualified,
-)
+from repro.devtools.dataflow import global_access
 
 MODULE_SCOPE = "<module>"
 
 
 # ---------------------------------------------------------------------------
-# expression-kind inference (shared with the R5 rule)
-
-def kind_of_expr(node: ast.expr, param_kinds: dict[str, str | None],
-                 mismatches: list[tuple[ast.BinOp, str, str]] | None = None
-                 ) -> str | None:
-    """Quantity kind of an expression, by naming convention.
-
-    ``param_kinds`` overrides the convention for parameter names (it carries
-    the registry's qualified classifications).  When ``mismatches`` is given,
-    every ``+``/``-`` whose operands have *different* hard kinds is appended
-    to it -- that is exactly what R5 reports.
-    """
-    if isinstance(node, ast.Name):
-        if node.id in param_kinds:
-            return param_kinds[node.id]
-        return kind_of_name(node.id)
-    if isinstance(node, ast.Attribute):
-        return kind_of_name(node.attr)
-    if isinstance(node, ast.Subscript):
-        return kind_of_expr(node.value, param_kinds, mismatches)
-    if isinstance(node, ast.UnaryOp):
-        return kind_of_expr(node.operand, param_kinds, mismatches)
-    if isinstance(node, ast.IfExp):
-        body = kind_of_expr(node.body, param_kinds, mismatches)
-        orelse = kind_of_expr(node.orelse, param_kinds, mismatches)
-        return body if body == orelse else None
-    if isinstance(node, ast.Call):
-        return _call_kind(node, param_kinds, mismatches)
-    if isinstance(node, ast.BinOp):
-        left = kind_of_expr(node.left, param_kinds, mismatches)
-        right = kind_of_expr(node.right, param_kinds, mismatches)
-        return _binop_kind(node, left, right, mismatches)
-    return None
-
-
-def _call_kind(node: ast.Call, param_kinds: dict[str, str | None],
-               mismatches: list[tuple[ast.BinOp, str, str]] | None
-               ) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Name) and func.id in ("min", "max", "abs",
-                                                  "float", "sum", "round"):
-        kinds = {kind_of_expr(arg, param_kinds, mismatches)
-                 for arg in node.args}
-        # Still walk keyword args so mismatches inside them are found.
-        for keyword in node.keywords:
-            kind_of_expr(keyword.value, param_kinds, mismatches)
-        return kinds.pop() if len(kinds) == 1 else None
-    # Convention on the called name: `self.transmission_time(...)` is
-    # seconds because `transmission_time` is.  Arguments are walked for
-    # nested mismatches but do not contribute to the call's kind.
-    for arg in node.args:
-        kind_of_expr(arg, param_kinds, mismatches)
-    for keyword in node.keywords:
-        kind_of_expr(keyword.value, param_kinds, mismatches)
-    if isinstance(func, ast.Attribute):
-        return kind_of_name(func.attr)
-    if isinstance(func, ast.Name):
-        return kind_of_name(func.id)
-    return None
-
-
-def _binop_kind(node: ast.BinOp, left: str | None, right: str | None,
-                mismatches: list[tuple[ast.BinOp, str, str]] | None
-                ) -> str | None:
-    if isinstance(node.op, (ast.Add, ast.Sub)):
-        if left in HARD_KINDS and right in HARD_KINDS and left != right:
-            if mismatches is not None:
-                mismatches.append((node, left, right))  # type: ignore[arg-type]
-            return None
-        if left in HARD_KINDS:
-            return left
-        if right in HARD_KINDS:
-            return right
-        return left if left == right else None
-    if isinstance(node.op, ast.Mult):
-        # In this codebase counts scale durations: slots * slot_duration is
-        # seconds.  Two different counts multiplied yield nothing nameable.
-        if left == KIND_SECONDS or right == KIND_SECONDS:
-            other = right if left == KIND_SECONDS else left
-            return KIND_SECONDS if other != KIND_SECONDS else None
-        if left == KIND_DIMENSIONLESS:
-            return right
-        if right == KIND_DIMENSIONLESS:
-            return left
-        return None
-    if isinstance(node.op, (ast.Div, ast.FloorDiv)):
-        if left is not None and left == right:
-            return KIND_DIMENSIONLESS
-        if right in (None, KIND_DIMENSIONLESS):
-            return left if right == KIND_DIMENSIONLESS else None
-        return None
-    return None
-
-
-# ---------------------------------------------------------------------------
 # per-module records
-
-@dataclass
-class ArgInfo:
-    """One call argument: its inferred kind and provable value interval."""
-
-    kind: str | None = None
-    interval: Interval | None = None
-    #: Shape/dtype when the argument is a provably-typed array expression.
-    shape: ShapeInfo | None = None
-    #: Leftmost name of the argument expression (``cfg`` for ``cfg.slots``);
-    #: the effect analysis uses it to track which objects escape to callees.
-    root: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind,
-                "interval": list(self.interval) if self.interval else None,
-                "shape": self.shape.to_dict() if self.shape else None,
-                "root": self.root}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ArgInfo":
-        interval = data.get("interval")
-        shape = data.get("shape")
-        return cls(kind=data.get("kind"),
-                   interval=tuple(interval) if interval else None,
-                   shape=ShapeInfo.from_dict(shape) if shape else None,
-                   root=data.get("root"))
-
 
 @dataclass
 class CallInfo:
@@ -173,24 +36,13 @@ class CallInfo:
 
     raw: str  # the callee as written, e.g. ``self.transmission_time``
     lineno: int
-    args: list[ArgInfo] = field(default_factory=list)
-    kwargs: dict[str, ArgInfo] = field(default_factory=dict)
-    has_star: bool = False      # *args at the call site
-    has_star_kw: bool = False   # **kwargs at the call site
 
     def to_dict(self) -> dict:
-        return {"raw": self.raw, "lineno": self.lineno,
-                "args": [arg.to_dict() for arg in self.args],
-                "kwargs": {k: v.to_dict() for k, v in self.kwargs.items()},
-                "has_star": self.has_star, "has_star_kw": self.has_star_kw}
+        return {"raw": self.raw, "lineno": self.lineno}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CallInfo":
-        return cls(raw=data["raw"], lineno=data["lineno"],
-                   args=[ArgInfo.from_dict(a) for a in data["args"]],
-                   kwargs={k: ArgInfo.from_dict(v)
-                           for k, v in data["kwargs"].items()},
-                   has_star=data["has_star"], has_star_kw=data["has_star_kw"])
+        return cls(raw=data["raw"], lineno=data["lineno"])
 
 
 @dataclass
@@ -198,36 +50,14 @@ class ParamInfo:
     """One parameter (``self``/``cls`` are never recorded)."""
 
     name: str
-    kind: str | None = None
-    probability: bool = False
-    kwonly: bool = False
     annotation: str | None = None
-    has_default: bool = False
-    default_interval: Interval | None = None
-    #: ``# repro: shape(...)`` contract on the parameter's own line.
-    shape_contract: ShapeInfo | None = None
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "kind": self.kind,
-                "probability": self.probability, "kwonly": self.kwonly,
-                "annotation": self.annotation,
-                "has_default": self.has_default,
-                "default_interval": (list(self.default_interval)
-                                     if self.default_interval else None),
-                "shape_contract": (self.shape_contract.to_dict()
-                                   if self.shape_contract else None)}
+        return {"name": self.name, "annotation": self.annotation}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParamInfo":
-        interval = data.get("default_interval")
-        contract = data.get("shape_contract")
-        return cls(name=data["name"], kind=data["kind"],
-                   probability=data["probability"], kwonly=data["kwonly"],
-                   annotation=data.get("annotation"),
-                   has_default=data["has_default"],
-                   default_interval=tuple(interval) if interval else None,
-                   shape_contract=(ShapeInfo.from_dict(contract)
-                                   if contract else None))
+        return cls(name=data["name"], annotation=data.get("annotation"))
 
 
 @dataclass
@@ -238,25 +68,12 @@ class FunctionInfo:
     lineno: int
     params: list[ParamInfo] = field(default_factory=list)
     calls: list[CallInfo] = field(default_factory=list)
-    is_method: bool = False
     has_rng_param: bool = False
-    has_varargs: bool = False
-    has_kwargs: bool = False
-    return_kind: str | None = None
-    #: Reaching-definitions def-use chains (cached with the index).
-    def_uses: list[DefUse] = field(default_factory=list)
     #: Module-global reads ``(name, line)`` inside this function.
     global_reads: list[tuple[str, int]] = field(default_factory=list)
     #: Module-global writes ``(name, line, how)``; ``how`` is one of
     #: ``rebind``/``mutate``/``store`` (see dataflow.global_access).
     global_writes: list[tuple[str, int, str]] = field(default_factory=list)
-    #: ``# repro: shape(...)`` contract on the ``def`` line = return value.
-    return_contract: ShapeInfo | None = None
-    #: Loop-carried dependence summaries, one per loop (dependence.py).
-    loops: list[LoopSummary] = field(default_factory=list)
-    #: Locally-evident effects (effects.py); closed over the call graph
-    #: by EffectAnalysis in pass 2.
-    effects_local: tuple[str, ...] = ()
 
     @property
     def name(self) -> str:
@@ -278,42 +95,21 @@ class FunctionInfo:
         return {"qualname": self.qualname, "lineno": self.lineno,
                 "params": [p.to_dict() for p in self.params],
                 "calls": [c.to_dict() for c in self.calls],
-                "is_method": self.is_method,
                 "has_rng_param": self.has_rng_param,
-                "has_varargs": self.has_varargs,
-                "has_kwargs": self.has_kwargs,
-                "return_kind": self.return_kind,
-                "def_uses": [record.to_list() for record in self.def_uses],
                 "global_reads": [list(read) for read in self.global_reads],
                 "global_writes": [list(write)
-                                  for write in self.global_writes],
-                "return_contract": (self.return_contract.to_dict()
-                                    if self.return_contract else None),
-                "loops": [loop.to_list() for loop in self.loops],
-                "effects_local": list(self.effects_local)}
+                                  for write in self.global_writes]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "FunctionInfo":
-        contract = data.get("return_contract")
         return cls(qualname=data["qualname"], lineno=data["lineno"],
                    params=[ParamInfo.from_dict(p) for p in data["params"]],
                    calls=[CallInfo.from_dict(c) for c in data["calls"]],
-                   is_method=data["is_method"],
                    has_rng_param=data["has_rng_param"],
-                   has_varargs=data["has_varargs"],
-                   has_kwargs=data["has_kwargs"],
-                   return_kind=data["return_kind"],
-                   def_uses=[DefUse.from_list(record)
-                             for record in data.get("def_uses", [])],
                    global_reads=[(read[0], read[1])
                                  for read in data.get("global_reads", [])],
                    global_writes=[(w[0], w[1], w[2])
-                                  for w in data.get("global_writes", [])],
-                   return_contract=(ShapeInfo.from_dict(contract)
-                                    if contract else None),
-                   loops=[LoopSummary.from_list(loop)
-                          for loop in data.get("loops", [])],
-                   effects_local=tuple(data.get("effects_local", [])))
+                                  for w in data.get("global_writes", [])])
 
 
 @dataclass
@@ -332,8 +128,6 @@ class ModuleIndex:
     classes: tuple[str, ...] = ()
     #: class name -> base-class names as written (virtual dispatch input).
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: names assigned at module scope (the fork-safety global universe).
-    global_names: tuple[str, ...] = ()
     #: module globals bound to OS handles (open files, locks, queues).
     handle_globals: tuple[str, ...] = ()
 
@@ -345,7 +139,6 @@ class ModuleIndex:
                 "classes": list(self.classes),
                 "class_bases": {name: list(bases)
                                 for name, bases in self.class_bases.items()},
-                "global_names": list(self.global_names),
                 "handle_globals": list(self.handle_globals)}
 
     @classmethod
@@ -357,7 +150,6 @@ class ModuleIndex:
                    classes=tuple(data["classes"]),
                    class_bases={name: tuple(bases) for name, bases
                                 in data.get("class_bases", {}).items()},
-                   global_names=tuple(data.get("global_names", [])),
                    handle_globals=tuple(data.get("handle_globals", [])))
 
 
@@ -405,25 +197,16 @@ _HANDLE_CTORS = {"open", "Lock", "RLock", "Semaphore", "BoundedSemaphore",
 
 
 class _ModuleIndexer:
-    def __init__(self, dotted: str, relpath: str,
-                 contracts: dict[int, ShapeInfo] | None = None) -> None:
+    def __init__(self, dotted: str, relpath: str) -> None:
         self.index = ModuleIndex(dotted=dotted, relpath=relpath)
-        self.constants: dict[str, Interval] = {}
-        self.contracts = contracts or {}
         self.module_globals: set[str] = set()
-        self.numpy_names: frozenset[str] = frozenset(("np", "numpy"))
 
     # -- entry -------------------------------------------------------------
 
     def _prescan_globals(self, tree: ast.Module) -> None:
         """Module-scope assigned names plus the handle-valued subset."""
         handles: list[str] = []
-        numpy_locals = {"np", "numpy"}
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        numpy_locals.add(alias.asname or "numpy")
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -439,9 +222,7 @@ class _ModuleIndexer:
                 raw = _dotted(value.func)
                 if raw and raw.rsplit(".", 1)[-1] in _HANDLE_CTORS:
                     handles.extend(names)
-        self.index.global_names = tuple(sorted(self.module_globals))
         self.index.handle_globals = tuple(sorted(set(handles)))
-        self.numpy_names = frozenset(numpy_locals)
 
     def build(self, tree: ast.Module) -> ModuleIndex:
         self._prescan_globals(tree)
@@ -468,13 +249,7 @@ class _ModuleIndexer:
                 classes.append(node.name)
                 self._index_class(node)
             else:
-                if isinstance(node, ast.Assign) \
-                        and len(node.targets) == 1 \
-                        and isinstance(node.targets[0], ast.Name):
-                    interval = interval_of_expr(node.value, self.constants)
-                    if interval is not None:
-                        self.constants[node.targets[0].id] = interval
-                self._collect_calls(node, module_scope, {}, self.constants)
+                self._collect_calls(node, module_scope)
         if module_scope.calls:
             self.index.functions[MODULE_SCOPE] = module_scope
         self.index.classes = tuple(classes)
@@ -501,21 +276,13 @@ class _ModuleIndexer:
                 annotation = _annotation_str(item.annotation)
                 if annotation and annotation.startswith("ClassVar"):
                     continue
-                qualified = f"{self.index.dotted}.{node.name}.{name}"
-                default = (interval_of_expr(item.value, self.constants)
-                           if item.value is not None else None)
-                fields.append(ParamInfo(
-                    name=name, kind=kind_of_qualified(qualified),
-                    probability=is_probability_name(name),
-                    annotation=annotation,
-                    has_default=item.value is not None,
-                    default_interval=default))
+                fields.append(ParamInfo(name=name, annotation=annotation))
         if fields and not has_init and _is_dataclass(node):
-            # Synthetic constructor so `Class(field=...)` call sites can be
-            # checked against the dataclass field kinds.
+            # Synthetic constructor: `Class(...)` call sites resolve to it,
+            # and a dataclass holding an `rng` field counts as stochastic.
             self.index.functions[f"{node.name}.__init__"] = FunctionInfo(
                 qualname=f"{node.name}.__init__", lineno=node.lineno,
-                params=fields, is_method=True,
+                params=fields,
                 has_rng_param=any(f.name == "rng" for f in fields))
 
     # -- functions ---------------------------------------------------------
@@ -524,126 +291,25 @@ class _ModuleIndexer:
                         class_name: str | None) -> None:
         qualname = f"{class_name}.{node.name}" if class_name else node.name
         args = node.args
-        params: list[ParamInfo] = []
         positional = [*args.posonlyargs, *args.args]
-        defaults: list[ast.expr | None] = [None] * (
-            len(positional) - len(args.defaults)) + list(args.defaults)
-        for param, default in zip(positional, defaults):
-            if param.arg in ("self", "cls") and class_name and not params \
-                    and param is positional[0]:
-                continue
-            params.append(self._param_info(qualname, param, default,
-                                           kwonly=False,
-                                           def_lineno=node.lineno))
-        for param, default in zip(args.kwonlyargs, args.kw_defaults):
-            params.append(self._param_info(qualname, param, default,
-                                           kwonly=True,
-                                           def_lineno=node.lineno))
+        if class_name and positional \
+                and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        params = [ParamInfo(name=param.arg,
+                            annotation=_annotation_str(param.annotation))
+                  for param in [*positional, *args.kwonlyargs]]
         reads, writes = global_access(node, self.module_globals)
         info = FunctionInfo(
             qualname=qualname, lineno=node.lineno, params=params,
-            is_method=class_name is not None,
             has_rng_param=any(p.name == "rng" for p in params),
-            has_varargs=args.vararg is not None,
-            has_kwargs=args.kwarg is not None,
-            return_kind=kind_of_qualified(
-                f"{self.index.dotted}.{qualname}"),
-            def_uses=def_use_records(node),
-            global_reads=reads, global_writes=writes,
-            return_contract=self.contracts.get(node.lineno),
-            loops=analyze_loops(node, self.numpy_names),
-            effects_local=tuple(sorted(
-                local_effects(node, self.module_globals))))
-        param_kinds = {p.name: p.kind for p in params}
-        local_env = self._local_env(node)
-        shape_env = self._shape_env(node, params)
+            global_reads=reads, global_writes=writes)
         for statement in node.body:
-            self._collect_calls(statement, info, param_kinds, local_env,
-                                shape_env)
+            self._collect_calls(statement, info)
         self.index.functions[qualname] = info
-
-    def _param_info(self, qualname: str, param: ast.arg,
-                    default: ast.expr | None, kwonly: bool,
-                    def_lineno: int = -1) -> ParamInfo:
-        qualified = f"{self.index.dotted}.{qualname}.{param.arg}"
-        return ParamInfo(
-            name=param.arg, kind=kind_of_qualified(qualified),
-            probability=is_probability_name(param.arg),
-            kwonly=kwonly,
-            annotation=_annotation_str(param.annotation),
-            has_default=default is not None,
-            default_interval=(interval_of_expr(default, self.constants)
-                              if default is not None else None),
-            # A contract on the ``def`` line is the *return* contract; a
-            # parameter only owns one when signatures span lines.
-            shape_contract=(self.contracts.get(param.lineno)
-                            if param.lineno != def_lineno else None))
-
-    def _shape_env(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                   params: list[ParamInfo]) -> dict[str, ShapeInfo]:
-        """Shapes of contracted params and single-assignment locals."""
-        env: dict[str, ShapeInfo] = {
-            param.name: param.shape_contract for param in params
-            if param.shape_contract is not None}
-        counts: dict[str, int] = {}
-        for statement in ast.walk(node):
-            if isinstance(statement, (ast.Assign, ast.AugAssign,
-                                      ast.AnnAssign)):
-                targets = statement.targets \
-                    if isinstance(statement, ast.Assign) \
-                    else [statement.target]
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            counts[name_node.id] = \
-                                counts.get(name_node.id, 0) + 1
-        for statement in ast.walk(node):
-            if isinstance(statement, ast.Assign) \
-                    and len(statement.targets) == 1 \
-                    and isinstance(statement.targets[0], ast.Name) \
-                    and counts.get(statement.targets[0].id) == 1:
-                name = statement.targets[0].id
-                declared = self.contracts.get(statement.lineno)
-                inferred = declared if declared is not None else infer_expr(
-                    statement.value, env, self.numpy_names)
-                if inferred is not None:
-                    env[name] = inferred
-        return env
-
-    def _local_env(self, node: ast.FunctionDef | ast.AsyncFunctionDef
-                   ) -> dict[str, Interval]:
-        """Intervals of single-assignment locals (plus module constants)."""
-        counts: dict[str, int] = {}
-        for statement in ast.walk(node):
-            if isinstance(statement, (ast.Assign, ast.AugAssign,
-                                      ast.AnnAssign)):
-                targets = statement.targets \
-                    if isinstance(statement, ast.Assign) \
-                    else [statement.target]
-                for target in targets:
-                    for name_node in ast.walk(target):
-                        if isinstance(name_node, ast.Name):
-                            counts[name_node.id] = \
-                                counts.get(name_node.id, 0) + 1
-        env = dict(self.constants)
-        for statement in ast.walk(node):
-            if isinstance(statement, ast.Assign) \
-                    and len(statement.targets) == 1 \
-                    and isinstance(statement.targets[0], ast.Name) \
-                    and counts.get(statement.targets[0].id) == 1:
-                interval = interval_of_expr(statement.value, env)
-                if interval is not None:
-                    env[statement.targets[0].id] = interval
-        return env
 
     # -- call collection ---------------------------------------------------
 
-    def _collect_calls(self, node: ast.AST, into: FunctionInfo,
-                       param_kinds: dict[str, str | None],
-                       env: dict[str, Interval],
-                       shape_env: dict[str, ShapeInfo] | None = None
-                       ) -> None:
-        shape_env = shape_env if shape_env is not None else {}
+    def _collect_calls(self, node: ast.AST, into: FunctionInfo) -> None:
         for call in ast.walk(node):
             if not isinstance(call, ast.Call):
                 continue
@@ -657,41 +323,13 @@ class _ModuleIndexer:
                     raw = f"{receiver}.{call.func.attr}"
             if raw is None:
                 continue
-            info = CallInfo(raw=raw, lineno=call.lineno)
-            for arg in call.args:
-                if isinstance(arg, ast.Starred):
-                    info.has_star = True
-                    continue
-                info.args.append(ArgInfo(
-                    kind=kind_of_expr(arg, param_kinds),
-                    interval=interval_of_expr(arg, env),
-                    shape=infer_expr(arg, shape_env, self.numpy_names),
-                    root=_arg_root(arg)))
-            for keyword in call.keywords:
-                if keyword.arg is None:
-                    info.has_star_kw = True
-                    continue
-                info.kwargs[keyword.arg] = ArgInfo(
-                    kind=kind_of_expr(keyword.value, param_kinds),
-                    interval=interval_of_expr(keyword.value, env),
-                    shape=infer_expr(keyword.value, shape_env,
-                                     self.numpy_names),
-                    root=_arg_root(keyword.value))
-            into.calls.append(info)
+            into.calls.append(CallInfo(raw=raw, lineno=call.lineno))
 
 
-def _arg_root(node: ast.expr) -> str | None:
-    """Leftmost name when the argument passes an object (or part of one)."""
-    while isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
-
-
-def build_module_index(dotted: str, relpath: str, tree: ast.Module,
-                       contracts: dict[int, ShapeInfo] | None = None
-                       ) -> ModuleIndex:
+def build_module_index(dotted: str, relpath: str,
+                       tree: ast.Module) -> ModuleIndex:
     """Index one parsed module (pass 1 unit of work; cacheable)."""
-    return _ModuleIndexer(dotted, relpath, contracts).build(tree)
+    return _ModuleIndexer(dotted, relpath).build(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -703,9 +341,6 @@ class Callee:
 
     module: ModuleIndex
     function: FunctionInfo
-    #: True when the target was matched purely by method name (several
-    #: classes may define it); value checks should then require agreement.
-    name_based: bool = False
 
     @property
     def path(self) -> str:
@@ -724,7 +359,7 @@ class ProjectIndex:
                 if info.qualname == MODULE_SCOPE:
                     continue
                 self._by_method.setdefault(info.name, []).append(
-                    Callee(module=module, function=info, name_based=True))
+                    Callee(module=module, function=info))
         self._subclasses = self._build_subclass_map()
 
     def _build_subclass_map(self) -> dict[str, set[str]]:
@@ -795,7 +430,7 @@ class ProjectIndex:
 
         Exactly-resolved targets come back as a single candidate; receiver
         calls that cannot be resolved lexically fall back to matching every
-        known method of that name (``name_based=True``).
+        known method of that name.
         """
         parts = call.raw.split(".")
         caller_class = caller.class_name
@@ -836,16 +471,12 @@ class ProjectIndex:
                         candidates.append(method)
                     # Virtual dispatch: a subclass instance may flow in
                     # through the base-typed parameter, so every override
-                    # is a candidate too.  They come back name_based so
-                    # single-target value checks keep ignoring them.
+                    # is a candidate too.
                     for sub in sorted(self._subclasses.get(
                             class_target, ())):
                         override = self._function_at(f"{sub}.{parts[1]}")
                         if override is not None:
-                            candidates.append(Callee(
-                                module=override.module,
-                                function=override.function,
-                                name_based=True))
+                            candidates.append(override)
                     if candidates:
                         return candidates
         return self._by_method.get(parts[-1], [])

@@ -1,4 +1,4 @@
-"""Conservative interval evaluation of AST expressions (for R6).
+"""Conservative interval evaluation of AST expressions.
 
 ``interval_of_expr`` maps an expression to a ``(low, high)`` pair when its
 value range is statically provable, or ``None`` when it is not.  Only
@@ -6,11 +6,13 @@ constructs whose bounds are certain are evaluated -- numeric literals,
 unary minus, ``+ - * / // %`` on evaluable operands, ``min``/``max``
 (partial knowledge is kept: ``min(x, 0.5)`` is ``(-inf, 0.5)``), ``abs``,
 and names bound to evaluable module constants or single-assignment locals.
-Everything else is unknown, so the probability-domain rule only ever fires
-on values that are *provably* outside ``[0, 1]``.
+Everything else is unknown, so a check built on
+:func:`provably_outside_unit` only ever fires on values that are
+*provably* outside ``[0, 1]``.
 
-Intervals are plain tuples so the project index can serialize them into
-the on-disk cache.
+No rule calls this module: it is a standalone library, kept with its
+edge-case tests.  Intervals are plain tuples so results stay trivially
+serializable.
 """
 
 from __future__ import annotations

@@ -36,7 +36,6 @@ def render_json(report: LintReport) -> str:
     additively and update the golden file in the same change.
     """
     payload = {
-        "analysis": report.analysis,
         "modules_checked": report.modules_checked,
         "rules_run": list(report.rules_run),
         "counts": {

@@ -149,8 +149,10 @@ class _ChunkTask:
     #: Collect telemetry inside the worker and ship it back.  Decided in
     #: the parent (workers spawned without the parent's scope still know).
     collect: bool = False
-    #: ``time.time()`` at task creation; queue wait is measured from here.
-    submitted_unix: float = 0.0
+    #: ``time.monotonic()`` at task creation; queue wait is measured from
+    #: here (the monotonic clock is system-wide, so worker processes share
+    #: it with the parent).
+    submitted_monotonic: float = 0.0
 
 
 @dataclass
@@ -177,9 +179,9 @@ def run_chunk(task: _ChunkTask) -> ChunkOutcome:
     R7 reachability walk: in a worker process this *is* the outermost frame
     above the seeded simulation path.
     """
-    started = time.time()
-    queue_wait = max(started - task.submitted_unix, 0.0) \
-        if task.submitted_unix else 0.0
+    started = time.perf_counter()
+    queue_wait = max(time.monotonic() - task.submitted_monotonic, 0.0) \
+        if task.submitted_monotonic else 0.0
     observation: Observation | None = None
     if task.engine == "kernel":
         from repro.kernels.engine import run_batch
@@ -201,7 +203,7 @@ def run_chunk(task: _ChunkTask) -> ChunkOutcome:
     else:
         results = compute()
     return ChunkOutcome(results=results, observation=observation,
-                        duration_s=time.time() - started,
+                        duration_s=time.perf_counter() - started,
                         queue_wait_s=queue_wait)
 
 
@@ -217,7 +219,7 @@ def _chunk_tasks(specs: Sequence[CellSpec], indices: Sequence[int],
     total_runs = sum(specs[i].runs for i in indices)
     target_tasks = max(1, 4 * jobs)
     chunk_size = max(1, math.ceil(total_runs / target_tasks))
-    submitted = time.time()
+    submitted = time.monotonic()
     tasks: list[_ChunkTask] = []
     for cell_index in indices:
         spec = specs[cell_index]
@@ -238,7 +240,7 @@ def _chunk_tasks(specs: Sequence[CellSpec], indices: Sequence[int],
                 timing=spec.timing,
                 engine=spec.engine,
                 collect=collect,
-                submitted_unix=submitted,
+                submitted_monotonic=submitted,
             ))
     return tasks
 

@@ -249,9 +249,6 @@ def plan_cells(specs: Sequence[CellSpec], planner: PlannerConfig,
     when its relative CI half-width reaches ``planner.precision``
     (reason ``"precision"``), its ceiling is hit (``"max_runs"``), or the
     shared budget runs dry (``"budget"``).
-
-    Registered as a designated hotspot entry point (lint R13): this loop
-    is the planner's reach root over the seeded simulation path.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -110,7 +110,6 @@ def batched_dfsa_sessions(protocol: Dfsa, n_tags: int,
     alive = list(range(len(sessions)))
     # Lockstep driver: frames within a session are serially dependent
     # (the next frame size is a function of this frame's occupancy).
-    # repro: allow-vectorization-antipattern -- lockstep session driver
     while alive:
         alive = [i for i in alive if not sessions[i].step()]
     return [session.result for session in sessions]

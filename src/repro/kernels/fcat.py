@@ -264,14 +264,12 @@ class _FcatKernelSession:
         by_tag = self.store._by_tag
         items = self.items
         offset = 0
-        # repro: allow-vectorization-antipattern -- O(record slots) walk over a bulk-pre-drawn frame
         for k in counts:
             if k < 2 or k > lam:
                 continue
             end = offset + k
             rec = [k] + [items[r] for r in ranks[offset:end]]
             offset = end
-            # repro: allow-vectorization-antipattern -- O(k) registration, k <= lam <= 4
             for j in range(1, k + 1):
                 tag = rec[j]
                 entries = by_tag[tag]
@@ -311,7 +309,6 @@ class _FcatKernelSession:
         offset = 0
         # O(1)-per-silent-slot walk over the pre-drawn frame; the bulk
         # randomness was drawn above in two vectorized calls.
-        # repro: allow-vectorization-antipattern -- O(eventful) replay walk over a bulk-pre-drawn frame
         for k in counts:
             if k == 0:
                 continue
@@ -355,9 +352,7 @@ class _FcatKernelSession:
                 stack = None
                 # The cascade is a worklist fixpoint over ragged pending
                 # lists: inherently serial, O(total record visits).
-                # repro: allow-vectorization-antipattern -- worklist fixpoint
                 while True:
-                    # repro: allow-vectorization-antipattern -- worklist fixpoint
                     for rec in entries:
                         c = rec[0]
                         if c < 2:
@@ -495,7 +490,8 @@ class _FcatKernelSession:
         n_empty = n_collision = slots_run = 0
         offset = 0
         all_collisions = True
-        # repro: allow-vectorization-antipattern -- slot-order replay of a bulk-pre-drawn frame (channel draws force sequencing)
+        # Slot-order replay of a bulk-pre-drawn frame: the channel draws
+        # force sequencing.
         for slot, k in enumerate(counts):
             if k == 0:
                 n_empty += 1
@@ -527,7 +523,6 @@ class _FcatKernelSession:
         pos = self.pos
         # Swap-remove bookkeeping over a Python roster: O(1) per removal,
         # nothing array-shaped to batch.
-        # repro: allow-vectorization-antipattern -- O(1) swap-remove bookkeeping
         for tag in removed:
             position = pos[tag]
             if position < 0:
@@ -659,7 +654,6 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     alive = sessions
     # Lockstep frame loop: each round advances every live session by one
     # frame; per-frame work is the vectorized replay above.
-    # repro: allow-vectorization-antipattern -- lockstep driver over per-session array kernels
     while alive:
         alive = [session for session in alive if not session.step()]
     return [session.result for session in sessions]

@@ -120,7 +120,6 @@ def resample_duplicate_slots(rng: np.random.Generator, n_active: int,
     offset = 0
     # Cold in expectation: segments are scanned in Python but duplicates
     # occur ~k(k-1)/2n per collision slot, so the repair almost never runs.
-    # repro: allow-vectorization-antipattern -- rare-duplicate repair path
     for k in counts:
         if k >= 2:
             end = offset + k
@@ -142,14 +141,12 @@ def resample_duplicate_slots(rng: np.random.Generator, n_active: int,
                     continue
                 seen.clear()
                 retry = []
-                # repro: allow-vectorization-antipattern -- rare-duplicate repair path
                 for position in range(offset, end):
                     rank = ranks[position]
                     if rank in seen:
                         retry.append(position)
                     else:
                         seen.add(rank)
-                # repro: allow-vectorization-antipattern -- rare-duplicate repair path
                 while retry:
                     draws = rng.integers(0, n_active,
                                          size=len(retry)).tolist()

@@ -164,9 +164,7 @@ class KernelRecordStore:
         # The cascade is a worklist fixpoint over ragged pending lists:
         # inherently serial, O(total record visits), nothing rectangular
         # to mask over (the kernels batch the *draws*, not the closure).
-        # repro: allow-vectorization-antipattern -- worklist fixpoint
         while True:
-            # repro: allow-vectorization-antipattern -- worklist fixpoint
             for rec in entries:
                 c = rec[0]
                 if c < 2:
@@ -176,7 +174,6 @@ class KernelRecordStore:
                     continue  # still more than one unknown participant
                 # The count just hit one: the lone survivor resolves now.
                 other = -1
-                # repro: allow-vectorization-antipattern -- O(k) survivor scan, k <= lam <= 4
                 for j in range(1, len(rec)):
                     part = rec[j]
                     if not learned[part]:

@@ -167,7 +167,6 @@ class _ScatKernelSession:
         stop = len(counts) - 1
         # Pure shadow-counter scan over <= _BLOCK small ints; the streak
         # state is serially carried by protocol design.
-        # repro: allow-vectorization-antipattern -- shadow streak scan, <= _BLOCK ints
         for i, k in enumerate(counts):
             if k == 1:
                 need += 1
@@ -207,7 +206,6 @@ class _ScatKernelSession:
         offset = 0
         # Serial by protocol design (each slot's outcome feeds the next
         # advertisement); the kernel batches the *draws*, not the walk.
-        # repro: allow-vectorization-antipattern -- serial belief replay
         for i in range(stop + 1):
             k = counts[i]
             result.advertisements += 1
@@ -293,7 +291,6 @@ def batched_scat_sessions(protocol: Scat, n_tags: int,
     alive = list(range(len(sessions)))
     # Lockstep driver: per-session belief updates are protocol-serial;
     # the vectorized work happens inside each session's block draws.
-    # repro: allow-vectorization-antipattern -- lockstep session driver
     while alive:
         alive = [i for i in alive if not sessions[i].step()]
     return [session.result for session in sessions]

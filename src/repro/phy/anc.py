@@ -39,7 +39,6 @@ class AmplitudeEstimate:
     sigma: float
 
 
-# repro: pure
 def estimate_amplitudes(mixed: np.ndarray) -> AmplitudeEstimate:
     """Estimate the amplitudes of the two constituents of a mixed signal.
 
@@ -50,7 +49,7 @@ def estimate_amplitudes(mixed: np.ndarray) -> AmplitudeEstimate:
     mixed = np.asarray(mixed, dtype=np.complex128)
     if mixed.size == 0:
         raise ValueError("mixed signal is empty")
-    power = np.abs(mixed) ** 2  # repro: shape(any) dtype=float64
+    power = np.abs(mixed) ** 2
     mu = float(power.mean())
     above = power[power > mu]
     sigma = float(2.0 * above.sum() / power.size)
@@ -64,11 +63,7 @@ def estimate_amplitudes(mixed: np.ndarray) -> AmplitudeEstimate:
                              mu=mu, sigma=sigma)
 
 
-# repro: pure
-def subtract_known(
-    mixed: np.ndarray,  # repro: shape(w) dtype=complex128
-    known: np.ndarray,  # repro: shape(w) dtype=complex128
-) -> np.ndarray:
+def subtract_known(mixed: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Remove a known constituent signal from a recorded mixed signal."""
     mixed = np.asarray(mixed, dtype=np.complex128)
     known = np.asarray(known, dtype=np.complex128)
@@ -78,14 +73,12 @@ def subtract_known(
     return mixed - known
 
 
-# repro: pure
 def decode_residual(residual: np.ndarray,
                     samples_per_bit: int = SAMPLES_PER_BIT) -> np.ndarray:
     """Demodulate a residual signal into bits (MSK decision on phase slope)."""
     return msk_demodulate(residual, samples_per_bit)
 
 
-# repro: pure
 def resolve_collision(mixed: np.ndarray, known_signals: list[np.ndarray],
                       samples_per_bit: int = SAMPLES_PER_BIT) -> np.ndarray | None:
     """The RFID reader's collision-record resolution primitive.
@@ -96,7 +89,7 @@ def resolve_collision(mixed: np.ndarray, known_signals: list[np.ndarray],
     happens when more than one unknown constituent remains, or when noise has
     accumulated beyond what the demodulator tolerates.
     """
-    residual = np.asarray(mixed, dtype=np.complex128)  # repro: shape(any) dtype=complex128
+    residual = np.asarray(mixed, dtype=np.complex128)
     for known in known_signals:
         residual = subtract_known(residual, known)
     bits = decode_residual(residual, samples_per_bit)
@@ -105,7 +98,6 @@ def resolve_collision(mixed: np.ndarray, known_signals: list[np.ndarray],
     return None
 
 
-# repro: pure
 def least_squares_cancel(mixed: np.ndarray, known_bits: list[np.ndarray],
                          samples_per_bit: int = SAMPLES_PER_BIT) -> np.ndarray | None:
     """Cancel known constituents when their *waveforms* are not directly known.
@@ -118,7 +110,7 @@ def least_squares_cancel(mixed: np.ndarray, known_bits: list[np.ndarray],
     waveforms are nearly orthogonal over a 96-bit ID).  Returns the recovered
     bit frame of the remaining constituent, or ``None`` if the CRC rejects it.
     """
-    mixed = np.asarray(mixed, dtype=np.complex128)  # repro: shape(w) dtype=complex128
+    mixed = np.asarray(mixed, dtype=np.complex128)
     if not known_bits:
         raise ValueError("need at least one known constituent")
     basis = np.column_stack([
@@ -128,14 +120,13 @@ def least_squares_cancel(mixed: np.ndarray, known_bits: list[np.ndarray],
     if basis.shape[0] != mixed.size:
         raise ValueError("known constituents do not match the mix length")
     gains, *_ = np.linalg.lstsq(basis, mixed, rcond=None)
-    residual = mixed - basis @ gains  # repro: shape(w) dtype=complex128
+    residual = mixed - basis @ gains
     bits = decode_residual(residual, samples_per_bit)
     if bits.size and verify_crc_bits(bits):
         return bits
     return None
 
 
-# repro: pure
 def estimate_phase_offset(received: np.ndarray, own_bits: np.ndarray,
                           own_amplitude: float,
                           samples_per_bit: int = SAMPLES_PER_BIT,
@@ -148,7 +139,7 @@ def estimate_phase_offset(received: np.ndarray, own_bits: np.ndarray,
     is (close to) a constant-envelope MSK signal, so envelope variance is a
     natural goodness-of-fit measure.
     """
-    received = np.asarray(received, dtype=np.complex128)  # repro: shape(any) dtype=complex128
+    received = np.asarray(received, dtype=np.complex128)
     base = msk_modulate(own_bits, amplitude=own_amplitude,
                         samples_per_bit=samples_per_bit)
     if base.shape != received.shape:
@@ -174,7 +165,6 @@ class ExchangeResult:
     bob_ok: bool
 
 
-# repro: pure
 def _decode_peer(received: np.ndarray, own_bits: np.ndarray,
                  samples_per_bit: int) -> np.ndarray:
     """Subtract the node's own contribution from a mix and decode the peer's.
@@ -201,7 +191,6 @@ def _decode_peer(received: np.ndarray, own_bits: np.ndarray,
     return decode_residual(best_residual, samples_per_bit)
 
 
-# repro: effects(reads-rng)
 def alice_bob_exchange(alice_bits: np.ndarray, bob_bits: np.ndarray,
                        rng: np.random.Generator, snr_db: float = 30.0,
                        alice_channel: ChannelGain | None = None,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 from repro.experiments.result_cache import canonical_fingerprint
@@ -75,8 +76,9 @@ class InventoryRequest:
             raise ValueError("max_phases must be >= 1 or null")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {', '.join(ENGINES)}")
-        if self.precision is not None and self.precision <= 0:
-            raise ValueError("precision must be > 0 or null")
+        if self.precision is not None and not (
+                math.isfinite(self.precision) and self.precision > 0):
+            raise ValueError("precision must be finite and > 0, or null")
 
     def key(self) -> str:
         """The request's content address (SHA-256 of its canonical form)."""
@@ -112,8 +114,13 @@ def request_from_dict(payload: dict) -> InventoryRequest:
             fields["channel"] = ChannelModel(**channel)
         except TypeError as error:
             raise ValueError(f"bad channel knobs: {error}") from None
-    for name in ("n_tags", "zones", "seed", "runs", "lam"):
-        if name in fields and not isinstance(fields[name], int):
+    for name in ("n_tags", "zones", "seed", "runs", "lam", "max_phases"):
+        if name not in fields or (name == "max_phases"
+                                  and fields[name] is None):
+            continue
+        # bool subclasses int, but `true` is not a tag count.
+        if isinstance(fields[name], bool) \
+                or not isinstance(fields[name], int):
             raise ValueError(f"{name} must be an integer")
     try:
         return InventoryRequest(**fields)

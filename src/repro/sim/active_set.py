@@ -23,8 +23,8 @@ class ActiveSet:
         self._pos: dict[Hashable, int] = {}
         #: Scratch for the rejection sampler, reused across calls: the
         #: scalar session loops call ``sample_binomial`` once per slot,
-        #: and allocating a fresh position set per slot was the R13
-        #: allocation antipattern (the kernel engine sidesteps this whole
+        #: and allocating a fresh position set per slot is a per-call
+        #: allocation in a hot loop (the kernel engine sidesteps this whole
         #: class by pre-drawing frames; see ``repro.kernels.frame``).
         self._scratch: set[int] = set()
         for item in items:

@@ -1,4 +1,4 @@
-"""Unit tests for the data-flow layer: CFG, reaching defs, tags, globals."""
+"""Unit tests for the data-flow layer: CFG, tags, globals."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ from repro.devtools.dataflow import (
     TAG_UNORDERED,
     TagFlow,
     build_cfg,
-    comprehension_def_uses,
-    def_use_records,
     global_access,
     seed_param_tags,
-    stmt_uses,
     tags_of_expr,
 )
 
@@ -90,188 +87,104 @@ def test_break_jumps_to_loop_exit():
 
 
 # ---------------------------------------------------------------------------
-# reaching definitions / def-use chains
-
-def test_def_use_records_simple_chain():
-    func = _func("""\
-        def f():
-            a = 1
-            b = a + 1
-            return b
-        """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("a", 2)] == (3,)
-    assert records[("b", 3)] == (4,)
-
+# which definitions reach a use (observed through the tag lattice)
 
 def test_redefinition_kills_earlier_def():
     func = _func("""\
-        def f():
-            a = 1
+        def f(seed):
+            a = default_rng(seed)
             a = 2
             return a
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert ("a", 2) not in records  # killed before any use
-    assert records[("a", 3)] == (4,)
+    flow = TagFlow(func)
+    assert TAG_RNG in flow.at(func.body[1])["a"]
+    assert TAG_RNG not in flow.at(func.body[2]).get("a", frozenset())
 
 
 def test_branch_defs_both_reach_the_join():
     func = _func("""\
-        def f(p):
+        def f(p, seed):
             if p:
-                a = 1
+                a = default_rng(seed)
             else:
-                a = 2
+                a = set(p)
             return a
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("a", 3)] == (6,)
-    assert records[("a", 5)] == (6,)
+    env = TagFlow(func).at(func.body[-1])
+    assert env["a"] == frozenset([TAG_RNG, TAG_UNORDERED])
 
 
 def test_loop_carried_def_reaches_header():
     func = _func("""\
-        def f(n):
+        def f(n, seed):
             total = 0
             while total < n:
-                total = total + 1
+                total = default_rng(seed)
             return total
         """)
-    records = {(r.name, r.def_line): set(r.use_lines)
-               for r in def_use_records(func)}
-    # The loop-body def flows around the back edge into the header test,
-    # its own right-hand side, and the return.
-    assert records[("total", 4)] >= {3, 4, 5}
-
-
-def test_parameters_defined_at_the_def_line():
-    func = _func("""\
-        def f(n):
-            return n + 1
-        """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("n", 1)] == (2,)
+    flow = TagFlow(func)
+    # The loop-body def flows around the back edge into the header test
+    # and on to the return.
+    assert TAG_RNG in flow.at(func.body[1])["total"]
+    assert TAG_RNG in flow.at(func.body[2])["total"]
 
 
 def test_loop_else_runs_on_normal_exit_only():
     # The else body is the *only* normal exit: a def inside it must kill
     # the pre-loop def at the post-loop use.
     func = _func("""\
-        def f(n):
-            x = 0
+        def f(n, seed):
+            x = default_rng(seed)
             while n:
                 n = n - 1
             else:
                 x = 1
             return x
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert ("x", 2) not in records or records[("x", 2)] == ()
-    assert records[("x", 6)] == (7,)
+    env = TagFlow(func).at(func.body[-1])
+    assert TAG_RNG not in env.get("x", frozenset())
 
 
 def test_break_bypasses_loop_else():
     # break edges straight to the loop exit, so the pre-loop def still
     # reaches the post-loop use alongside the else-body def.
     func = _func("""\
-        def f(items):
-            x = 0
+        def f(items, seed):
+            x = default_rng(seed)
             for item in items:
                 if item:
                     break
             else:
-                x = 1
+                x = set(items)
             return x
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("x", 2)] == (8,)
-    assert records[("x", 7)] == (8,)
+    env = TagFlow(func).at(func.body[-1])
+    assert env["x"] == frozenset([TAG_RNG, TAG_UNORDERED])
 
 
 def test_for_else_def_reaches_after_loop():
     func = _func("""\
-        def f(items):
+        def f(items, seed):
             for item in items:
                 pass
             else:
-                y = 1
+                y = default_rng(seed)
             return y
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("y", 5)] == (6,)
+    env = TagFlow(func).at(func.body[-1])
+    assert TAG_RNG in env["y"]
 
-
-# ---------------------------------------------------------------------------
-# comprehension scoping
 
 def test_comp_bound_name_is_not_an_outer_use():
-    # The x bound by the comprehension shadows the outer x everywhere
-    # except the first iterable, so the outer def has no uses here.
+    # The X bound by the comprehension shadows the module global X, so
+    # the comprehension reads no global.
     func = _func("""\
         def f(items):
-            x = 99
-            values = [x + 1 for x in items]
+            values = [X + 1 for X in items]
             return values
         """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert ("x", 2) not in records or records[("x", 2)] == ()
-
-
-def test_comp_first_iterable_evaluates_in_outer_scope():
-    # ``[x for x in x]``: the iterable x IS the outer binding.
-    func = _func("""\
-        def f():
-            x = [1, 2]
-            return [x for x in x]
-        """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("x", 2)] == (3,)
-
-
-def test_comp_target_gets_its_own_def_use_record():
-    func = _func("""\
-        def f(items):
-            return [x * x
-                    for x in items
-                    if x > 0]
-        """)
-    records = {(r.name, r.def_line): r.use_lines
-               for r in def_use_records(func)}
-    assert records[("x", 3)] == (2, 4)
-
-
-def test_nested_comprehension_targets_both_recorded():
-    func = _func("""\
-        def f(rows):
-            return [cell for row in rows for cell in row]
-        """)
-    comp_records = comprehension_def_uses(func.body[0])
-    by_name = {r.name: r for r in comp_records}
-    assert by_name["row"].use_lines == (2,)   # later iterable reads it
-    assert by_name["cell"].use_lines == (2,)  # the element reads it
-    # stmt_uses sees only the genuinely outer name.
-    assert stmt_uses(func.body[0]) == ["rows"]
-
-
-def test_dict_comp_key_and_value_are_scoped():
-    func = _func("""\
-        def f(pairs):
-            k = v = None
-            return {k: v for k, v in pairs}
-        """)
-    assert stmt_uses(func.body[1]) == ["pairs"]
-    names = {r.name for r in comprehension_def_uses(func.body[1])}
-    assert names == {"k", "v"}
+    reads, writes = global_access(func, {"X"})
+    assert reads == [] and writes == []
 
 
 # ---------------------------------------------------------------------------

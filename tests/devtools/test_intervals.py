@@ -1,4 +1,4 @@
-"""Edge-case tests for the interval domain behind R6.
+"""Edge-case tests for the interval domain (``repro.devtools.intervals``).
 
 The old ``_mul`` crashed on ``(0, 0) * (inf, inf)`` (every corner product
 is NaN, so ``min([])`` raised) and ``_div`` happily inverted ``(-inf,

@@ -44,28 +44,14 @@ def test_json_matches_golden(tree):
 def test_json_findings_carry_severity_and_state_fields(tree):
     report = _fixture_report(tree)
     payload = json.loads(render_json(report))
-    assert set(payload) == {"analysis", "modules_checked", "rules_run",
-                            "counts", "cache", "timing", "findings"}
+    assert set(payload) == {"modules_checked", "rules_run", "counts",
+                            "cache", "timing", "findings"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "rule", "message",
                                 "severity", "suppressed", "baselined"}
     assert payload["counts"]["blocking"] == 2
     assert payload["counts"]["suppressed"] == 1
     assert payload["cache"] == {"hits": 0, "misses": 0}
-
-
-def test_json_analysis_block_tallies_loops_and_effects(tree):
-    report = _fixture_report(tree)
-    payload = json.loads(render_json(report))
-    analysis = payload["analysis"]
-    assert set(analysis) == {"loops", "effects"}
-    assert set(analysis["loops"]) == {"vectorizable", "reduction", "serial"}
-    assert set(analysis["effects"]) == {"pure", "emits-events",
-                                        "mutates-args", "mutates-global",
-                                        "reads-rng"}
-    # The fixture's two tiny functions are loop-free and pure.
-    assert sum(analysis["loops"].values()) == 0
-    assert analysis["effects"]["pure"] == 2
 
 
 def test_text_summary_counts_every_state():

@@ -1,189 +1,7 @@
-"""Rule tests for R13 (vectorization-antipattern), R14 (effect-contract)
-and R15 (kernel-equivalence)."""
+"""Rule tests for R15 (kernel-equivalence): every vectorized kernel
+registers its scalar reference and equivalence test."""
 
 from __future__ import annotations
-
-
-# ---------------------------------------------------------------------------
-# R13: vectorization-antipattern
-
-def _hot_serial_tree(tree):
-    """run_cell (a BENCH entry point) -> sim loop threading serial state."""
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import spin
-
-        def run_cell():
-            return spin([1.0, 2.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-
-
-def test_hot_serial_loop_is_flagged(tree):
-    _hot_serial_tree(tree)
-    findings = tree.rule_findings("vectorization-antipattern")
-    assert findings == ["repro/sim/loops.py:4 vectorization-antipattern"]
-
-
-def test_flag_is_a_warning_not_an_error(tree):
-    _hot_serial_tree(tree)
-    report = tree.lint("vectorization-antipattern")
-    assert report.ok
-    assert len(report.warnings) == 1
-
-
-def test_cold_serial_loop_is_not_flagged(tree):
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_hot_loop_outside_vectorization_dirs_is_not_flagged(tree):
-    tree.write("repro/experiments/runner.py", """
-        def run_cell():
-            state = 0
-            while True:
-                state = state or 1
-                if state:
-                    break
-            return state
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_allow_comment_suppresses_the_warning(tree):
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import spin
-
-        def run_cell():
-            return spin([1.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        def spin(xs):
-            state = 0
-            # repro: allow-vectorization-antipattern -- fixture rationale
-            for x in xs:
-                state = advance(state, x)
-            return state
-
-        def advance(state, x):
-            return state + x
-    """)
-    assert tree.rule_findings("vectorization-antipattern") == []
-
-
-def test_hot_vectorizable_loop_with_antipattern_is_flagged(tree):
-    tree.write("repro/experiments/runner.py", """
-        from repro.sim.loops import gather
-
-        def run_cell():
-            return gather([1.0])
-    """)
-    tree.write("repro/sim/loops.py", """
-        import numpy as np
-
-        def gather(xs):
-            acc = []
-            for x in xs:
-                acc.append(consume(x))
-            return np.asarray(acc)
-
-        def consume(x):
-            return x
-    """)
-    findings = tree.rule_findings("vectorization-antipattern")
-    assert findings == ["repro/sim/loops.py:6 vectorization-antipattern"]
-
-
-# ---------------------------------------------------------------------------
-# R14: effect-contract
-
-def test_matching_pure_contract_is_silent(tree):
-    tree.write("repro/core/mod.py", """
-        # repro: pure
-        def double(x):
-            return x * 2
-    """)
-    assert tree.rule_findings("effect-contract") == []
-
-
-def test_trailing_contract_on_the_def_line_is_silent(tree):
-    tree.write("repro/core/mod.py", """
-        def roll(rng):  # repro: effects(reads-rng)
-            return rng.normal()
-    """)
-    assert tree.rule_findings("effect-contract") == []
-
-
-def test_declared_pure_but_inferred_impure_fires(tree):
-    tree.write("repro/core/mod.py", """
-        # repro: pure
-        def push(acc, x):
-            acc.append(x)
-    """)
-    assert tree.rule_findings("effect-contract") == [
-        "repro/core/mod.py:2 effect-contract"]
-
-
-def test_transitive_effect_violates_a_pure_contract(tree):
-    tree.write("repro/core/mod.py", """
-        def draw(rng):
-            return rng.normal()
-
-        # repro: pure
-        def wraps(rng):
-            return draw(rng)
-    """)
-    assert tree.rule_findings("effect-contract") == [
-        "repro/core/mod.py:5 effect-contract"]
-
-
-def test_stale_effect_declaration_fires(tree):
-    tree.write("repro/core/mod.py", """
-        # repro: effects(reads-rng)
-        def double(x):
-            return x * 2
-    """)
-    assert tree.rule_findings("effect-contract") == [
-        "repro/core/mod.py:2 effect-contract"]
-
-
-def test_unknown_effect_name_fires(tree):
-    tree.write("repro/core/mod.py", """
-        # repro: effects(launches-missiles)
-        def f(x):
-            return x
-    """)
-    findings = tree.lint("effect-contract").unsuppressed
-    assert len(findings) == 1
-    assert "launches-missiles" in findings[0].message
-
-
-def test_unattached_contract_fires(tree):
-    tree.write("repro/core/mod.py", """
-        # repro: pure
-
-        def f(x):
-            return x
-    """)
-    assert tree.rule_findings("effect-contract") == [
-        "repro/core/mod.py:2 effect-contract"]
 
 
 # ---------------------------------------------------------------------------

@@ -222,6 +222,25 @@ class TestExecutorObservability:
         assert observation.metrics.snapshot()["gauges"][
             "executor.workers"] == pool.fields["workers"]
 
+    def test_chunk_timings_ignore_wall_clock_steps(self, monkeypatch):
+        """Chunk durations and queue waits come from monotonic clocks: a
+        wall clock stepped backwards mid-chunk (an NTP correction, a
+        manual reset) cannot turn them negative or inflate them."""
+        import itertools
+        import time
+
+        from repro.obs.scope import observe
+        wall = itertools.count(1e9, -3600.0)  # each reading an hour earlier
+        monkeypatch.setattr(time, "time", lambda: next(wall))
+        with observe() as observation:
+            execute_cells(self.SPECS[:1], jobs=1)
+        chunks = [event.fields for event in observation.events.events
+                  if event.name == "chunk_done"]
+        assert chunks
+        for fields in chunks:
+            assert 0.0 <= fields["duration_s"] < 60.0
+            assert 0.0 <= fields["queue_wait_s"] < 60.0
+
     def test_serial_path_reports_one_worker(self):
         from repro.obs.scope import observe
         with observe() as observation:

@@ -75,6 +75,20 @@ class TestSubtraction:
             subtract_known(np.ones(4, dtype=complex),
                            np.ones(5, dtype=complex))
 
+    def test_inputs_are_never_modified(self, rng):
+        """The signal reader keeps ``record.mixed`` and re-subtracts from it
+        on every retry, so no cancellation primitive may write through its
+        arguments (complex128 inputs pass ``np.asarray`` uncopied)."""
+        _, frames, waveforms, mixed = _tag_waveforms(3, rng, snr_db=25)
+        mixed = np.asarray(mixed, dtype=np.complex128)
+        inputs = [mixed, *waveforms, *frames]
+        before = [array.copy() for array in inputs]
+        subtract_known(mixed, waveforms[0])
+        resolve_collision(mixed, waveforms[:-1])
+        least_squares_cancel(mixed, frames[:-1])
+        for array, original in zip(inputs, before):
+            assert np.array_equal(array, original)
+
 
 class TestResolveCollision:
     def test_two_collision_resolves(self, rng):

@@ -61,6 +61,13 @@ def test_minimal_request_uses_defaults():
     ({"n_tags": 0, "zones": 1, "seed": 0}, "n_tags"),
     ({"n_tags": 10, "zones": 1, "seed": 0, "lam": 1}, "lam"),
     ({"n_tags": 10, "zones": 1, "seed": 0, "engine": "quantum"}, "engine"),
+    ({"n_tags": True, "zones": 1, "seed": 0}, "n_tags must be an integer"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "max_phases": 2.5},
+     "max_phases must be an integer"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "precision": float("nan")},
+     "precision"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "precision": float("inf")},
+     "precision"),
 ])
 def test_junk_requests_rejected(payload, match):
     with pytest.raises(ValueError, match=match):
