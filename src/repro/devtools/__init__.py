@@ -13,11 +13,11 @@ registration -- alongside the per-file hygiene and data-flow rules.
 ``repro-lint src`` runs it from the command line and
 ``tests/test_static_analysis.py`` runs it in tier-1 CI.
 
-See docs/static_analysis.md for the rule catalogue, the baseline workflow
-and the suppression syntax.
+Every unsuppressed finding blocks; the only way to accept one is a
+``# repro: allow-<rule>`` comment on its line.  See docs/static_analysis.md
+for the rule catalogue and the suppression syntax.
 """
 
-from repro.devtools.baseline import Baseline
 from repro.devtools.cache import CacheEntry, LintCache
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
 from repro.devtools.dataflow import TagFlow, build_cfg, global_access
@@ -41,7 +41,6 @@ from repro.devtools.rules import (
 )
 
 __all__ = [
-    "Baseline",
     "CacheEntry",
     "LintCache",
     "DEFAULT_CONFIG",

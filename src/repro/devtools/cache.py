@@ -35,7 +35,8 @@ from repro.devtools.index import ModuleIndex
 #: 5: quantity kinds, intervals, shape contracts, def-use records, loop
 #: summaries, local effects and the module-global name list left the
 #: per-module index again.
-CACHE_SCHEMA = 5
+#: 6: cached findings no longer carry a severity.
+CACHE_SCHEMA = 6
 
 DEFAULT_CACHE_NAME = ".repro-lint-cache.json"
 
@@ -89,7 +90,7 @@ class CacheEntry:
             "digest": self.digest,
             "findings": [
                 {"path": f.path, "line": f.line, "rule": f.rule,
-                 "message": f.message, "severity": f.severity}
+                 "message": f.message}
                 for f in self.findings
             ],
             "suppressions": {str(line): sorted(rules)
@@ -102,7 +103,7 @@ class CacheEntry:
         return cls(
             digest=data["digest"],
             findings=[Finding(path=f["path"], line=f["line"], rule=f["rule"],
-                              message=f["message"], severity=f["severity"])
+                              message=f["message"])
                       for f in data["findings"]],
             suppressions={int(line): set(rules)
                           for line, rules in data["suppressions"].items()},

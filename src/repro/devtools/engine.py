@@ -15,8 +15,7 @@ skip parsing entirely (ASTs stay lazy).
 experiment registry, fork-safety, kernel equivalence) plus the older
 cross-file checks (protocol conformance, public API).
 
-Afterwards the engine resolves ``# repro: allow-<rule>`` suppressions and
-applies the baseline (:mod:`repro.devtools.baseline`).
+Afterwards the engine resolves ``# repro: allow-<rule>`` suppressions.
 
 Typical use::
 
@@ -42,14 +41,12 @@ from __future__ import annotations
 
 import ast
 import io
-import multiprocessing
 import re
 import time
 import tokenize
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.devtools.baseline import Baseline
 from repro.devtools.cache import (
     CacheEntry,
     LintCache,
@@ -148,15 +145,10 @@ class LintEngine:
 
     def __init__(self, config: LintConfig | None = None,
                  select: Iterable[str] = (),
-                 cache_path: Path | None = None,
-                 baseline: Baseline | None = None) -> None:
+                 cache_path: Path | None = None) -> None:
         self.config = config or DEFAULT_CONFIG
         self.rules: list[Rule] = create_rules(select)
-        self.baseline = baseline
         self.cache: LintCache | None = None
-        #: Wall-clock seconds pass 1 took in the last lint_paths run.
-        self.last_index_seconds = 0.0
-        self._select = tuple(select)
         if cache_path is not None:
             signature = cache_signature(
                 repr(self.config),
@@ -215,25 +207,19 @@ class LintEngine:
             self.cache.store(relpath, entry)
         return module, entry, None
 
-    def build_project(self, paths: Sequence[str | Path],
-                      jobs: int = 1) -> tuple[
+    def build_project(self, paths: Sequence[str | Path]) -> tuple[
             ProjectContext, list[Finding]]:
         """Pass 1 over every .py file under ``paths``.
 
         Returns the assembled project (modules + whole-program index) and
         the findings produced so far (parse errors and per-module rules).
-        With ``jobs > 1`` cache misses are indexed in a process pool;
-        results merge in discovery order, so the report is byte-identical
-        to a serial run.
         """
-        started = time.perf_counter()
         scan_root, files = self._discover(paths)
         findings: list[Finding] = []
         modules: list[ModuleContext] = []
         records = []
-        loaded = self._load_serial(files) if jobs <= 1 \
-            else self._load_parallel(files, jobs)
-        for module, entry, error in loaded:
+        for path, relpath in files:
+            module, entry, error = self._load_one(path, relpath)
             if error is not None:
                 findings.append(error)
                 continue
@@ -241,89 +227,27 @@ class LintEngine:
             modules.append(module)
             findings.extend(entry.findings)
             records.append(entry.index)
-        self.last_index_seconds = time.perf_counter() - started
         repo_root = find_repo_root(scan_root.resolve())
         project = ProjectContext(root=scan_root, modules=modules,
                                  repo_root=repo_root,
                                  index=ProjectIndex(records))
         return project, findings
 
-    def _load_serial(self, files: list[tuple[Path, str]]) -> list[tuple[
-            ModuleContext | None, CacheEntry | None, Finding | None]]:
-        return [self._load_one(path, relpath) for path, relpath in files]
-
-    def _load_parallel(self, files: list[tuple[Path, str]],
-                       jobs: int) -> list[tuple[
-            ModuleContext | None, CacheEntry | None, Finding | None]]:
-        """Pass 1 with a process pool over the cache misses.
-
-        The parent does discovery, file reads and cache lookups (cheap,
-        I/O-bound); only the per-file analysis (parse + per-module rules +
-        indexing) ships to the workers.  Results come back via ``map``, so
-        the merge order is the discovery order -- deterministic regardless
-        of worker scheduling.
-        """
-        results: list[tuple[ModuleContext | None, CacheEntry | None,
-                            Finding | None]] = []
-        pending: list[tuple[int, Path, str, str, str]] = []
-        for position, (path, relpath) in enumerate(files):
-            source = path.read_text(encoding="utf-8")
-            digest = content_digest(source)
-            if self.cache is not None:
-                cached = self.cache.lookup(relpath, digest)
-                if cached is not None:
-                    module = ModuleContext(
-                        path=path, relpath=relpath, source=source,
-                        suppressions=cached.suppressions)
-                    results.append((module, cached, None))
-                    continue
-            results.append((None, None, None))  # placeholder
-            pending.append((position, path, source, digest, relpath))
-        if pending:
-            items = [(str(path), relpath, source, digest,
-                      self._select, self.config)
-                     for _, path, source, digest, relpath in pending]
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            with context.Pool(processes=min(jobs, len(items))) as pool:
-                produced = pool.map(_pass1_work, items)
-            for (position, path, source, _, relpath), (entry, error) \
-                    in zip(pending, produced):
-                if error is not None:
-                    results[position] = (None, None, error)
-                    continue
-                module = ModuleContext(path=path, relpath=relpath,
-                                       source=source,
-                                       suppressions=entry.suppressions)
-                if self.cache is not None:
-                    self.cache.store(relpath, entry)
-                results[position] = (module, entry, None)
-        return results
-
     # -- pass 2 and assembly -----------------------------------------------
 
-    def lint_paths(self, paths: Sequence[str | Path],
-                   jobs: int = 1) -> LintReport:
-        project, findings = self.build_project(paths, jobs=jobs)
+    def lint_paths(self, paths: Sequence[str | Path]) -> LintReport:
+        started = time.perf_counter()
+        project, findings = self.build_project(paths)
+        index_seconds = time.perf_counter() - started
         for rule in self.rules:
             findings.extend(rule.check_project(project, self.config))
         report = self._resolve(project, findings)
-        report.index_seconds = self.last_index_seconds
+        report.index_seconds = index_seconds
         if self.cache is not None:
             report.cache_hits = self.cache.hits
             report.cache_misses = self.cache.misses
             self.cache.save()
         return report
-
-    def lint_project(self, project: ProjectContext) -> LintReport:
-        """Run the rules over an already-built project (no cache I/O)."""
-        findings: list[Finding] = []
-        for rule in self.rules:
-            for module in project.modules:
-                findings.extend(rule.check_module(module, self.config))
-            findings.extend(rule.check_project(project, self.config))
-        return self._resolve(project, findings)
 
     def _resolve(self, project: ProjectContext,
                  findings: list[Finding]) -> LintReport:
@@ -334,35 +258,7 @@ class LintEngine:
             allowed = suppressions.get(finding.path, {}).get(finding.line, ())
             resolved.append(finding.as_suppressed()
                             if finding.rule in allowed else finding)
-        if self.baseline is not None:
-            resolved = self.baseline.apply(resolved)
         return LintReport(findings=sorted(resolved),
                           modules_checked=len(project.modules),
                           rules_run=tuple(rule.name for rule in self.rules))
 
-
-def _pass1_work(item: tuple[str, str, str, str, tuple[str, ...],
-                            LintConfig]
-                ) -> tuple[CacheEntry | None, Finding | None]:
-    """One file's pass-1 analysis, in a pool worker (must be picklable)."""
-    path, relpath, source, digest, select, config = item
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as error:
-        return None, Finding(
-            path=relpath, line=error.lineno or 1, rule="parse-error",
-            message=f"cannot parse: {error.msg}")
-    suppressions = normalize_suppression_spans(
-        parse_suppressions(source), tree)
-    module = ModuleContext(path=Path(path), relpath=relpath, source=source,
-                           tree=tree, suppressions=suppressions)
-    rules = create_rules(select)
-    module_findings = [
-        finding
-        for rule in rules
-        for finding in rule.check_module(module, config)]
-    entry = CacheEntry(
-        digest=digest, findings=module_findings,
-        suppressions=suppressions,
-        index=build_module_index(module.dotted_name, relpath, tree))
-    return entry, None

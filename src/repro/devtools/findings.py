@@ -1,20 +1,14 @@
 """Finding and report types shared by the lint engine, rules and reporters.
 
-A :class:`Finding` is one rule violation anchored to a file and line, at one
-of two severities: ``error`` (blocks the run) or ``warning`` (reported but
-never fails the gate).  The engine marks findings whose line carries a
-``# repro: allow-<rule>`` comment as *suppressed* and findings matching the
-checked-in baseline file as *baselined*; both are still collected (so
-reporters can show them) but do not fail the run.
+A :class:`Finding` is one rule violation anchored to a file and line.  Every
+unsuppressed finding blocks the run.  The engine marks findings whose line
+carries a ``# repro: allow-<rule>`` comment as *suppressed*; those are still
+collected (so reporters can show them) but do not fail the run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-
-SEVERITY_ERROR = "error"
-SEVERITY_WARNING = "warning"
-SEVERITIES = (SEVERITY_ERROR, SEVERITY_WARNING)
 
 
 @dataclass(frozen=True, order=True)
@@ -33,35 +27,13 @@ class Finding:
     message: str
     #: True when a ``# repro: allow-<rule>`` comment covers this line.
     suppressed: bool = False
-    #: ``error`` findings gate CI; ``warning`` findings are informational.
-    severity: str = SEVERITY_ERROR
-    #: True when the checked-in baseline grandfathers this finding.
-    baselined: bool = False
 
     def as_suppressed(self) -> "Finding":
         return replace(self, suppressed=True)
 
-    def as_baselined(self) -> "Finding":
-        return replace(self, baselined=True)
-
-    def as_warning(self) -> "Finding":
-        return replace(self, severity=SEVERITY_WARNING)
-
-    @property
-    def blocking(self) -> bool:
-        """True when this finding should fail the run."""
-        return (self.severity == SEVERITY_ERROR and not self.suppressed
-                and not self.baselined)
-
     def render(self) -> str:
-        marks = ""
-        if self.severity != SEVERITY_ERROR:
-            marks += f" ({self.severity})"
-        if self.suppressed:
-            marks += " (suppressed)"
-        if self.baselined:
-            marks += " (baselined)"
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}{marks}"
+        mark = " (suppressed)" if self.suppressed else ""
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}{mark}"
 
 
 @dataclass
@@ -88,23 +60,9 @@ class LintReport:
         return [finding for finding in self.findings if finding.suppressed]
 
     @property
-    def errors(self) -> list[Finding]:
-        return [finding for finding in self.unsuppressed
-                if finding.severity == SEVERITY_ERROR]
-
-    @property
-    def warnings(self) -> list[Finding]:
-        return [finding for finding in self.unsuppressed
-                if finding.severity == SEVERITY_WARNING]
-
-    @property
     def blocking(self) -> list[Finding]:
-        """Unsuppressed, non-baselined errors: what actually fails the gate."""
-        return [finding for finding in self.findings if finding.blocking]
-
-    @property
-    def baselined(self) -> list[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
+        """Unsuppressed findings: what actually fails the gate."""
+        return self.unsuppressed
 
     @property
     def ok(self) -> bool:

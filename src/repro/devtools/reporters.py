@@ -13,12 +13,9 @@ def render_text(report: LintReport, *, show_suppressed: bool = False) -> str:
     if show_suppressed:
         lines.extend(finding.render() for finding in report.suppressed)
     n_blocking = len(report.blocking)
-    n_warn = len(report.warnings)
-    n_base = len(report.baselined)
-    n_ok = len(report.suppressed)
     summary = (f"{n_blocking} blocking finding"
                f"{'s' if n_blocking != 1 else ''}"
-               f" ({n_warn} warnings, {n_base} baselined, {n_ok} suppressed)"
+               f" ({len(report.suppressed)} suppressed)"
                f" in {report.modules_checked} modules")
     if report.cache_hits or report.cache_misses:
         summary += (f" [cache: {report.cache_hits} hits,"
@@ -42,8 +39,6 @@ def render_json(report: LintReport) -> str:
             "unsuppressed": len(report.unsuppressed),
             "suppressed": len(report.suppressed),
             "blocking": len(report.blocking),
-            "warnings": len(report.warnings),
-            "baselined": len(report.baselined),
         },
         "cache": {
             "hits": report.cache_hits,
@@ -58,9 +53,7 @@ def render_json(report: LintReport) -> str:
                 "line": finding.line,
                 "rule": finding.rule,
                 "message": finding.message,
-                "severity": finding.severity,
                 "suppressed": finding.suppressed,
-                "baselined": finding.baselined,
             }
             for finding in report.findings
         ],

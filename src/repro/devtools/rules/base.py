@@ -6,7 +6,7 @@ invariants.  Project rules get both the parsed modules *and* the pass-1
 :class:`~repro.devtools.index.ProjectIndex` (symbol tables, signatures,
 call records, global-access summaries) on ``project.index``.  Rules yield
 :class:`~repro.devtools.findings.Finding` objects; the engine decides
-suppression and baselining afterwards, so rules never look at comments.
+suppression afterwards, so rules never look at comments.
 
 Module ASTs are parsed lazily: on a warm cache run, pass 1 is replayed from
 the cache and a module's ``tree`` is only materialized if a project rule
@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import ClassVar, Iterable, Iterator, TYPE_CHECKING
 
 from repro.devtools.config import LintConfig
-from repro.devtools.findings import SEVERITY_ERROR, Finding
+from repro.devtools.findings import Finding
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.devtools.index import ProjectIndex
@@ -113,9 +113,8 @@ class Rule(ABC):
         return ()
 
     def finding(self, module_or_path: ModuleContext | str, line: int,
-                message: str, severity: str = SEVERITY_ERROR) -> Finding:
+                message: str) -> Finding:
         path = (module_or_path.relpath
                 if isinstance(module_or_path, ModuleContext)
                 else module_or_path)
-        return Finding(path=path, line=line, rule=self.name, message=message,
-                       severity=severity)
+        return Finding(path=path, line=line, rule=self.name, message=message)

@@ -289,18 +289,19 @@ def main(argv: list[str] | None = None) -> int:
     observing = args.metrics_out is not None or args.manifest_out is not None
     observation = Observation() if observing else None
     started_unix = time.time()
+    run_started = time.perf_counter()
     with observe(observation) if observing else nullcontext():
         for name in names:
-            started = time.time()
+            started = time.perf_counter()
             output = EXPERIMENTS[name](args, plan)
-            elapsed = time.time() - started
+            elapsed = time.perf_counter() - started
             print(output)
             print(f"[{name} finished in {elapsed:.1f}s]", file=sys.stderr)
             if args.out is not None:
                 (args.out / f"{name}.md").write_text(output + "\n")
     if observation is not None:
         _write_observability(args, plan, observation, command, started_unix,
-                             wall_time_s=time.time() - started_unix)
+                             wall_time_s=time.perf_counter() - run_started)
     if plan.planner is not None:
         print(f"[{plan.planner.stats.summary()}]", file=sys.stderr)
     if plan.cache is not None:

@@ -18,7 +18,6 @@ import dataclasses
 import json
 import platform
 import subprocess
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -125,14 +124,14 @@ def environment_info() -> dict:
 
 def build_manifest(observation: "Observation", command: list[str],
                    started_unix: float, jobs: int,
-                   wall_time_s: float | None = None) -> RunManifest:
+                   wall_time_s: float) -> RunManifest:
     """Assemble the manifest for one observed run.
 
     ``observation.cells`` supplies the per-cell records the executor
-    appended; ``wall_time_s`` defaults to now-minus-start.
+    appended.  ``started_unix`` is a wall-clock timestamp;
+    ``wall_time_s`` is the caller's duration on a monotonic clock, so a
+    wall-clock step cannot skew it.
     """
-    if wall_time_s is None:
-        wall_time_s = max(time.time() - started_unix, 0.0)
     return RunManifest(
         schema=MANIFEST_SCHEMA,
         command=list(command),

@@ -90,6 +90,7 @@ class InventoryService:
         self.config = config if config is not None else ServiceConfig()
         self.obs = Observation()
         self.started_unix = time.time()
+        self._started_monotonic = time.monotonic()
         self._lock = threading.Lock()
         self._responses: dict[str, bytes] = {}
         self._requests_served = 0
@@ -240,7 +241,11 @@ class InventoryService:
             return build_manifest(
                 self.obs,
                 command=command or ["python", "-m", "repro.service"],
-                started_unix=self.started_unix, jobs=self.config.jobs)
+                started_unix=self.started_unix, jobs=self.config.jobs,
+                wall_time_s=self._uptime_s())
+
+    def _uptime_s(self) -> float:
+        return time.monotonic() - self._started_monotonic
 
     def stats(self) -> dict:
         """Counters, histograms and cache accounting for ``/stats``."""
@@ -250,7 +255,7 @@ class InventoryService:
                 "requests_served": self._requests_served,
                 "responses_cached": self._responses_cached,
                 "distinct_requests": len(self._responses),
-                "uptime_s": max(time.time() - self.started_unix, 0.0),
+                "uptime_s": self._uptime_s(),
                 "jobs": self.config.jobs,
                 "events": self.obs.events.counts(),
                 "metrics": snapshot,

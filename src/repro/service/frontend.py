@@ -13,7 +13,8 @@ Endpoints:
 
 ``POST /inventory``
     Body: a JSON request object.  200 with the canonical response bytes;
-    400 with an ``{"error": ...}`` body on a malformed request.
+    400 with an ``{"error": ...}`` body on a malformed request; 500 with
+    ``{"error": "internal error"}`` if serving fails unexpectedly.
 ``GET /healthz``
     The run manifest of everything served so far (the same document batch
     CLIs write via ``--manifest-out``), wrapped with a ``status`` field.
@@ -106,8 +107,10 @@ class ServiceFrontend:
                                 writer: asyncio.StreamWriter) -> None:
         try:
             response = await self._respond(reader)
-        except Exception as error:  # never kill the accept loop
-            response = _http_response(500, _error_body(str(error)))
+        except Exception:  # never kill the accept loop
+            # The exception text may name files or internals; the client
+            # gets a fixed body.
+            response = _http_response(500, _error_body("internal error"))
         try:
             writer.write(response)
             await writer.drain()

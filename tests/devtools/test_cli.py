@@ -76,57 +76,6 @@ def test_parse_error_is_reported(tree):
     assert [f.rule for f in report.unsuppressed] == ["parse-error"]
 
 
-# ---------------------------------------------------------------------------
-# --jobs: the parallel pass 1
-
-def _spread_tree(tree):
-    tree.write("repro/core/bad.py", """\
-        def check(p, log=[]):
-            return p == 1.0
-        """)
-    tree.write("repro/core/fine.py", "X = 1\n")
-    tree.write("repro/phy/more.py", """\
-        def threshold(x):
-            return x == 0.25
-        """)
-    return tree
-
-
-def test_jobs_flag_produces_identical_findings(tree, capsys):
-    _spread_tree(tree)
-    assert main(["--format", "json", str(tree.root)]) == 1
-    serial = json.loads(capsys.readouterr().out)
-    assert main(["--format", "json", "--jobs", "2", str(tree.root)]) == 1
-    parallel = json.loads(capsys.readouterr().out)
-    # Byte-identical modulo wall time: same findings, same order.
-    serial.pop("timing"), parallel.pop("timing")
-    assert parallel == serial
-
-
-def test_jobs_zero_is_usage_error(tree, capsys):
-    tree.write("repro/core/fine.py", "X = 1\n")
-    assert main(["--jobs", "0", str(tree.root)]) == 2
-    assert "jobs" in capsys.readouterr().err
-
-
-def test_engine_parallel_run_matches_serial(tree, tmp_path):
-    _spread_tree(tree)
-    serial = LintEngine().lint_paths([tree.root])
-    parallel = LintEngine().lint_paths([tree.root], jobs=2)
-    assert parallel.findings == serial.findings
-    assert parallel.modules_checked == serial.modules_checked
-
-
-def test_parallel_run_fills_the_cache(tree, tmp_path):
-    _spread_tree(tree)
-    cache = tmp_path / "cache.json"
-    cold = LintEngine(cache_path=cache).lint_paths([tree.root], jobs=2)
-    assert (cold.cache_hits, cold.cache_misses) == (0, 3)
-    warm = LintEngine(cache_path=cache).lint_paths([tree.root])
-    assert (warm.cache_hits, warm.cache_misses) == (3, 0)
-    assert warm.findings == cold.findings
-
-
 def test_json_report_carries_pass1_wall_time(tree, capsys):
     tree.write("repro/core/fine.py", "X = 1\n")
     assert main(["--format", "json", str(tree.root)]) == 0

@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 
 from repro.devtools import Finding, LintEngine, LintReport
-from repro.devtools.findings import SEVERITY_WARNING
 from repro.devtools.reporters import render_json, render_text
 
 GOLDEN = Path(__file__).parent / "golden" / "report.json"
@@ -41,14 +40,14 @@ def test_json_matches_golden(tree):
         " if the change is deliberate, regenerate the golden file")
 
 
-def test_json_findings_carry_severity_and_state_fields(tree):
+def test_json_findings_carry_state_fields(tree):
     report = _fixture_report(tree)
     payload = json.loads(render_json(report))
     assert set(payload) == {"modules_checked", "rules_run", "counts",
                             "cache", "timing", "findings"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "rule", "message",
-                                "severity", "suppressed", "baselined"}
+                                "suppressed"}
     assert payload["counts"]["blocking"] == 2
     assert payload["counts"]["suppressed"] == 1
     assert payload["cache"] == {"hits": 0, "misses": 0}
@@ -58,30 +57,14 @@ def test_text_summary_counts_every_state():
     report = LintReport(
         findings=[
             Finding(path="a.py", line=1, rule="r", message="boom"),
-            Finding(path="a.py", line=2, rule="r", message="meh",
-                    severity=SEVERITY_WARNING),
-            Finding(path="a.py", line=3, rule="r", message="old",
-                    baselined=True),
             Finding(path="a.py", line=4, rule="r", message="ok",
                     suppressed=True),
         ],
         modules_checked=1, cache_hits=3, cache_misses=1)
     text = render_text(report)
     assert "1 blocking finding " in text
-    assert "(1 warnings, 1 baselined, 1 suppressed)" in text
+    assert "(1 suppressed)" in text
     assert "[cache: 3 hits, 1 misses]" in text
-
-
-def test_text_marks_warning_and_baselined_findings():
-    report = LintReport(findings=[
-        Finding(path="a.py", line=2, rule="r", message="meh",
-                severity=SEVERITY_WARNING),
-        Finding(path="a.py", line=3, rule="r", message="old",
-                baselined=True),
-    ])
-    text = render_text(report)
-    assert "(warning)" in text
-    assert "(baselined)" in text
 
 
 def regenerate_golden() -> None:  # pragma: no cover - manual helper

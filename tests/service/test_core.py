@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -133,6 +134,20 @@ def test_stats_accounting():
     quantiles = service.latency_quantiles()
     assert quantiles["count"] == 2.0
     assert quantiles["p99_s"] >= quantiles["p50_s"] >= 0.0
+
+
+def test_uptime_ignores_wall_clock_steps(monkeypatch):
+    """Durations run on the monotonic clock: stepping the wall clock back
+    an hour after start leaves uptime and the manifest's wall time
+    positive, while ``started_unix`` keeps the wall-clock timestamp."""
+    service = InventoryService()
+    started_unix = service.started_unix
+    real_time = time.time
+    monkeypatch.setattr(time, "time", lambda: real_time() - 3600.0)
+    assert service.stats()["uptime_s"] > 0.0
+    manifest = service.manifest()
+    assert manifest.wall_time_s > 0.0
+    assert manifest.started_unix == started_unix
 
 
 def test_scalar_and_kernel_engines_both_serve():

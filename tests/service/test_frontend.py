@@ -121,6 +121,43 @@ def test_health_stats_and_metrics_endpoints_cohere(tmp_path):
     run(_with_frontend(scenario))
 
 
+class _FailsOnceService(InventoryService):
+    """Raises from inside the compute lane on its first cold request."""
+
+    SECRET = "/srv/inventory/secret-state.db"
+
+    def __init__(self) -> None:
+        super().__init__(ServiceConfig(jobs=1))
+        self.failed = False
+
+    def _compute(self, request, key):
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError(self.SECRET)
+        return super()._compute(request, key)
+
+
+def test_internal_error_hides_its_text_and_keeps_the_lane_usable():
+    async def scenario():
+        service = _FailsOnceService()
+        frontend = ServiceFrontend(service, port=0, workers=2)
+        await frontend.start()
+        try:
+            host, port = frontend.host, frontend.port
+            status, body = await post_inventory(host, port, REQUEST)
+            assert status == 500
+            assert service.SECRET.encode() not in body
+            assert json.loads(body) == {"error": "internal error"}
+            # The failure released the compute lane: the next request on
+            # the same front end computes normally.
+            status, body = await post_inventory(host, port, REQUEST)
+            assert status == 200
+            assert json.loads(body)["facility"]["unique_tags"] == 400
+        finally:
+            await frontend.close()
+    run(scenario())
+
+
 def test_frontend_validates_workers():
     with pytest.raises(ValueError, match="workers"):
         ServiceFrontend(InventoryService(), workers=0)
