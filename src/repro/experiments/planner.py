@@ -283,11 +283,17 @@ def plan_cells(specs: Sequence[CellSpec], planner: PlannerConfig,
                 _close(cell, "budget", planner, z)
             break
         assignments: list[tuple[_CellState, CellSpec]] = []
+        unstarted = sum(1 for cell in open_cells if cell.welford.n == 0)
         for cell in sorted(open_cells, key=priority):
             if budget <= 0:
                 break
+            if cell.welford.n == 0:
+                unstarted -= 1
+            # Hold back one run for each cell still without any, so a
+            # budget tighter than the first batches (sum(runs) >= cells)
+            # never closes a cell empty.
             size = min(planner.batch_runs, cell.ceiling - cell.welford.n,
-                       budget)
+                       budget - unstarted)
             batch = dataclasses.replace(cell.spec, run_start=cell.welford.n,
                                         runs=size)
             assignments.append((cell, batch))

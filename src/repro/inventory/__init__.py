@@ -11,6 +11,8 @@ implements that application layer:
 * :mod:`repro.inventory.manager` -- run a multi-location inventory round
   with any :class:`~repro.sim.base.TagReadingProtocol`, merge and
   de-duplicate, and reconcile the result against a manifest.
+* :mod:`repro.inventory.scheduling` -- color overlapping locations into
+  interference-free phases and read each phase with concurrent readers.
 """
 
 from repro.inventory.manager import (
@@ -22,7 +24,7 @@ from repro.inventory.manager import (
 from repro.inventory.scheduling import (
     ParallelRound,
     ParallelSchedule,
-    interference_graph,
+    color_phases,
     plan_parallel_round,
     run_parallel_round,
 )
@@ -35,7 +37,7 @@ __all__ = [
     "run_inventory_round",
     "ParallelRound",
     "ParallelSchedule",
-    "interference_graph",
+    "color_phases",
     "plan_parallel_round",
     "run_parallel_round",
     "ReaderLocation",

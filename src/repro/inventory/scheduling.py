@@ -12,33 +12,47 @@ locations with overlapping coverage, and a proper coloring partitions the
 locations into interference-free *phases* that can run concurrently.  The
 round's wall-clock is then the sum over phases of the slowest location in
 each phase, instead of the sum over all locations.
+
+:func:`color_phases` is the one phase planner: this module applies it to a
+:class:`~repro.inventory.zones.Warehouse`'s overlap pairs, and
+:func:`repro.service.sharding.plan_shards` to a facility ring's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterable
 
-import networkx as nx
 import numpy as np
 
 from repro.air.timing import ICODE_TIMING, TimingModel
-from repro.inventory.manager import InventoryRound
+from repro.inventory.manager import InventoryRound, run_inventory_round
 from repro.inventory.zones import ReaderLocation, Warehouse
 from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
-from repro.sim.result import ReadingResult
 
 
-def interference_graph(warehouse: Warehouse) -> nx.Graph:
-    """Build the reader-interference graph (edge = overlapping coverage)."""
-    graph = nx.Graph()
-    graph.add_nodes_from(location.name for location in warehouse.locations)
-    locations = warehouse.locations
-    for i, first in enumerate(locations):
-        for second in locations[i + 1:]:
-            if first.covered_ids & second.covered_ids:
-                graph.add_edge(first.name, second.name)
-    return graph
+def color_phases(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
+    """First-fit coloring of vertices ``0..n-1`` in index order.
+
+    Each vertex takes the smallest color none of its lower-indexed
+    neighbours holds, so the colors used are exactly ``0..max``.  That
+    is optimal on the chains and rings readers are laid out in: a chain
+    or an even ring alternates 0/1, and an odd ring gives its last
+    (seam) vertex color 2.
+    """
+    earlier: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        earlier[max(a, b)].append(min(a, b))
+    colors: list[int] = []
+    for vertex in range(n):
+        taken = {colors[neighbour] for neighbour in earlier[vertex]}
+        color = 0
+        while color in taken:
+            color += 1
+        colors.append(color)
+    return colors
 
 
 @dataclass
@@ -67,23 +81,17 @@ class ParallelSchedule:
             raise ValueError("schedule does not cover every location")
 
 
-def plan_parallel_round(warehouse: Warehouse,
-                        strategy: str = "DSATUR") -> ParallelSchedule:
-    """Color the interference graph into concurrent phases.
-
-    ``strategy`` is any networkx ``greedy_color`` strategy; DSATUR gives
-    optimal colorings on the interval-like graphs typical of aisle layouts.
-    """
-    graph = interference_graph(warehouse)
-    coloring = nx.coloring.greedy_color(graph, strategy=strategy)
-    by_name = {location.name: location for location in warehouse.locations}
-    n_phases = max(coloring.values(), default=-1) + 1
-    phases = [[] for _ in range(max(n_phases, 1))]
-    for name, color in coloring.items():
-        phases[color].append(by_name[name])
-    schedule = ParallelSchedule(phases=[phase for phase in phases if phase])
-    schedule.validate(warehouse)
-    return schedule
+def plan_parallel_round(warehouse: Warehouse) -> ParallelSchedule:
+    """Color the overlap pairs into concurrent phases (roster order)."""
+    locations = warehouse.locations
+    index = {location.name: i for i, location in enumerate(locations)}
+    colors = color_phases(len(locations),
+                          [(index[first], index[second])
+                           for first, second in warehouse.overlap_pairs()])
+    phases: list[list[ReaderLocation]] = [[] for _ in range(max(colors) + 1)]
+    for location, color in zip(locations, colors):
+        phases[color].append(location)
+    return ParallelSchedule(phases=phases)
 
 
 @dataclass
@@ -102,28 +110,23 @@ class ParallelRound(InventoryRound):
 def run_parallel_round(warehouse: Warehouse, protocol: TagReadingProtocol,
                        rng: np.random.Generator,
                        channel: ChannelModel = PERFECT_CHANNEL,
-                       timing: TimingModel = ICODE_TIMING,
-                       strategy: str = "DSATUR") -> ParallelRound:
-    """Read the warehouse with one reader per location, phase-scheduled."""
-    schedule = plan_parallel_round(warehouse, strategy=strategy)
-    results: list[ReadingResult] = []
-    observed: set[int] = set()
-    duplicates = 0
-    phase_durations: list[float] = []
-    for phase in schedule.phases:
-        slowest = 0.0
-        for location in phase:
-            result = protocol.read_all(location.population(), rng,
-                                       channel=channel, timing=timing)
-            if not result.complete:
-                raise RuntimeError(
-                    f"{protocol.name} left tags unread at {location.name}")
-            results.append(result)
-            slowest = max(slowest, result.duration_s)
-            duplicates += len(location.covered_ids & observed)
-            observed |= location.covered_ids
-        phase_durations.append(slowest)
-    return ParallelRound(warehouse=warehouse, results=results,
-                         observed_ids=frozenset(observed),
-                         duplicates_discarded=duplicates,
+                       timing: TimingModel = ICODE_TIMING) -> ParallelRound:
+    """Read the warehouse with one reader per location, phase-scheduled.
+
+    The locations are read in phase order through
+    :func:`~repro.inventory.manager.run_inventory_round`; each phase's
+    wall-clock is its slowest location.
+    """
+    schedule = plan_parallel_round(warehouse)
+    serial = run_inventory_round(
+        Warehouse([location for phase in schedule.phases
+                   for location in phase]),
+        protocol, rng, channel=channel, timing=timing)
+    results = iter(serial.results)
+    phase_durations = [max(result.duration_s
+                           for result in islice(results, len(phase)))
+                       for phase in schedule.phases]
+    return ParallelRound(warehouse=warehouse, results=serial.results,
+                         observed_ids=serial.observed_ids,
+                         duplicates_discarded=serial.duplicates_discarded,
                          schedule=schedule, phase_durations=phase_durations)

@@ -73,7 +73,8 @@ class Warehouse:
 
         Keys are ``(name_a, name_b)`` in roster order; only pairs whose
         coverage actually intersects appear, so the keys are exactly the
-        edges of :func:`repro.inventory.scheduling.interference_graph` and
+        interference edges that
+        :func:`repro.inventory.scheduling.plan_parallel_round` colors, and
         the values are the edge weights an interference model needs.
         """
         pairs: dict[tuple[str, str], int] = {}

@@ -362,9 +362,10 @@ class _FcatKernelSession:
                             continue  # still > 1 unknown participant
                         # The count just hit one: resolve the survivor --
                         # the lone unlearned stored participant (none on
-                        # a duplicate residual).  Unrolled over the at
-                        # most four stored participants; the k == 2 case
-                        # (the bulk) exits after two flag reads.
+                        # a duplicate residual).  Unrolled over the
+                        # first four stored participants, looped over the
+                        # rest (λ >= 5); the k == 2 case (the bulk) exits
+                        # after two flag reads.
                         other = rec[1]
                         if learned[other]:
                             other = rec[2]
@@ -374,6 +375,10 @@ class _FcatKernelSession:
                                     other = rec[4] if len(rec) > 4 else -1
                                     if other >= 0 and learned[other]:
                                         other = -1
+                                        for tag in rec[5:]:
+                                            if not learned[tag]:
+                                                other = tag
+                                                break
                         rec[0] = 0
                         if other < 0:
                             continue  # duplicate residual
@@ -451,6 +456,13 @@ class _FcatKernelSession:
                         by_tag[t3] = [rec]
                     else:
                         entries.append(rec)
+                    if k > 4:
+                        for tag in rec[5:]:
+                            entries = by_tag[tag]
+                            if entries is None:
+                                by_tag[tag] = [rec]
+                            else:
+                                entries.append(rec)
         store._learned_count += n_resolved
         return self._finish_lean(n_singleton, n_collision, n_resolved,
                                  collision_transmissions)

@@ -137,12 +137,17 @@ class ServiceFrontend:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return _http_response(
                         400, _error_body("bad Content-Length"))
         if content_length > MAX_BODY_BYTES:
             return _http_response(413, _error_body("request body too large"))
-        body = await reader.readexactly(content_length) if content_length \
-            else b""
+        try:
+            body = await reader.readexactly(content_length)
+        except asyncio.IncompleteReadError:
+            return _http_response(
+                400, _error_body("body shorter than Content-Length"))
         return await self._route(method, path, body)
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:

@@ -26,10 +26,32 @@ from repro.kernels.engine import ENGINES
 from repro.sim.channel import ChannelModel
 
 __all__ = [
+    "MAX_ERROR_PROB",
+    "MAX_LAM",
+    "MAX_N_TAGS",
+    "MAX_RUNS",
+    "MAX_ZONES",
     "InventoryRequest",
     "encode_response",
     "request_from_dict",
 ]
+
+# Per-request caps.  They sit above benchmark and demo traffic (≈2.1 M
+# tags, 48 zones, λ 2-4, one run) and bound what one request can cost the
+# compute lane.
+MAX_N_TAGS = 1 << 24
+MAX_ZONES = 256
+MAX_RUNS = 100
+#: The paper's λ range.  Beyond it the MPR frame sizing gives small zones
+#: frames of 2-4 slots, and sessions overrun the slot guard: at λ = 5-6
+#: once collision records are unusable, at λ = 7-8 even on a perfect
+#: channel.
+MAX_LAM = 4
+#: Cap on the ambient singleton-corruption and ack-loss probabilities.
+#: Composed with the worst interference load they stay at most 0.75 and
+#: 0.6, where a session needs ≈30 slots per tag against a guard of 200;
+#: at 0.9 each, sessions overrun the guard.
+MAX_ERROR_PROB = 0.5
 
 #: Fields a request dict may carry (everything else is rejected early).
 _REQUEST_FIELDS = ("n_tags", "zones", "seed", "runs", "lam", "overlap",
@@ -62,14 +84,18 @@ class InventoryRequest:
     channel: ChannelModel = field(default_factory=ChannelModel)
 
     def __post_init__(self) -> None:
-        if self.n_tags < 1:
-            raise ValueError("n_tags must be >= 1")
-        if self.zones < 1:
-            raise ValueError("zones must be >= 1")
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
-        if self.lam < 2:
-            raise ValueError("lam must be >= 2 (FCAT's ANC floor)")
+        if not 1 <= self.n_tags <= MAX_N_TAGS:
+            raise ValueError(f"n_tags must be in [1, {MAX_N_TAGS}]")
+        if not 1 <= self.zones <= min(self.n_tags, MAX_ZONES):
+            raise ValueError(f"zones must be in [1, {MAX_ZONES}] and "
+                             "at most n_tags")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 1 <= self.runs <= MAX_RUNS:
+            raise ValueError(f"runs must be in [1, {MAX_RUNS}]")
+        if not 2 <= self.lam <= MAX_LAM:
+            raise ValueError(f"lam must be in [2, {MAX_LAM}] "
+                             "(2 is FCAT's ANC floor)")
         if not 0.0 <= self.overlap < 1.0:
             raise ValueError("overlap must be in [0, 1)")
         if self.max_phases is not None and self.max_phases < 1:
@@ -79,6 +105,10 @@ class InventoryRequest:
         if self.precision is not None and not (
                 math.isfinite(self.precision) and self.precision > 0):
             raise ValueError("precision must be finite and > 0, or null")
+        for knob in ("singleton_corrupt_prob", "ack_loss_prob"):
+            if getattr(self.channel, knob) > MAX_ERROR_PROB:
+                raise ValueError(f"channel {knob} must be <= "
+                                 f"{MAX_ERROR_PROB}")
 
     def key(self) -> str:
         """The request's content address (SHA-256 of its canonical form)."""

@@ -8,11 +8,13 @@ reading sessions the executor can fan out:
    tags -- the count-level mirror of
    :meth:`repro.inventory.zones.Warehouse.random_layout` with ``wrap=True``,
    so facility plans and ID-level warehouses share one geometry).
-2. **Phase** the ring's interference graph by greedy coloring
-   (:func:`repro.inventory.scheduling.interference_graph` logic at count
-   level); when the request caps ``max_phases`` below the chromatic
-   number, later colors fold onto earlier ones and the folded zones run
-   concurrently with their neighbours.
+2. **Phase** the ring's overlap pairs with the shared planner
+   :func:`repro.inventory.scheduling.color_phases` (an edge wherever two
+   coverages intersect, exactly as for ID-level warehouses); when the
+   request caps ``max_phases`` below the chromatic number, color ``c``
+   folds onto ``c % max_phases``, which keeps the earlier (larger) color
+   classes intact and runs the folded zones concurrently with their
+   neighbours.
 3. **Derive channels**: each zone's residual overlap with concurrently
    active zones becomes a load in ``[0, 1]`` that the
    :class:`~repro.service.interference.InterferenceModel` maps onto the
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.inventory.scheduling import color_phases
 from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.sim.channel import ChannelModel
 
@@ -154,30 +157,6 @@ class ShardPlan:
                 f"{self.interfered_zones} zone(s) interfered")
 
 
-def _ring_phases(n_zones: int, has_overlap: bool,
-                 max_phases: int | None) -> list[int]:
-    """Color the ring's interference graph, folding onto ``max_phases``.
-
-    A ring with overlap 2-colors when even (alternate phases) and needs a
-    third phase for one zone when odd; without overlap every zone shares
-    phase 0.  Folding maps color ``c`` to ``c % max_phases``, which keeps
-    the earlier (larger) color classes intact and concentrates the forced
-    concurrency on the folded zones -- the deterministic equivalent of
-    dropping the last reading rounds of a too-tight schedule.
-    """
-    if not has_overlap or n_zones == 1:
-        colors = [0] * n_zones
-    else:
-        colors = [index % 2 for index in range(n_zones)]
-        if n_zones % 2 == 1:
-            colors[-1] = 2  # odd ring: the seam zone gets its own phase
-    if max_phases is not None:
-        if max_phases < 1:
-            raise ValueError("max_phases must be >= 1")
-        colors = [color % max_phases for color in colors]
-    return colors
-
-
 def plan_shards(n_tags: int, zones: int, capability: int = 2,
                 overlap: float = 0.15, max_phases: int | None = None,
                 base_channel: ChannelModel | None = None,
@@ -198,6 +177,8 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
         raise ValueError("overlap must be in [0, 1)")
     if n_tags < zones:
         raise ValueError(f"{zones} zones need at least {zones} tags")
+    if max_phases is not None and max_phases < 1:
+        raise ValueError("max_phases must be >= 1")
     base = base_channel if base_channel is not None else ChannelModel()
 
     # Near-equal exclusive split, remainder spread over the head zones.
@@ -212,7 +193,9 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
 
     pairs = tuple((i, (i + 1) % zones, borrowed[i])
                   for i in range(zones) if borrowed[i] > 0)
-    phases = _ring_phases(zones, any(borrowed), max_phases)
+    phases = color_phases(zones, [(left, right) for left, right, _ in pairs])
+    if max_phases is not None:
+        phases = [phase % max_phases for phase in phases]
     n_phases = max(phases) + 1
 
     shards = []

@@ -107,6 +107,15 @@ class TestStoppingRules:
         assert stop.fields["runs_used"] == spec.runs  # the nominal budget
         assert planner.stats.stopped_budget == 1
 
+    def test_tight_budget_still_gives_every_cell_a_run(self):
+        """One nominal run per cell: the first cell's batch must not eat
+        the whole budget and leave the second with nothing to aggregate."""
+        specs = [dataclasses.replace(spec, runs=1) for spec in SPECS]
+        planner = config(batch_runs=8)
+        results = plan_cells(specs, planner)
+        assert [result.runs for result in results] == [1, 1]
+        assert planner.stats.stopped_budget == 2
+
     def test_precision_cells_actually_meet_the_target(self):
         planner = config(precision=0.2)
         with observe() as observation:

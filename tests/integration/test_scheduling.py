@@ -9,7 +9,6 @@ from repro.core.fcat import Fcat
 from repro.inventory import (
     ReaderLocation,
     Warehouse,
-    interference_graph,
     plan_parallel_round,
     run_inventory_round,
     run_parallel_round,
@@ -36,16 +35,16 @@ def _chain_warehouse(rng, n_locations=5, tags_per=80):
 class TestInterferenceGraph:
     def test_chain_topology(self, rng):
         warehouse, _ = _chain_warehouse(rng)
-        graph = interference_graph(warehouse)
-        assert graph.number_of_nodes() == 5
-        assert graph.number_of_edges() == 4  # a path graph
-        assert graph.has_edge("location-0", "location-1")
-        assert not graph.has_edge("location-0", "location-2")
+        pairs = warehouse.overlap_pairs()
+        assert len(warehouse.locations) == 5
+        assert len(pairs) == 4  # a path graph
+        assert ("location-0", "location-1") in pairs
+        assert ("location-0", "location-2") not in pairs
 
     def test_disjoint_locations_have_no_edges(self, rng):
         population = TagPopulation.random(100, rng)
         warehouse = Warehouse.random_layout(population, 4, rng, overlap=0.0)
-        assert interference_graph(warehouse).number_of_edges() == 0
+        assert warehouse.overlap_pairs() == {}
 
 
 class TestPlanning:

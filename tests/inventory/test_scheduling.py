@@ -1,13 +1,15 @@
-"""Interference graph, phase coloring and the parallel inventory round."""
+"""Overlap pairs, phase coloring and the parallel inventory round."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import Fcat
 from repro.inventory.scheduling import (
-    interference_graph,
+    color_phases,
     plan_parallel_round,
     run_parallel_round,
 )
@@ -23,13 +25,49 @@ def _warehouse(*coverages: set[int]) -> Warehouse:
 
 def test_interference_graph_edges_are_overlapping_pairs():
     warehouse = _warehouse({1, 2}, {2, 3}, {4})
-    graph = interference_graph(warehouse)
-    assert set(graph.nodes) == {"loc-0", "loc-1", "loc-2"}
-    assert set(map(frozenset, graph.edges)) \
-        == {frozenset({"loc-0", "loc-1"})}
-    # The edge set is exactly the overlap_pairs key set.
-    assert {frozenset(pair) for pair in warehouse.overlap_pairs()} \
-        == set(map(frozenset, graph.edges))
+    # The interference edges are exactly the overlap_pairs keys.
+    assert warehouse.overlap_pairs() == {("loc-0", "loc-1"): 1}
+    schedule = plan_parallel_round(warehouse)
+    assert [[location.name for location in phase]
+            for phase in schedule.phases] == [["loc-0", "loc-2"], ["loc-1"]]
+
+
+def test_color_phases_first_fit_on_chains_and_rings():
+    assert color_phases(0, []) == []
+    assert color_phases(3, []) == [0, 0, 0]
+    chain = [(index, index + 1) for index in range(4)]
+    assert color_phases(5, chain) == [0, 1, 0, 1, 0]
+    for n in range(3, 12):
+        ring = [(index, (index + 1) % n) for index in range(n)]
+        expected = [index % 2 for index in range(n)]
+        if n % 2 == 1:
+            expected[-1] = 2  # the odd ring's seam
+        assert color_phases(n, ring) == expected
+    # Edge direction and duplicates do not matter.
+    assert color_phases(2, [(1, 0), (0, 1)]) == [0, 1]
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda edge: edge[0] != edge[1]), max_size=30))))
+def test_color_phases_is_proper_and_contiguous(case):
+    n, edges = case
+    colors = color_phases(n, edges)
+    assert len(colors) == n
+    assert all(colors[a] != colors[b] for a, b in edges)
+    assert set(colors) == set(range(max(colors) + 1))
+
+
+@pytest.mark.parametrize("n_locations", [2, 3, 4, 5, 6, 7])
+def test_ring_layout_gets_the_optimal_phase_count(n_locations):
+    rng = np.random.default_rng(n_locations)
+    population = TagPopulation.random(40 * n_locations, rng)
+    warehouse = Warehouse.random_layout(population, n_locations, rng,
+                                        overlap=0.2, wrap=True)
+    schedule = plan_parallel_round(warehouse)
+    schedule.validate(warehouse)
+    assert schedule.n_phases == (3 if n_locations % 2 else 2)
 
 
 def test_plan_separates_interfering_locations():

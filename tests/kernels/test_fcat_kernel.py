@@ -64,7 +64,7 @@ def _kernel_runs(protocol, n_tags: int, seed: int, runs: int,
         **kwargs)
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4])
+@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
 def test_lean_replay_is_bitwise_the_exact_replay(lam):
     """Same generator, lean on vs forced off: identical results.
 

@@ -88,6 +88,27 @@ def test_routing_errors():
     run(_with_frontend(scenario))
 
 
+@pytest.mark.parametrize("content_length, body", [
+    ("-5", b""),
+    ("five", b""),
+    ("10", b'{"n_tags"'),  # the client stops sending early
+])
+def test_bad_content_length_gets_400(content_length, body):
+    async def scenario(frontend):
+        reader, writer = await asyncio.open_connection(frontend.host,
+                                                       frontend.port)
+        head = (f"POST /inventory HTTP/1.1\r\nHost: {frontend.host}\r\n"
+                f"Content-Length: {content_length}\r\n"
+                f"Connection: close\r\n\r\n")
+        writer.write(head.encode("ascii") + body)
+        writer.write_eof()
+        await writer.drain()
+        status_line = (await reader.readline()).decode("latin-1")
+        assert " 400 " in status_line
+        writer.close()
+    run(_with_frontend(scenario))
+
+
 def test_health_stats_and_metrics_endpoints_cohere(tmp_path):
     async def scenario(frontend):
         host, port = frontend.host, frontend.port

@@ -5,8 +5,16 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.service.core import InventoryService
 from repro.service.requests import (
+    MAX_ERROR_PROB,
+    MAX_LAM,
+    MAX_N_TAGS,
+    MAX_RUNS,
+    MAX_ZONES,
     InventoryRequest,
     encode_response,
     request_from_dict,
@@ -68,10 +76,76 @@ def test_minimal_request_uses_defaults():
      "precision"),
     ({"n_tags": 10, "zones": 1, "seed": 0, "precision": float("inf")},
      "precision"),
+    ({"n_tags": 3, "zones": 4, "seed": 0}, "zones"),
+    ({"n_tags": 10, "zones": 1, "seed": -1}, "seed"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "lam": 200}, "lam"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "lam": MAX_LAM + 1}, "lam"),
+    ({"n_tags": MAX_N_TAGS + 1, "zones": 1, "seed": 0}, "n_tags"),
+    ({"n_tags": 10 * MAX_ZONES, "zones": MAX_ZONES + 1, "seed": 0},
+     "zones"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "runs": MAX_RUNS + 1}, "runs"),
+    ({"n_tags": 10, "zones": 1, "seed": 0,
+      "channel": {"ack_loss_prob": 1.0}}, "ack_loss_prob"),
+    ({"n_tags": 10, "zones": 1, "seed": 0,
+      "channel": {"singleton_corrupt_prob": 1.0}}, "singleton_corrupt_prob"),
+    ({"n_tags": 10, "zones": 1, "seed": 0,
+      "channel": {"ack_loss_prob": MAX_ERROR_PROB + 0.01}}, "ack_loss_prob"),
 ])
 def test_junk_requests_rejected(payload, match):
     with pytest.raises(ValueError, match=match):
         request_from_dict(payload)
+
+
+def test_caps_admit_benchmark_and_demo_traffic():
+    # The largest perfbench request (a doubled variant) and serve_demo's.
+    for n_tags, zones, lam in ((2_100_000, 48, 4), (1_048_576, 20, 2)):
+        request_from_dict({"n_tags": n_tags, "zones": zones, "seed": 0,
+                           "lam": lam})
+
+
+_INTS = st.integers(-2, 24) | st.integers(-(2 ** 70), 2 ** 70)
+_JSON = st.recursive(
+    st.none() | st.booleans() | _INTS | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+_KNOBS = ("singleton_corrupt_prob", "ack_loss_prob",
+          "collision_unusable_prob", "capture_prob")
+# Small well-formed requests (channel knobs over all of [0, 1]) ...
+_WELL_FORMED = st.fixed_dictionaries(
+    {"n_tags": st.integers(1, 24), "zones": st.integers(1, 4),
+     "seed": st.integers(0, 2 ** 70)},
+    optional={
+        "runs": st.integers(1, 4),
+        "lam": st.integers(2, MAX_LAM),
+        "overlap": st.floats(0.0, 0.99),
+        "max_phases": st.none() | st.integers(1, 4),
+        "engine": st.sampled_from(["kernel", "scalar"]),
+        "precision": st.none() | st.floats(0.01, 1.0),
+        "channel": st.fixed_dictionaries(
+            {}, optional={knob: st.floats(0.0, 1.0) for knob in _KNOBS}),
+    })
+# ... with up to two fields (or an unknown one) overwritten by any JSON.
+_OVERRIDES = st.dictionaries(
+    st.sampled_from(["n_tags", "zones", "seed", "runs", "lam", "overlap",
+                     "max_phases", "engine", "precision", "channel",
+                     "junk"]),
+    _JSON, max_size=2)
+_REQUESTS = st.builds(lambda base, override: {**base, **override},
+                      _WELL_FORMED, _OVERRIDES) | _JSON
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_REQUESTS)
+def test_any_json_request_is_rejected_or_served(payload):
+    """A body either fails to parse with ValueError (a 400) or, at small
+    facility sizes, is served without an exception (never a 500)."""
+    try:
+        request = request_from_dict(payload)
+    except ValueError:
+        return
+    if request.n_tags <= 24:
+        InventoryService().handle(request)
 
 
 def test_encode_response_is_canonical():

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
 
+from repro.service import sharding
 from repro.service.interference import InterferenceModel
 from repro.service.sharding import (
     mpr_optimal_frame_size,
@@ -163,6 +165,31 @@ def test_plan_validates_inputs():
         plan_shards(3, 4)
     with pytest.raises(ValueError, match="max_phases"):
         plan_shards(100, 4, max_phases=0)
+
+
+@pytest.mark.parametrize("overlap", [0.1, 0.15, 0.2])
+def test_ring_phases_match_the_closed_form(monkeypatch, overlap):
+    """With every ring borrow non-zero the shared first-fit planner gives
+    the ring's closed form: alternate 0/1, the odd seam gets 2, then fold.
+    """
+    # Frame sizing is irrelevant here; memoize it to keep the grid fast.
+    monkeypatch.setattr(sharding, "mpr_optimal_frame_size",
+                        functools.lru_cache()(mpr_optimal_frame_size))
+    for zones in range(1, 65):
+        plan_free = plan_shards(1000 * zones, zones, overlap=overlap)
+        assert all(count > 0 for _, _, count in plan_free.overlap_pairs)
+        ring = [index % 2 for index in range(zones)]
+        if zones == 1:
+            ring = [0]
+        elif zones % 2 == 1:
+            ring[-1] = 2
+        for max_phases in (None, 1, 2, 3):
+            expected = ring if max_phases is None \
+                else [color % max_phases for color in ring]
+            plan = plan_shards(1000 * zones, zones, overlap=overlap,
+                               max_phases=max_phases)
+            assert [zone.phase for zone in plan.zones] == expected
+            assert plan.n_phases == max(expected) + 1
 
 
 def test_phase_members_partition_the_zones():
