@@ -113,8 +113,8 @@ class LintConfig:
         # this is the outermost frame above the seeded simulation path.
         "repro.experiments.executor:run_chunk",
         # The adaptive planner's loop: outside callers drive it directly
-        # (scripts/bench.py, the CLI's --precision path) and every batch
-        # it schedules flows into the seeded executor fan-out.
+        # (the CLI's --precision path, the service) and every batch it
+        # schedules flows into the seeded executor fan-out.
         "repro.experiments.planner:plan_cells",
         "repro.analysis.link_budget:simulated_ber",
         "repro.analysis.link_budget:channel_model_from_snr",

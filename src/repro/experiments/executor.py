@@ -19,8 +19,8 @@ with no multiprocessing start method at all -- runs the exact serial loop.
 On top sits the content-addressed result cache
 (:mod:`repro.experiments.result_cache`): cells whose canonical spec hash is
 already stored are served without simulating, and only the misses enter the
-pool.  ``python -m repro.experiments --jobs N`` and ``scripts/bench.py``
-drive this engine; `BENCH_3.json` records the measured speedups.
+pool.  ``python -m repro.experiments --jobs N`` and the inventory service
+drive this engine; the committed `BENCH_3.json` records measured speedups.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Content-addressed cache for sweep cell results.
 
 Paper-scale reproduction re-derives identical (protocol, N) cells on every
-invocation -- Tables I-III share rosters, the bench harness re-times the same
+invocation -- Tables I-III share rosters, service requests share zone
 cells, and a ``--paper-scale --runs 100`` rerun after an unrelated doc edit
 repeats hours of simulation.  Every cell is a pure function of its spec, so
 its :class:`~repro.sim.result.AggregateResult` can be served by content

@@ -126,9 +126,11 @@ class Histogram:
     def quantile(self, q: float) -> float:
         """Rank-``q`` estimate from the bucket counts.
 
-        Linear interpolation inside the bucket that crosses the rank; the
+        Linear interpolation inside the bucket that crosses the rank,
+        starting the first occupied bucket at the minimum seen; the
         overflow bucket reports the true maximum seen (it has no upper
-        bound to interpolate toward).
+        bound to interpolate toward).  The estimate never leaves
+        ``[min_seen, max_seen]``.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("quantile must be in [0, 1]")
@@ -136,13 +138,13 @@ class Histogram:
             return 0.0
         rank = q * self.n
         cumulative = 0
-        lower = max(self.min_seen, 0.0) if self.min_seen != float("inf") \
-            else 0.0
+        lower = self.min_seen
         for index, bound in enumerate(self.bounds):
             count = self.counts[index]
             if count and cumulative + count >= rank:
                 inside = max(rank - cumulative, 0.0)
-                return lower + (bound - lower) * (inside / count)
+                estimate = lower + (bound - lower) * (inside / count)
+                return min(max(estimate, self.min_seen), self.max_seen)
             if count:
                 lower = bound
             cumulative += count

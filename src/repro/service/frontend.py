@@ -13,7 +13,8 @@ Endpoints:
 
 ``POST /inventory``
     Body: a JSON request object.  200 with the canonical response bytes;
-    400 with an ``{"error": ...}`` body on a malformed request; 500 with
+    400 with an ``{"error": ...}`` body on a malformed request (JSON
+    nested past Python's recursion limit included); 500 with
     ``{"error": "internal error"}`` if serving fails unexpectedly.
 ``GET /healthz``
     The run manifest of everything served so far (the same document batch
@@ -24,6 +25,9 @@ Endpoints:
     The service's event stream as JSON Lines with a trailing
     ``metrics_snapshot`` -- pipe to a file and it validates under
     ``python -m repro.obs.report`` against the ``/healthz`` manifest.
+
+A request line or header line longer than the stream reader's 64 KiB
+limit gets a 400 on any route.
 
 Everything is stdlib: the environment bakes no HTTP framework in, and a
 reading-protocol testbed has no business pulling one for four routes.
@@ -63,6 +67,22 @@ def _http_response(status: int, body: bytes,
 
 def _error_body(message: str) -> bytes:
     return (json.dumps({"error": message}) + "\n").encode("utf-8")
+
+
+_LINE_TOO_LONG = _http_response(
+    400, _error_body("request line or header too long"))
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str | None:
+    """One request or header line, or ``None`` past the reader's limit.
+
+    ``StreamReader.readline`` raises ``ValueError`` for a line longer than
+    its buffer limit (64 KiB by default); that is the client's fault.
+    """
+    try:
+        return (await reader.readline()).decode("latin-1")
+    except ValueError:
+        return None
 
 
 class ServiceFrontend:
@@ -122,14 +142,18 @@ class ServiceFrontend:
                 pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> bytes:
-        request_line = (await reader.readline()).decode("latin-1").strip()
+        request_line = await _read_line(reader)
+        if request_line is None:
+            return _LINE_TOO_LONG
         parts = request_line.split()
         if len(parts) != 3:
             return _http_response(400, _error_body("malformed request line"))
         method, path, _version = parts
         content_length = 0
         while True:
-            line = (await reader.readline()).decode("latin-1")
+            line = await _read_line(reader)
+            if line is None:
+                return _LINE_TOO_LONG
             if line in ("\r\n", "\n", ""):
                 break
             name, _, value = line.partition(":")
@@ -177,7 +201,8 @@ class ServiceFrontend:
     async def _post_inventory(self, body: bytes) -> bytes:
         try:
             payload = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as error:
             return _http_response(400, _error_body(f"bad JSON body: {error}"))
         try:
             request = request_from_dict(payload)

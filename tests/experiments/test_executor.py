@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -172,13 +173,26 @@ class TestExecutorCacheInterplay:
         assert cache.misses == 2
 
     def test_cached_parallel_equals_uncached_serial(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache.json")
+        path = tmp_path / "cache.json"
         protocols = [Dfsa(), Fcat(lam=2)]
         cached = sweep(protocols, [50, 100], runs=3, seed=2, jobs=2,
-                       cache=cache)
+                       cache=ResultCache(path))
+        started = time.perf_counter()
         plain = sweep(protocols, [50, 100], runs=3, seed=2)
+        serial_s = time.perf_counter() - started
         for key in plain:
             assert_cells_identical(plain[key], cached[key])
+        # A fresh handle on the same file serves the whole rerun from disk,
+        # identical to serial and no slower than simulating it.
+        warm_cache = ResultCache(path)
+        started = time.perf_counter()
+        warm = sweep(protocols, [50, 100], runs=3, seed=2, jobs=2,
+                     cache=warm_cache)
+        warm_s = time.perf_counter() - started
+        assert warm_cache.hits > 0 and warm_cache.misses == 0
+        for key in plain:
+            assert_cells_identical(plain[key], warm[key])
+        assert warm_s <= serial_s, (warm_s, serial_s)
 
 
 class TestExecutorObservability:
@@ -198,7 +212,9 @@ class TestExecutorObservability:
     def test_chunk_accounting_covers_every_run(self):
         from repro.obs.scope import observe
         with observe() as observation:
+            started = time.perf_counter()
             execute_cells(self.SPECS, jobs=4)
+            wall_s = time.perf_counter() - started
         chunk_events = [event for event in observation.events.events
                         if event.name == "chunk_done"]
         assert sum(event.fields["runs"] for event in chunk_events) == \
@@ -210,6 +226,10 @@ class TestExecutorObservability:
         # Chunks of each cell land in deterministic reassembly order.
         for indices in per_cell.values():
             assert indices == sorted(indices)
+        # Busy worker-seconds fit inside the pool's wall-time capacity.
+        busy_s = sum(event.fields["duration_s"] for event in chunk_events)
+        workers = observation.metrics.snapshot()["gauges"]["executor.workers"]
+        assert 0.0 < busy_s / (wall_s * workers) <= 1.0
 
     def test_pool_start_reports_worker_accounting(self):
         from repro.obs.scope import observe

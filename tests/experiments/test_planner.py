@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import math
+import statistics
 
 import pytest
 
@@ -129,6 +131,60 @@ class TestStoppingRules:
         planner = config(precision=1e-12)  # everything saturates
         plan_cells(SPECS, planner)
         assert planner.stats.assigned_runs <= planner.stats.nominal_runs
+
+
+class TestPairedAgainstFixedBudget:
+    """The Table I roster run adaptive and fixed-budget on shared seeds."""
+
+    #: AggregateResult column -> the RunMetrics field it averages.
+    REPORTED_METRICS = {
+        "throughput_mean": "throughput",
+        "empty_mean": "empty_slots",
+        "singleton_mean": "singleton_slots",
+        "collision_mean": "collision_slots",
+        "total_slots_mean": "total_slots",
+        "resolved_mean": "resolved_from_collision",
+    }
+
+    def test_saves_runs_within_the_shared_prefix_ci(self):
+        """>= 1.5x fewer runs, every reported metric inside the 95 %
+        interval of the adaptive-minus-fixed difference, and the same
+        output at jobs=1 and jobs=4.
+
+        The adaptive sample is a prefix of the fixed one, so the exact SD
+        of the difference is ``s * sqrt(|1/k - 1/R|)``, not ``s/sqrt(R)``.
+        """
+        z95 = 1.959963984540054
+        nominal = 12
+        cells = [(protocol, n_tags)
+                 for protocol in (Fcat(lam=2), Fcat(lam=3), Fcat(lam=4),
+                                  Dfsa())
+                 for n_tags in (200, 500)]
+        specs = [CellSpec(protocol=protocol, n_tags=n_tags, runs=nominal,
+                          seed=20100563 + 13 * index, engine="kernel")
+                 for index, (protocol, n_tags) in enumerate(cells)]
+
+        def smoke_config() -> PlannerConfig:
+            return PlannerConfig(precision=0.1, min_runs=5, batch_runs=5)
+
+        planner = smoke_config()
+        adaptive = plan_cells(specs, planner, jobs=1)
+        assert planner.stats.reduction >= 1.5, planner.stats.summary()
+        assert plan_cells(specs, smoke_config(), jobs=4) == adaptive
+
+        fixed_batches = execute_run_metrics(specs)
+        for spec, batch, cell in zip(specs, fixed_batches, adaptive):
+            fixed = aggregate_metrics(spec.protocol.name, spec.n_tags,
+                                      batch.values)
+            for column, field in self.REPORTED_METRICS.items():
+                std = statistics.stdev(getattr(value, field)
+                                       for value in batch.values)
+                fixed_value = getattr(fixed, column)
+                bound = (z95 * std * math.sqrt(abs(1 / cell.runs
+                                                   - 1 / nominal))
+                         + 1e-9 * max(1.0, abs(fixed_value)))
+                assert abs(getattr(cell, column) - fixed_value) <= bound, \
+                    (spec.protocol.name, spec.n_tags, column)
 
 
 class TestCacheInterplay:

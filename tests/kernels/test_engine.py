@@ -10,6 +10,8 @@ kernel engine regardless of parallelism.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -110,6 +112,29 @@ def test_run_cell_kernel_engine_is_parallel_invariant(protocol):
     parallel = run_cell(protocol, 80, runs=12, seed=9, jobs=2,
                         engine="kernel")
     assert serial == parallel
+
+
+def test_kernel_engine_beats_scalar_on_smoke_cells():
+    """The frame-at-once kernels are >= 2x the per-slot engine even on
+    small cells (full N = 10^4 cells reach 8-40x; see BENCH_5.json).
+
+    Engines alternate inside each repeat and the best of three is kept
+    per engine, so both see the same transient machine state.
+    """
+    slow = []
+    for protocol in (Fcat(lam=2), Fcat(lam=3), Fcat(lam=4), Dfsa()):
+        for n_tags in (200, 500):
+            best = {"scalar": float("inf"), "kernel": float("inf")}
+            for _ in range(3):
+                for engine in best:
+                    started = time.perf_counter()
+                    run_cell(protocol, n_tags, 3, 20100562, engine=engine)
+                    best[engine] = min(best[engine],
+                                       time.perf_counter() - started)
+            speedup = best["scalar"] / best["kernel"]
+            if speedup < 2.0:
+                slow.append(f"{protocol.name} N={n_tags}: x{speedup:.2f}")
+    assert not slow, slow
 
 
 def test_cell_keys_separate_the_engines():

@@ -65,6 +65,25 @@ class TestHistogram:
         assert histogram.overflow == 1
         assert histogram.quantile(0.99) == 123.0
 
+    @pytest.mark.parametrize("values, q, expected", [
+        ([0.2] * 10, 0.50, 0.2),
+        ([0.2] * 10, 0.99, 0.2),
+        ([0.05, 40.0], 0.99, 40.0),
+        ([-3.0, -1.0], 0.50, None),
+    ], ids=["flat-p50", "flat-p99", "wide-p99", "negative-p50"])
+    def test_quantiles_stay_within_the_observed_range(self, values, q,
+                                                      expected):
+        """Interpolating toward a bucket's upper bound can overshoot the
+        largest value seen, and negative values sit below any bucket
+        floor of zero; the estimate must stay in ``[min, max]``."""
+        histogram = Histogram("v")
+        for value in values:
+            histogram.observe(value)
+        estimate = histogram.quantile(q)
+        assert min(values) <= estimate <= max(values)
+        if expected is not None:
+            assert estimate == expected
+
     def test_merge_requires_matching_bounds(self):
         with pytest.raises(ValueError, match="bounds differ"):
             Histogram("v", bounds=(1.0,)).merge(Histogram("v", bounds=(2.0,)))

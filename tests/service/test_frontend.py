@@ -88,6 +88,25 @@ def test_routing_errors():
     run(_with_frontend(scenario))
 
 
+async def _send_raw(frontend, data: bytes) -> tuple[int, bytes]:
+    """Write ``data`` as one whole request; return (status, body)."""
+    reader, writer = await asyncio.open_connection(frontend.host,
+                                                   frontend.port)
+    writer.write(data)
+    writer.write_eof()
+    await writer.drain()
+    response = await reader.read()
+    writer.close()
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body
+
+
+def _post_head(content_length: str) -> bytes:
+    return (f"POST /inventory HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {content_length}\r\n"
+            f"Connection: close\r\n\r\n").encode("ascii")
+
+
 @pytest.mark.parametrize("content_length, body", [
     ("-5", b""),
     ("five", b""),
@@ -95,17 +114,37 @@ def test_routing_errors():
 ])
 def test_bad_content_length_gets_400(content_length, body):
     async def scenario(frontend):
-        reader, writer = await asyncio.open_connection(frontend.host,
-                                                       frontend.port)
-        head = (f"POST /inventory HTTP/1.1\r\nHost: {frontend.host}\r\n"
-                f"Content-Length: {content_length}\r\n"
-                f"Connection: close\r\n\r\n")
-        writer.write(head.encode("ascii") + body)
-        writer.write_eof()
-        await writer.drain()
-        status_line = (await reader.readline()).decode("latin-1")
-        assert " 400 " in status_line
-        writer.close()
+        status, _ = await _send_raw(frontend,
+                                    _post_head(content_length) + body)
+        assert status == 400
+    run(_with_frontend(scenario))
+
+
+@pytest.mark.parametrize("request_bytes", [
+    b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+    b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n",
+], ids=["request-line", "header"])
+def test_line_over_the_reader_limit_gets_400(request_bytes):
+    async def scenario(frontend):
+        status, body = await _send_raw(frontend, request_bytes)
+        assert status == 400
+        assert "too long" in json.loads(body)["error"]
+    run(_with_frontend(scenario))
+
+
+def test_deeply_nested_json_gets_400_and_the_lane_still_serves():
+    nested = b"[" * 30_000 + b"]" * 30_000
+    assert len(nested) <= MAX_BODY_BYTES
+
+    async def scenario(frontend):
+        status, body = await _send_raw(
+            frontend, _post_head(str(len(nested))) + nested)
+        assert status == 400
+        assert "bad JSON body" in json.loads(body)["error"]
+        status, body = await post_inventory(frontend.host, frontend.port,
+                                            REQUEST)
+        assert status == 200
+        assert json.loads(body)["facility"]["unique_tags"] == 400
     run(_with_frontend(scenario))
 
 
