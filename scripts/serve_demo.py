@@ -169,6 +169,10 @@ async def drive(frontend: ServiceFrontend,
             assert not problems, f"artefact cross-check: {problems}"
             print(f"  artefacts cross-check clean: {args.metrics_out}, "
                   f"{args.manifest_out}", file=sys.stderr)
+    # Lifetime event counts, read after any dump so they include its
+    # closing snapshot: every record a dump retained is counted here.
+    _, stats_body = await http_get(host, port, "/stats")
+    report["events"] = json.loads(stats_body)["events"]
     return report
 
 

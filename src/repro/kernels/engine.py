@@ -31,7 +31,9 @@ channels).
 
 from __future__ import annotations
 
-from typing import Sequence
+import gc
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,15 +93,38 @@ def batch_read_all(protocol: TagReadingProtocol, n_tags: int,
     """
     if not kernel_supported(protocol, channel):
         return None
-    if isinstance(protocol, Fcat):
-        return batched_fcat_sessions(protocol, n_tags, rngs,
+    with _cyclic_gc_paused():
+        if isinstance(protocol, Fcat):
+            return batched_fcat_sessions(protocol, n_tags, rngs,
+                                         channel=channel, timing=timing)
+        if isinstance(protocol, Scat):
+            return batched_scat_sessions(protocol, n_tags, rngs,
+                                         channel=channel, timing=timing)
+        assert isinstance(protocol, Dfsa)
+        return batched_dfsa_sessions(protocol, n_tags, rngs,
                                      channel=channel, timing=timing)
-    if isinstance(protocol, Scat):
-        return batched_scat_sessions(protocol, n_tags, rngs,
-                                     channel=channel, timing=timing)
-    assert isinstance(protocol, Dfsa)
-    return batched_dfsa_sessions(protocol, n_tags, rngs,
-                                 channel=channel, timing=timing)
+
+
+@contextmanager
+def _cyclic_gc_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector for one kernel batch.
+
+    A session allocates a record list per stored collision and a pending
+    list per recorded tag -- hundreds of thousands of containers at
+    facility scale, none of them in a reference cycle, all freed by
+    reference counting when the session ends.  Left on, the collector
+    rescans them (and the rest of the heap) every few thousand
+    allocations, which took about a tenth of the inventory service's
+    cold-request time.  Restores the previous setting, so nested or
+    concurrent batches leave the collector as they found it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # repro: kernel scalar=repro.sim.base:run_many test=tests/kernels/test_engine.py

@@ -23,9 +23,10 @@ never drawing them, every Bernoulli cell being independent.  Two replay
 bodies implement the same process:
 
 * ``_replay_exact`` -- handles every configuration (channel impairments,
-  bootstrap-abort, observability) with the scalar engine's slot logic;
-* ``_replay_lean`` -- the measured hot path for the perfect channel with
-  observability disabled, where three invariants license shortcuts: no
+  bootstrap-abort) with the scalar engine's slot logic and emits one
+  ``anc_resolution`` event per resolving slot;
+* ``_replay_lean`` -- the measured hot path for the perfect channel,
+  observed or not, where three invariants license shortcuts: no
   channel draw ever happens, an identified tag is always acked (so a
   transmitting tag is never already learned and records never resolve
   eagerly at creation), and mid-frame cancellations only arise from
@@ -35,7 +36,11 @@ bodies implement the same process:
 
 Both bodies consume the generator identically (only the frame draw uses
 it on a perfect channel), so they are bit-for-bit interchangeable where
-the lean preconditions hold -- pinned by ``tests/kernels``.
+the lean preconditions hold -- pinned by ``tests/kernels``.  Under an
+active observation both emit the per-frame ``frame`` and
+``estimator_update`` events and fold their resolutions into the
+``kernel.anc_resolved`` counter; the lean body adds that counter once per
+frame instead of emitting per-slot ``anc_resolution`` events.
 
 Seed semantics are **kernel-v2** (``docs/performance.md``): each session
 owns an independent per-run generator minted from the same spawned child
@@ -116,10 +121,10 @@ class _FcatKernelSession:
         self.obs = scope.active()
         self.name = name
         # `draw_free` licenses the uninformative-frame fast path (no
-        # channel draw can ever flip a slot's class); `lean` additionally
-        # requires observability off for the shortcut replay body.
+        # channel draw can ever flip a slot's class) and the shortcut
+        # replay body; observation does not change which body runs.
         self.draw_free = _draw_free(channel)
-        self.lean = self.obs is None and self.draw_free
+        self.lean = self.draw_free
 
     def step(self) -> bool:
         """Advance one frame (plus termination probe); True when done."""
@@ -281,7 +286,7 @@ class _FcatKernelSession:
     def _replay_lean(self, counts: list[int], ranks: list[int],
                      frame_ranks: set[int], last_pos: dict[int, int] | None,
                      removed: list[int]) -> tuple[int, int, int, bool]:
-        """Hot replay body: perfect channel, observability off, no abort.
+        """Hot replay body: perfect channel, no bootstrap abort.
 
         ``last_pos`` (rank -> last event position) is built only for
         frames where some rank transmits twice: there a tag learned
@@ -464,6 +469,8 @@ class _FcatKernelSession:
                             else:
                                 entries.append(rec)
         store._learned_count += n_resolved
+        if n_resolved and self.obs is not None:
+            self.obs.count("kernel.anc_resolved", n_resolved)
         return self._finish_lean(n_singleton, n_collision, n_resolved,
                                  collision_transmissions)
 
@@ -616,6 +623,7 @@ class _FcatKernelSession:
             self.result.index_announcements += 1
             self._ack(tag, removed)
         if self.obs is not None and resolved:
+            self.obs.count("kernel.anc_resolved", len(resolved))
             self.obs.emit("anc_resolution", protocol=self.name,
                           slot_index=slot, resolved=len(resolved))
 

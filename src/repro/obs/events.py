@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "EVENT_SCHEMA",
@@ -57,6 +58,16 @@ class EventSpec:
     @property
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
+
+    @cached_property
+    def _names(self) -> frozenset[str]:
+        return frozenset(self.field_names)
+
+    @cached_property
+    def _checks(self) -> tuple[tuple[str, str, tuple[type, ...], bool], ...]:
+        """``(field, kind, accepted types, rejects bool)`` per field."""
+        return tuple((name, kind, _KINDS[kind], kind in ("int", "float"))
+                     for name, kind in self.fields)
 
 
 def _spec(**fields: str) -> EventSpec:
@@ -131,17 +142,16 @@ def validate_event(name: str, fields: dict) -> None:
     spec = EVENT_SCHEMA.get(name)
     if spec is None:
         raise ValueError(f"undeclared event {name!r}; add it to EVENT_SCHEMA")
-    declared = spec.field_names
-    if tuple(sorted(fields)) != tuple(sorted(declared)):
+    if fields.keys() != spec._names:
+        declared = spec.field_names
         missing = set(declared) - set(fields)
         extra = set(fields) - set(declared)
         raise ValueError(
             f"event {name!r} fields mismatch: missing {sorted(missing)}, "
             f"unexpected {sorted(extra)}")
-    for field_name, kind in spec.fields:
+    for field_name, kind, accepted, numeric in spec._checks:
         value = fields[field_name]
-        accepted = _KINDS[kind]
-        if kind in ("int", "float") and isinstance(value, bool):
+        if numeric and value.__class__ is bool:
             raise ValueError(
                 f"event {name!r} field {field_name!r} must be {kind}, "
                 "got bool")
@@ -151,9 +161,12 @@ def validate_event(name: str, fields: dict) -> None:
                 f"got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Event:
-    """One emitted event, already validated against its spec."""
+class Event(NamedTuple):
+    """One emitted event, already validated against its spec.
+
+    A tuple of untracked values, so the cyclic garbage collector stops
+    scanning retained events after its first pass over them.
+    """
 
     seq: int
     name: str
@@ -164,37 +177,57 @@ class Event:
 
 
 class EventStream:
-    """Append-only, schema-validated event log with stable sequencing."""
+    """Schema-validated event log with stable sequencing.
+
+    Events append in order; :meth:`forget` drops the oldest retained
+    records so a long-running owner can bound memory.  ``seq`` numbers and
+    :meth:`counts` cover every event ever emitted, forgotten ones too.
+    """
 
     def __init__(self) -> None:
         self._events: list[Event] = []
+        self._tally: dict[str, int] = {}
+        self._emitted = 0
 
-    def emit(self, name: str, **fields) -> Event:
-        validate_event(name, fields)
-        event = Event(seq=len(self._events), name=name, fields=fields)
+    def _record(self, name: str, fields: dict) -> Event:
+        event = Event(self._emitted, name, fields)
+        self._emitted += 1
         self._events.append(event)
+        self._tally[name] = self._tally.get(name, 0) + 1
         return event
 
+    def emit(self, name: str, **fields) -> Event:
+        return self.append(name, fields)
+
+    def append(self, name: str, fields: dict) -> Event:
+        """:meth:`emit` for a ready-made ``fields`` dict (kept, not copied)."""
+        validate_event(name, fields)
+        return self._record(name, fields)
+
     def extend(self, events: Iterable[Event]) -> None:
-        """Fold another stream's events in, re-sequencing as they land."""
+        """Fold another stream's events in, re-sequencing as they land.
+
+        They were validated when emitted (or read back from a sink), so
+        they are not checked again.
+        """
         for event in events:
-            validate_event(event.name, event.fields)
-            self._events.append(Event(seq=len(self._events),
-                                      name=event.name, fields=event.fields))
+            self._record(event.name, event.fields)
+
+    def forget(self, count: int) -> None:
+        """Drop the ``count`` oldest retained events (tallies are kept)."""
+        del self._events[:count]
 
     @property
     def events(self) -> list[Event]:
+        """The retained events, oldest first."""
         return list(self._events)
 
     def __len__(self) -> int:
         return len(self._events)
 
     def counts(self) -> dict[str, int]:
-        """Events seen per name, sorted by name."""
-        tally: dict[str, int] = {}
-        for event in self._events:
-            tally[event.name] = tally.get(event.name, 0) + 1
-        return dict(sorted(tally.items()))
+        """Events emitted per name over the stream's life, sorted by name."""
+        return dict(sorted(self._tally.items()))
 
 
 def write_jsonl(path: Path | str, stream: EventStream) -> int:

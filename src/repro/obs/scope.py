@@ -50,7 +50,7 @@ class Observation:
     # -- write-through conveniences ---------------------------------------
 
     def emit(self, name: str, **fields) -> Event:
-        return self.events.emit(name, **fields)
+        return self.events.append(name, fields)
 
     def count(self, name: str, amount: float = 1.0) -> None:
         self.metrics.counter(name).inc(amount)
@@ -60,6 +60,15 @@ class Observation:
 
     def set_gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name).set(value)
+
+    def forget(self, events: int, cells: int) -> None:
+        """Drop the oldest ``events`` event and ``cells`` cell records.
+
+        Metrics and the stream's lifetime event counts are untouched, so a
+        long-running owner can bound its records without losing totals.
+        """
+        self.events.forget(events)
+        del self.cells[:cells]
 
     def merge(self, other: "Observation") -> None:
         """Fold a worker's observation in (order-independent for metrics;
@@ -115,7 +124,7 @@ def observe(target: Observation | MetricsRegistry | None = None
 
 def emit(name: str, **fields) -> None:
     if _current is not None:
-        _current.events.emit(name, **fields)
+        _current.events.append(name, fields)
 
 
 def inc(name: str, amount: float = 1.0) -> None:

@@ -8,8 +8,8 @@ vectorized kernels, the cached sweep executor and the ``repro.obs``
 telemetry -- behind an asyncio HTTP front end:
 
 * :mod:`repro.service.sharding` -- partition the tag population across a
-  ring of reader zones, phase the interference graph, and size each
-  zone's frame by the multi-packet-reception analysis (Pudasaini et al.).
+  ring of reader zones and phase the interference graph; every zone
+  reader runs FCAT at the paper's frame length.
 * :mod:`repro.service.interference` -- map residual overlapping-zone
   concurrency onto the per-slot channel error process.
 * :mod:`repro.service.requests` -- the request schema, its content
@@ -42,8 +42,6 @@ from repro.service.requests import (
 from repro.service.sharding import (
     ShardPlan,
     ZoneShard,
-    mpr_optimal_frame_size,
-    mpr_reads_per_slot,
     plan_shards,
 )
 
@@ -62,7 +60,5 @@ __all__ = [
     "request_from_dict",
     "ShardPlan",
     "ZoneShard",
-    "mpr_optimal_frame_size",
-    "mpr_reads_per_slot",
     "plan_shards",
 ]

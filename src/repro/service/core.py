@@ -5,6 +5,13 @@ shared across requests, a response store keyed by request content address,
 a service-lifetime :class:`~repro.obs.scope.Observation` all request
 telemetry folds into, and a single compute lane.
 
+**Bounded telemetry.**  Counters and histograms cover the service's whole
+life, and so do the ``/stats`` event counts.  Per-event records and the
+executor's per-cell records are kept only for the last
+:data:`RETAINED_REQUESTS` requests, so memory stays flat however many
+requests are served; ``/metrics.jsonl`` and the ``/healthz`` manifest
+both describe that window and still cross-check.
+
 **Determinism contract.**  The response bytes are a pure function of the
 request: the shard plan is closed-form (:mod:`repro.service.sharding`),
 every zone cell's seed derives from the request seed by fixed strides, the
@@ -20,7 +27,7 @@ stored bytes of its first computation.
 stored in the content-addressed result cache.  A repeated request is
 served from the response store without touching the executor; a *new*
 request whose zone cells were already simulated (same population size,
-channel, frame sizing -- common across facility variants) is reassembled
+channel, frame -- common across facility variants) is reassembled
 from cache hits without re-simulation.  Both show up on the stats
 endpoint (``service.responses.cached``, ``result_cache.hits``).
 """
@@ -29,6 +36,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core import Fcat
@@ -44,6 +52,7 @@ from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import AggregateResult
 
 __all__ = [
+    "RETAINED_REQUESTS",
     "SERVICE_CELL_STRIDE",
     "InventoryService",
     "ServiceConfig",
@@ -52,6 +61,9 @@ __all__ = [
 #: Seed stride decorrelating the distinct zone cells of one request
 #: (sibling of the sweep grid strides in ``repro.experiments.runner``).
 SERVICE_CELL_STRIDE = 100_003
+
+#: Requests whose event and cell records the service keeps.
+RETAINED_REQUESTS = 32
 
 
 @dataclass(frozen=True)
@@ -73,7 +85,7 @@ class ServiceConfig:
 def _zone_cell_signature(zone: ZoneShard, request: InventoryRequest) -> tuple:
     """What makes two zones' simulations interchangeable.
 
-    Zones with the same population size, frame sizing and channel draw
+    Zones with the same population size, frame and channel draw
     their sessions from the same distribution, so one simulated cell
     serves them all -- the facility totals stay unbiased and the request's
     compute cost scales with *distinct zone configurations* (a handful on
@@ -95,6 +107,9 @@ class InventoryService:
         self._responses: dict[str, bytes] = {}
         self._requests_served = 0
         self._responses_cached = 0
+        #: Retained (event, cell) record counts at each retained request's
+        #: start, oldest first.
+        self._window: deque[tuple[int, int]] = deque()
 
     # -- request handling --------------------------------------------------
 
@@ -108,6 +123,7 @@ class InventoryService:
         started = time.perf_counter()
         key = request.key()
         with self._lock:
+            self._slide_window()
             self.obs.emit("request_start", key=key, n_tags=request.n_tags,
                           zones=request.zones, seed=request.seed)
             stored = self._responses.get(key)
@@ -120,6 +136,16 @@ class InventoryService:
             elapsed = time.perf_counter() - started
             self._account(key, elapsed, cached=False)
             return response
+
+    def _slide_window(self) -> None:
+        """Open a request's retention slot; forget the oldest past the cap."""
+        self._window.append((len(self.obs.events), len(self.obs.cells)))
+        if len(self._window) > RETAINED_REQUESTS:
+            self._window.popleft()
+            events, cells = self._window[0]
+            self.obs.forget(events, cells)
+            self._window = deque((e - events, c - cells)
+                                 for e, c in self._window)
 
     def _account(self, key: str, elapsed_s: float, cached: bool) -> None:
         self._requests_served += 1
@@ -265,7 +291,7 @@ class InventoryService:
             return payload
 
     def metrics_events(self) -> list:
-        """Dump the event stream, closed by a ``metrics_snapshot``.
+        """Dump the retained event window, closed by a ``metrics_snapshot``.
 
         The snapshot is emitted onto the service's own stream -- exactly
         the terminal line the CLI's JSONL sinks write -- so a manifest
@@ -276,7 +302,7 @@ class InventoryService:
         with self._lock:
             self.obs.emit("metrics_snapshot",
                           metrics=self.obs.metrics.snapshot())
-            return list(self.obs.events.events)
+            return self.obs.events.events
 
     def latency_quantiles(self) -> dict[str, float]:
         """p50/p90/p99 request latency from the service histograms."""

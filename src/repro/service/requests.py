@@ -42,11 +42,12 @@ __all__ = [
 MAX_N_TAGS = 1 << 24
 MAX_ZONES = 256
 MAX_RUNS = 100
-#: The paper's λ range.  Beyond it the MPR frame sizing gives small zones
-#: frames of 2-4 slots, and sessions overrun the slot guard: at λ = 5-6
-#: once collision records are unusable, at λ = 7-8 even on a perfect
-#: channel.
-MAX_LAM = 4
+#: The highest λ at which every session of the overrun sweep finished:
+#: zone readers at f = 30, n = 1-79 step 3, 10 seeds, both engines, on a
+#: perfect channel and on the worst composite channel the caps allow.
+#: On that channel sessions overran the slot guard at λ = 10 (1 of 270
+#: scalar sessions) and 11 (≈100 of 270); at λ = 12 even on a perfect one.
+MAX_LAM = 9
 #: Cap on the ambient singleton-corruption and ack-loss probabilities.
 #: Composed with the worst interference load they stay at most 0.75 and
 #: 0.6, where a session needs ≈30 slots per tag against a guard of 200;

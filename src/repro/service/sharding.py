@@ -1,4 +1,4 @@
-"""Facility shard scheduler: zones, phases and MPR-aware frame sizing.
+"""Facility shard scheduler: zones, phases and per-zone channels.
 
 The scheduler turns one facility-scale inventory request into per-zone
 reading sessions the executor can fan out:
@@ -19,11 +19,11 @@ reading sessions the executor can fan out:
    active zones becomes a load in ``[0, 1]`` that the
    :class:`~repro.service.interference.InterferenceModel` maps onto the
    per-slot :class:`~repro.sim.channel.ChannelModel`.
-4. **Size frames**: every zone reader is an MPR-capable (ANC, ``m = λ``)
-   reader, so its initial frame size comes from the multi-packet-reception
-   frame-sizing analysis of Pudasaini et al. (PAPERS.md): choose the frame
-   length maximizing expected tags identified per slot when any slot
-   carrying ``k <= m`` tags yields ``k`` IDs.
+4. **Frame**: every zone reader runs FCAT at the paper's frame length
+   (the :class:`~repro.core.fcat.FcatConfig` default, ``f = 30``).  In
+   FCAT every tag reports in every slot with ``p = ω/N̂``; the frame only
+   sets how often ``N̂`` and ``p`` are refreshed, and throughput is flat
+   for ``f >= 10`` (Fig. 6), so the frame does not scale with the zone.
 
 Everything here is closed-form or combinatorial -- no RNG draws -- so a
 shard plan is a pure function of the request and the service's
@@ -32,9 +32,9 @@ byte-identical response contract holds by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from repro.core.fcat import FcatConfig
 from repro.inventory.scheduling import color_phases
 from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.sim.channel import ChannelModel
@@ -42,69 +42,8 @@ from repro.sim.channel import ChannelModel
 __all__ = [
     "ShardPlan",
     "ZoneShard",
-    "mpr_optimal_frame_size",
-    "mpr_reads_per_slot",
     "plan_shards",
 ]
-
-
-def mpr_reads_per_slot(n_tags: int, frame_size: int, capability: int) -> float:
-    """Expected tags identified per slot by an MPR-``m`` reader.
-
-    With ``n`` tags each picking one of ``L`` slots uniformly, a slot's
-    occupancy is Binomial(n, 1/L); a multi-packet-reception reader decodes
-    every slot carrying ``1 <= k <= m`` tags in full, so the expectation is
-    ``sum_{k=1}^{m} k * P[occupancy = k]``.  The pmf terms are built by the
-    stable forward recurrence ``P(k+1) = P(k) * (n-k) / ((k+1)(L-1))`` from
-    ``P(0) = (1 - 1/L)^n``, which stays exact for facility-scale ``n``
-    where factorial formulas overflow.
-    """
-    if n_tags < 0:
-        raise ValueError("n_tags must be >= 0")
-    if frame_size < 1:
-        raise ValueError("frame_size must be >= 1")
-    if capability < 1:
-        raise ValueError("capability must be >= 1")
-    if n_tags == 0:
-        return 0.0
-    if frame_size == 1:
-        return float(n_tags) if n_tags <= capability else 0.0
-    # P[occupancy = 0] via log1p for precision at large n / large L.
-    probability = math.exp(n_tags * math.log1p(-1.0 / frame_size))
-    expected = 0.0
-    for k in range(min(capability, n_tags)):
-        probability *= (n_tags - k) / ((k + 1) * (frame_size - 1))
-        expected += (k + 1) * probability
-    return expected
-
-
-def mpr_optimal_frame_size(n_tags: int, capability: int) -> int:
-    """The frame length maximizing :func:`mpr_reads_per_slot`.
-
-    For ``m = 1`` this recovers the classical FSA optimum ``L* ~ n`` (slot
-    efficiency ``1/e``); higher capabilities shift the optimum to shorter
-    frames (more tags per slot become useful), which is exactly the gain
-    the facility scheduler passes to each ANC-capable zone reader.  The
-    search walks a 5% geometric grid over ``[1, 4n/m]`` and then refines
-    the best point's neighbourhood linearly -- deterministic, and robust
-    against the flat top of the efficiency curve.
-    """
-    if n_tags < 1:
-        raise ValueError("n_tags must be >= 1")
-    if capability < 1:
-        raise ValueError("capability must be >= 1")
-    upper = max(2, (4 * n_tags) // capability)
-    candidates: set[int] = {1, upper}
-    size = 1.0
-    while size < upper:
-        candidates.add(int(round(size)))
-        size *= 1.05
-    best = max(sorted(candidates),
-               key=lambda L: (mpr_reads_per_slot(n_tags, L, capability), -L))
-    window = max(2, best // 40)
-    refined = range(max(1, best - window), min(upper, best + window) + 1)
-    return max(refined,
-               key=lambda L: (mpr_reads_per_slot(n_tags, L, capability), -L))
 
 
 @dataclass(frozen=True)
@@ -121,7 +60,7 @@ class ZoneShard:
     phase: int
     #: Fraction of coverage shared with concurrently active zones.
     interference_load: float
-    #: MPR-optimal initial frame size for this zone's population.
+    #: FCAT frame length of this zone's reader (the paper's ``f``).
     frame_size: int
     #: The per-slot error process this zone reads through.
     channel: ChannelModel
@@ -164,10 +103,10 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
                 ) -> ShardPlan:
     """Compile a facility into a deterministic per-zone reading schedule.
 
-    ``capability`` is the zones' MPR capability ``m`` (the ANC λ of the
-    FCAT readers the service runs); ``overlap`` is the fraction of each
-    zone's successor it also hears; ``max_phases`` caps the schedule
-    length, trading wall-clock for interference the channel model absorbs.
+    ``capability`` is the ANC λ of the zones' FCAT readers, recorded on
+    the plan; ``overlap`` is the fraction of each zone's successor it
+    also hears; ``max_phases`` caps the schedule length, trading
+    wall-clock for interference the channel model absorbs.
     """
     if n_tags < 1:
         raise ValueError("n_tags must be >= 1")
@@ -215,8 +154,7 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
             exclusive_tags=exclusive[index],
             phase=phases[index],
             interference_load=load,
-            frame_size=mpr_optimal_frame_size(max(covered[index], 1),
-                                              capability),
+            frame_size=FcatConfig.frame_size,
             channel=interference.channel_for_load(load, base),
         ))
     return ShardPlan(facility_tags=n_tags, zones=tuple(shards),

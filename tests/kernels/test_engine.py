@@ -10,6 +10,7 @@ kernel engine regardless of parallelism.
 
 from __future__ import annotations
 
+import gc
 import time
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core.fcat import Fcat
 from repro.core.scat import Scat
 from repro.experiments.result_cache import cell_key
 from repro.experiments.runner import run_cell, run_single, spawn_run_seeds
+from repro.kernels import engine
 from repro.kernels.engine import (
     ENGINES,
     batch_read_all,
@@ -29,6 +31,7 @@ from repro.kernels.engine import (
     run_batch,
     validate_engine,
 )
+from repro.kernels.fcat import batched_fcat_sessions
 from repro.sim.base import run_many
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.population import TagPopulation
@@ -73,6 +76,26 @@ def test_unsupported_configs_fall_back_bit_identically(protocol, channel):
     scalar = [run_single(protocol, 60, child, channel=channel)
               for child in children]
     assert batched == scalar
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_kernel_batches_pause_the_cyclic_collector(monkeypatch, enabled):
+    """The collector is off while sessions run and restored afterwards."""
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return batched_fcat_sessions(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "batched_fcat_sessions", spy)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        results = batch_read_all(Fcat(lam=2), 20, [np.random.default_rng(0)])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
+    assert results[0].complete
 
 
 def test_run_many_kernel_engine_matches_the_scalar_law():

@@ -139,27 +139,64 @@ def test_zigzag_config_is_rejected():
                            np.random.default_rng(0))
 
 
-def test_observed_kernel_emits_the_scalar_telemetry():
-    """Same event vocabulary, internally consistent counts.
-
-    Under an active observation the kernel runs its exact body and must
-    speak the scalar session's telemetry language -- same event names,
-    one ``frame`` event per frame, ANC resolutions summing to the
-    result's ``resolved_from_collision``.
-    """
+def _observed_pair(channel=None):
+    """One scalar and one kernel session of FCAT-2 on 200 tags, observed."""
     protocol = Fcat(lam=2)
     population = TagPopulation.random(200, np.random.default_rng(99))
+    kwargs = {} if channel is None else {"channel": channel}
     with observe() as scalar_obs:
-        protocol.read_all(population, np.random.default_rng(5))
+        protocol.read_all(population, np.random.default_rng(5), **kwargs)
     with observe() as kernel_obs:
         result = batched_fcat_sessions(protocol, 200,
-                                       [np.random.default_rng(5)])[0]
+                                       [np.random.default_rng(5)],
+                                       **kwargs)[0]
     scalar_names = {event.name for event in scalar_obs.events.events}
-    kernel_names = {event.name for event in kernel_obs.events.events}
-    assert kernel_names == scalar_names
+    return scalar_names, kernel_obs, result
+
+
+def test_observed_kernel_emits_the_scalar_telemetry():
+    """The scalar vocabulary, with resolutions counted per frame.
+
+    On a perfect channel the observed kernel runs its lean body: the
+    scalar events minus the per-slot ``anc_resolution``, one ``frame``
+    event per frame, and every resolution in the ``kernel.anc_resolved``
+    counter.  An impaired channel runs the exact body and still emits the
+    full scalar event set, per-slot resolutions included.
+    """
+    scalar_names, kernel_obs, result = _observed_pair()
     kernel_events = kernel_obs.events.events
+    assert {e.name for e in kernel_events} \
+        == scalar_names - {"anc_resolution"}
     assert sum(1 for e in kernel_events if e.name == "frame") == result.frames
+    assert result.resolved_from_collision > 0
+    assert kernel_obs.metrics.counter("kernel.anc_resolved").value \
+        == result.resolved_from_collision
+    assert result.complete
+
+    impaired = ChannelModel(singleton_corrupt_prob=0.05, ack_loss_prob=0.05,
+                            collision_unusable_prob=0.1)
+    scalar_names, kernel_obs, result = _observed_pair(impaired)
+    kernel_events = kernel_obs.events.events
+    assert {e.name for e in kernel_events} == scalar_names
+    assert "anc_resolution" in scalar_names
     resolved = sum(e.fields["resolved"] for e in kernel_events
                    if e.name == "anc_resolution")
-    assert resolved == result.resolved_from_collision
+    assert resolved == result.resolved_from_collision \
+        == kernel_obs.metrics.counter("kernel.anc_resolved").value
     assert result.complete
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_observation_does_not_change_the_lean_run(lam):
+    """Observing a perfect-channel session keeps it on the lean body and
+    leaves every draw and result bit-identical to the unobserved run."""
+    protocol = Fcat(lam=lam)
+    seeds = spawn_run_seeds(lam, 4)
+    plain = _kernel_runs(protocol, 500, seed=lam, runs=4)
+    with observe():
+        session = _FcatKernelSession(protocol.name, protocol, 500,
+                                     np.random.default_rng(0))
+        assert session.obs is not None and session.lean
+        observed = batched_fcat_sessions(
+            protocol, 500, [rng_from_seed(child) for child in seeds])
+    assert observed == plain

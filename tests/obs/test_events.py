@@ -67,6 +67,17 @@ class TestEventStream:
         assert [(event.seq, event.name) for event in parent.events] == [
             (0, "cache_miss"), (1, "cache_hit")]
 
+    def test_forget_keeps_lifetime_counts_and_sequence(self):
+        stream = EventStream()
+        for key in "abc":
+            stream.emit("cache_hit", key=key)
+        stream.forget(2)
+        stream.emit("cache_miss", key="d")
+        assert [(event.seq, event.fields["key"])
+                for event in stream.events] == [(2, "c"), (3, "d")]
+        assert len(stream) == 2
+        assert stream.counts() == {"cache_hit": 3, "cache_miss": 1}
+
 
 class TestJsonlRoundTrip:
     def test_write_then_read_preserves_everything(self, tmp_path):

@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 
 import pytest
 
+from repro.core.fcat import Fcat
 from repro.experiments.result_cache import ResultCache
+from repro.experiments.runner import run_cell
 from repro.obs.report import cross_check_manifest
-from repro.service.core import InventoryService, ServiceConfig
+from repro.service.core import (
+    RETAINED_REQUESTS,
+    InventoryService,
+    ServiceConfig,
+)
 from repro.service.requests import InventoryRequest
 
 REQUEST = InventoryRequest(n_tags=600, zones=6, seed=11, runs=2)
@@ -101,6 +108,30 @@ def test_payload_shape_and_rollups():
         assert zone["throughput_mean"] > 0
 
 
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_zone_throughput_matches_the_scalar_fcat_oracle(lam):
+    """A zone reads at the paper's FCAT-λ throughput for its size.
+
+    The oracle is the scalar engine's ``Fcat(lam, frame_size=30)`` at the
+    zone's N = 4096, seeded with the zone's population as the service
+    seeds every reader.  The means must agree within a Welch bound of
+    z = 4.5 standard errors (false-alarm odds ≈ 7e-6).  The framed-ALOHA
+    zone frames this replaced (f ≈ N/2) read at 0.4-0.6× the oracle.
+    """
+    n_tags = 4096
+    payload = json.loads(InventoryService().handle(InventoryRequest(
+        n_tags=n_tags, zones=1, seed=lam, runs=12, lam=lam)))
+    (zone,) = payload["zones"]
+    oracle = run_cell(Fcat(lam=lam, frame_size=30,
+                           initial_estimate=float(n_tags)),
+                      n_tags, runs=6, seed=100 + lam, engine="scalar")
+    standard_error = math.sqrt(zone["throughput_std"] ** 2 / zone["runs"]
+                               + oracle.throughput_std ** 2 / oracle.runs)
+    assert abs(zone["throughput_mean"] - oracle.throughput_mean) \
+        <= 4.5 * standard_error, (zone["throughput_mean"],
+                                  oracle.throughput_mean, standard_error)
+
+
 def test_capped_phases_produce_interfered_zones():
     service = InventoryService()
     payload = json.loads(service.handle(
@@ -118,6 +149,49 @@ def test_manifest_cross_checks_against_metrics_dump():
     manifest = service.manifest()
     assert cross_check_manifest(events, manifest) == []
     assert manifest.cells
+
+
+def test_event_memory_stays_flat_over_many_distinct_requests():
+    """Records stay inside the window; totals stay exact for life.
+
+    Ten thousand tiny distinct requests, each simulating one cell: the
+    retained events are exactly the last ``RETAINED_REQUESTS`` requests'
+    and never more than that many requests can emit, the cell records
+    never exceed the window, ``/stats`` counts every event ever emitted,
+    and the dump and manifest still cross-check.
+    """
+    service = InventoryService()
+    requests = [InventoryRequest(n_tags=1, zones=1, seed=seed)
+                for seed in range(10_000)]
+    emitted = most_per_request = most_retained = 0
+    for request in requests:
+        service.handle(request)
+        total = sum(service.obs.events.counts().values())
+        most_per_request = max(most_per_request, total - emitted)
+        emitted = total
+        most_retained = max(most_retained, len(service.obs.events))
+        assert len(service.obs.cells) <= RETAINED_REQUESTS
+    assert most_retained <= RETAINED_REQUESTS * most_per_request
+    retained_keys = [event.fields["key"] for event in service.obs.events.events
+                     if event.name == "request_start"]
+    assert retained_keys \
+        == [request.key() for request in requests[-RETAINED_REQUESTS:]]
+    assert len(service.obs.cells) == RETAINED_REQUESTS
+
+    stats = service.stats()
+    assert stats["requests_served"] == 10_000
+    for name in ("request_start", "request_done", "shard_plan",
+                 "cell_done", "session"):
+        assert stats["events"][name] == 10_000, name
+    assert stats["metrics"]["counters"]["service.requests"] == 10_000
+    assert stats["metrics"]["histograms"]["request.latency_s"]["count"] \
+        == 10_000
+
+    events = service.metrics_events()
+    manifest = service.manifest()
+    assert cross_check_manifest(events, manifest) == []
+    assert len(manifest.cells) == RETAINED_REQUESTS
+    assert manifest.event_count == len(events) <= most_retained + 1
 
 
 def test_stats_accounting():

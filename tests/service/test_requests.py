@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.fcat import Fcat
+from repro.experiments.runner import run_cell
 from repro.service.core import InventoryService
 from repro.service.requests import (
     MAX_ERROR_PROB,
@@ -101,6 +103,32 @@ def test_caps_admit_benchmark_and_demo_traffic():
     for n_tags, zones, lam in ((2_100_000, 48, 4), (1_048_576, 20, 2)):
         request_from_dict({"n_tags": n_tags, "zones": zones, "seed": 0,
                            "lam": lam})
+
+
+#: The worst channel a zone can read through under the request caps:
+#: ambient probabilities at ``MAX_ERROR_PROB`` composed with the
+#: interference model's clamp, and every collision record unusable.
+_WORST_CHANNEL = ChannelModel(singleton_corrupt_prob=0.75, ack_loss_prob=0.6,
+                              collision_unusable_prob=1.0)
+
+
+@pytest.mark.parametrize("engine", ["kernel", "scalar"])
+def test_max_lam_sessions_finish_on_the_worst_channel(engine):
+    """``MAX_LAM`` is pinned at the top of the overrun sweep.
+
+    At f = 30 the sweep (n = 1-79 step 3, 10 seeds, both engines)
+    finished every session up to λ = 9 on a perfect and on the worst
+    composite channel, and overran at λ = 10-11 on the composite one.
+    This replays the composite half at ``MAX_LAM`` with 2 seeds.
+    """
+    assert MAX_LAM == 9
+    for n_tags in range(1, 80, 3):
+        protocol = Fcat(lam=MAX_LAM, initial_estimate=float(n_tags))
+        cell = run_cell(protocol, n_tags, runs=2, seed=n_tags,
+                        channel=_WORST_CHANNEL, engine=engine)
+        assert cell.throughput_mean > 0.0
+    with pytest.raises(ValueError, match="lam"):
+        InventoryRequest(n_tags=10, zones=1, seed=0, lam=MAX_LAM + 1)
 
 
 _INTS = st.integers(-2, 24) | st.integers(-(2 ** 70), 2 ** 70)

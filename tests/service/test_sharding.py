@@ -1,80 +1,13 @@
-"""MPR frame sizing and the facility shard scheduler."""
+"""The facility shard scheduler."""
 
 from __future__ import annotations
 
-import functools
-import math
-
 import pytest
 
-from repro.service import sharding
+from repro.core.fcat import Fcat
 from repro.service.interference import InterferenceModel
-from repro.service.sharding import (
-    mpr_optimal_frame_size,
-    mpr_reads_per_slot,
-    plan_shards,
-)
+from repro.service.sharding import plan_shards
 from repro.sim.channel import ChannelModel
-
-
-# -- mpr_reads_per_slot ----------------------------------------------------
-
-def test_single_reception_matches_binomial_singleton_mean():
-    # m = 1: E[reads/slot] = P[occupancy = 1] = n/L (1 - 1/L)^(n-1).
-    n, L = 40, 64
-    expected = (n / L) * (1 - 1 / L) ** (n - 1)
-    assert mpr_reads_per_slot(n, L, 1) == pytest.approx(expected, rel=1e-12)
-
-
-def test_higher_capability_never_reads_fewer():
-    for L in (8, 32, 128):
-        assert mpr_reads_per_slot(50, L, 2) > mpr_reads_per_slot(50, L, 1)
-        assert mpr_reads_per_slot(50, L, 4) > mpr_reads_per_slot(50, L, 2)
-
-
-def test_degenerate_frame_and_population():
-    assert mpr_reads_per_slot(0, 10, 2) == 0.0
-    # One slot: every tag lands there; readable iff n <= m.
-    assert mpr_reads_per_slot(2, 1, 2) == 2.0
-    assert mpr_reads_per_slot(3, 1, 2) == 0.0
-
-
-def test_reads_per_slot_stable_at_facility_scale():
-    # The forward recurrence must not overflow where factorials would.
-    value = mpr_reads_per_slot(1_000_000, 500_000, 4)
-    assert 0.0 < value < 4.0
-    assert math.isfinite(value)
-
-
-# -- mpr_optimal_frame_size ------------------------------------------------
-
-def test_classical_fsa_optimum_is_near_population_size():
-    # m = 1 recovers L* ~ n (slot efficiency 1/e).
-    n = 200
-    best = mpr_optimal_frame_size(n, 1)
-    assert 0.9 * n <= best <= 1.1 * n
-    efficiency = mpr_reads_per_slot(n, best, 1)
-    assert efficiency == pytest.approx(1 / math.e, rel=0.05)
-
-
-def test_mpr_shifts_optimum_to_shorter_frames():
-    n = 500
-    frames = [mpr_optimal_frame_size(n, m) for m in (1, 2, 4)]
-    assert frames[0] > frames[1] > frames[2]
-
-
-def test_mpr_capability_raises_slot_efficiency():
-    n = 500
-    eff = [mpr_reads_per_slot(n, mpr_optimal_frame_size(n, m), m)
-           for m in (1, 2, 4)]
-    assert eff[0] < eff[1] < eff[2]
-
-
-def test_optimal_frame_validates_inputs():
-    with pytest.raises(ValueError):
-        mpr_optimal_frame_size(0, 2)
-    with pytest.raises(ValueError):
-        mpr_optimal_frame_size(100, 0)
 
 
 # -- plan_shards -----------------------------------------------------------
@@ -131,11 +64,12 @@ def test_zero_overlap_is_one_phase_and_clean_channels():
     assert all(zone.n_tags == zone.exclusive_tags for zone in plan.zones)
 
 
-def test_frame_sizes_follow_mpr_analysis():
-    plan = plan_shards(10_000, 16, capability=4, overlap=0.1)
-    for zone in plan.zones:
-        assert zone.frame_size \
-            == mpr_optimal_frame_size(zone.n_tags, 4)
+def test_frame_sizes_are_the_fcat_default():
+    """Every zone reads at the paper's frame, whatever its size or λ."""
+    for n_tags, capability in ((10_000, 4), (1_048_576, 2), (17, 3)):
+        plan = plan_shards(n_tags, 16, capability=capability, overlap=0.1)
+        assert {zone.frame_size for zone in plan.zones} \
+            == {Fcat().config.frame_size} == {30}
 
 
 def test_plan_is_deterministic():
@@ -168,13 +102,10 @@ def test_plan_validates_inputs():
 
 
 @pytest.mark.parametrize("overlap", [0.1, 0.15, 0.2])
-def test_ring_phases_match_the_closed_form(monkeypatch, overlap):
+def test_ring_phases_match_the_closed_form(overlap):
     """With every ring borrow non-zero the shared first-fit planner gives
     the ring's closed form: alternate 0/1, the odd seam gets 2, then fold.
     """
-    # Frame sizing is irrelevant here; memoize it to keep the grid fast.
-    monkeypatch.setattr(sharding, "mpr_optimal_frame_size",
-                        functools.lru_cache()(mpr_optimal_frame_size))
     for zones in range(1, 65):
         plan_free = plan_shards(1000 * zones, zones, overlap=overlap)
         assert all(count > 0 for _, _, count in plan_free.overlap_pairs)
