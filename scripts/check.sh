@@ -26,7 +26,7 @@ echo "== repro-lint src =="
 python -m repro.devtools src
 
 echo "== repro-lint tests/ scripts/ (advisory) =="
-python -m repro.devtools --no-cache --warn-only --rules "$ADVISORY_RULES" tests scripts
+python -m repro.devtools --warn-only --rules "$ADVISORY_RULES" tests scripts
 
 if [[ "${1:-}" == "--lint" ]]; then
     exit 0

@@ -6,10 +6,10 @@ Monte-Carlo path is deterministic under its seed, and every protocol speaks
 the exact same read-session contract.  This package machine-checks those
 invariants with a two-pass whole-program lint engine: pass 1 indexes every
 module (symbol tables, call records, function signatures, module-global
-access) behind a content-hash cache; pass 2 runs the cross-file rule
-families -- RNG reachability over the call graph, experiment-registry
-completeness, fork-safety of the sweep workers, kernel-equivalence
-registration -- alongside the per-file hygiene and data-flow rules.
+access); pass 2 runs the cross-file rule families -- RNG reachability over
+the call graph, experiment-registry completeness, fork-safety of the sweep
+workers, kernel-equivalence registration -- alongside the per-file hygiene
+and data-flow rules.
 ``repro-lint src`` runs it from the command line and
 ``tests/test_static_analysis.py`` runs it in tier-1 CI.
 
@@ -18,7 +18,6 @@ Every unsuppressed finding blocks; the only way to accept one is a
 for the rule catalogue and the suppression syntax.
 """
 
-from repro.devtools.cache import CacheEntry, LintCache
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
 from repro.devtools.dataflow import TagFlow, build_cfg, global_access
 from repro.devtools.engine import LintEngine, parse_suppressions
@@ -41,8 +40,6 @@ from repro.devtools.rules import (
 )
 
 __all__ = [
-    "CacheEntry",
-    "LintCache",
     "DEFAULT_CONFIG",
     "LintConfig",
     "TagFlow",

@@ -9,9 +9,6 @@ Examples::
 
 Exit status: 0 clean, 1 blocking findings, 2 usage error.  ``--warn-only``
 always exits 0 (used for advisory sweeps over tests/ and scripts/).
-
-The incremental cache lives at ``.repro-lint-cache.json`` next to
-``pyproject.toml`` (git-ignored); ``--no-cache`` forces a cold run.
 """
 
 from __future__ import annotations
@@ -21,8 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.devtools.cache import DEFAULT_CACHE_NAME
-from repro.devtools.engine import LintEngine, find_repo_root
+from repro.devtools.engine import LintEngine
 from repro.devtools.reporters import render_json, render_text
 from repro.devtools.rules import describe_rules
 
@@ -44,23 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--show-suppressed", action="store_true",
                         help="also print findings silenced by "
                              "`# repro: allow-<rule>` comments")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not write the incremental cache")
     parser.add_argument("--warn-only", action="store_true",
                         help="report findings but always exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
     return parser
-
-
-def _cache_path(options: argparse.Namespace) -> Path | None:
-    """The cache file next to the scanned tree's pyproject.toml, if any."""
-    if options.no_cache:
-        return None
-    first = Path(options.paths[0]) if options.paths else Path(".")
-    start = first if first.is_dir() else first.parent
-    repo_root = find_repo_root(start.resolve())
-    return None if repo_root is None else repo_root / DEFAULT_CACHE_NAME
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -77,7 +61,7 @@ def main(argv: Sequence[str] | None = None) -> int:
               file=sys.stderr)
         return 2
     try:
-        engine = LintEngine(select=select, cache_path=_cache_path(options))
+        engine = LintEngine(select=select)
     except KeyError as error:
         print(f"repro-lint: {error.args[0]}", file=sys.stderr)
         return 2

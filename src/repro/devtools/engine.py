@@ -1,13 +1,10 @@
-"""The lint engine: discovery, pass-1 indexing (cached), pass-2 rules.
+"""The lint engine: discovery, pass-1 indexing, pass-2 rules.
 
 A run has two passes:
 
 **Pass 1** touches every file independently: parse, scan suppressions, run
 the per-module rules, build the module's
-:class:`~repro.devtools.index.ModuleIndex`.  All of it depends only on the
-file's bytes, so it is served from the on-disk cache
-(:mod:`repro.devtools.cache`) when the content hash matches -- cache hits
-skip parsing entirely (ASTs stay lazy).
+:class:`~repro.devtools.index.ModuleIndex`.
 
 **Pass 2** assembles the module indexes into a
 :class:`~repro.devtools.index.ProjectIndex` and runs every rule's
@@ -47,13 +44,6 @@ import tokenize
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.devtools.cache import (
-    CacheEntry,
-    LintCache,
-    cache_signature,
-    content_digest,
-    rule_sources_digest,
-)
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import ProjectIndex, build_module_index
@@ -144,17 +134,9 @@ class LintEngine:
     """Run a set of rules over a tree of Python files."""
 
     def __init__(self, config: LintConfig | None = None,
-                 select: Iterable[str] = (),
-                 cache_path: Path | None = None) -> None:
+                 select: Iterable[str] = ()) -> None:
         self.config = config or DEFAULT_CONFIG
         self.rules: list[Rule] = create_rules(select)
-        self.cache: LintCache | None = None
-        if cache_path is not None:
-            signature = cache_signature(
-                repr(self.config),
-                tuple(rule.name for rule in self.rules),
-                rule_sources_digest(self.rules))
-            self.cache = LintCache(cache_path, signature)
 
     # -- pass 1 ------------------------------------------------------------
 
@@ -173,40 +155,6 @@ class LintEngine:
                     files.append((path, path.relative_to(root).as_posix()))
         return scan_root, files
 
-    def _load_one(self, path: Path, relpath: str) -> tuple[
-            ModuleContext | None, CacheEntry | None, Finding | None]:
-        """Pass-1 work for one file: cached replay or a fresh build."""
-        source = path.read_text(encoding="utf-8")
-        digest = content_digest(source)
-        if self.cache is not None:
-            cached = self.cache.lookup(relpath, digest)
-            if cached is not None:
-                module = ModuleContext(path=path, relpath=relpath,
-                                       source=source,
-                                       suppressions=cached.suppressions)
-                return module, cached, None
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as error:
-            return None, None, Finding(
-                path=relpath, line=error.lineno or 1, rule="parse-error",
-                message=f"cannot parse: {error.msg}")
-        suppressions = normalize_suppression_spans(
-            parse_suppressions(source), tree)
-        module = ModuleContext(path=path, relpath=relpath, source=source,
-                               tree=tree, suppressions=suppressions)
-        module_findings = [
-            finding
-            for rule in self.rules
-            for finding in rule.check_module(module, self.config)]
-        entry = CacheEntry(
-            digest=digest, findings=module_findings,
-            suppressions=module.suppressions,
-            index=build_module_index(module.dotted_name, relpath, tree))
-        if self.cache is not None:
-            self.cache.store(relpath, entry)
-        return module, entry, None
-
     def build_project(self, paths: Sequence[str | Path]) -> tuple[
             ProjectContext, list[Finding]]:
         """Pass 1 over every .py file under ``paths``.
@@ -219,14 +167,23 @@ class LintEngine:
         modules: list[ModuleContext] = []
         records = []
         for path, relpath in files:
-            module, entry, error = self._load_one(path, relpath)
-            if error is not None:
-                findings.append(error)
+            source = path.read_text(encoding="utf-8")
+            try:
+                tree = ast.parse(source, filename=str(path))
+            except SyntaxError as error:
+                findings.append(Finding(
+                    path=relpath, line=error.lineno or 1, rule="parse-error",
+                    message=f"cannot parse: {error.msg}"))
                 continue
-            assert module is not None and entry is not None
+            suppressions = normalize_suppression_spans(
+                parse_suppressions(source), tree)
+            module = ModuleContext(path=path, relpath=relpath, source=source,
+                                   tree=tree, suppressions=suppressions)
             modules.append(module)
-            findings.extend(entry.findings)
-            records.append(entry.index)
+            for rule in self.rules:
+                findings.extend(rule.check_module(module, self.config))
+            records.append(
+                build_module_index(module.dotted_name, relpath, tree))
         repo_root = find_repo_root(scan_root.resolve())
         project = ProjectContext(root=scan_root, modules=modules,
                                  repo_root=repo_root,
@@ -243,10 +200,6 @@ class LintEngine:
             findings.extend(rule.check_project(project, self.config))
         report = self._resolve(project, findings)
         report.index_seconds = index_seconds
-        if self.cache is not None:
-            report.cache_hits = self.cache.hits
-            report.cache_misses = self.cache.misses
-            self.cache.save()
         return report
 
     def _resolve(self, project: ProjectContext,

@@ -45,9 +45,6 @@ class LintReport:
     modules_checked: int = 0
     #: Names of the rules that ran.
     rules_run: tuple[str, ...] = ()
-    #: Incremental-cache accounting for this run (both zero without a cache).
-    cache_hits: int = 0
-    cache_misses: int = 0
     #: Wall-clock seconds pass 1 (discovery + parse + index) took.
     index_seconds: float = 0.0
 

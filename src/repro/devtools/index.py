@@ -4,8 +4,7 @@ For every module the engine builds a :class:`ModuleIndex` -- import aliases,
 class bases, module-level OS handles and a :class:`FunctionInfo` per
 function or method holding its signature (parameter names and
 annotations), every call it makes (callee as written) and its
-module-global reads and writes.  Module indexes are plain-data and
-serializable, so the on-disk cache can persist them per content hash.
+module-global reads and writes.
 
 :class:`ProjectIndex` assembles the per-module records into whole-program
 structure: a global function table, alias-aware call resolution (falling
@@ -37,13 +36,6 @@ class CallInfo:
     raw: str  # the callee as written, e.g. ``self.transmission_time``
     lineno: int
 
-    def to_dict(self) -> dict:
-        return {"raw": self.raw, "lineno": self.lineno}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CallInfo":
-        return cls(raw=data["raw"], lineno=data["lineno"])
-
 
 @dataclass
 class ParamInfo:
@@ -51,13 +43,6 @@ class ParamInfo:
 
     name: str
     annotation: str | None = None
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "annotation": self.annotation}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ParamInfo":
-        return cls(name=data["name"], annotation=data.get("annotation"))
 
 
 @dataclass
@@ -91,26 +76,6 @@ class FunctionInfo:
                 return info
         return None
 
-    def to_dict(self) -> dict:
-        return {"qualname": self.qualname, "lineno": self.lineno,
-                "params": [p.to_dict() for p in self.params],
-                "calls": [c.to_dict() for c in self.calls],
-                "has_rng_param": self.has_rng_param,
-                "global_reads": [list(read) for read in self.global_reads],
-                "global_writes": [list(write)
-                                  for write in self.global_writes]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FunctionInfo":
-        return cls(qualname=data["qualname"], lineno=data["lineno"],
-                   params=[ParamInfo.from_dict(p) for p in data["params"]],
-                   calls=[CallInfo.from_dict(c) for c in data["calls"]],
-                   has_rng_param=data["has_rng_param"],
-                   global_reads=[(read[0], read[1])
-                                 for read in data.get("global_reads", [])],
-                   global_writes=[(w[0], w[1], w[2])
-                                  for w in data.get("global_writes", [])])
-
 
 @dataclass
 class ModuleIndex:
@@ -130,27 +95,6 @@ class ModuleIndex:
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: module globals bound to OS handles (open files, locks, queues).
     handle_globals: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"dotted": self.dotted, "relpath": self.relpath,
-                "aliases": dict(self.aliases),
-                "functions": {name: info.to_dict()
-                              for name, info in self.functions.items()},
-                "classes": list(self.classes),
-                "class_bases": {name: list(bases)
-                                for name, bases in self.class_bases.items()},
-                "handle_globals": list(self.handle_globals)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModuleIndex":
-        return cls(dotted=data["dotted"], relpath=data["relpath"],
-                   aliases=dict(data["aliases"]),
-                   functions={name: FunctionInfo.from_dict(info)
-                              for name, info in data["functions"].items()},
-                   classes=tuple(data["classes"]),
-                   class_bases={name: tuple(bases) for name, bases
-                                in data.get("class_bases", {}).items()},
-                   handle_globals=tuple(data.get("handle_globals", [])))
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,6 @@ def render_text(report: LintReport, *, show_suppressed: bool = False) -> str:
                f"{'s' if n_blocking != 1 else ''}"
                f" ({len(report.suppressed)} suppressed)"
                f" in {report.modules_checked} modules")
-    if report.cache_hits or report.cache_misses:
-        summary += (f" [cache: {report.cache_hits} hits,"
-                    f" {report.cache_misses} misses]")
     if not lines:
         return f"OK: {summary}"
     lines.append(summary)
@@ -39,10 +36,6 @@ def render_json(report: LintReport) -> str:
             "unsuppressed": len(report.unsuppressed),
             "suppressed": len(report.suppressed),
             "blocking": len(report.blocking),
-        },
-        "cache": {
-            "hits": report.cache_hits,
-            "misses": report.cache_misses,
         },
         "timing": {
             "pass1_seconds": round(report.index_seconds, 3),

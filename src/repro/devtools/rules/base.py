@@ -7,10 +7,6 @@ invariants.  Project rules get both the parsed modules *and* the pass-1
 call records, global-access summaries) on ``project.index``.  Rules yield
 :class:`~repro.devtools.findings.Finding` objects; the engine decides
 suppression afterwards, so rules never look at comments.
-
-Module ASTs are parsed lazily: on a warm cache run, pass 1 is replayed from
-the cache and a module's ``tree`` is only materialized if a project rule
-actually touches it.
 """
 
 from __future__ import annotations
@@ -28,34 +24,18 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 
 class ModuleContext:
-    """One Python file plus its lint-relevant metadata.
-
-    ``tree`` parses on first access.  Cache-hit modules skip eager parsing;
-    they parsed cleanly when the entry was written and the content hash
-    guarantees the source is unchanged, so lazy parsing cannot fail where
-    eager parsing would have succeeded.
-    """
+    """One parsed Python file plus its lint-relevant metadata."""
 
     def __init__(self, path: Path, relpath: str, source: str,
-                 tree: ast.Module | None = None,
+                 tree: ast.Module,
                  suppressions: dict[int, set[str]] | None = None) -> None:
         self.path = path
         #: POSIX path relative to the scan root, e.g. ``repro/core/fcat.py``.
         self.relpath = relpath
         self.source = source
-        self._tree = tree
+        self.tree = tree
         #: line -> rule names that ``# repro: allow-<rule>`` comments cover.
         self.suppressions: dict[int, set[str]] = suppressions or {}
-
-    @property
-    def tree(self) -> ast.Module:
-        if self._tree is None:
-            self._tree = ast.parse(self.source, filename=str(self.path))
-        return self._tree
-
-    @property
-    def is_parsed(self) -> bool:
-        return self._tree is not None
 
     @property
     def is_package_init(self) -> bool:

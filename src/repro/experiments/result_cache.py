@@ -9,13 +9,12 @@ address instead.
 
 The key is a SHA-256 over a *canonical fingerprint* of the spec: protocol
 class + config fields, ``n_tags``, ``runs``, ``seed``, channel knobs and
-timing constants, all rendered to sorted-key JSON (modeled on the devtools
-lint cache from ``repro.devtools.cache``).  The store is one JSON file,
-``.repro-results-cache.json`` (git-ignored), invalidated as a whole by its
-*signature*: schema version, ``repro.__version__`` and a digest of the
-simulator source tree -- so editing any protocol, channel or codec never
-replays stale numbers.  Corrupt or unreadable files are treated as empty:
-the cache can only ever make a run faster, never wrong.
+timing constants, all rendered to sorted-key JSON.  The store is one JSON
+file, ``.repro-results-cache.json`` (git-ignored), invalidated as a whole
+by its *signature*: schema version, ``repro.__version__`` and a digest of
+the simulator source tree -- so editing any protocol, channel or codec
+never replays stale numbers.  Corrupt or unreadable files are treated as
+empty: the cache can only ever make a run faster, never wrong.
 
 Schema 2 adds **partial-batch entries**: per-run
 :class:`~repro.sim.result.RunMetrics` vectors keyed by the run-seed range

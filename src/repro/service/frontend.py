@@ -26,6 +26,8 @@ Endpoints:
     ``metrics_snapshot`` -- pipe to a file and it validates under
     ``python -m repro.obs.report`` against the ``/healthz`` manifest.
 
+An unknown path gets a 404 whatever the method; a known path asked with
+the wrong method gets a 405 whose ``Allow`` header names its one method.
 A request line or header line longer than the stream reader's 64 KiB
 limit gets a 400 on any route.
 
@@ -56,11 +58,19 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             500: "Internal Server Error"}
 
 
+#: path -> the one method it answers.
+_ROUTES = {"/inventory": "POST", "/healthz": "GET", "/stats": "GET",
+           "/metrics.jsonl": "GET"}
+
+
 def _http_response(status: int, body: bytes,
-                   content_type: str = "application/json") -> bytes:
+                   content_type: str = "application/json",
+                   allow: str | None = None) -> bytes:
+    allow_line = "" if allow is None else f"Allow: {allow}\r\n"
     head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
             f"Content-Type: {content_type}\r\n"
             f"Content-Length: {len(body)}\r\n"
+            f"{allow_line}"
             f"Connection: close\r\n\r\n")
     return head.encode("ascii") + body
 
@@ -175,12 +185,14 @@ class ServiceFrontend:
         return await self._route(method, path, body)
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:
+        allowed = _ROUTES.get(path)
+        if allowed is None:
+            return _http_response(404, _error_body(f"no route {path}"))
+        if method != allowed:
+            return _http_response(405, _error_body(f"{allowed} {path}"),
+                                  allow=allowed)
         if path == "/inventory":
-            if method != "POST":
-                return _http_response(405, _error_body("POST /inventory"))
             return await self._post_inventory(body)
-        if method != "GET":
-            return _http_response(405, _error_body(f"GET {path}"))
         if path == "/healthz":
             manifest = self.service.manifest().to_dict()
             payload = {"status": "ok", "manifest": manifest}
@@ -191,12 +203,10 @@ class ServiceFrontend:
             return _http_response(
                 200, (json.dumps(self.service.stats(), sort_keys=True)
                       + "\n").encode("utf-8"))
-        if path == "/metrics.jsonl":
-            lines = "".join(json.dumps(event.to_json()) + "\n"
-                            for event in self.service.metrics_events())
-            return _http_response(200, lines.encode("utf-8"),
-                                  content_type="application/jsonl")
-        return _http_response(404, _error_body(f"no route {path}"))
+        lines = "".join(json.dumps(event.to_json()) + "\n"
+                        for event in self.service.metrics_events())
+        return _http_response(200, lines.encode("utf-8"),
+                              content_type="application/jsonl")
 
     async def _post_inventory(self, body: bytes) -> bytes:
         try:

@@ -141,6 +141,9 @@ def request_from_dict(payload: dict) -> InventoryRequest:
     if channel is not None:
         if not isinstance(channel, dict):
             raise ValueError("channel must be a JSON object of error knobs")
+        for knob, value in channel.items():
+            if isinstance(value, bool):
+                raise ValueError(f"channel {knob} must be a number")
         try:
             fields["channel"] = ChannelModel(**channel)
         except TypeError as error:
@@ -153,6 +156,11 @@ def request_from_dict(payload: dict) -> InventoryRequest:
         if isinstance(fields[name], bool) \
                 or not isinstance(fields[name], int):
             raise ValueError(f"{name} must be an integer")
+    for name in ("overlap", "precision"):
+        # Nor is `true` a float: it would be served as 1.0 under a
+        # different request key and echoed back as `true`.
+        if isinstance(fields.get(name), bool):
+            raise ValueError(f"{name} must be a number")
     try:
         return InventoryRequest(**fields)
     except TypeError as error:

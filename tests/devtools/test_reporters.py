@@ -44,13 +44,12 @@ def test_json_findings_carry_state_fields(tree):
     report = _fixture_report(tree)
     payload = json.loads(render_json(report))
     assert set(payload) == {"modules_checked", "rules_run", "counts",
-                            "cache", "timing", "findings"}
+                            "timing", "findings"}
     for finding in payload["findings"]:
         assert set(finding) == {"path", "line", "rule", "message",
                                 "suppressed"}
     assert payload["counts"]["blocking"] == 2
     assert payload["counts"]["suppressed"] == 1
-    assert payload["cache"] == {"hits": 0, "misses": 0}
 
 
 def test_text_summary_counts_every_state():
@@ -60,11 +59,10 @@ def test_text_summary_counts_every_state():
             Finding(path="a.py", line=4, rule="r", message="ok",
                     suppressed=True),
         ],
-        modules_checked=1, cache_hits=3, cache_misses=1)
+        modules_checked=1)
     text = render_text(report)
     assert "1 blocking finding " in text
     assert "(1 suppressed)" in text
-    assert "[cache: 3 hits, 1 misses]" in text
 
 
 def regenerate_golden() -> None:  # pragma: no cover - manual helper

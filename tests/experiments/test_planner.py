@@ -19,6 +19,7 @@ from repro.experiments.planner import (
     PlannerConfig,
     PlannerStats,
     Welford,
+    _z_for_confidence,
     plan_cells,
 )
 from repro.experiments.result_cache import ResultCache
@@ -320,3 +321,11 @@ class TestWelford:
         assert fold.rel_half_width(1.96) == UNDEFINED_WIDTH
         fold.add(2.0)
         assert fold.rel_half_width(1.96) > 0
+
+
+def test_critical_value_is_the_exact_normal_quantile():
+    z = _z_for_confidence(0.95)
+    assert z == statistics.NormalDist().inv_cdf(0.975)
+    # CI's planner smoke uses this Z95; CPython's inv_cdf may differ from
+    # it by one ulp between versions.
+    assert z == pytest.approx(1.959963984540054, rel=1e-15)

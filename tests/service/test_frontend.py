@@ -88,8 +88,8 @@ def test_routing_errors():
     run(_with_frontend(scenario))
 
 
-async def _send_raw(frontend, data: bytes) -> tuple[int, bytes]:
-    """Write ``data`` as one whole request; return (status, body)."""
+async def _exchange(frontend, data: bytes) -> tuple[int, bytes, bytes]:
+    """Write ``data`` as one whole request; return (status, head, body)."""
     reader, writer = await asyncio.open_connection(frontend.host,
                                                    frontend.port)
     writer.write(data)
@@ -98,7 +98,39 @@ async def _send_raw(frontend, data: bytes) -> tuple[int, bytes]:
     response = await reader.read()
     writer.close()
     head, _, body = response.partition(b"\r\n\r\n")
-    return int(head.split()[1]), body
+    return int(head.split()[1]), head, body
+
+
+async def _send_raw(frontend, data: bytes) -> tuple[int, bytes]:
+    """Write ``data`` as one whole request; return (status, body)."""
+    status, _, body = await _exchange(frontend, data)
+    return status, body
+
+
+@pytest.mark.parametrize("method, path, status, allow", [
+    ("GET", "/nope", 404, None),
+    ("POST", "/nope", 404, None),
+    ("DELETE", "/nope", 404, None),
+    ("GET", "/inventory", 405, "POST"),
+    ("DELETE", "/inventory", 405, "POST"),
+    ("POST", "/stats", 405, "GET"),
+    ("PUT", "/healthz", 405, "GET"),
+])
+def test_unknown_paths_404_and_wrong_methods_405_with_allow(
+        method, path, status, allow):
+    """Unknown routes are 404 whatever the method; a 405 names the route's
+    one method in ``Allow`` (RFC 9110 section 15.5.6)."""
+    async def scenario(frontend):
+        got, head, body = await _exchange(
+            frontend,
+            f"{method} {path} HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+            .encode("ascii"))
+        assert got == status
+        headers = dict(line.split(": ", 1) for line in
+                       head.decode("latin-1").split("\r\n")[1:])
+        assert headers.get("Allow") == allow
+        assert "error" in json.loads(body)
+    run(_with_frontend(scenario))
 
 
 def _post_head(content_length: str) -> bytes:

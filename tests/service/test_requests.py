@@ -92,6 +92,17 @@ def test_minimal_request_uses_defaults():
       "channel": {"singleton_corrupt_prob": 1.0}}, "singleton_corrupt_prob"),
     ({"n_tags": 10, "zones": 1, "seed": 0,
       "channel": {"ack_loss_prob": MAX_ERROR_PROB + 0.01}}, "ack_loss_prob"),
+    # bool subclasses int: `true`/`false` are not numbers here either.
+    ({"n_tags": 10, "zones": 1, "seed": 0, "overlap": False},
+     "overlap must be a number"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "overlap": True},
+     "overlap must be a number"),
+    ({"n_tags": 10, "zones": 1, "seed": 0, "precision": True},
+     "precision must be a number"),
+    ({"n_tags": 10, "zones": 1, "seed": 0,
+      "channel": {"ack_loss_prob": False}}, "ack_loss_prob must be a number"),
+    ({"n_tags": 10, "zones": 1, "seed": 0,
+      "channel": {"capture_prob": True}}, "capture_prob must be a number"),
 ])
 def test_junk_requests_rejected(payload, match):
     with pytest.raises(ValueError, match=match):
