@@ -3,8 +3,8 @@
 
 Boots the asyncio front end in-process on a free port, sustains a burst of
 inventory requests against it (cold pass over distinct facilities, then a
-warm pass re-issuing every one, plus a concurrent duplicate volley), and
-reports request latency quantiles from the service's own ``repro.obs``
+warm pass re-issuing every one, a concurrent duplicate volley, and the warm
+set once more while one large cold request computes), and reports request latency quantiles from the service's own ``repro.obs``
 histograms -- the p99 the ISSUE's acceptance bar asks for comes off the
 ``/stats`` endpoint, not from client-side stopwatches.
 
@@ -15,6 +15,10 @@ The driver also *checks* while it drives:
   response -- the determinism contract, observed over the real socket;
 * warm accounting: re-issued requests must be served from the response
   store (``responses_cached`` on ``/stats``), never re-simulated;
+* warm during cold: ``warm_during_cold`` in the report is true only when
+  every warm reply re-issued while the large cold request was in flight
+  arrived before the cold reply, byte-identical to its cold-pass reply --
+  an ordering check, with no wall-clock threshold;
 * artefact coherence: with ``--metrics-out``/``--manifest-out`` the event
   stream and manifest are fetched (in that order) from the live endpoints
   and must cross-check clean under ``repro.obs.report``.
@@ -44,6 +48,10 @@ from repro.obs.report import cross_check_manifest  # noqa: E402
 from repro.service.client import http_get, post_inventory  # noqa: E402
 from repro.service.core import InventoryService, ServiceConfig  # noqa: E402
 from repro.service.frontend import ServiceFrontend  # noqa: E402
+
+#: Monte-Carlo runs of the large cold request (the facility's usual size,
+#: a fresh seed): long enough for the warm set to finish first.
+LARGE_RUNS = 32
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,9 +133,23 @@ async def drive(frontend: ServiceFrontend,
     print(f"  concurrent volley: {args.duplicates} duplicates, "
           "1 distinct response", file=sys.stderr)
 
+    large = {**_request_body(args, args.seed + args.requests),
+             "runs": LARGE_RUNS}
+    large_task = asyncio.ensure_future(post_inventory(host, port, large))
+    await asyncio.sleep(0.05)  # let it reach the compute lane
+    during = await _bounded_gather(args.concurrency, [
+        post_inventory(host, port, body) for body in bodies])
+    warm_during_cold = not large_task.done() and all(
+        w == c for (_, c), (_, w) in zip(cold, during))
+    status, _ = await large_task
+    assert status == 200, f"large cold request failed with {status}"
+    print(f"  warm during cold ({len(bodies)} warm replies, all before the "
+          f"{LARGE_RUNS}-run cold reply and byte-identical): "
+          f"{warm_during_cold}", file=sys.stderr)
+
     _, stats_body = await http_get(host, port, "/stats")
     stats = json.loads(stats_body)
-    expected_warm = len(bodies) + args.duplicates
+    expected_warm = 2 * len(bodies) + args.duplicates
     assert stats["responses_cached"] == expected_warm, \
         (f"expected {expected_warm} cache-served responses, "
          f"stats says {stats['responses_cached']}")
@@ -143,6 +165,7 @@ async def drive(frontend: ServiceFrontend,
         "cold_pass_s": round(cold_s, 4),
         "warm_pass_s": round(warm_s, 4),
         "byte_identical": byte_identical,
+        "warm_during_cold": warm_during_cold,
         "latency": {key: round(latency[key], 6)
                     for key in ("count", "mean", "p50", "p90", "p99")},
         "cold_latency": {key: round(cold_hist[key], 6)

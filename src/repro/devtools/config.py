@@ -166,12 +166,9 @@ class LintConfig:
     )
     #: Module globals (``module.dotted:name``) audited as fork-safe: either
     #: re-initialized per worker or merged back through ChunkOutcome.
-    fork_safe_globals: tuple[str, ...] = (
-        # The ambient Observation slot: every worker enters observe()
-        # fresh, and the captured counters return via
-        # ChunkOutcome.observation for a deterministic parent-side merge.
-        "repro.obs.scope:_current",
-    )
+    #: None today: the ambient Observation slot is a ContextVar, whose
+    #: ``set``/``reset`` never write the module global.
+    fork_safe_globals: tuple[str, ...] = ()
 
     # --- R15: kernel-equivalence registry ---------------------------------
     #: Name markers identifying vectorized kernels: a leading-underscore-

@@ -361,8 +361,12 @@ class ResultCache:
             pass  # a read-only checkout just runs cold every time
 
     def stats(self) -> str:
-        """One-line hit/miss summary for CLI surfacing."""
-        ranges = sum(len(spans) for spans in self._runs.values())
+        """One-line hit/miss summary for CLI surfacing.
+
+        Safe to call while another thread stores: the range maps are
+        snapshotted in one ``list`` call before they are counted.
+        """
+        ranges = sum(map(len, list(self._runs.values())))
         return (f"result cache: {self.hits} hits / {self.misses} misses, "
                 f"{self.run_hits}/{self.run_misses} run-range hits/misses "
                 f"({len(self._entries)} cells + {ranges} ranges "

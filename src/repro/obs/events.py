@@ -9,10 +9,11 @@ site in the source tree to this registry, so the schema and its emitters
 cannot drift apart.
 
 The on-disk form is JSONL: one event per line as
-``{"seq": n, "event": name, <field>: <value>...}``.  ``seq`` is assigned by
-the owning :class:`EventStream` -- when the parallel executor folds worker
-streams back into the parent, events are re-sequenced in deterministic
-chunk order, so a serial run and a parallel run produce the same ordering.
+``{"seq": n, "event": name, <field>: <value>...}``.  ``seq`` is positional:
+an event's place in its owning :class:`EventStream`, counting forgotten
+events too.  When the parallel executor folds worker streams back into the
+parent, in deterministic chunk order, the folded events take the next
+positions, so a serial run and a parallel run produce the same ordering.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ EVENT_SCHEMA: dict[str, EventSpec] = {
                           reason="str", runs_used="int", nominal_runs="int",
                           simulated_runs="int", cached_runs="int",
                           mean="float", rel_half_width="float"),
-    # Inventory service: one request entered the compute lane.
+    # Inventory service: one request's records begin (a warm hit, or a
+    # cold miss whose collector is being folded in).
     "request_start": _spec(key="str", n_tags="int", zones="int",
                            seed="int"),
     # Inventory service: a request was answered (``cached`` marks the
@@ -177,56 +179,73 @@ class Event(NamedTuple):
 
 
 class EventStream:
-    """Schema-validated event log with stable sequencing.
+    """Schema-validated event log with positional sequencing.
 
-    Events append in order; :meth:`forget` drops the oldest retained
-    records so a long-running owner can bound memory.  ``seq`` numbers and
-    :meth:`counts` cover every event ever emitted, forgotten ones too.
+    The stream keeps ``(name, fields)`` records and builds each
+    :class:`Event` when :attr:`events` is read, with ``seq`` = its position
+    counted from the first event ever recorded.  :meth:`forget` drops the
+    oldest retained records so a long-running owner can bound memory;
+    ``seq`` numbers and :meth:`counts` cover every event ever recorded,
+    forgotten ones too.  :meth:`fold` appends another stream's records in
+    one ``list.extend``, so folding a worker's or a request's collector
+    costs no per-event work beyond copying a reference.
     """
 
     def __init__(self) -> None:
-        self._events: list[Event] = []
+        self._records: list[tuple[str, dict]] = []
         self._tally: dict[str, int] = {}
-        self._emitted = 0
+        #: Records dropped by :meth:`forget`; the first retained ``seq``.
+        self._forgotten = 0
 
-    def _record(self, name: str, fields: dict) -> Event:
-        event = Event(self._emitted, name, fields)
-        self._emitted += 1
-        self._events.append(event)
+    def _record(self, name: str, fields: dict) -> None:
+        self._records.append((name, fields))
         self._tally[name] = self._tally.get(name, 0) + 1
-        return event
 
-    def emit(self, name: str, **fields) -> Event:
-        return self.append(name, fields)
+    def emit(self, name: str, **fields) -> None:
+        self.append(name, fields)
 
-    def append(self, name: str, fields: dict) -> Event:
+    def append(self, name: str, fields: dict) -> None:
         """:meth:`emit` for a ready-made ``fields`` dict (kept, not copied)."""
         validate_event(name, fields)
-        return self._record(name, fields)
+        self._record(name, fields)
 
     def extend(self, events: Iterable[Event]) -> None:
-        """Fold another stream's events in, re-sequencing as they land.
+        """Append events (say, read back from a sink) at the next positions.
 
-        They were validated when emitted (or read back from a sink), so
-        they are not checked again.
+        They were validated when emitted or read, so they are not checked
+        again.
         """
         for event in events:
             self._record(event.name, event.fields)
 
+    def fold(self, other: EventStream) -> None:
+        """Append ``other``'s retained records and add its lifetime counts.
+
+        The records were validated when ``other`` recorded them.  ``fields``
+        dicts are shared, not copied: a folded-in collector is done.
+        """
+        self._records.extend(other._records)
+        for name, count in other._tally.items():
+            self._tally[name] = self._tally.get(name, 0) + count
+
     def forget(self, count: int) -> None:
         """Drop the ``count`` oldest retained events (tallies are kept)."""
-        del self._events[:count]
+        count = min(count, len(self._records))
+        del self._records[:count]
+        self._forgotten += count
 
     @property
     def events(self) -> list[Event]:
         """The retained events, oldest first."""
-        return list(self._events)
+        first = self._forgotten
+        return [Event(first + index, name, fields)
+                for index, (name, fields) in enumerate(self._records)]
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._records)
 
     def counts(self) -> dict[str, int]:
-        """Events emitted per name over the stream's life, sorted by name."""
+        """Events recorded per name over the stream's life, sorted by name."""
         return dict(sorted(self._tally.items()))
 
 

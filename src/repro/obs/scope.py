@@ -3,9 +3,10 @@
 Observability is off by default and costs one ``is None`` test per
 instrumentation point.  Entering :func:`observe` installs an
 :class:`Observation` -- a metrics registry, an event stream and the list of
-per-cell timing records the run manifest is built from -- as the process's
-current collector; instrumented code fetches it once via :func:`active` and
-writes through it.
+per-cell timing records the run manifest is built from -- as the current
+collector of the calling thread (a :class:`~contextvars.ContextVar`, so
+each thread, and each asyncio task, sees only the collectors it installed);
+instrumented code fetches it once via :func:`active` and writes through it.
 
 The scope nests (the executor re-enters it inside worker processes to give
 each chunk a private collector it can ship back for the order-independent
@@ -19,10 +20,11 @@ themselves.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.obs.events import Event, EventStream
+from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
@@ -49,8 +51,8 @@ class Observation:
 
     # -- write-through conveniences ---------------------------------------
 
-    def emit(self, name: str, **fields) -> Event:
-        return self.events.append(name, fields)
+    def emit(self, name: str, **fields) -> None:
+        self.events.append(name, fields)
 
     def count(self, name: str, amount: float = 1.0) -> None:
         self.metrics.counter(name).inc(amount)
@@ -71,15 +73,19 @@ class Observation:
         del self.cells[:cells]
 
     def merge(self, other: "Observation") -> None:
-        """Fold a worker's observation in (order-independent for metrics;
-        events append in the caller-chosen deterministic order)."""
+        """Fold a worker's or a request's observation in.
+
+        Order-independent for metrics; events append in the caller-chosen
+        deterministic order, as one bulk :meth:`EventStream.fold`.
+        """
         self.metrics.merge(other.metrics)
-        self.events.extend(other.events.events)
+        self.events.fold(other.events)
         self.cells.extend(other.cells)
 
 
-#: The process-wide current collector; ``None`` means observability is off.
-_current: Observation | None = None
+#: The current collector; ``None`` means observability is off.
+_current: ContextVar[Observation | None] = ContextVar("repro_obs_current",
+                                                      default=None)
 
 
 def active() -> Observation | None:
@@ -87,11 +93,11 @@ def active() -> Observation | None:
 
     Hot paths call this once (per session / per chunk) and keep the result.
     """
-    return _current
+    return _current.get()
 
 
 def enabled() -> bool:
-    return _current is not None
+    return _current.get() is not None
 
 
 @contextmanager
@@ -105,38 +111,40 @@ def observe(target: Observation | MetricsRegistry | None = None
     for a fresh observation.  Yields the installed observation; the
     previous collector is restored on exit.
     """
-    global _current
     if target is None:
         observation = Observation()
     elif isinstance(target, MetricsRegistry):
         observation = Observation(metrics=target)
     else:
         observation = target
-    previous = _current
-    _current = observation
+    token = _current.set(observation)
     try:
         yield observation
     finally:
-        _current = previous
+        _current.reset(token)
 
 
 # -- module-level one-liners (no-ops while disabled) -----------------------
 
 def emit(name: str, **fields) -> None:
-    if _current is not None:
-        _current.events.append(name, fields)
+    observation = _current.get()
+    if observation is not None:
+        observation.events.append(name, fields)
 
 
 def inc(name: str, amount: float = 1.0) -> None:
-    if _current is not None:
-        _current.metrics.counter(name).inc(amount)
+    observation = _current.get()
+    if observation is not None:
+        observation.metrics.counter(name).inc(amount)
 
 
 def observe_value(name: str, value: float) -> None:
-    if _current is not None:
-        _current.metrics.histogram(name).observe(value)
+    observation = _current.get()
+    if observation is not None:
+        observation.metrics.histogram(name).observe(value)
 
 
 def set_gauge(name: str, value: float) -> None:
-    if _current is not None:
-        _current.metrics.gauge(name).set(value)
+    observation = _current.get()
+    if observation is not None:
+        observation.metrics.gauge(name).set(value)

@@ -14,8 +14,9 @@ telemetry -- behind an asyncio HTTP front end:
   concurrency onto the per-slot channel error process.
 * :mod:`repro.service.requests` -- the request schema, its content
   address, and the canonical response encoding.
-* :mod:`repro.service.core` -- the service: one compute lane, a response
-  store, the shared result cache, a service-lifetime observation.
+* :mod:`repro.service.core` -- the service: a compute lane for cold
+  misses, a byte-bounded response store, the shared result cache, a
+  service-lifetime observation.
 * :mod:`repro.service.frontend` / :mod:`repro.service.client` -- stdlib
   asyncio HTTP server and client.
 

@@ -3,7 +3,11 @@
 One :class:`InventoryService` owns the whole serving state: a result cache
 shared across requests, a response store keyed by request content address,
 a service-lifetime :class:`~repro.obs.scope.Observation` all request
-telemetry folds into, and a single compute lane.
+telemetry folds into, and two locks.  The *compute lane* serializes cold
+misses; the short *telemetry lock* guards the response store and the
+service observation.  A warm hit and the telemetry surfaces (``/stats``,
+``/healthz``, ``/metrics.jsonl``) take only the telemetry lock, so they
+never wait behind a cold simulation.
 
 **Bounded telemetry.**  Counters and histograms cover the service's whole
 life, and so do the ``/stats`` event counts.  Per-event records and the
@@ -17,11 +21,21 @@ request: the shard plan is closed-form (:mod:`repro.service.sharding`),
 every zone cell's seed derives from the request seed by fixed strides, the
 executor's parallel fan-out is bit-for-bit identical to serial at any
 ``jobs``, and the payload encodes through the canonical renderer with no
-timestamps.  Requests compute under one lock (the *compute lane*), so
-concurrent front-end workers cannot interleave two simulations -- the
-parallelism budget lives inside the lane, in the executor's process pool
--- and the same request re-issued concurrently or serially returns the
-stored bytes of its first computation.
+timestamps.  Cold requests compute under the compute lane, so concurrent
+front-end workers cannot interleave two simulations -- the parallelism
+budget lives inside the lane, in the executor's process pool.  A miss
+re-checks the store once it holds the lane: an identical request that was
+in flight meanwhile has stored its bytes by then, so each request address
+is computed once (single flight) and the same request re-issued
+concurrently or serially returns the stored bytes of its first
+computation.
+
+**Per-request collectors.**  A cold request computes into its own
+:class:`~repro.obs.scope.Observation`, installed with
+:func:`~repro.obs.scope.observe` on the lane thread only.  When the
+response is ready, the collector folds into the service observation in one
+bulk :meth:`~repro.obs.scope.Observation.merge` under the telemetry lock;
+a request whose compute raises folds nothing and stores nothing.
 
 **Warm path.**  Responses are stored by request address; zone cells are
 stored in the content-addressed result cache.  A repeated request is
@@ -29,20 +43,24 @@ served from the response store without touching the executor; a *new*
 request whose zone cells were already simulated (same population size,
 channel, frame -- common across facility variants) is reassembled
 from cache hits without re-simulation.  Both show up on the stats
-endpoint (``service.responses.cached``, ``result_cache.hits``).
+endpoint (``service.responses.cached``, ``result_cache.hits``).  The
+response store is an LRU bounded by :data:`RESPONSE_STORE_BYTES`; an
+evicted request recomputes to the same bytes, so eviction cannot be seen
+in responses.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 from repro.core import Fcat
 from repro.experiments.executor import CellSpec, execute_cells
 from repro.experiments.planner import PlannerConfig
 from repro.experiments.result_cache import ResultCache
+from repro.obs import scope
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.scope import Observation
 from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
@@ -52,6 +70,7 @@ from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import AggregateResult
 
 __all__ = [
+    "RESPONSE_STORE_BYTES",
     "RETAINED_REQUESTS",
     "SERVICE_CELL_STRIDE",
     "InventoryService",
@@ -64,6 +83,10 @@ SERVICE_CELL_STRIDE = 100_003
 
 #: Requests whose event and cell records the service keeps.
 RETAINED_REQUESTS = 32
+
+#: Bound on the response bytes the store keeps; least recently used
+#: responses are evicted past it.
+RESPONSE_STORE_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -95,6 +118,12 @@ def _zone_cell_signature(zone: ZoneShard, request: InventoryRequest) -> tuple:
             request.lam, request.runs, request.engine, request.precision)
 
 
+def _emit_start(obs: Observation, request: InventoryRequest,
+                key: str) -> None:
+    obs.emit("request_start", key=key, n_tags=request.n_tags,
+             zones=request.zones, seed=request.seed)
+
+
 class InventoryService:
     """Facility inventory serving with byte-identical warm and cold paths."""
 
@@ -103,8 +132,13 @@ class InventoryService:
         self.obs = Observation()
         self.started_unix = time.time()
         self._started_monotonic = time.monotonic()
-        self._lock = threading.Lock()
-        self._responses: dict[str, bytes] = {}
+        #: Serializes cold computes.
+        self._lane = threading.Lock()
+        #: Guards the response store, ``self.obs`` and the counters below;
+        #: never held across a compute.
+        self._telemetry = threading.Lock()
+        self._responses: OrderedDict[str, bytes] = OrderedDict()
+        self._store_bytes = 0
         self._requests_served = 0
         self._responses_cached = 0
         #: Retained (event, cell) record counts at each retained request's
@@ -116,26 +150,54 @@ class InventoryService:
     def handle(self, request: InventoryRequest) -> bytes:
         """Serve one request; the single entry point for every front end.
 
-        Thread-safe: the whole request holds the compute lane's lock, so
-        concurrent callers serialize here and the executor's ``jobs``-wide
-        process pool provides the actual parallelism.
+        Thread-safe.  A store hit is served under the telemetry lock
+        alone.  A miss takes the compute lane, re-checks the store (an
+        identical request may have computed meanwhile), computes into a
+        private collector, and folds it and stores the bytes before it
+        leaves the lane.  The executor's ``jobs``-wide process pool
+        provides the parallelism inside the lane.
         """
         started = time.perf_counter()
         key = request.key()
-        with self._lock:
-            self._slide_window()
-            self.obs.emit("request_start", key=key, n_tags=request.n_tags,
-                          zones=request.zones, seed=request.seed)
-            stored = self._responses.get(key)
+        stored = self._serve_stored(request, key, started)
+        if stored is not None:
+            return stored
+        with self._lane:
+            stored = self._serve_stored(request, key, started)
             if stored is not None:
-                elapsed = time.perf_counter() - started
-                self._account(key, elapsed, cached=True)
                 return stored
-            response = self._compute(request, key)
-            self._responses[key] = response
-            elapsed = time.perf_counter() - started
-            self._account(key, elapsed, cached=False)
+            collector = Observation()
+            _emit_start(collector, request, key)
+            with scope.observe(collector):
+                response = self._compute(request, key)
+            with self._telemetry:
+                self._slide_window()
+                self.obs.merge(collector)
+                self._store(key, response)
+                self._account(key, time.perf_counter() - started,
+                              cached=False)
             return response
+
+    def _serve_stored(self, request: InventoryRequest, key: str,
+                      started: float) -> bytes | None:
+        """Answer from the response store, or ``None`` on a miss."""
+        with self._telemetry:
+            stored = self._responses.get(key)
+            if stored is None:
+                return None
+            self._responses.move_to_end(key)
+            self._slide_window()
+            _emit_start(self.obs, request, key)
+            self._account(key, time.perf_counter() - started, cached=True)
+            return stored
+
+    def _store(self, key: str, response: bytes) -> None:
+        """Insert a response; evict the least recently used past the bound."""
+        self._responses[key] = response
+        self._store_bytes += len(response)
+        while self._store_bytes > RESPONSE_STORE_BYTES:
+            _, evicted = self._responses.popitem(last=False)
+            self._store_bytes -= len(evicted)
 
     def _slide_window(self) -> None:
         """Open a request's retention slot; forget the oldest past the cap."""
@@ -161,7 +223,11 @@ class InventoryService:
                       cached=cached)
 
     def _compute(self, request: InventoryRequest, key: str) -> bytes:
-        """Cold path: shard, simulate distinct zone cells, assemble."""
+        """Cold path: shard, simulate distinct zone cells, assemble.
+
+        Runs inside the request's collector scope (:func:`scope.active`).
+        """
+        obs = scope.active()
         base = PERFECT_CHANNEL if request.channel == ChannelModel() \
             else request.channel
         plan = plan_shards(request.n_tags, request.zones,
@@ -189,18 +255,15 @@ class InventoryService:
                     engine=request.engine,
                 ))
             zone_cell[zone.index] = signatures[signature]
-        self.obs.emit("shard_plan", key=key, zones=len(plan.zones),
+        obs.emit("shard_plan", key=key, zones=len(plan.zones),
                       phases=plan.n_phases, distinct_cells=len(specs),
                       interfered_zones=plan.interfered_zones)
         planner = None if request.precision is None \
             else PlannerConfig(precision=request.precision)
-        from repro.obs import scope
-        with scope.observe(self.obs):
-            results = execute_cells(specs, jobs=self.config.jobs,
-                                    cache=self.config.cache,
-                                    planner=planner)
+        results = execute_cells(specs, jobs=self.config.jobs,
+                                cache=self.config.cache, planner=planner)
         for zone in plan.zones:
-            self.obs.emit("shard_done", key=key, zone=zone.name,
+            obs.emit("shard_done", key=key, zone=zone.name,
                           n_tags=zone.n_tags, phase=zone.phase,
                           frame_size=zone.frame_size,
                           interference_load=zone.interference_load)
@@ -263,7 +326,7 @@ class InventoryService:
 
     def manifest(self, command: list[str] | None = None) -> RunManifest:
         """The provenance manifest of everything served so far."""
-        with self._lock:
+        with self._telemetry:
             return build_manifest(
                 self.obs,
                 command=command or ["python", "-m", "repro.service"],
@@ -275,12 +338,13 @@ class InventoryService:
 
     def stats(self) -> dict:
         """Counters, histograms and cache accounting for ``/stats``."""
-        with self._lock:
+        with self._telemetry:
             snapshot = self.obs.metrics.snapshot()
             payload = {
                 "requests_served": self._requests_served,
                 "responses_cached": self._responses_cached,
                 "distinct_requests": len(self._responses),
+                "response_store_bytes": self._store_bytes,
                 "uptime_s": self._uptime_s(),
                 "jobs": self.config.jobs,
                 "events": self.obs.events.counts(),
@@ -299,14 +363,14 @@ class InventoryService:
         with no interleaving traffic) cross-checks clean under
         ``python -m repro.obs.report``: same cell keys, same event count.
         """
-        with self._lock:
+        with self._telemetry:
             self.obs.emit("metrics_snapshot",
                           metrics=self.obs.metrics.snapshot())
             return self.obs.events.events
 
     def latency_quantiles(self) -> dict[str, float]:
         """p50/p90/p99 request latency from the service histograms."""
-        with self._lock:
+        with self._telemetry:
             histogram = self.obs.metrics.histogram("request.latency_s")
             return {"count": float(histogram.n),
                     "mean_s": histogram.mean,

@@ -3,11 +3,13 @@
 The event loop owns accept/parse/respond; simulation never runs on it.
 ``POST /inventory`` bodies parse into :class:`~repro.service.requests.
 InventoryRequest` and dispatch to :meth:`InventoryService.handle` on a
-thread pool (the service's compute lane serializes the actual simulation,
-so the pool's width bounds *queued* requests, not concurrent compute), and
-the canonical response bytes stream back verbatim -- the front end never
-re-encodes a payload, which is how the byte-identity contract crosses the
-wire intact.
+thread pool.  The service's compute lane serializes cold simulations only:
+a pool thread serving a stored response never waits behind one, so the
+pool's width bounds queued cold requests plus warm ones in progress, not
+concurrent compute.  The canonical response bytes stream back verbatim --
+the front end never re-encodes a payload, which is how the byte-identity
+contract crosses the wire intact.  The ``GET`` endpoints run on the event
+loop and take only the service's short telemetry lock.
 
 Endpoints:
 
@@ -29,7 +31,9 @@ Endpoints:
 An unknown path gets a 404 whatever the method; a known path asked with
 the wrong method gets a 405 whose ``Allow`` header names its one method.
 A request line or header line longer than the stream reader's 64 KiB
-limit gets a 400 on any route.
+limit gets a 400 on any route.  The request line, headers and body must
+all arrive within :data:`READ_TIMEOUT_S` of the connection opening; a
+client that stalls past it gets a 408 and the connection is closed.
 
 Everything is stdlib: the environment bakes no HTTP framework in, and a
 reading-protocol testbed has no business pulling one for four routes.
@@ -46,6 +50,7 @@ from repro.service.requests import request_from_dict
 
 __all__ = [
     "MAX_BODY_BYTES",
+    "READ_TIMEOUT_S",
     "ServiceFrontend",
 ]
 
@@ -53,9 +58,12 @@ __all__ = [
 #: dozen scalar fields; anything bigger is not one of ours).
 MAX_BODY_BYTES = 64 * 1024
 
+#: Seconds a client has to send its whole request (line, headers, body).
+READ_TIMEOUT_S = 10.0
+
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
-            500: "Internal Server Error"}
+            405: "Method Not Allowed", 408: "Request Timeout",
+            413: "Payload Too Large", 500: "Internal Server Error"}
 
 
 #: path -> the one method it answers.
@@ -81,6 +89,7 @@ def _error_body(message: str) -> bytes:
 
 _LINE_TOO_LONG = _http_response(
     400, _error_body("request line or header too long"))
+_TIMED_OUT = _http_response(408, _error_body("request not received in time"))
 
 
 async def _read_line(reader: asyncio.StreamReader) -> str | None:
@@ -93,6 +102,42 @@ async def _read_line(reader: asyncio.StreamReader) -> str | None:
         return (await reader.readline()).decode("latin-1")
     except ValueError:
         return None
+
+
+async def _read_request(reader: asyncio.StreamReader
+                        ) -> tuple[str, str, bytes] | bytes:
+    """``(method, path, body)``, or the error response to send instead."""
+    request_line = await _read_line(reader)
+    if request_line is None:
+        return _LINE_TOO_LONG
+    parts = request_line.split()
+    if len(parts) != 3:
+        return _http_response(400, _error_body("malformed request line"))
+    method, path, _version = parts
+    content_length = 0
+    while True:
+        line = await _read_line(reader)
+        if line is None:
+            return _LINE_TOO_LONG
+        if line in ("\r\n", "\n", ""):
+            break
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+            if content_length < 0:
+                return _http_response(
+                    400, _error_body("bad Content-Length"))
+    if content_length > MAX_BODY_BYTES:
+        return _http_response(413, _error_body("request body too large"))
+    try:
+        body = await reader.readexactly(content_length)
+    except asyncio.IncompleteReadError:
+        return _http_response(
+            400, _error_body("body shorter than Content-Length"))
+    return method, path, body
 
 
 class ServiceFrontend:
@@ -152,37 +197,17 @@ class ServiceFrontend:
                 pass
 
     async def _respond(self, reader: asyncio.StreamReader) -> bytes:
-        request_line = await _read_line(reader)
-        if request_line is None:
-            return _LINE_TOO_LONG
-        parts = request_line.split()
-        if len(parts) != 3:
-            return _http_response(400, _error_body("malformed request line"))
-        method, path, _version = parts
-        content_length = 0
-        while True:
-            line = await _read_line(reader)
-            if line is None:
-                return _LINE_TOO_LONG
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -1
-                if content_length < 0:
-                    return _http_response(
-                        400, _error_body("bad Content-Length"))
-        if content_length > MAX_BODY_BYTES:
-            return _http_response(413, _error_body("request body too large"))
+        # ``wait_for`` rather than ``asyncio.timeout``: the latter needs
+        # Python 3.11 and the package supports 3.10.
         try:
-            body = await reader.readexactly(content_length)
-        except asyncio.IncompleteReadError:
-            return _http_response(
-                400, _error_body("body shorter than Content-Length"))
-        return await self._route(method, path, body)
+            request = await asyncio.wait_for(_read_request(reader),
+                                             READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            return _TIMED_OUT
+        if isinstance(request, bytes):
+            return request
+        return await self._route(*request)
+
 
     async def _route(self, method: str, path: str, body: bytes) -> bytes:
         allowed = _ROUTES.get(path)

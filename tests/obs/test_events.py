@@ -79,6 +79,30 @@ class TestEventStream:
         assert stream.counts() == {"cache_hit": 3, "cache_miss": 1}
 
 
+    def test_fold_keeps_sequence_and_counts_across_forget(self, tmp_path):
+        """A fold lands at the next positions, even after a forget, and
+        adds the folded stream's lifetime counts; the result round-trips
+        through a JSONL sink."""
+        parent = EventStream()
+        for key in "abc":
+            parent.emit("cache_hit", key=key)
+        parent.forget(2)
+        request = EventStream()
+        request.emit("cache_miss", key="d")
+        request.emit("cache_hit", key="e")
+        parent.fold(request)
+        parent.emit("cache_miss", key="f")
+        assert [(event.seq, event.fields["key"])
+                for event in parent.events] == [
+            (2, "c"), (3, "d"), (4, "e"), (5, "f")]
+        assert parent.counts() == {"cache_hit": 4, "cache_miss": 2}
+        assert len(parent) == 4
+        path = tmp_path / "folded.jsonl"
+        assert write_jsonl(path, parent) == 4
+        assert [(e.seq, e.name, e.fields) for e in read_jsonl(path)] == \
+            [(e.seq, e.name, e.fields) for e in parent.events]
+
+
 class TestJsonlRoundTrip:
     def test_write_then_read_preserves_everything(self, tmp_path):
         stream = EventStream()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 from repro.obs import scope
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scope import Observation, active, enabled, observe
@@ -38,6 +40,17 @@ def test_scopes_nest_like_the_executor():
         assert active() is parent
         parent.merge(chunk)
     assert parent.metrics.snapshot()["counters"] == {"slots": 1.0}
+
+
+def test_a_collector_is_visible_only_on_its_own_thread():
+    """The scope is a context variable: a collector installed on one
+    thread is invisible to another, which still runs unobserved."""
+    seen = []
+    with observe():
+        other = threading.Thread(target=lambda: seen.append(active()))
+        other.start()
+        other.join()
+    assert seen == [None]
 
 
 def test_bare_registry_target_is_wrapped():

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import statistics
+import sys
 import threading
 import time
 
@@ -13,6 +15,7 @@ from repro.core.fcat import Fcat
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import run_cell
 from repro.obs.report import cross_check_manifest
+from repro.service import core
 from repro.service.core import (
     RETAINED_REQUESTS,
     InventoryService,
@@ -245,6 +248,230 @@ def test_adaptive_precision_request():
     stops = [event for event in service.obs.events.events
              if event.name == "planner_stop"]
     assert stops
+
+
+COLD = InventoryRequest(n_tags=300, zones=3, seed=99)
+
+
+class _BlockingService(InventoryService):
+    """Counts cold computes of ``blocked`` and holds each one inside the
+    compute lane until :attr:`release` is set."""
+
+    def __init__(self, blocked: InventoryRequest) -> None:
+        super().__init__()
+        self.blocked = blocked
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.computes = 0
+
+    def _compute(self, request, key):
+        if request == self.blocked:
+            self.computes += 1
+            self.entered.set()
+            self.release.wait(timeout=60)
+        return super()._compute(request, key)
+
+
+def _in_background(fn) -> tuple[threading.Thread, list]:
+    """Run ``fn()`` on a daemon thread; its result lands in the list."""
+    out: list = []
+    thread = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    thread.start()
+    return thread, out
+
+
+def test_warm_hits_run_while_a_cold_request_holds_the_lane():
+    service = _BlockingService(COLD)
+    warm = service.handle(REQUEST)
+    cold, _ = _in_background(lambda: service.handle(COLD))
+    assert service.entered.wait(timeout=60)
+    latencies: list[float] = []
+
+    def warm_reads() -> None:
+        for _ in range(50):
+            started = time.perf_counter()
+            response = service.handle(REQUEST)
+            latencies.append(time.perf_counter() - started)
+            assert response == warm
+
+    reader, _ = _in_background(warm_reads)
+    reader.join(timeout=10)
+    finished = not reader.is_alive()
+    service.release.set()
+    cold.join(timeout=60)
+    assert finished, "warm reads waited behind the cold compute"
+    assert len(latencies) == 50
+    p99 = statistics.quantiles(latencies, n=100, method="inclusive")[98]
+    assert p99 <= 0.050, f"warm p99 {1000 * p99:.1f} ms"
+    stats = service.stats()
+    assert stats["requests_served"] == 52
+    assert stats["responses_cached"] == 50
+
+
+class _WatchedLane:
+    """A compute lane that counts the threads that reached it."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.arrivals = 0
+
+    def __enter__(self) -> None:
+        self.arrivals += 1
+        self._lock.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
+
+
+def test_concurrent_identical_cold_requests_compute_once():
+    """Single flight: the second request misses the store, waits on the
+    lane while the first computes, then finds the bytes on its re-check."""
+    service = _BlockingService(COLD)
+    service._lane = lane = _WatchedLane()
+    first, first_out = _in_background(lambda: service.handle(COLD))
+    assert service.entered.wait(timeout=60)
+    second, second_out = _in_background(lambda: service.handle(COLD))
+    deadline = time.monotonic() + 10
+    while lane.arrivals < 2 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    both_in_flight = lane.arrivals == 2
+    service.release.set()
+    first.join(timeout=60)
+    second.join(timeout=60)
+    assert both_in_flight, "the second request never reached the lane"
+    assert service.computes == 1
+    assert first_out == second_out and len(first_out) == 1
+    assert first_out[0] == InventoryService().handle(COLD)
+    stats = service.stats()
+    assert stats["requests_served"] == 2
+    assert stats["responses_cached"] == 1
+    assert stats["events"]["shard_plan"] == 1
+
+
+def test_telemetry_answers_while_a_cold_request_holds_the_lane():
+    service = _BlockingService(COLD)
+    service.handle(REQUEST)
+    cold, _ = _in_background(lambda: service.handle(COLD))
+    assert service.entered.wait(timeout=60)
+    # The dump before the manifest, as the cross-check requires.
+    reader, out = _in_background(lambda: (
+        service.stats(), service.latency_quantiles(),
+        service.metrics_events(), service.manifest()))
+    reader.join(timeout=10)
+    answered = not reader.is_alive()
+    service.release.set()
+    cold.join(timeout=60)
+    assert answered, "telemetry waited behind the cold compute"
+    stats, quantiles, events, manifest = out[0]
+    assert stats["requests_served"] == 1
+    assert quantiles["count"] == 1.0
+    assert cross_check_manifest(events, manifest) == []
+
+
+class _FailsAfterComputeService(InventoryService):
+    """Simulates in full, then raises, on its first cold request."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.failed = False
+
+    def _compute(self, request, key):
+        response = super()._compute(request, key)
+        if not self.failed:
+            self.failed = True
+            raise RuntimeError("encode failed")
+        return response
+
+
+def test_a_failed_compute_stores_and_folds_nothing():
+    service = _FailsAfterComputeService()
+    with pytest.raises(RuntimeError, match="encode failed"):
+        service.handle(REQUEST)
+    stats = service.stats()
+    assert stats["events"] == {}
+    assert stats["metrics"]["counters"] == {}
+    assert stats["requests_served"] == 0
+    assert stats["distinct_requests"] == 0
+    assert stats["response_store_bytes"] == 0
+    assert len(service.obs.events) == 0 and service.obs.cells == []
+    # The lane is free again and the retry computes the usual bytes.
+    assert service.handle(REQUEST) == InventoryService().handle(REQUEST)
+    stats = service.stats()
+    assert stats["requests_served"] == 1
+    assert stats["events"]["request_start"] == 1
+    assert stats["events"]["shard_plan"] == 1
+
+
+def test_totals_stay_exact_under_contention():
+    """More threads than cores and a short switch interval: every request
+    is counted once, each address computes once, and every reply is the
+    serial service's bytes."""
+    requests = [InventoryRequest(n_tags=20, zones=2, seed=seed)
+                for seed in range(4)]
+    expected = {request.key(): InventoryService().handle(request)
+                for request in requests}
+    service = InventoryService()
+    mismatches: list[InventoryRequest] = []
+
+    def client(offset: int) -> None:
+        for index in range(25):
+            request = requests[(offset + index) % len(requests)]
+            if service.handle(request) != expected[request.key()]:
+                mismatches.append(request)
+
+    threads = [threading.Thread(target=client, args=(offset,), daemon=True)
+               for offset in range(8)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
+    total = len(threads) * 25
+    stats = service.stats()
+    assert stats["requests_served"] == total
+    assert stats["responses_cached"] == total - len(requests)
+    assert stats["events"]["request_start"] == total
+    assert stats["events"]["request_done"] == total
+    assert stats["events"]["shard_plan"] == len(requests)
+    assert stats["metrics"]["counters"]["service.requests"] == total
+    assert stats["metrics"]["histograms"]["request.latency_s"]["count"] \
+        == total
+    assert cross_check_manifest(service.metrics_events(),
+                                service.manifest()) == []
+
+
+def test_response_store_stays_inside_its_byte_bound(monkeypatch):
+    """An LRU under ``RESPONSE_STORE_BYTES``: hits refresh recency, inserts
+    evict, an evicted request recomputes to the same bytes, and the served
+    and cached totals stay exact."""
+    tiny = [InventoryRequest(n_tags=1, zones=1, seed=seed)
+            for seed in range(40)]
+    first = InventoryService().handle(tiny[0])
+    bound = 3 * len(first)
+    monkeypatch.setattr(core, "RESPONSE_STORE_BYTES", bound)
+    service = InventoryService()
+    service.handle(tiny[0])
+    for request in tiny[1:]:
+        service.handle(request)
+        # Re-read after every insert, so never the least recent.
+        assert service.handle(tiny[0]) == first
+        assert service.stats()["response_store_bytes"] <= bound
+    stats = service.stats()
+    assert 2 <= stats["distinct_requests"] < len(tiny)
+    assert stats["responses_cached"] == len(tiny) - 1
+    # tiny[1] was evicted long ago: it recomputes, byte-identical.
+    assert service.handle(tiny[1]) == InventoryService().handle(tiny[1])
+    stats = service.stats()
+    assert stats["requests_served"] == 2 * len(tiny)
+    assert stats["responses_cached"] == len(tiny) - 1
+    assert stats["metrics"]["counters"]["service.requests"] == 2 * len(tiny)
+    assert stats["response_store_bytes"] <= bound
 
 
 def test_config_validates_jobs():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.obs.events import read_jsonl
 from repro.obs.manifest import RunManifest
 from repro.obs.report import cross_check_manifest
 from repro.service.client import http_get, post_inventory
+from repro.service import frontend as frontend_module
 from repro.service.core import InventoryService, ServiceConfig
 from repro.service.frontend import MAX_BODY_BYTES, ServiceFrontend
 from repro.service.requests import request_from_dict
@@ -210,6 +212,33 @@ def test_health_stats_and_metrics_endpoints_cohere(tmp_path):
         assert health["status"] == "ok"
         manifest = RunManifest.from_dict(health["manifest"])
         assert cross_check_manifest(events, manifest) == []
+    run(_with_frontend(scenario))
+
+
+def test_stalled_client_gets_408_while_others_are_served(monkeypatch):
+    """Slow-loris: half a header and then silence.  The read deadline
+    answers 408 and closes; a well-formed request sent meanwhile is
+    served."""
+    monkeypatch.setattr(frontend_module, "READ_TIMEOUT_S", 0.2)
+
+    async def scenario(frontend):
+        reader, writer = await asyncio.open_connection(frontend.host,
+                                                       frontend.port)
+        writer.write(b"POST /inventory HTTP/1.1\r\nHost: 127.0")
+        await writer.drain()
+        started = time.perf_counter()
+
+        async def stalled() -> tuple[bytes, float]:
+            response = await asyncio.wait_for(reader.read(), 2.0)
+            return response, time.perf_counter() - started
+
+        (status, body), (response, waited) = await asyncio.gather(
+            post_inventory(frontend.host, frontend.port, REQUEST), stalled())
+        writer.close()
+        assert status == 200
+        assert json.loads(body)["facility"]["unique_tags"] == 400
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert waited < 1.0
     run(_with_frontend(scenario))
 
 
