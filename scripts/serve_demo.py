@@ -21,7 +21,10 @@ The driver also *checks* while it drives:
   an ordering check, with no wall-clock threshold;
 * artefact coherence: with ``--metrics-out``/``--manifest-out`` the event
   stream and manifest are fetched (in that order) from the live endpoints
-  and must cross-check clean under ``repro.obs.report``.
+  and must cross-check clean under ``repro.obs.report``;
+* footprint: ``scipy_loaded`` in the report says whether any ``scipy``
+  module was imported by the end of the demo (the service runs
+  in-process; its reader is closed-form, so this should be false).
 
 Default scale is the ISSUE's facility: 1M+ tags over 20 zones.  ``--smoke``
 shrinks everything to CI size.
@@ -225,6 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"[serve_demo] facility: {args.n_tags} tags, {args.zones} zones, "
           f"{args.requests} distinct requests", file=sys.stderr)
     report = asyncio.run(serve_and_drive(args))
+    report["scipy_loaded"] = any(name == "scipy" or name.startswith("scipy.")
+                                 for name in sys.modules)
     if args.json_out:
         args.json_out.write_text(json.dumps(report, indent=2) + "\n",
                                  encoding="utf-8")

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from repro.phy.channel import awgn
 from repro.phy.msk import SAMPLES_PER_BIT, msk_demodulate, msk_modulate
@@ -35,6 +34,9 @@ from repro.sim.channel import ChannelModel
 
 def q_function(x: float | np.ndarray) -> float | np.ndarray:
     """The Gaussian tail probability Q(x)."""
+    # scipy loads on first call; serving never calls this.
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2))
 
 

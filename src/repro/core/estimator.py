@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy import optimize
-
 _ESTIMATOR_METHODS = ("paper", "exact")
 _ESTIMATOR_MODES = ("ewma", "last", "average")
 _ESTIMATOR_SOURCES = ("collision", "empty")
@@ -64,6 +62,9 @@ def _invert_paper(n_c: float, frame_size: int, p: float,
 
 
 def _invert_exact(n_c: float, frame_size: int, p: float) -> float:
+    # scipy loads on first call; serving never calls this.
+    from scipy import optimize
+
     if n_c == 0:
         return 0.0
     target = 1.0 - n_c / frame_size

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, stats
 
 
 def optimal_omega(lam: int) -> float:
@@ -42,6 +41,9 @@ def useful_slot_probability(omega: float, lam: int) -> float:
 
 def useful_slot_probability_binomial(p: float, n: int, lam: int) -> float:
     """Exact P(1 <= X <= λ) for ``X ~ Binomial(n, p)`` -- Eq. 2."""
+    # scipy loads on first call; serving never calls this.
+    from scipy import stats
+
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     if n < 0 or lam < 1:
@@ -71,6 +73,9 @@ def optimal_omega_exact(lam: int, n: int) -> float:
     Validates that the Poisson-limit constant is accurate for realistic
     populations (for ``n >= 100`` the two agree to three decimals).
     """
+    # scipy loads on first call; serving never calls this.
+    from scipy import optimize
+
     if n < 1:
         raise ValueError("n must be >= 1")
 

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.estimate.probe import ProbeFrame, run_probe_frame
@@ -49,6 +48,9 @@ def zero_estimator(frame: ProbeFrame) -> float | None:
 
 def collision_estimator(frame: ProbeFrame) -> float | None:
     """CE: invert the collision-slot count; ``None`` if the frame saturated."""
+    # scipy loads on first call; serving never calls this.
+    from scipy import optimize
+
     if frame.collision >= frame.frame_size:
         return None
     if frame.collision == 0:

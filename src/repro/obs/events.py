@@ -234,6 +234,18 @@ class EventStream:
         del self._records[:count]
         self._forgotten += count
 
+    def snapshot(self) -> EventStream:
+        """A detached copy: the retained records, ``seq`` offset and tallies.
+
+        One list copy; the copy's :attr:`events` can then be built without
+        holding whatever lock guards this stream.
+        """
+        copy = EventStream()
+        copy._records = self._records.copy()
+        copy._tally = dict(self._tally)
+        copy._forgotten = self._forgotten
+        return copy
+
     @property
     def events(self) -> list[Event]:
         """The retained events, oldest first."""

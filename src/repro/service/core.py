@@ -362,11 +362,14 @@ class InventoryService:
         built *after* this dump (``/metrics.jsonl`` then ``/healthz``,
         with no interleaving traffic) cross-checks clean under
         ``python -m repro.obs.report``: same cell keys, same event count.
+        Only the record list is copied under the telemetry lock; the
+        ``Event`` list is built after it is released.
         """
         with self._telemetry:
             self.obs.emit("metrics_snapshot",
                           metrics=self.obs.metrics.snapshot())
-            return self.obs.events.events
+            retained = self.obs.events.snapshot()
+        return retained.events
 
     def latency_quantiles(self) -> dict[str, float]:
         """p50/p90/p99 request latency from the service histograms."""

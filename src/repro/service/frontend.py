@@ -8,8 +8,9 @@ a pool thread serving a stored response never waits behind one, so the
 pool's width bounds queued cold requests plus warm ones in progress, not
 concurrent compute.  The canonical response bytes stream back verbatim --
 the front end never re-encodes a payload, which is how the byte-identity
-contract crosses the wire intact.  The ``GET`` endpoints run on the event
-loop and take only the service's short telemetry lock.
+contract crosses the wire intact.  The ``GET`` endpoints take only the
+service's short telemetry lock; ``/metrics.jsonl`` renders its lines on the
+loop's default executor, so a large dump never stalls the loop.
 
 Endpoints:
 
@@ -31,9 +32,11 @@ Endpoints:
 An unknown path gets a 404 whatever the method; a known path asked with
 the wrong method gets a 405 whose ``Allow`` header names its one method.
 A request line or header line longer than the stream reader's 64 KiB
-limit gets a 400 on any route.  The request line, headers and body must
-all arrive within :data:`READ_TIMEOUT_S` of the connection opening; a
-client that stalls past it gets a 408 and the connection is closed.
+limit gets a 400 on any route, and so does a request carrying more than
+one ``Content-Length`` header (RFC 9112 section 6.3).  The request line,
+headers and body must all arrive within :data:`READ_TIMEOUT_S` of the
+connection opening; a client that stalls past it gets a 408 and the
+connection is closed.
 
 Everything is stdlib: the environment bakes no HTTP framework in, and a
 reading-protocol testbed has no business pulling one for four routes.
@@ -114,7 +117,7 @@ async def _read_request(reader: asyncio.StreamReader
     if len(parts) != 3:
         return _http_response(400, _error_body("malformed request line"))
     method, path, _version = parts
-    content_length = 0
+    content_length: int | None = None
     while True:
         line = await _read_line(reader)
         if line is None:
@@ -123,6 +126,11 @@ async def _read_request(reader: asyncio.StreamReader
             break
         name, _, value = line.partition(":")
         if name.strip().lower() == "content-length":
+            if content_length is not None:
+                # RFC 9112 section 6.3: repeated lengths are unreliable
+                # framing, not something to pick a winner from.
+                return _http_response(
+                    400, _error_body("repeated Content-Length"))
             try:
                 content_length = int(value.strip())
             except ValueError:
@@ -130,6 +138,8 @@ async def _read_request(reader: asyncio.StreamReader
             if content_length < 0:
                 return _http_response(
                     400, _error_body("bad Content-Length"))
+    if content_length is None:
+        content_length = 0
     if content_length > MAX_BODY_BYTES:
         return _http_response(413, _error_body("request body too large"))
     try:
@@ -228,10 +238,18 @@ class ServiceFrontend:
             return _http_response(
                 200, (json.dumps(self.service.stats(), sort_keys=True)
                       + "\n").encode("utf-8"))
-        lines = "".join(json.dumps(event.to_json()) + "\n"
-                        for event in self.service.metrics_events())
-        return _http_response(200, lines.encode("utf-8"),
-                              content_type="application/jsonl")
+        # A full retention window renders tens of thousands of lines:
+        # build them on the loop's default executor, so the loop keeps
+        # accepting and warm POSTs keep being answered meanwhile.
+        loop = asyncio.get_running_loop()
+        lines = await loop.run_in_executor(None, self._render_events)
+        return _http_response(200, lines, content_type="application/jsonl")
+
+    def _render_events(self) -> bytes:
+        """The ``/metrics.jsonl`` body; runs off the event loop."""
+        return "".join(json.dumps(event.to_json()) + "\n"
+                       for event in self.service.metrics_events()
+                       ).encode("utf-8")
 
     async def _post_inventory(self, body: bytes) -> bytes:
         try:

@@ -78,6 +78,18 @@ class TestEventStream:
         assert len(stream) == 2
         assert stream.counts() == {"cache_hit": 3, "cache_miss": 1}
 
+    def test_snapshot_is_a_detached_copy(self):
+        stream = EventStream()
+        for key in "abc":
+            stream.emit("cache_hit", key=key)
+        stream.forget(1)
+        copy = stream.snapshot()
+        stream.emit("cache_miss", key="d")
+        stream.forget(1)
+        assert [(event.seq, event.fields["key"])
+                for event in copy.events] == [(1, "b"), (2, "c")]
+        assert copy.counts() == {"cache_hit": 3}
+        assert len(copy) == 2
 
     def test_fold_keeps_sequence_and_counts_across_forget(self, tmp_path):
         """A fold lands at the next positions, even after a forget, and

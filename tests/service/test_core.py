@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import statistics
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.fcat import Fcat
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import run_cell
+from repro.obs.events import EventStream
 from repro.obs.report import cross_check_manifest
 from repro.service import core
 from repro.service.core import (
@@ -152,6 +156,49 @@ def test_manifest_cross_checks_against_metrics_dump():
     manifest = service.manifest()
     assert cross_check_manifest(events, manifest) == []
     assert manifest.cells
+
+
+def test_metrics_dump_builds_events_outside_the_telemetry_lock(monkeypatch):
+    """Only the record list is copied under the lock that warm hits
+    take; the ``Event`` list is built after it is released, and it is the
+    stream's own events, closing snapshot included."""
+    service = InventoryService()
+    service.handle(REQUEST)
+    held: list[bool] = []
+    build = EventStream.events.fget
+
+    def watched(stream):
+        held.append(service._telemetry.locked())
+        return build(stream)
+
+    monkeypatch.setattr(EventStream, "events", property(watched))
+    events = service.metrics_events()
+    assert held == [False]
+    monkeypatch.undo()
+    assert events == service.obs.events.events
+    assert events[-1].name == "metrics_snapshot"
+
+
+def test_serving_a_cold_request_loads_no_scipy():
+    """The reader is closed-form (ω* = (λ!)^{1/λ}, Eq. 12): a fresh
+    interpreter that starts the service and serves a cold request never
+    imports scipy.  The numerical solvers import it on first call."""
+    script = (
+        "import sys\n"
+        "import repro.service.__main__\n"
+        "from repro.service.core import InventoryService\n"
+        "from repro.service.requests import InventoryRequest\n"
+        "InventoryService().handle(InventoryRequest(\n"
+        "    n_tags=2048, zones=4, seed=5, lam=3))\n"
+        "print(*sorted(name for name in sys.modules\n"
+        "              if name == 'scipy' or name.startswith('scipy.')))\n")
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    finished = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+    assert finished.returncode == 0, finished.stderr
+    loaded = finished.stdout.split()
+    assert loaded == [], f"{len(loaded)} scipy modules, {loaded[:3]}..."
 
 
 def test_event_memory_stays_flat_over_many_distinct_requests():

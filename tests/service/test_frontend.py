@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 import time
 
 import pytest
 
-from repro.obs.events import read_jsonl
+from repro.obs.events import Event, read_jsonl
 from repro.obs.manifest import RunManifest
 from repro.obs.report import cross_check_manifest
 from repro.service.client import http_get, post_inventory
 from repro.service import frontend as frontend_module
-from repro.service.core import InventoryService, ServiceConfig
+from repro.service.core import (
+    RETAINED_REQUESTS,
+    InventoryService,
+    ServiceConfig,
+)
 from repro.service.frontend import MAX_BODY_BYTES, ServiceFrontend
 from repro.service.requests import request_from_dict
 
@@ -154,6 +159,26 @@ def test_bad_content_length_gets_400(content_length, body):
     run(_with_frontend(scenario))
 
 
+def test_repeated_content_length_gets_400_and_the_service_stays_up():
+    """RFC 9112 section 6.3: two lengths are unreliable framing; the
+    last one must not silently win."""
+    body = json.dumps(REQUEST).encode("ascii")
+    head = (f"POST /inventory HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"Content-Length: {len(body) - 1}\r\n"
+            f"Connection: close\r\n\r\n").encode("ascii")
+
+    async def scenario(frontend):
+        status, error = await _send_raw(frontend, head + body)
+        assert status == 400
+        assert "Content-Length" in json.loads(error)["error"]
+        status, response = await post_inventory(frontend.host,
+                                                frontend.port, REQUEST)
+        assert status == 200
+        assert json.loads(response)["facility"]["unique_tags"] == 400
+    run(_with_frontend(scenario))
+
+
 @pytest.mark.parametrize("request_bytes", [
     b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
     b"GET /healthz HTTP/1.1\r\nX: " + b"a" * 70_000 + b"\r\n\r\n",
@@ -212,6 +237,48 @@ def test_health_stats_and_metrics_endpoints_cohere(tmp_path):
         assert health["status"] == "ok"
         manifest = RunManifest.from_dict(health["manifest"])
         assert cross_check_manifest(events, manifest) == []
+    run(_with_frontend(scenario))
+
+
+def test_warm_post_is_answered_while_a_metrics_dump_renders(monkeypatch):
+    """A full-window ``/metrics.jsonl`` dump renders off the event loop
+    and outside the telemetry lock: a warm ``POST`` sent while the dump's
+    lines are being built comes back first, byte-identical, and the dump
+    is the stream's events rendered line by line."""
+    requests = [{"n_tags": 1, "zones": 1, "seed": seed}
+                for seed in range(RETAINED_REQUESTS)]
+    rendering = threading.Event()
+    warm_answered = threading.Event()
+    to_json = Event.to_json
+
+    def gated(event):
+        # The first line blocks until the warm reply is in (or 10 s).
+        if not rendering.is_set():
+            rendering.set()
+            warm_answered.wait(timeout=10)
+        return to_json(event)
+
+    async def scenario(frontend):
+        host, port = frontend.host, frontend.port
+        cold = [await post_inventory(host, port, body) for body in requests]
+        window = frontend.service.obs.events.events
+        monkeypatch.setattr(Event, "to_json", gated)
+        dump = asyncio.ensure_future(http_get(host, port, "/metrics.jsonl"))
+        assert await asyncio.to_thread(rendering.wait, 10)
+        warm = await post_inventory(host, port, requests[0])
+        dump_done_first = dump.done()
+        warm_answered.set()
+        status, body = await dump
+        assert not dump_done_first, "the warm POST waited for the dump"
+        assert warm == cold[0]
+        assert status == 200
+        # The whole window, rendered line by line, then the snapshot.
+        head = "".join(json.dumps(to_json(event)) + "\n"
+                       for event in window).encode("utf-8")
+        assert body.startswith(head)
+        (snapshot,) = body[len(head):].decode("utf-8").splitlines()
+        assert json.loads(snapshot)["event"] == "metrics_snapshot"
+        assert json.loads(snapshot)["seq"] == window[-1].seq + 1
     run(_with_frontend(scenario))
 
 
