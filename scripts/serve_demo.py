@@ -12,7 +12,9 @@ The driver also *checks* while it drives:
 
 * byte-identity: the warm pass must return exactly the cold pass's bytes
   for every request, and the concurrent volley one single distinct
-  response -- the determinism contract, observed over the real socket;
+  response -- the determinism contract, observed over the real socket.
+  The burst's last request sets ``max_phases`` to 1, so its zones read
+  on interference channels and the contract covers impaired cells too;
 * warm accounting: re-issued requests must be served from the response
   store (``responses_cached`` on ``/stats``), never re-simulated;
 * warm during cold: ``warm_during_cold`` in the report is true only when
@@ -108,6 +110,10 @@ async def drive(frontend: ServiceFrontend,
     host, port = frontend.host, frontend.port
     bodies = [_request_body(args, args.seed + index)
               for index in range(args.requests)]
+    # One phase for the whole ring: overlapping zones read at the same
+    # time, so the last request's zones run on interference channels and
+    # the byte-identity checks below cover impaired kernel cells too.
+    bodies[-1]["max_phases"] = 1
 
     started = time.perf_counter()
     cold = await _bounded_gather(args.concurrency, [

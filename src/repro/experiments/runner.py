@@ -71,7 +71,7 @@ def run_single(protocol: TagReadingProtocol, n_tags: int,
     population = TagPopulation.random(n_tags, rng)
     result = protocol.read_all(population, rng, channel=channel,
                                timing=timing)
-    if not result.complete and channel is PERFECT_CHANNEL:
+    if not result.complete and channel == PERFECT_CHANNEL:
         raise RuntimeError(
             f"{protocol.name} read {result.n_read}/{result.n_tags} tags "
             "on a perfect channel")

@@ -64,14 +64,15 @@ def kernel_supported(protocol: TagReadingProtocol,
                      channel: ChannelModel = PERFECT_CHANNEL) -> bool:
     """Whether a batched kernel implements this exact configuration.
 
-    FCAT: everything except ZigZag decoding (the kernel's exact replay
-    body handles channel impairments).  SCAT: draw-free channels without
-    the Kodialam pre-estimation step.  DFSA: draw-free channels.
-    Everything else -- including every other baseline protocol -- runs
-    scalar.
+    FCAT: every channel (the kernel's one walk draws channel outcomes as
+    data), except ZigZag decoding and the ``bootstrap_abort_after`` frame
+    cut-off.  SCAT: draw-free channels without the Kodialam
+    pre-estimation step.  DFSA: draw-free channels.  Everything else --
+    including every other baseline protocol -- runs scalar.
     """
     if isinstance(protocol, Fcat):
-        return not protocol.config.zigzag
+        config = protocol.config
+        return not config.zigzag and config.bootstrap_abort_after is None
     if isinstance(protocol, Scat):
         return _draw_free(channel) and protocol.config.pre_estimate_cv is None
     if isinstance(protocol, Dfsa):
@@ -149,7 +150,7 @@ def run_batch(protocol: TagReadingProtocol, n_tags: int,
         return [run_single(protocol, n_tags, child, channel=channel,
                            timing=timing) for child in children]
     for result in results:
-        if not result.complete and channel is PERFECT_CHANNEL:
+        if not result.complete and channel == PERFECT_CHANNEL:
             raise RuntimeError(
                 f"{protocol.name} read {result.n_read}/{result.n_tags} "
                 "tags on a perfect channel")

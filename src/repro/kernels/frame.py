@@ -72,7 +72,9 @@ class RankSource:
     physics) could resolve, and within kernel-v2's contract that the
     consumption pattern and draw mechanics belong to the engine while
     the process law is preserved.  Leftover uniforms at a refill are
-    discarded draws, free under the same contract.
+    discarded draws, free under the same contract.  The same block
+    supplies the FCAT walk's channel outcomes, one uniform each
+    (:meth:`uniform`).
     """
 
     __slots__ = ("rng", "_buf", "_pos", "_len")
@@ -97,6 +99,16 @@ class RankSource:
         self._pos = end
         return np.multiply(self._buf[pos:end],
                            n_active).astype(np.intp).tolist()
+
+    def uniform(self) -> float:
+        """One uniform on ``[0, 1)`` from the block: a channel outcome."""
+        pos = self._pos
+        if pos == self._len:
+            self._buf = self.rng.random(self._BLOCK)
+            self._len = self._BLOCK
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
 
 
 def resample_duplicate_slots(rng: np.random.Generator, n_active: int,

@@ -127,39 +127,12 @@ class KernelRecordStore:
             return []
         learned[tag] = 1
         self._learned_count += 1
-        entries = self._by_tag[tag]
+        by_tag = self._by_tag
+        entries = by_tag[tag]
         if entries is None:
             return []
-        self._by_tag[tag] = None
+        by_tag[tag] = None
         out: list[int] = []
-        self._cascade_into(entries, out)
-        return out
-
-    def _cascade(self, entries: list[list[int]]) -> list[int]:
-        """Worklist fixpoint over the records registered under one tag.
-
-        ``entries`` is the just-popped ``_by_tag`` list of a tag the
-        caller has already marked learned (the kernels' hot paths inline
-        that part).  Returns the resolved tags in resolution order.
-        """
-        out: list[int] = []
-        self._cascade_into(entries, out)
-        return out
-
-    def _cascade_into(self, entries: list[list[int]],
-                      out: list[int]) -> int:
-        """:meth:`_cascade` appending into the caller's list.
-
-        The FCAT kernel's hot replay body collects resolutions directly
-        on its removal list, skipping the intermediate list.  Tags
-        resolved here are marked learned and counted; the caller only
-        propagates them to its own session bookkeeping.  Returns the
-        number of tags appended.
-        """
-        learned = self._learned
-        by_tag = self._by_tag
-        out_append = out.append
-        count = 0
         stack: list[list[list[int]]] | None = None
         # The cascade is a worklist fixpoint over ragged pending lists:
         # inherently serial, O(total record visits), nothing rectangular
@@ -186,8 +159,7 @@ class KernelRecordStore:
                     # cascade; a real reader discards the duplicate ID.
                     continue
                 learned[other] = 1
-                count += 1
-                out_append(other)
+                out.append(other)
                 pending = by_tag[other]
                 if pending is not None:
                     by_tag[other] = None
@@ -195,6 +167,6 @@ class KernelRecordStore:
                         stack = []
                     stack.append(pending)
             if not stack:
-                self._learned_count += count
-                return count
+                self._learned_count += len(out)
+                return out
             entries = stack.pop()

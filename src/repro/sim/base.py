@@ -91,7 +91,7 @@ def run_many(protocol: TagReadingProtocol, population: TagPopulation,
                                  channel=channel, timing=timing)
         if batched is not None:
             for result in batched:
-                if not result.complete and channel is PERFECT_CHANNEL:
+                if not result.complete and channel == PERFECT_CHANNEL:
                     raise RuntimeError(
                         f"{protocol.name} failed to read all tags on a "
                         f"perfect channel "
@@ -103,7 +103,7 @@ def run_many(protocol: TagReadingProtocol, population: TagPopulation,
         rng = np.random.default_rng(child)
         result = protocol.read_all(population, rng, channel=channel,
                                    timing=timing)
-        if not result.complete and channel is PERFECT_CHANNEL:
+        if not result.complete and channel == PERFECT_CHANNEL:
             raise RuntimeError(
                 f"{protocol.name} failed to read all tags on a perfect "
                 f"channel ({result.n_read}/{result.n_tags})")

@@ -11,6 +11,7 @@ kernel engine regardless of parallelism.
 from __future__ import annotations
 
 import gc
+import pickle
 import time
 
 import numpy as np
@@ -32,9 +33,10 @@ from repro.kernels.engine import (
     validate_engine,
 )
 from repro.kernels.fcat import batched_fcat_sessions
-from repro.sim.base import run_many
+from repro.sim.base import TagReadingProtocol, run_many
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.population import TagPopulation
+from repro.sim.result import ReadingResult
 
 NOISY = ChannelModel(ack_loss_prob=0.1)
 
@@ -48,8 +50,9 @@ def test_validate_engine_accepts_exactly_the_known_engines():
 
 def test_kernel_support_matrix():
     assert kernel_supported(Fcat(lam=2))
-    assert kernel_supported(Fcat(lam=4), NOISY)  # exact replay draws channel
+    assert kernel_supported(Fcat(lam=4), NOISY)  # the walk draws channel
     assert not kernel_supported(Fcat(lam=2, zigzag=True))
+    assert not kernel_supported(Fcat(lam=2, bootstrap_abort_after=8))
     assert kernel_supported(Scat(lam=2))
     assert not kernel_supported(Scat(lam=2), NOISY)
     assert not kernel_supported(Scat(lam=2, pre_estimate_cv=0.1))
@@ -68,6 +71,7 @@ def test_batch_read_all_returns_none_when_unsupported():
     (Scat(lam=2, pre_estimate_cv=0.3), PERFECT_CHANNEL),
     (Dfsa(), ChannelModel(capture_prob=0.2)),
     (SlottedAloha(), PERFECT_CHANNEL),
+    (Fcat(lam=2, bootstrap_abort_after=8), PERFECT_CHANNEL),
 ])
 def test_unsupported_configs_fall_back_bit_identically(protocol, channel):
     """run_batch on an unsupported config IS the scalar chunk."""
@@ -76,6 +80,44 @@ def test_unsupported_configs_fall_back_bit_identically(protocol, channel):
     scalar = [run_single(protocol, 60, child, channel=channel)
               for child in children]
     assert batched == scalar
+
+
+class _DropsOneTag(TagReadingProtocol):
+    """A protocol whose every session misses one tag."""
+
+    name = "drops-one"
+
+    def read_all(self, population, rng, channel=PERFECT_CHANNEL,
+                 timing=ICODE_TIMING, trace=None):
+        n_tags = len(population)
+        return ReadingResult(protocol=self.name, n_tags=n_tags,
+                             n_read=n_tags - 1, singleton_slots=n_tags,
+                             timing=timing)
+
+
+def test_incomplete_read_raises_on_an_unpickled_perfect_channel(
+        monkeypatch):
+    """Worker processes receive a pickled copy of the channel; the
+    completeness guard must still recognise it as the perfect channel."""
+    channel = pickle.loads(pickle.dumps(PERFECT_CHANNEL))
+    assert channel is not PERFECT_CHANNEL
+    child = spawn_run_seeds(3, 1)[0]
+    with pytest.raises(RuntimeError, match="perfect channel"):
+        run_single(_DropsOneTag(), 20, child, channel=channel)
+    with pytest.raises(RuntimeError, match="perfect channel"):
+        run_batch(_DropsOneTag(), 20, [child], channel=channel)
+    # A kernel-supported protocol takes run_batch's own guard.
+    monkeypatch.setattr(
+        engine, "batch_read_all",
+        lambda protocol, n_tags, rngs, **kwargs: [
+            ReadingResult(protocol=protocol.name, n_tags=n_tags,
+                          n_read=n_tags - 1) for _ in rngs])
+    with pytest.raises(RuntimeError, match="perfect channel"):
+        run_batch(Fcat(lam=2), 20, [child], channel=channel)
+    population = TagPopulation.random(20, np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="perfect channel"):
+        run_many(Fcat(lam=2), population, runs=1, seed=3, channel=channel,
+                 engine="kernel")
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -4,8 +4,9 @@ Registered by the ``# repro: kernel`` contract on
 :func:`repro.kernels.fcat.batched_fcat_sessions` (lint rule R15).  Three
 layers of evidence:
 
-* the lean replay body is bit-for-bit the exact replay body whenever its
-  preconditions hold (pinned per lambda);
+* perfect-channel results are bit-identical to pinned digests (per
+  lambda): a draw-free channel takes no channel uniform, so the one
+  walk's consumption cannot drift unnoticed;
 * batch composition never changes a session (dropout regression);
 * paired same-seed runs agree statistically with the scalar engine on
   every headline metric -- kernel-v2 seed semantics promise the same
@@ -15,6 +16,9 @@ layers of evidence:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from repro.core.fcat import Fcat
 from repro.experiments.runner import rng_from_seed, spawn_run_seeds
 from repro.kernels.fcat import _FcatKernelSession, batched_fcat_sessions
 from repro.obs.scope import observe
+from repro.service.interference import DEFAULT_INTERFERENCE
 from repro.sim.channel import ChannelModel
 from repro.sim.population import TagPopulation
 
@@ -64,27 +69,45 @@ def _kernel_runs(protocol, n_tags: int, seed: int, runs: int,
         **kwargs)
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4, 5, 6])
-def test_lean_replay_is_bitwise_the_exact_replay(lam):
-    """Same generator, lean on vs forced off: identical results.
+#: Perfect-channel kernel results of FCAT-λ on 300 tags, generators
+#: ``default_rng(0..9)``: a digest over the ten full ``ReadingResult``s
+#: (every field, the estimate trace included) and their slot totals.
+#: Recorded from the two-body kernel this walk replaced; a draw-free
+#: channel takes no channel uniform, so the bytes must not move.
+PERFECT_CHANNEL_PINS = {
+    2: ("d9619aa464c6deed",
+        [661, 631, 661, 661, 631, 631, 601, 661, 601, 631]),
+    3: ("6a45f3ec084d5d65",
+        [571, 541, 541, 511, 541, 571, 511, 541, 541, 541]),
+    4: ("d48d911f783c9295",
+        [511, 511, 511, 481, 511, 601, 541, 541, 451, 541]),
+    5: ("74353f39110165e8",
+        [511, 481, 481, 481, 481, 571, 541, 541, 481, 511]),
+    6: ("8903d2db02d633a8",
+        [541, 541, 511, 512, 481, 481, 571, 481, 481, 511]),
+}
 
-    The lean body skips unobservable bookkeeping but must replay the
-    same draws to the same outcome; any divergence is a kernel bug, not
-    a statistical artifact, so this is an exact equality.
+
+def _results_digest(results) -> str:
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(repr(dataclasses.asdict(result)).encode())
+    return digest.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("lam", sorted(PERFECT_CHANNEL_PINS))
+def test_perfect_channel_results_are_pinned(lam):
+    """Perfect-channel kernel results are bit-identical to the pins.
+
+    Any divergence is a change of the kernel's draw consumption or walk
+    logic, not a statistical artifact, so this is an exact equality.
     """
-    protocol = Fcat(lam=lam)
-    for seed in range(10):
-        results = []
-        for force_exact in (False, True):
-            session = _FcatKernelSession(protocol.name, protocol, 300,
-                                         np.random.default_rng(seed))
-            assert session.lean, "perfect channel must enable the lean body"
-            if force_exact:
-                session.lean = False
-            while not session.step():
-                pass
-            results.append(session.result)
-        assert results[0] == results[1]
+    results = batched_fcat_sessions(
+        Fcat(lam=lam), 300, [np.random.default_rng(seed)
+                             for seed in range(10)])
+    digest, total_slots = PERFECT_CHANNEL_PINS[lam]
+    assert [result.total_slots for result in results] == total_slots
+    assert _results_digest(results) == digest
 
 
 def test_batch_composition_does_not_change_a_session():
@@ -119,24 +142,47 @@ def test_paired_runs_match_the_scalar_engine(lam, runs):
         assert abs(z) < Z_BOUND, f"lam={lam} {metric}: |z|={abs(z):.2f}"
 
 
-def test_paired_runs_match_on_an_impaired_channel():
-    """The exact replay body carries channel draws (no lean fast path)."""
-    channel = ChannelModel(singleton_corrupt_prob=0.05, ack_loss_prob=0.05,
-                           collision_unusable_prob=0.1)
-    protocol = Fcat(lam=2)
+#: Impaired channels the walk's channel draws must carry: the ambient mix
+#: of corrupted singletons, lost acks and unusable records; a capture
+#: channel; the service's load-0.1 interference zone; and the worst
+#: composite a request can produce (every ambient knob at its 0.5 cap
+#: under full interference load).
+IMPAIRED_CHANNELS = {
+    "ambient": ChannelModel(singleton_corrupt_prob=0.05, ack_loss_prob=0.05,
+                            collision_unusable_prob=0.1),
+    "capture": ChannelModel(capture_prob=0.3, collision_unusable_prob=0.1),
+    "interference-0.1": DEFAULT_INTERFERENCE.channel_for_load(0.1),
+    "worst-composite": DEFAULT_INTERFERENCE.channel_for_load(
+        1.0, base=ChannelModel(0.5, 0.5, 0.5, 0.5)),
+}
+
+
+@pytest.mark.parametrize("channel_name", sorted(IMPAIRED_CHANNELS))
+@pytest.mark.parametrize("lam", [2, 4])
+def test_paired_runs_match_on_an_impaired_channel(lam, channel_name):
+    """Channel draws follow the scalar engine's law on every channel."""
+    channel = IMPAIRED_CHANNELS[channel_name]
+    protocol = Fcat(lam=lam)
     scalar = _scalar_runs(protocol, 60, seed=7, runs=300, channel=channel)
     kernel = _kernel_runs(protocol, 60, seed=7, runs=300, channel=channel)
     assert all(result.complete for result in kernel)
     for metric in METRICS:
         z = _paired_z([_metric_values(r, metric) for r in kernel],
                       [_metric_values(r, metric) for r in scalar])
-        assert abs(z) < Z_BOUND, f"impaired {metric}: |z|={abs(z):.2f}"
+        assert abs(z) < Z_BOUND, \
+            f"lam={lam} {channel_name} {metric}: |z|={abs(z):.2f}"
 
 
 def test_zigzag_config_is_rejected():
     with pytest.raises(ValueError, match="ZigZag"):
         _FcatKernelSession("FCAT-2", Fcat(lam=2, zigzag=True), 50,
                            np.random.default_rng(0))
+
+
+def test_bootstrap_abort_config_is_rejected():
+    with pytest.raises(ValueError, match="bootstrap abort"):
+        _FcatKernelSession("FCAT-2", Fcat(lam=2, bootstrap_abort_after=8),
+                           50, np.random.default_rng(0))
 
 
 def _observed_pair(channel=None):
@@ -157,46 +203,32 @@ def _observed_pair(channel=None):
 def test_observed_kernel_emits_the_scalar_telemetry():
     """The scalar vocabulary, with resolutions counted per frame.
 
-    On a perfect channel the observed kernel runs its lean body: the
-    scalar events minus the per-slot ``anc_resolution``, one ``frame``
-    event per frame, and every resolution in the ``kernel.anc_resolved``
-    counter.  An impaired channel runs the exact body and still emits the
-    full scalar event set, per-slot resolutions included.
+    On every channel the observed kernel emits the scalar events minus
+    the per-slot ``anc_resolution``, one ``frame`` event per frame, and
+    every resolution in the ``kernel.anc_resolved`` counter.
     """
-    scalar_names, kernel_obs, result = _observed_pair()
-    kernel_events = kernel_obs.events.events
-    assert {e.name for e in kernel_events} \
-        == scalar_names - {"anc_resolution"}
-    assert sum(1 for e in kernel_events if e.name == "frame") == result.frames
-    assert result.resolved_from_collision > 0
-    assert kernel_obs.metrics.counter("kernel.anc_resolved").value \
-        == result.resolved_from_collision
-    assert result.complete
-
-    impaired = ChannelModel(singleton_corrupt_prob=0.05, ack_loss_prob=0.05,
-                            collision_unusable_prob=0.1)
-    scalar_names, kernel_obs, result = _observed_pair(impaired)
-    kernel_events = kernel_obs.events.events
-    assert {e.name for e in kernel_events} == scalar_names
-    assert "anc_resolution" in scalar_names
-    resolved = sum(e.fields["resolved"] for e in kernel_events
-                   if e.name == "anc_resolution")
-    assert resolved == result.resolved_from_collision \
-        == kernel_obs.metrics.counter("kernel.anc_resolved").value
-    assert result.complete
+    for channel in (None, IMPAIRED_CHANNELS["ambient"]):
+        scalar_names, kernel_obs, result = _observed_pair(channel)
+        kernel_events = kernel_obs.events.events
+        assert "anc_resolution" in scalar_names
+        assert {e.name for e in kernel_events} \
+            == scalar_names - {"anc_resolution"}
+        assert sum(1 for e in kernel_events if e.name == "frame") \
+            == result.frames
+        assert result.resolved_from_collision > 0
+        assert kernel_obs.metrics.counter("kernel.anc_resolved").value \
+            == result.resolved_from_collision
+        assert result.complete
 
 
 @pytest.mark.parametrize("lam", [2, 3, 4])
 def test_observation_does_not_change_the_lean_run(lam):
-    """Observing a perfect-channel session keeps it on the lean body and
-    leaves every draw and result bit-identical to the unobserved run."""
+    """Observing a perfect-channel session leaves every draw and result
+    bit-identical to the unobserved run."""
     protocol = Fcat(lam=lam)
     seeds = spawn_run_seeds(lam, 4)
     plain = _kernel_runs(protocol, 500, seed=lam, runs=4)
     with observe():
-        session = _FcatKernelSession(protocol.name, protocol, 500,
-                                     np.random.default_rng(0))
-        assert session.obs is not None and session.lean
         observed = batched_fcat_sessions(
             protocol, 500, [rng_from_seed(child) for child in seeds])
     assert observed == plain

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -49,9 +51,14 @@ class TestRunMany:
         assert first.seen_draws == second.seen_draws
 
     def test_incomplete_run_on_perfect_channel_raises(self, small_population):
-        with pytest.raises(RuntimeError):
-            run_many(OneShotProtocol(complete=False), small_population,
-                     runs=1, seed=1)
+        # Executor workers see a pickled copy, not the PERFECT_CHANNEL
+        # object itself; an all-zero channel is the perfect channel too.
+        for channel in (PERFECT_CHANNEL,
+                        pickle.loads(pickle.dumps(PERFECT_CHANNEL)),
+                        ChannelModel(collision_unusable_prob=0.0)):
+            with pytest.raises(RuntimeError):
+                run_many(OneShotProtocol(complete=False), small_population,
+                         runs=1, seed=1, channel=channel)
 
     def test_incomplete_run_tolerated_on_lossy_channel(self, small_population):
         channel = ChannelModel(ack_loss_prob=0.5)
