@@ -27,6 +27,7 @@ from repro.core.collision import RecordStore
 from repro.core.estimator import EmbeddedEstimator
 from repro.core.optimal import optimal_omega
 from repro.obs import scope
+from repro.obs.events import frame_fields
 from repro.sim.active_set import ActiveSet
 from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
@@ -219,16 +220,13 @@ class _FcatSession:
         obs = self.obs
         if obs is None:
             return
-        frame_index = self.result.frames - 1
-        obs.emit("frame", protocol=self.name, frame_index=frame_index,
-                 report_probability=p, empty=n_empty,
-                 singleton=slots_run - n_empty - n_collision,
-                 collision=n_collision)
         estimate = self.estimator.remaining()
         actual = len(self.active)
-        obs.emit("estimator_update", protocol=self.name,
-                 frame_index=frame_index, estimate=estimate,
-                 actual_remaining=actual, error=estimate - actual)
+        frame, update = frame_fields(self.name, (
+            self.result.frames - 1, p, n_empty,
+            slots_run - n_empty - n_collision, n_collision, estimate, actual))
+        obs.emit("frame", **frame)
+        obs.emit("estimator_update", **update)
         obs.observe_value("estimator.rel_error",
                           abs(estimate - actual) / max(actual, 1))
 

@@ -30,9 +30,14 @@ draw-free channel consumes the generator exactly as a perfect-channel
 session always has.  The termination probe is the same walk over a
 one-slot ``p = 1`` frame.
 
-Under an active observation the walk emits the per-frame ``frame`` and
-``estimator_update`` events and adds its cascade resolutions to the
-``kernel.anc_resolved`` counter once per frame; the scalar engine's
+Under an active observation each frame appends one tuple to a row list
+the batch's sessions share, in lockstep order, and each termination probe
+a ``(slot_index, outcome)`` row.  :func:`batched_fcat_sessions` hands the
+rows to the event stream once, as a frame block
+(:meth:`repro.obs.events.EventStream.record_frames`) that stands for the
+``frame``, ``estimator_update`` and ``termination_probe`` events and
+builds them only when read, then folds the ``estimator.rel_error``
+histogram and the ``kernel.anc_resolved`` counter.  The scalar engine's
 per-slot ``anc_resolution`` events have no kernel counterpart.
 
 Seed semantics are **kernel-v2** (``docs/performance.md``): each session
@@ -78,7 +83,8 @@ class _FcatKernelSession:
     def __init__(self, name: str, protocol: Fcat, n_tags: int,
                  rng: np.random.Generator,
                  channel: ChannelModel = PERFECT_CHANNEL,
-                 timing: TimingModel = ICODE_TIMING) -> None:
+                 timing: TimingModel = ICODE_TIMING,
+                 rows: list[tuple] | None = None) -> None:
         config = protocol.config
         if config.zigzag:
             raise ValueError("the FCAT kernel does not implement ZigZag; "
@@ -111,8 +117,8 @@ class _FcatKernelSession:
         # times per session and each dotted config read costs two lookups.
         self.frame_size = config.frame_size
         self.max_p = config.max_report_probability
-        self.obs = scope.active()
-        self.name = name
+        #: The batch's shared telemetry rows; ``None`` when unobserved.
+        self.rows = rows
         # The channel as data: the walk draws an outcome uniform only
         # where its probability is non-zero.
         self.outcome_probs = (channel.singleton_corrupt_prob,
@@ -226,8 +232,12 @@ class _FcatKernelSession:
                          store._learned_count, n_empty=n_empty)
         remaining = estimator._remaining
         result.estimate_trace.append(remaining if remaining > 1.0 else 1.0)
-        if self.obs is not None:
-            self._observe_frame(p, n_empty, n_collision)
+        if self.rows is not None:
+            # One tuple per frame; events are built only when read.
+            self.rows.append((result.frames - 1, p, n_empty,
+                              frame_size - n_empty - n_collision,
+                              n_collision, estimator.remaining(),
+                              len(self.items)))
         return n_empty
 
     def _replay(self, counts: list[int], ranks: Sequence[int],
@@ -489,8 +499,6 @@ class _FcatKernelSession:
         result.n_read += n_read + n_resolved
         result.resolved_from_collision += n_resolved
         result.index_announcements += n_resolved
-        if n_resolved and self.obs is not None:
-            self.obs.count("kernel.anc_resolved", n_resolved)
         return n_empty, n_collision
 
     def _apply_removals(self, removed: list[int]) -> None:
@@ -504,22 +512,6 @@ class _FcatKernelSession:
             items[position] = last
             pos[last] = position
             items.pop()
-
-    def _observe_frame(self, p: float, n_empty: int,
-                       n_collision: int) -> None:
-        obs = self.obs
-        frame_index = self.result.frames - 1
-        obs.emit("frame", protocol=self.name, frame_index=frame_index,
-                 report_probability=p, empty=n_empty,
-                 singleton=self.frame_size - n_empty - n_collision,
-                 collision=n_collision)
-        estimate = self.estimator.remaining()
-        actual = len(self.items)
-        obs.emit("estimator_update", protocol=self.name,
-                 frame_index=frame_index, estimate=estimate,
-                 actual_remaining=actual, error=estimate - actual)
-        obs.observe_value("estimator.rel_error",
-                          abs(estimate - actual) / max(actual, 1))
 
     # -- termination -------------------------------------------------------
 
@@ -537,11 +529,9 @@ class _FcatKernelSession:
                                             None, removed)
         if removed:
             self._apply_removals(removed)
-        if self.obs is not None:
-            outcome = ("empty" if n_empty else
-                       "collision" if n_collision else "singleton")
-            self.obs.emit("termination_probe", protocol=self.name,
-                          slot_index=slot, outcome=outcome)
+        if self.rows is not None:
+            self.rows.append((slot, "empty" if n_empty else
+                              "collision" if n_collision else "singleton"))
         if n_collision:
             self.estimator.force_at_least(2.0)
         return bool(n_empty)
@@ -559,12 +549,39 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     composition and chunking -- the basis of the kernel-v2 bit-identity
     guarantee (``docs/performance.md``).  Sessions drop out of the batch
     as they terminate.
+
+    Under an active observation the sessions share one telemetry row
+    list, handed to the event stream once when the batch ends -- also when
+    the runaway guard raises, so the frames run before it stay readable.
     """
+    obs = scope.active()
+    rows: list[tuple] | None = None if obs is None else []
     sessions = [_FcatKernelSession(protocol.name, protocol, n_tags, rng,
-                                   channel, timing) for rng in rngs]
+                                   channel, timing, rows) for rng in rngs]
     alive = sessions
-    # Lockstep frame loop: each round advances every live session by one
-    # frame; per-frame work is the vectorized replay above.
-    while alive:
-        alive = [session for session in alive if not session.step()]
+    try:
+        # Lockstep frame loop: each round advances every live session by
+        # one frame; per-frame work is the vectorized replay above.
+        while alive:
+            alive = [session for session in alive if not session.step()]
+    finally:
+        if obs is not None:
+            _record_telemetry(obs, protocol.name, rows, sessions)
     return [session.result for session in sessions]
+
+
+def _record_telemetry(obs: scope.Observation, name: str, rows: list[tuple],
+                      sessions: list[_FcatKernelSession]) -> None:
+    """Fold one batch's telemetry into ``obs``, in row order."""
+    if not rows:
+        return  # no frame ran: nothing to record, no instrument to create
+    obs.events.record_frames(name, rows)
+    histogram = obs.metrics.histogram("estimator.rel_error")
+    for row in rows:
+        if len(row) > 2:  # a frame row, not a termination probe
+            estimate, actual = row[5], row[6]
+            histogram.observe(abs(estimate - actual) / max(actual, 1))
+    resolved = sum(session.result.resolved_from_collision
+                   for session in sessions)
+    if resolved:
+        obs.count("kernel.anc_resolved", resolved)

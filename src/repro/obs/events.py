@@ -14,6 +14,11 @@ an event's place in its owning :class:`EventStream`, counting forgotten
 events too.  When the parallel executor folds worker streams back into the
 parent, in deterministic chunk order, the folded events take the next
 positions, so a serial run and a parallel run produce the same ordering.
+
+Hot per-frame telemetry may arrive as a *frame block*
+(:meth:`EventStream.record_frames`): one tuple per FCAT frame or
+termination probe, type-checked once per batch and expanded into ordinary
+events only when :attr:`EventStream.events` is read.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 __all__ = [
     "EVENT_SCHEMA",
     "Event",
     "EventSpec",
     "EventStream",
+    "frame_fields",
     "read_jsonl",
     "validate_event",
     "write_jsonl",
@@ -163,6 +169,81 @@ def validate_event(name: str, fields: dict) -> None:
                 f"got {type(value).__name__}")
 
 
+def frame_fields(protocol: str, row: tuple) -> tuple[dict, dict]:
+    """The ``frame`` and ``estimator_update`` fields of one frame row.
+
+    ``row`` is ``(frame_index, report_probability, empty, singleton,
+    collision, estimate, actual_remaining)``.  The one definition of both
+    events' fields: the scalar engine emits them eagerly, a frame block
+    builds them when read.
+    """
+    frame_index, p, empty, singleton, collision, estimate, actual = row
+    return ({"protocol": protocol, "frame_index": frame_index,
+             "report_probability": p, "empty": empty,
+             "singleton": singleton, "collision": collision},
+            {"protocol": protocol, "frame_index": frame_index,
+             "estimate": estimate, "actual_remaining": actual,
+             "error": estimate - actual})
+
+
+#: Row widths of a frame block: a frame row stands for a ``frame`` and an
+#: ``estimator_update`` event, a ``(slot_index, outcome)`` probe row for
+#: one ``termination_probe``.
+_FRAME_ROW = 7
+_PROBE_ROW = 2
+
+
+def _row_events(protocol: str, row: tuple) -> tuple[tuple[str, dict], ...]:
+    """The ``(name, fields)`` events one frame-block row stands for."""
+    if len(row) == _PROBE_ROW:
+        return (("termination_probe", {"protocol": protocol,
+                                       "slot_index": row[0],
+                                       "outcome": row[1]}),)
+    if len(row) != _FRAME_ROW:
+        raise ValueError(f"frame block row must have {_FRAME_ROW} (frame) "
+                         f"or {_PROBE_ROW} (probe) values, got {len(row)}")
+    frame, update = frame_fields(protocol, row)
+    return ("frame", frame), ("estimator_update", update)
+
+
+class _FrameBlock(NamedTuple):
+    """One batch's frame rows, standing for ``size`` events in row order."""
+
+    protocol: str
+    rows: list[tuple]
+    size: int
+
+    def records(self) -> Iterator[tuple[str, dict]]:
+        protocol = self.protocol
+        for row in self.rows:
+            yield from _row_events(protocol, row)
+
+    def drop(self, count: int) -> list:
+        """The records left once the first ``count`` (< size) events go.
+
+        A cut between a frame row's two events keeps that row's
+        ``estimator_update`` as an ordinary record.
+        """
+        rows = self.rows
+        index = 0
+        left = count
+        while left:
+            width = 1 if len(rows[index]) == _PROBE_ROW else 2
+            if left < width:
+                break
+            left -= width
+            index += 1
+        kept: list = []
+        if left:
+            kept.append(("estimator_update",
+                         frame_fields(self.protocol, rows[index])[1]))
+            index += 1
+        if index < len(rows):
+            kept.append(_FrameBlock(self.protocol, rows[index:],
+                                    self.size - count - len(kept)))
+        return kept
+
+
 class Event(NamedTuple):
     """One emitted event, already validated against its spec.
 
@@ -181,25 +262,30 @@ class Event(NamedTuple):
 class EventStream:
     """Schema-validated event log with positional sequencing.
 
-    The stream keeps ``(name, fields)`` records and builds each
-    :class:`Event` when :attr:`events` is read, with ``seq`` = its position
-    counted from the first event ever recorded.  :meth:`forget` drops the
-    oldest retained records so a long-running owner can bound memory;
-    ``seq`` numbers and :meth:`counts` cover every event ever recorded,
-    forgotten ones too.  :meth:`fold` appends another stream's records in
-    one ``list.extend``, so folding a worker's or a request's collector
-    costs no per-event work beyond copying a reference.
+    The stream keeps ``(name, fields)`` records and frame blocks, and
+    builds each :class:`Event` when :attr:`events` is read, with ``seq`` =
+    its position counted from the first event ever recorded.
+    :meth:`forget` drops the oldest retained events so a long-running owner
+    can bound memory; ``seq`` numbers and :meth:`counts` cover every event
+    ever recorded, forgotten ones too.  :meth:`fold` appends another
+    stream's records in one ``list.extend``, so folding a worker's or a
+    request's collector costs no per-event work beyond copying a
+    reference.  Every count -- ``len()``, ``seq``, :meth:`counts`,
+    :meth:`forget` -- is in events, however they were recorded.
     """
 
     def __init__(self) -> None:
-        self._records: list[tuple[str, dict]] = []
+        self._records: list[tuple[str, dict] | _FrameBlock] = []
         self._tally: dict[str, int] = {}
-        #: Records dropped by :meth:`forget`; the first retained ``seq``.
+        #: Events dropped by :meth:`forget`; the first retained ``seq``.
         self._forgotten = 0
+        #: Retained events (a frame block stands for several).
+        self._length = 0
 
     def _record(self, name: str, fields: dict) -> None:
         self._records.append((name, fields))
         self._tally[name] = self._tally.get(name, 0) + 1
+        self._length += 1
 
     def emit(self, name: str, **fields) -> None:
         self.append(name, fields)
@@ -208,6 +294,37 @@ class EventStream:
         """:meth:`emit` for a ready-made ``fields`` dict (kept, not copied)."""
         validate_event(name, fields)
         self._record(name, fields)
+
+    def record_frames(self, protocol: str, rows: list[tuple]) -> None:
+        """Record a batch's per-frame telemetry as one frame block.
+
+        Each row stands for the events :func:`frame_fields` (a
+        ``(frame_index, p, empty, singleton, collision, estimate,
+        actual)`` frame row) or a ``(slot_index, outcome)`` probe row
+        defines, in row order.  :func:`validate_event` only looks at
+        types, so one row per distinct row type signature is validated,
+        in first-appearance order: a bad row raises as its ``emit`` would,
+        and nothing of the block is recorded.  ``rows`` is kept, not
+        copied.
+        """
+        if not rows:
+            return
+        signatures = {tuple(map(type, row)): row for row in rows}
+        for row in signatures.values():
+            for name, fields in _row_events(protocol, row):
+                validate_event(name, fields)
+        probes = [len(row) for row in rows].count(_PROBE_ROW)
+        frames = len(rows) - probes
+        tally = self._tally
+        if frames:
+            for name in ("frame", "estimator_update"):
+                tally[name] = tally.get(name, 0) + frames
+        if probes:
+            tally["termination_probe"] = \
+                tally.get("termination_probe", 0) + probes
+        size = 2 * frames + probes
+        self._records.append(_FrameBlock(protocol, rows, size))
+        self._length += size
 
     def extend(self, events: Iterable[Event]) -> None:
         """Append events (say, read back from a sink) at the next positions.
@@ -222,17 +339,34 @@ class EventStream:
         """Append ``other``'s retained records and add its lifetime counts.
 
         The records were validated when ``other`` recorded them.  ``fields``
-        dicts are shared, not copied: a folded-in collector is done.
+        dicts and frame blocks are shared, not copied: a folded-in
+        collector is done.
         """
         self._records.extend(other._records)
+        self._length += other._length
         for name, count in other._tally.items():
             self._tally[name] = self._tally.get(name, 0) + count
 
     def forget(self, count: int) -> None:
-        """Drop the ``count`` oldest retained events (tallies are kept)."""
-        count = min(count, len(self._records))
-        del self._records[:count]
+        """Drop the ``count`` oldest retained events (tallies are kept).
+
+        A cut inside a frame block splits it; blocks are never mutated, so
+        a :meth:`snapshot` sharing one is unaffected.
+        """
+        count = min(count, self._length)
+        records = self._records
+        index = dropped = 0
+        while dropped < count:
+            record = records[index]
+            size = record.size if record.__class__ is _FrameBlock else 1
+            if dropped + size > count:
+                records[index:index + 1] = record.drop(count - dropped)
+                break
+            dropped += size
+            index += 1
+        del records[:index]
         self._forgotten += count
+        self._length -= count
 
     def snapshot(self) -> EventStream:
         """A detached copy: the retained records, ``seq`` offset and tallies.
@@ -244,17 +378,24 @@ class EventStream:
         copy._records = self._records.copy()
         copy._tally = dict(self._tally)
         copy._forgotten = self._forgotten
+        copy._length = self._length
         return copy
+
+    def _iter_records(self) -> Iterator[tuple[str, dict]]:
+        for record in self._records:
+            if record.__class__ is _FrameBlock:
+                yield from record.records()
+            else:
+                yield record
 
     @property
     def events(self) -> list[Event]:
-        """The retained events, oldest first."""
-        first = self._forgotten
-        return [Event(first + index, name, fields)
-                for index, (name, fields) in enumerate(self._records)]
+        """The retained events, oldest first (frame blocks expanded)."""
+        return [Event(seq, name, fields) for seq, (name, fields)
+                in enumerate(self._iter_records(), start=self._forgotten)]
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._length
 
     def counts(self) -> dict[str, int]:
         """Events recorded per name over the stream's life, sorted by name."""

@@ -25,6 +25,7 @@ bucket that crosses the rank).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -113,11 +114,13 @@ class Histogram:
         self.total += value
         self.min_seen = min(self.min_seen, value)
         self.max_seen = max(self.max_seen, value)
-        for index, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[index] += 1
-                return
-        self.overflow += 1
+        # The first bound >= value; NaN compares false with every bound,
+        # so it overflows.
+        index = bisect_left(self.bounds, value)
+        if index < len(self.bounds) and value == value:
+            self.counts[index] += 1
+        else:
+            self.overflow += 1
 
     @property
     def mean(self) -> float:

@@ -201,7 +201,7 @@ def _observed_pair(channel=None):
 
 
 def test_observed_kernel_emits_the_scalar_telemetry():
-    """The scalar vocabulary, with resolutions counted per frame.
+    """The scalar vocabulary, with resolutions counted per batch.
 
     On every channel the observed kernel emits the scalar events minus
     the per-slot ``anc_resolution``, one ``frame`` event per frame, and

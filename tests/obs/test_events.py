@@ -9,6 +9,7 @@ import pytest
 from repro.obs.events import (
     EVENT_SCHEMA,
     EventStream,
+    frame_fields,
     read_jsonl,
     validate_event,
     write_jsonl,
@@ -113,6 +114,101 @@ class TestEventStream:
         assert write_jsonl(path, parent) == 4
         assert [(e.seq, e.name, e.fields) for e in read_jsonl(path)] == \
             [(e.seq, e.name, e.fields) for e in parent.events]
+
+
+#: Frame-block rows as the FCAT kernel records them: frame rows
+#: ``(frame_index, p, empty, singleton, collision, estimate, actual)`` and
+#: termination-probe rows ``(slot_index, outcome)``.
+ROWS = [(0, 0.5, 10, 12, 8, 40.0, 38), (0, 0.5, 9, 14, 7, 41.5, 37),
+        (1, 0.625, 11, 9, 10, 30.5, 30), (93, "collision"),
+        (2, 1.0, 30, 0, 0, 1.0, 0), (124, "empty")]
+
+
+def _emit_eagerly(stream: EventStream, protocol: str, rows) -> None:
+    """What a frame block stands for, emitted one event at a time."""
+    for row in rows:
+        if len(row) == 2:
+            stream.emit("termination_probe", protocol=protocol,
+                        slot_index=row[0], outcome=row[1])
+        else:
+            frame, update = frame_fields(protocol, row)
+            stream.emit("frame", **frame)
+            stream.emit("estimator_update", **update)
+
+
+def _block_and_eager(*blocks) -> tuple[EventStream, EventStream]:
+    """The same events as frame blocks and as eager emits, each block
+    framed by a ``cache_hit``."""
+    block, eager = EventStream(), EventStream()
+    for rows in blocks:
+        for stream in (block, eager):
+            stream.emit("cache_hit", key="k")
+        block.record_frames("FCAT-3", list(rows))
+        _emit_eagerly(eager, "FCAT-3", rows)
+    return block, eager
+
+
+def _seen(stream: EventStream) -> list:
+    return [(event.seq, event.name, event.fields) for event in stream.events]
+
+
+class TestFrameBlock:
+    def test_expands_to_the_eager_events(self):
+        block, eager = _block_and_eager(ROWS, ROWS[:2])
+        assert _seen(block) == _seen(eager)
+        assert len(block) == len(eager) == 2 + (2 * 4 + 2) + 2 * 2
+        assert block.counts() == eager.counts()
+
+    @pytest.mark.parametrize("bad_row", [
+        (True, 0.5, 10, 12, 8, 40.0, 38),
+        (0, "0.5", 10, 12, 8, 40.0, 38),
+        (0, 0.5, 10, 12, 8, 40.0, 38.0),
+        (93, 1),
+    ], ids=["bool-index", "str-probability", "float-actual", "int-outcome"])
+    def test_a_bad_row_raises_as_emit_would(self, bad_row):
+        rows = ROWS[:3] + [bad_row] + ROWS[3:]
+        with pytest.raises(ValueError) as eager_error:
+            _emit_eagerly(EventStream(), "FCAT-3", rows)
+        stream = EventStream()
+        with pytest.raises(ValueError) as block_error:
+            stream.record_frames("FCAT-3", rows)
+        assert str(block_error.value) == str(eager_error.value)
+        assert len(stream) == 0 and stream.counts() == {}
+        with pytest.raises(ValueError, match="7 .* or 2 "):
+            stream.record_frames("FCAT-3", [(0, 0.5, 10)])
+
+    def test_forget_cuts_anywhere_like_eager_events(self):
+        """Every cut -- before, between and inside blocks, between a frame
+        row's two events -- keeps the eager stream's events, ``seq``s,
+        length and lifetime counts, and leaves an earlier snapshot
+        intact."""
+        total = len(_block_and_eager(ROWS, ROWS)[0])
+        for cut in range(total + 2):
+            block, eager = _block_and_eager(ROWS, ROWS)
+            before = block.snapshot()
+            for stream in (block, eager):
+                stream.forget(cut)
+                stream.forget(1)  # a second cut right after the first
+                stream.emit("cache_miss", key="after")
+            assert _seen(block) == _seen(eager), cut
+            assert len(block) == len(eager), cut
+            assert block.counts() == eager.counts()
+            assert _seen(before) == _seen(_block_and_eager(ROWS, ROWS)[1])
+
+    def test_fold_and_jsonl_carry_blocks(self, tmp_path):
+        worker, eager_worker = _block_and_eager(ROWS)
+        parent, eager_parent = EventStream(), EventStream()
+        for stream, other in ((parent, worker), (eager_parent, eager_worker)):
+            stream.emit("cache_miss", key="p")
+            stream.forget(1)
+            stream.fold(other)
+            stream.forget(4)
+        assert _seen(parent) == _seen(eager_parent)
+        assert len(parent) == len(eager_parent)
+        path = tmp_path / "blocks.jsonl"
+        assert write_jsonl(path, parent) == len(parent)
+        assert [(e.seq, e.name, e.fields) for e in read_jsonl(path)] == \
+            _seen(eager_parent)
 
 
 class TestJsonlRoundTrip:

@@ -7,12 +7,15 @@ serial and parallel execution (modulo the timing-only instruments).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
 from repro.core.scat import Scat
+from repro.experiments import executor
 from repro.experiments.executor import CellSpec, execute_cells
 from repro.experiments.result_cache import ResultCache
 from repro.obs.scope import observe
@@ -59,13 +62,31 @@ def test_observability_does_not_change_results():
     assert observed == baseline
 
 
-def test_parallel_telemetry_matches_serial():
-    with observe() as serial:
-        serial_results = execute_cells(SPECS, jobs=1)
+@pytest.mark.parametrize("engine", ["scalar", "kernel"])
+def test_parallel_telemetry_matches_serial(engine, monkeypatch):
+    """Worker collectors fold back in chunk order.
+
+    On the kernel engine each chunk is one lockstep batch whose sessions'
+    frame events interleave, so chunk boundaries -- which follow ``jobs``
+    -- order them: the serial reference runs the same ``jobs=3`` chunks
+    in-process, and the parallel run's FCAT frame blocks (two sessions
+    each at 8 runs per cell) cross the process pool.
+    """
+    specs, serial_jobs = SPECS, 1
+    if engine == "kernel":
+        specs = [dataclasses.replace(spec, engine=engine, runs=8)
+                 for spec in SPECS]
+        serial_jobs = 3
+    with monkeypatch.context() as patch:
+        # No pool context: every chunk runs in-process, in task order.
+        patch.setattr(executor, "_pool_context", lambda: None)
+        with observe() as serial:
+            serial_results = execute_cells(specs, jobs=serial_jobs)
     with observe() as parallel:
-        parallel_results = execute_cells(SPECS, jobs=3)
+        parallel_results = execute_cells(specs, jobs=3)
     assert parallel_results == serial_results
     assert _simulation_events(parallel) == _simulation_events(serial)
+    assert serial.events.counts()["frame"] > 0
     # Histogram *totals* are float sums, and serial vs parallel partition
     # the observations into different chunks -- equal only to the ULP.
     # Everything discrete (counts, mins, maxes, counters) is exact.

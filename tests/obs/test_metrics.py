@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
 
@@ -83,6 +84,34 @@ class TestHistogram:
         assert min(values) <= estimate <= max(values)
         if expected is not None:
             assert estimate == expected
+
+    @pytest.mark.parametrize("bounds", [
+        DEFAULT_BUCKETS, (1.0,), (-1.0, 0.0, 0.0, 2.0), (0.5, math.inf),
+        (1, 2, 4),
+    ], ids=["default", "single", "duplicate-zero", "inf-bound", "int-bounds"])
+    def test_bucket_search_matches_a_linear_scan(self, bounds):
+        """Every value lands where a first-bound->=-value scan puts it:
+        on each bound, one ULP either side, beyond both ends, +-inf, and
+        NaN (which compares false with every bound, so overflows)."""
+        def linear_bucket(value):
+            for index, bound in enumerate(bounds):
+                if value <= bound:
+                    return index
+            return None  # overflow
+
+        values = [math.inf, -math.inf, math.nan, 0.0, -0.0]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        for value in values:
+            histogram = Histogram("v", bounds=bounds)
+            histogram.observe(value)
+            expected = [0] * len(bounds)
+            bucket = linear_bucket(float(value))
+            if bucket is not None:
+                expected[bucket] = 1
+            assert histogram.counts == expected, value
+            assert histogram.overflow == (bucket is None), value
 
     def test_merge_requires_matching_bounds(self):
         with pytest.raises(ValueError, match="bounds differ"):

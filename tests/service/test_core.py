@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -177,6 +178,46 @@ def test_metrics_dump_builds_events_outside_the_telemetry_lock(monkeypatch):
     monkeypatch.undo()
     assert events == service.obs.events.events
     assert events[-1].name == "metrics_snapshot"
+
+
+def _deterministic(events) -> list:
+    """``(seq, name, fields)`` minus wall-clock fields and the snapshot."""
+    return [(event.seq, event.name,
+             {key: value for key, value in event.fields.items()
+              if not key.endswith("_s")})
+            for event in events if event.name != "metrics_snapshot"]
+
+
+def test_a_forget_cut_inside_a_frame_block_keeps_the_retained_events():
+    """Cuts inside a kernel frame block drop exactly the oldest events.
+
+    The first cut falls between a frame row's ``frame`` and
+    ``estimator_update`` events, the second five events later; the
+    retained events keep their ``seq`` numbers, and a later request's
+    events follow them.  The digest of the final dump was recorded when
+    kernel frames emitted their events eagerly.
+    """
+    service = InventoryService()
+    service.handle(InventoryRequest(n_tags=600, zones=3, seed=5, lam=3))
+    full = service.obs.events.snapshot().events
+    updates = [index for index, event in enumerate(full)
+               if event.name == "estimator_update"]
+    cut = updates[2]
+    assert full[cut - 1].name == "frame"
+    service.obs.forget(cut, 0)
+    service.obs.forget(5, 0)
+    assert [(e.seq, e.name, e.fields) for e in service.obs.events.events] \
+        == [(e.seq, e.name, e.fields) for e in full[cut + 5:]]
+    assert len(service.obs.events) == len(full) - cut - 5
+    service.handle(InventoryRequest(n_tags=400, zones=2, seed=6, lam=4))
+    retained = _deterministic(service.metrics_events())
+    assert retained[0][0] == cut + 5
+    assert [seq for seq, _, _ in retained] \
+        == list(range(cut + 5, cut + 5 + len(retained)))
+    digest = hashlib.sha256(
+        json.dumps(retained, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "f391b8903af835ef82260f654ba91ee45467dd4af7e9e3134cd86d345f10f1fe"
 
 
 def test_serving_a_cold_request_loads_no_scipy():
