@@ -59,7 +59,9 @@ _source_digest_memo: str | None = None
 def _iter_signature_sources() -> list[Path]:
     package_root = Path(__file__).resolve().parent.parent
     paths = []
-    for path in sorted(package_root.rglob("*.py")):
+    # C sources too: the native FCAT walk computes cell results.
+    for path in sorted([*package_root.rglob("*.py"),
+                        *package_root.rglob("*.c")]):
         relative = path.relative_to(package_root)
         if relative.parts and relative.parts[0] in _SIGNATURE_EXCLUDED_PACKAGES:
             continue

@@ -20,7 +20,12 @@ The replay is exact: slots are processed in order and a removed tag
 (acked singleton, cascade resolution) has its pre-drawn transmissions in
 later slots cancelled -- distributionally identical to the scalar engine
 never drawing them, every Bernoulli cell being independent.  One walk,
-:meth:`_FcatKernelSession._replay`, serves every channel.  The paper's
+:meth:`_FcatKernelSession._walk_frame` and its :meth:`_replay`, serves
+every channel.  ``fcat_walk.c`` ports it line for line and runs instead
+wherever :func:`repro.kernels.native.library` can build it
+(:class:`_NativeFcatSession`); the two consume the generator identically,
+so which walk ran never shows in a result, and the Python walk stays the
+reference the tests hold the C walk to.  The paper's
 section IV-E imperfections and the capture extension are channel
 *outcomes* taken as data: each is one uniform from the same amortized
 block that supplies the ranks -- one per singleton (CRC), per stored
@@ -57,6 +62,7 @@ configurations route to the scalar engine.
 
 from __future__ import annotations
 
+import ctypes
 from collections.abc import Container, Sequence
 
 import numpy as np
@@ -64,6 +70,7 @@ import numpy as np
 from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.core.estimator import EmbeddedEstimator
 from repro.core.fcat import Fcat
+from repro.kernels import native
 from repro.kernels.frame import (RankSource, draw_slot_counts,
                                  resample_duplicate_slots)
 from repro.kernels.records import KernelRecordStore
@@ -95,13 +102,6 @@ class _FcatKernelSession:
         self.rng = rng
         self.ranks = RankSource(rng)
         self.omega = config.effective_omega
-        # Dense roster: `items` holds the active tag indices, `pos[tag]`
-        # its position in `items` while active.  Swap-remove keeps
-        # both O(1); removals are deferred to frame end so the frame's
-        # rank -> tag map stays stable during the replay.
-        self.items = list(range(n_tags))
-        self.pos = list(range(n_tags))
-        self.store = KernelRecordStore(config.lam, n_tags)
         self.estimator = EmbeddedEstimator(
             omega=self.omega, frame_size=config.frame_size,
             initial_guess=config.initial_estimate,
@@ -128,6 +128,23 @@ class _FcatKernelSession:
         # `draw_free` licenses the uninformative-frame fast path: no
         # channel draw can ever flip a slot's class.
         self.draw_free = _draw_free(channel)
+        #: Roster size and tags learned so far, kept current by the walk.
+        self.n_active = n_tags
+        self.n_learned = 0
+        self._init_walk(n_tags, config.lam)
+
+    def _init_walk(self, n_tags: int, lam: int) -> None:
+        """The walk's state: roster and record store."""
+        # Dense roster: `items` holds the active tag indices, `pos[tag]`
+        # its position in `items` while active.  Swap-remove keeps
+        # both O(1); removals are deferred to frame end so the frame's
+        # rank -> tag map stays stable during the replay.
+        self.items = list(range(n_tags))
+        self.pos = list(range(n_tags))
+        self.store = KernelRecordStore(lam, n_tags)
+
+    def close(self) -> None:
+        """Release the walk's state (nothing to release in Python)."""
 
     def step(self) -> bool:
         """Advance one frame (plus termination probe); True when done."""
@@ -147,12 +164,11 @@ class _FcatKernelSession:
         self.slot_index += n_slots
 
     def _run_frame(self) -> int:
-        """Replay one pre-drawn frame; returns its empty-slot count."""
+        """Draw and walk one frame; returns its empty-slot count."""
         result = self.result
-        store = self.store
         estimator = self.estimator
         frame_size = self.frame_size
-        identified_at_start = store._learned_count
+        identified_at_start = self.n_learned
         remaining = estimator._remaining  # inlined estimator.remaining()
         if remaining < 1.0:
             remaining = 1.0
@@ -161,9 +177,35 @@ class _FcatKernelSession:
             p = self.max_p
         result.frames += 1
         self._advertise(frame_size)  # pre-frame advertisement
+        counts = draw_slot_counts(self.rng, self.n_active, frame_size, p)
+        n_empty, n_collision = self._walk_frame(counts, p >= 1.0)
+        estimator.update(n_collision, p, identified_at_start,
+                         self.n_learned, n_empty=n_empty)
+        remaining = estimator._remaining
+        result.estimate_trace.append(remaining if remaining > 1.0 else 1.0)
+        if self.rows is not None:
+            # One tuple per frame; events are built only when read.
+            self.rows.append((result.frames - 1, p, n_empty,
+                              frame_size - n_empty - n_collision,
+                              n_collision, estimator.remaining(),
+                              self.n_active))
+        return n_empty
+
+    def _walk_frame(self, counts: np.ndarray,
+                    saturated: bool) -> tuple[int, int]:
+        """Walk one frame of slot counts; returns ``(empty, collision)``.
+
+        ``saturated`` is a ``p >= 1`` frame: every active tag transmits
+        in every slot.  This is the reference walk; ``fcat_walk.c`` ports
+        it, consuming the generator identically.
+        """
+        result = self.result
+        store = self.store
+        frame_size = self.frame_size
         lam = store.lam
         n_active = len(self.items)
-        counts, total = draw_slot_counts(self.rng, n_active, frame_size, p)
+        counts = counts.tolist()
+        total = sum(counts)
         if total == 0 or (self.draw_free and 1 not in counts):
             # A silent frame, or no singleton slot on a draw-free channel:
             # nothing can be learned this frame, so no cancellation can
@@ -202,43 +244,31 @@ class _FcatKernelSession:
             result.tag_transmissions += total
             result.empty_slots += n_empty
             result.collision_slots += n_collision
+            return n_empty, n_collision
+        if saturated:
+            # Deterministic saturated frame: every active tag, every slot.
+            ranks = list(range(n_active)) * frame_size
         else:
-            if p >= 1.0:
-                # Deterministic saturated frame: every active tag, every
-                # slot.
-                ranks = list(range(n_active)) * frame_size
-            else:
-                ranks = self.ranks.draw(n_active, total)
-            # Fewer distinct ranks than transmissions means some rank
-            # repeats, possibly inside a single slot, which the scalar
-            # slot law forbids -- repair exactly those segments.
-            # Frame-wide repeats across slots are legitimate, but only
-            # then can a tag read mid-frame transmit again later, so the
-            # last-event map is needed at all only in the has_dups case.
-            frame_ranks = set(ranks)
-            has_dups = len(frame_ranks) < total
-            if has_dups:
-                if resample_duplicate_slots(self.rng, n_active, counts,
-                                            ranks):
-                    frame_ranks = set(ranks)
-                    has_dups = len(frame_ranks) < total
-            last_pos = dict(zip(ranks, range(total))) if has_dups else None
-            removed: list[int] = []
-            n_empty, n_collision = self._replay(counts, ranks, frame_ranks,
-                                                last_pos, removed)
-            if removed:
-                self._apply_removals(removed)
-        estimator.update(n_collision, p, identified_at_start,
-                         store._learned_count, n_empty=n_empty)
-        remaining = estimator._remaining
-        result.estimate_trace.append(remaining if remaining > 1.0 else 1.0)
-        if self.rows is not None:
-            # One tuple per frame; events are built only when read.
-            self.rows.append((result.frames - 1, p, n_empty,
-                              frame_size - n_empty - n_collision,
-                              n_collision, estimator.remaining(),
-                              len(self.items)))
-        return n_empty
+            ranks = self.ranks.draw(n_active, total)
+        # Fewer distinct ranks than transmissions means some rank repeats,
+        # possibly inside a single slot, which the scalar slot law forbids
+        # -- repair exactly those segments.  Frame-wide repeats across
+        # slots are legitimate, but only then can a tag read mid-frame
+        # transmit again later, so the last-event map is needed at all
+        # only in the has_dups case.
+        frame_ranks = set(ranks)
+        has_dups = len(frame_ranks) < total
+        if has_dups:
+            if resample_duplicate_slots(self.rng, n_active, counts, ranks):
+                frame_ranks = set(ranks)
+                has_dups = len(frame_ranks) < total
+        last_pos = dict(zip(ranks, range(total))) if has_dups else None
+        removed: list[int] = []
+        n_empty, n_collision = self._replay(counts, ranks, frame_ranks,
+                                            last_pos, removed)
+        if removed:
+            self._apply_removals(removed)
+        return n_empty, n_collision
 
     def _replay(self, counts: list[int], ranks: Sequence[int],
                 frame_ranks: Container[int], last_pos: dict[int, int] | None,
@@ -490,6 +520,7 @@ class _FcatKernelSession:
         # the empty count is the slot count minus the first two.
         n_read = n_singleton - n_reread
         store._learned_count += n_read + n_resolved
+        self.n_learned = store._learned_count
         n_empty = len(counts) - n_singleton - n_collision
         result = self.result
         result.tag_transmissions += transmissions + n_singleton
@@ -512,6 +543,7 @@ class _FcatKernelSession:
             items[position] = last
             pos[last] = position
             items.pop()
+        self.n_active = len(items)
 
     # -- termination -------------------------------------------------------
 
@@ -523,18 +555,121 @@ class _FcatKernelSession:
         """
         slot = self.slot_index
         self._advertise(1)  # advertise p = 1
-        ranks = range(len(self.items))
-        removed: list[int] = []
-        n_empty, n_collision = self._replay([len(ranks)], ranks, ranks,
-                                            None, removed)
-        if removed:
-            self._apply_removals(removed)
+        n_empty, n_collision = self._walk_probe()
         if self.rows is not None:
             self.rows.append((slot, "empty" if n_empty else
                               "collision" if n_collision else "singleton"))
         if n_collision:
             self.estimator.force_at_least(2.0)
         return bool(n_empty)
+
+    def _walk_probe(self) -> tuple[int, int]:
+        """The probe's one slot; returns ``(empty, collision)``."""
+        ranks = range(len(self.items))
+        removed: list[int] = []
+        n_empty, n_collision = self._replay([len(ranks)], ranks, ranks,
+                                            None, removed)
+        if removed:
+            self._apply_removals(removed)
+        return n_empty, n_collision
+
+
+_INT64 = np.dtype(np.int64)
+
+#: Indices into the native walk's counters (the enum in ``fcat_walk.c``).
+(_EMPTY, _COLLISION, _ACTIVE, _LEARNED, _TRANSMISSIONS, _EMPTY_SLOTS,
+ _SINGLETON_SLOTS, _COLLISION_SLOTS, _READ, _RESOLVED) = range(10)
+
+
+class _NativeFcatSession(_FcatKernelSession):
+    """The same session with its frames walked by ``fcat_walk.c``.
+
+    Only the walk moves: the slot counts, ``p``, the runaway guard, the
+    estimator and the telemetry rows stay in :class:`_FcatKernelSession`.
+    The C walk holds the roster and the record store, so neither is also
+    built in Python.  It reads the uniform block that :class:`RankSource`
+    refills, and calls back into Python for refills and for
+    :func:`resample_duplicate_slots`.  A callback that raises records
+    its exception; the walk aborts the frame and :meth:`_walked`
+    re-raises it.  :meth:`close` folds the walk's counters into the
+    result and frees the C state.
+    """
+
+    def _init_walk(self, n_tags: int, lam: int) -> None:
+        self._lib = native.library()
+        self._error: BaseException | None = None
+        # The callbacks must outlive the C session that calls them.
+        self._callbacks = (native.REFILL(self._refill),
+                           native.REPAIR(self._repair))
+        self._session = self._lib.fcat_new(
+            n_tags, lam, *self.outcome_probs, self.draw_free,
+            *self._callbacks)
+        if not self._session:
+            raise MemoryError("the native FCAT walk could not allocate "
+                              f"{n_tags} tags")
+        self._stats = self._lib.fcat_stats(self._session)
+        self._counts_type = ctypes.c_int64 * self.frame_size
+
+    def close(self) -> None:
+        if not self._session:
+            return
+        stats, result = self._stats, self.result
+        result.tag_transmissions += stats[_TRANSMISSIONS]
+        result.empty_slots += stats[_EMPTY_SLOTS]
+        result.singleton_slots += stats[_SINGLETON_SLOTS]
+        result.collision_slots += stats[_COLLISION_SLOTS]
+        result.n_read += stats[_READ]
+        result.resolved_from_collision += stats[_RESOLVED]
+        result.index_announcements += stats[_RESOLVED]
+        self._lib.fcat_free(self._session)
+        self._session = self._stats = self._callbacks = None
+
+    def _walk_frame(self, counts: np.ndarray,
+                    saturated: bool) -> tuple[int, int]:
+        # `from_buffer` checks size and contiguity; the dtype is ours.
+        if counts.dtype is not _INT64:
+            raise TypeError(f"slot counts must be int64, not {counts.dtype}")
+        return self._walked(self._lib.fcat_frame(
+            self._session, self._counts_type.from_buffer(counts),
+            self.frame_size, saturated))
+
+    def _walk_probe(self) -> tuple[int, int]:
+        return self._walked(self._lib.fcat_probe(self._session))
+
+    def _walked(self, status: int) -> tuple[int, int]:
+        """The walk's ``(empty, collision)``, or what made it abort."""
+        if status:
+            error, self._error = self._error, None
+            if error is not None:
+                raise error
+            raise MemoryError("the native FCAT walk ran out of memory")
+        stats = self._stats
+        self.n_active = stats[_ACTIVE]
+        self.n_learned = stats[_LEARNED]
+        return stats[_EMPTY], stats[_COLLISION]
+
+    # -- callbacks from the C walk -------------------------------------------
+
+    def _refill(self, need: int, length) -> int | None:
+        try:
+            block = self.ranks.refill(need)
+            length[0] = len(block)
+            return block.ctypes.data
+        except BaseException as error:  # ctypes would print and drop it
+            self._error = error
+            return None
+
+    def _repair(self, counts, n_counts: int, ranks, total: int) -> int:
+        try:
+            drawn = ranks[:total]
+            if not resample_duplicate_slots(self.rng, self.n_active,
+                                            counts[:n_counts], drawn):
+                return 0
+            np.ctypeslib.as_array(ranks, (total,))[:] = drawn
+            return 1
+        except BaseException as error:  # ctypes would print and drop it
+            self._error = error
+            return -1
 
 
 # repro: kernel scalar=repro.core.fcat:_FcatSession.run test=tests/kernels/test_fcat_kernel.py
@@ -556,15 +691,22 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     """
     obs = scope.active()
     rows: list[tuple] | None = None if obs is None else []
-    sessions = [_FcatKernelSession(protocol.name, protocol, n_tags, rng,
-                                   channel, timing, rows) for rng in rngs]
-    alive = sessions
+    python_walk = native.library() is None
+    sessions: list[_FcatKernelSession] = []
     try:
+        for rng in rngs:
+            args = (protocol.name, protocol, n_tags, rng, channel, timing,
+                    rows)
+            sessions.append(_FcatKernelSession(*args) if python_walk
+                            else _NativeFcatSession(*args))
         # Lockstep frame loop: each round advances every live session by
-        # one frame; per-frame work is the vectorized replay above.
+        # one frame.
+        alive = sessions
         while alive:
             alive = [session for session in alive if not session.step()]
     finally:
+        for session in sessions:
+            session.close()
         if obs is not None:
             _record_telemetry(obs, protocol.name, rows, sessions)
     return [session.result for session in sessions]

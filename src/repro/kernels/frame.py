@@ -39,20 +39,20 @@ import numpy as np
 
 
 def draw_slot_counts(rng: np.random.Generator, n_active: int,
-                     frame_size: int, p: float) -> tuple[list[int], int]:
+                     frame_size: int, p: float) -> np.ndarray:
     """Draw one frame's per-slot transmitter counts in one RNG call.
 
-    Returns ``(counts, total)``.  The ``p >= 1`` frame is deterministic
-    (every active tag transmits in every slot) and consumes nothing.
+    Returns the ``int64`` count of every slot.  The ``p >= 1`` frame is
+    deterministic (every active tag transmits in every slot) and consumes
+    nothing.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"report probability {p} outside [0, 1]")
     if n_active == 0 or p == 0.0:
-        return [0] * frame_size, 0
+        return np.zeros(frame_size, np.int64)
     if p >= 1.0:
-        return [n_active] * frame_size, n_active * frame_size
-    counts = rng.binomial(n_active, p, size=frame_size).tolist()
-    return counts, sum(counts)
+        return np.full(frame_size, n_active, np.int64)
+    return rng.binomial(n_active, p, size=frame_size)
 
 
 class RankSource:
@@ -87,13 +87,23 @@ class RankSource:
         self._pos = 0
         self._len = 0
 
+    def refill(self, need: int) -> np.ndarray:
+        """Replace the block with at least ``need`` fresh uniforms.
+
+        The one refill rule: a block runs dry when fewer than ``need``
+        uniforms are left, and its leftovers are discarded.
+        """
+        self._buf = self.rng.random(max(self._BLOCK, need))
+        self._len = len(self._buf)
+        self._pos = 0
+        return self._buf
+
     def draw(self, n_active: int, total: int) -> list[int]:
         """``total`` i.i.d. uniform ranks over ``[0, n_active)``."""
         pos = self._pos
         end = pos + total
         if end > self._len:
-            self._buf = self.rng.random(max(self._BLOCK, total))
-            self._len = len(self._buf)
+            self.refill(total)
             pos = 0
             end = total
         self._pos = end
@@ -104,8 +114,7 @@ class RankSource:
         """One uniform on ``[0, 1)`` from the block: a channel outcome."""
         pos = self._pos
         if pos == self._len:
-            self._buf = self.rng.random(self._BLOCK)
-            self._len = self._BLOCK
+            self.refill(1)
             pos = 0
         self._pos = pos + 1
         return self._buf[pos]

@@ -5,9 +5,10 @@ shared across requests, a response store keyed by request content address,
 a service-lifetime :class:`~repro.obs.scope.Observation` all request
 telemetry folds into, and two locks.  The *compute lane* serializes cold
 misses; the short *telemetry lock* guards the response store and the
-service observation.  A warm hit and the telemetry surfaces (``/stats``,
-``/healthz``, ``/metrics.jsonl``) take only the telemetry lock, so they
-never wait behind a cold simulation.
+service observation.  A warm hit (:meth:`InventoryService.serve_stored`)
+and the telemetry surfaces (``/stats``, ``/healthz``, ``/metrics.jsonl``)
+take only the telemetry lock, so they never wait behind a cold
+simulation.
 
 **Bounded telemetry.**  Counters and histograms cover the service's whole
 life, and so do the ``/stats`` event counts.  Per-event records and the
@@ -177,6 +178,16 @@ class InventoryService:
                 self._account(key, time.perf_counter() - started,
                               cached=False)
             return response
+
+    def serve_stored(self, request: InventoryRequest) -> bytes | None:
+        """Answer from the response store, or ``None`` on a miss.
+
+        Takes the telemetry lock alone and never computes, so a front end
+        can call it on its event loop and send only misses to
+        :meth:`handle`.
+        """
+        return self._serve_stored(request, request.key(),
+                                  time.perf_counter())
 
     def _serve_stored(self, request: InventoryRequest, key: str,
                       started: float) -> bytes | None:

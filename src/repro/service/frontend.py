@@ -2,15 +2,18 @@
 
 The event loop owns accept/parse/respond; simulation never runs on it.
 ``POST /inventory`` bodies parse into :class:`~repro.service.requests.
-InventoryRequest` and dispatch to :meth:`InventoryService.handle` on a
-thread pool.  The service's compute lane serializes cold simulations only:
-a pool thread serving a stored response never waits behind one, so the
-pool's width bounds queued cold requests plus warm ones in progress, not
-concurrent compute.  The canonical response bytes stream back verbatim --
-the front end never re-encodes a payload, which is how the byte-identity
-contract crosses the wire intact.  The ``GET`` endpoints take only the
-service's short telemetry lock; ``/metrics.jsonl`` renders its lines on the
-loop's default executor, so a large dump never stalls the loop.
+InventoryRequest`, and the loop answers a stored response itself
+(:meth:`InventoryService.serve_stored`, under the service's short
+telemetry lock).  Only a miss dispatches to
+:meth:`InventoryService.handle` on a thread pool, so a warm hit never
+queues for a pool thread that is waiting on the compute lane.  The lane
+serializes cold simulations only, and the pool's width bounds the cold
+requests queued for it.  The canonical response bytes stream back
+verbatim -- the front end never re-encodes a payload, which is how the
+byte-identity contract crosses the wire intact.  The ``GET`` endpoints
+take only the service's short telemetry lock; ``/metrics.jsonl`` renders
+its lines on the loop's default executor, so a large dump never stalls
+the loop.
 
 Endpoints:
 
@@ -261,7 +264,10 @@ class ServiceFrontend:
             request = request_from_dict(payload)
         except ValueError as error:
             return _http_response(400, _error_body(str(error)))
-        loop = asyncio.get_running_loop()
-        response = await loop.run_in_executor(self._pool,
-                                              self.service.handle, request)
+        response = self.service.serve_stored(request)
+        if response is None:
+            loop = asyncio.get_running_loop()
+            response = await loop.run_in_executor(self._pool,
+                                                  self.service.handle,
+                                                  request)
         return _http_response(200, response)

@@ -112,11 +112,19 @@ class InventoryRequest:
                                  f"{MAX_ERROR_PROB}")
 
     def key(self) -> str:
-        """The request's content address (SHA-256 of its canonical form)."""
-        payload = json.dumps({"kind": "inventory-request",
-                              **canonical_fingerprint(asdict(self))},
-                             sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        """The request's content address (SHA-256 of its canonical form).
+
+        Computed once per request: the front end's store lookup and the
+        compute lane's re-check ask for it in turn.
+        """
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = json.dumps({"kind": "inventory-request",
+                                  **canonical_fingerprint(asdict(self))},
+                                 sort_keys=True, separators=(",", ":"))
+            key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_key", key)  # frozen: not a field
+        return key
 
     def to_dict(self) -> dict:
         """JSON-able form; the channel flattens to its four knobs."""

@@ -10,12 +10,14 @@ from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
 from repro.experiments.result_cache import (
     ResultCache,
+    _iter_signature_sources,
     canonical_fingerprint,
     cell_key,
     package_signature,
     run_range_key,
 )
 from repro.experiments.runner import run_cell
+from repro.kernels import native
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import AggregateResult
 
@@ -169,3 +171,8 @@ class TestPackageSignature:
     def test_default_cache_binds_to_package_signature(self, tmp_path):
         cache = ResultCache(tmp_path / "cache.json")
         assert cache.signature == package_signature()
+
+    def test_signature_covers_the_native_walk_source(self):
+        """An edit to the C walk must not keep serving cells cached from
+        the old walk."""
+        assert native.SOURCE.resolve() in _iter_signature_sources()

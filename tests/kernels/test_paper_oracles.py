@@ -1,4 +1,4 @@
-"""The FCAT kernel against the paper's closed forms (ROADMAP item 4).
+"""The FCAT kernel against the paper's closed forms.
 
 The kernel equivalence tests compare two engines that could share a bug;
 these compare the kernel's own telemetry with the paper.  Per frame, with
@@ -41,12 +41,13 @@ _EXPECTATIONS = (expected_empty_slots, expected_singleton_slots,
                  expected_collision_slots)
 
 
-def slot_type_z_scores(lam: int, seed: int) -> dict[str, float]:
+def slot_type_z_scores(lam: int, seed: int,
+                       n_tags: int = N_TAGS) -> dict[str, float]:
     """z of each summed slot-type count against Eq. 7/9/10.
 
     Sessions run one per batch, configured as the service configures a
     zone (``initial_estimate`` = N).  ``N`` at a frame's start is the
-    previous frame's ``estimator_update.actual_remaining`` (``N_TAGS``
+    previous frame's ``estimator_update.actual_remaining`` (``n_tags``
     for the first frame), ``p`` the frame's ``report_probability``.  Each
     slot is one multinomial draw, so a count summed over slots has
     variance ``Σ f q (1 - q)`` for its per-slot probability ``q``.  The
@@ -57,11 +58,11 @@ def slot_type_z_scores(lam: int, seed: int) -> dict[str, float]:
     observed = dict.fromkeys(_SLOT_TYPES, 0.0)
     expected = dict.fromkeys(_SLOT_TYPES, 0.0)
     variance = dict.fromkeys(_SLOT_TYPES, 0.0)
-    protocol = Fcat(lam=lam, initial_estimate=float(N_TAGS))
+    protocol = Fcat(lam=lam, initial_estimate=float(n_tags))
     for run_seed in spawn_run_seeds(seed, RUNS):
         with observe() as obs:
-            batched_fcat_sessions(protocol, N_TAGS, [rng_from_seed(run_seed)])
-        active = N_TAGS
+            batched_fcat_sessions(protocol, n_tags, [rng_from_seed(run_seed)])
+        active = n_tags
         for event in obs.events.events:
             fields = event.fields
             if event.name == "estimator_update":
@@ -87,14 +88,44 @@ def test_frame_slot_counts_match_eq_7_9_10(lam):
     assert max(abs(value) for value in z.values()) <= Z_BOUND, z
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4])
-def test_a_kernel_drawing_at_a_biased_p_fails_the_oracle(lam, monkeypatch):
-    """Mutant: slot counts drawn at 1.1·p while frames report p."""
+def _draw_at_a_biased_p(monkeypatch) -> None:
+    """Mutant: slot counts drawn at 1.1·p while frames report p.
+
+    Both walks take their counts from ``draw_slot_counts``, so the one
+    patch reaches whichever walk runs.
+    """
     draw = fcat_kernel.draw_slot_counts
 
     def biased(rng, n_active, frame_size, p):
         return draw(rng, n_active, frame_size, min(1.1 * p, 1.0))
 
     monkeypatch.setattr(fcat_kernel, "draw_slot_counts", biased)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_a_kernel_drawing_at_a_biased_p_fails_the_oracle(lam, monkeypatch):
+    _draw_at_a_biased_p(monkeypatch)
     z = slot_type_z_scores(lam, seed=20100562 + lam)
+    assert max(abs(value) for value in z.values()) > Z_BOUND, z
+
+
+#: Populations past N_TAGS.  A million tags takes 7-9 s per test on the
+#: native walk and 25-41 s on the Python walk, so it runs only when asked
+#: for (``-m slow``).
+SCALES = [100_000, pytest.param(1_000_000, marks=pytest.mark.slow)]
+
+
+@pytest.mark.parametrize("n_tags", SCALES)
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_the_oracle_holds_at_scale(lam, n_tags):
+    z = slot_type_z_scores(lam, seed=20100562 + lam, n_tags=n_tags)
+    assert max(abs(value) for value in z.values()) <= Z_BOUND, z
+
+
+@pytest.mark.parametrize("n_tags", SCALES)
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_a_biased_kernel_fails_the_oracle_at_scale(lam, n_tags,
+                                                   monkeypatch):
+    _draw_at_a_biased_p(monkeypatch)
+    z = slot_type_z_scores(lam, seed=20100562 + lam, n_tags=n_tags)
     assert max(abs(value) for value in z.values()) > Z_BOUND, z

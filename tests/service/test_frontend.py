@@ -346,6 +346,65 @@ def test_internal_error_hides_its_text_and_keeps_the_lane_usable():
     run(scenario())
 
 
+class _HeldService(InventoryService):
+    """Once armed, every cold compute waits for ``release``."""
+
+    def __init__(self) -> None:
+        super().__init__(ServiceConfig(jobs=1))
+        self.armed = False
+        self.release = threading.Event()
+        #: Requests that reached :meth:`handle`, i.e. took a pool thread.
+        self.handled = 0
+
+    def handle(self, request):
+        self.handled += 1
+        return super().handle(request)
+
+    def _compute(self, request, key):
+        if self.armed:
+            self.release.wait(timeout=30)
+        return super()._compute(request, key)
+
+
+def test_warm_hits_are_answered_while_every_pool_thread_waits():
+    """``workers`` cold requests fill the pool: one computes in the lane
+    and the others wait for it.  Stored responses still come back at
+    once, and none of them takes a pool thread."""
+    workers = 2
+
+    async def scenario():
+        service = _HeldService()
+        frontend = ServiceFrontend(service, port=0, workers=workers)
+        await frontend.start()
+        host, port = frontend.host, frontend.port
+        try:
+            status, stored = await post_inventory(host, port, REQUEST)
+            assert status == 200
+            service.armed = True
+            cold = [asyncio.ensure_future(post_inventory(
+                host, port, {**REQUEST, "seed": seed}))
+                for seed in range(100, 100 + workers)]
+            while service.handled < 1 + workers:
+                await asyncio.sleep(0.001)
+            latencies = []
+            for _ in range(50):
+                started = time.perf_counter()
+                status, body = await post_inventory(host, port, REQUEST)
+                latencies.append(time.perf_counter() - started)
+                assert (status, body) == (200, stored)
+            assert service.handled == 1 + workers
+            assert not any(task.done() for task in cold)
+            latencies.sort()
+            assert latencies[-1] <= 0.050, latencies[-5:]  # p99 of 50
+            service.release.set()
+            assert all(status == 200
+                       for status, _ in await asyncio.gather(*cold))
+        finally:
+            service.release.set()
+            await frontend.close()
+    run(scenario())
+
+
 def test_frontend_validates_workers():
     with pytest.raises(ValueError, match="workers"):
         ServiceFrontend(InventoryService(), workers=0)
