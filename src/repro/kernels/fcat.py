@@ -21,11 +21,16 @@ The replay is exact: slots are processed in order and a removed tag
 later slots cancelled -- distributionally identical to the scalar engine
 never drawing them, every Bernoulli cell being independent.  One walk,
 :meth:`_FcatKernelSession._walk_frame` and its :meth:`_replay`, serves
-every channel.  ``fcat_walk.c`` ports it line for line and runs instead
-wherever :func:`repro.kernels.native.library` can build it
-(:class:`_NativeFcatSession`); the two consume the generator identically,
-so which walk ran never shows in a result, and the Python walk stays the
-reference the tests hold the C walk to.  The paper's
+every channel.  ``fcat_walk.c`` ports the whole session line for line --
+``p`` and its cap, the runaway guard, the count draw (numpy's own
+binomial on the session's ``bitgen_t``), the walk, the Eq. 12 estimator
+in modes ``ewma`` and ``last``, the termination probe and the telemetry
+rows -- and runs each batch in one call that releases the GIL, wherever
+:func:`repro.kernels.native.library` can build it
+(:class:`_NativeFcatSession`, :func:`_run_native`).  The two consume the
+generator identically, so which one ran never shows in a result, and the
+Python walk stays the reference the tests hold the C loop to and the
+fallback (also for the ``exact`` and ``average`` estimators).  The paper's
 section IV-E imperfections and the capture extension are channel
 *outcomes* taken as data: each is one uniform from the same amortized
 block that supplies the ranks -- one per singleton (CRC), per stored
@@ -37,7 +42,9 @@ one-slot ``p = 1`` frame.
 
 Under an active observation each frame appends one tuple to a row list
 the batch's sessions share, in lockstep order, and each termination probe
-a ``(slot_index, outcome)`` row.  :func:`batched_fcat_sessions` hands the
+a ``(slot_index, outcome)`` row; the C loop writes the same rows to a
+buffer that becomes those tuples when the batch ends.
+:func:`batched_fcat_sessions` hands the
 rows to the event stream once, as a frame block
 (:meth:`repro.obs.events.EventStream.record_frames`) that stands for the
 ``frame``, ``estimator_update`` and ``termination_probe`` events and
@@ -69,7 +76,7 @@ import numpy as np
 
 from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.core.estimator import EmbeddedEstimator
-from repro.core.fcat import Fcat
+from repro.core.fcat import Fcat, FcatConfig
 from repro.kernels import native
 from repro.kernels.frame import (RankSource, draw_slot_counts,
                                  resample_duplicate_slots)
@@ -77,6 +84,12 @@ from repro.kernels.records import KernelRecordStore
 from repro.obs import scope
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import ReadingResult
+
+
+def _runaway(max_slots: int) -> RuntimeError:
+    """The runaway guard's error."""
+    return RuntimeError(f"FCAT session exceeded {max_slots} slots -- "
+                        "estimator or termination logic is stuck")
 
 
 def _draw_free(channel: ChannelModel) -> bool:
@@ -116,7 +129,7 @@ class _FcatKernelSession:
         # Hot-loop invariants, hoisted once: `_run_frame` runs hundreds of
         # times per session and each dotted config read costs two lookups.
         self.frame_size = config.frame_size
-        self.max_p = config.max_report_probability
+        self.max_p = float(config.max_report_probability)
         #: The batch's shared telemetry rows; ``None`` when unobserved.
         self.rows = rows
         # The channel as data: the walk draws an outcome uniform only
@@ -158,9 +171,7 @@ class _FcatKernelSession:
         """Open ``n_slots`` slots behind one reader advertisement."""
         self.result.advertisements += 1
         if self.slot_index >= self.max_slots:
-            raise RuntimeError(
-                f"FCAT session exceeded {self.max_slots} slots -- "
-                "estimator or termination logic is stuck")
+            raise _runaway(self.max_slots)
         self.slot_index += n_slots
 
     def _run_frame(self) -> int:
@@ -574,46 +585,69 @@ class _FcatKernelSession:
         return n_empty, n_collision
 
 
-_INT64 = np.dtype(np.int64)
-
-#: Indices into the native walk's counters (the enum in ``fcat_walk.c``).
+#: Indices into the native loop's counters (the enum in ``fcat_walk.c``).
 (_EMPTY, _COLLISION, _ACTIVE, _LEARNED, _TRANSMISSIONS, _EMPTY_SLOTS,
- _SINGLETON_SLOTS, _COLLISION_SLOTS, _READ, _RESOLVED) = range(10)
+ _SINGLETON_SLOTS, _COLLISION_SLOTS, _READ, _RESOLVED, _FRAMES,
+ _ADVERTISEMENTS, _SLOT_INDEX, _ESTIMATES, _N_STATS) = range(15)
+
+#: The native loop's error statuses (the enum in ``fcat_walk.c``).
+_CALLBACK, _NOMEM, _RUNAWAY, _ZERO_DIVISION = -1, -2, -3, -4
+
+#: A probe row's outcome, by the code ``fcat_walk.c`` writes.
+_PROBE_OUTCOMES = ("empty", "singleton", "collision")
+
+
+def _runs_natively(config: FcatConfig) -> bool:
+    """Whether ``fcat_walk.c`` implements the session's estimator.
+
+    It implements Eq. 12 in modes ``ewma`` and ``last``.  The ``exact``
+    inversion (scipy) and the ``average`` mode, whose ``sum()`` rounding
+    varies by Python version, run the Python walk.
+    """
+    return (config.estimator_method == "paper"
+            and config.estimator_mode != "average")
 
 
 class _NativeFcatSession(_FcatKernelSession):
-    """The same session with its frames walked by ``fcat_walk.c``.
+    """The same session, run by ``fcat_walk.c``.
 
-    Only the walk moves: the slot counts, ``p``, the runaway guard, the
-    estimator and the telemetry rows stay in :class:`_FcatKernelSession`.
-    The C walk holds the roster and the record store, so neither is also
-    built in Python.  It reads the uniform block that :class:`RankSource`
-    refills, and calls back into Python for refills and for
-    :func:`resample_duplicate_slots`.  A callback that raises records
-    its exception; the walk aborts the frame and :meth:`_walked`
-    re-raises it.  :meth:`close` folds the walk's counters into the
-    result and frees the C state.
+    The inherited constructor validates the configuration and builds the
+    result and the estimator exactly as the Python session does;
+    :meth:`_init_walk` hands the settings, the estimator's start and the
+    generator's ``bitgen_t`` to C, which then holds the roster, the record
+    store, the uniform block and the estimator.  :func:`_run_native`
+    advances a whole batch in one call; C calls back into Python only for
+    :func:`resample_duplicate_slots`.  A callback that raises records its
+    exception and the batch stops; :func:`_run_native` re-raises it.
+    :meth:`close` folds the C counters and estimate trace into the result
+    and frees the C state.
     """
 
     def _init_walk(self, n_tags: int, lam: int) -> None:
         self._lib = native.library()
         self._error: BaseException | None = None
-        # The callbacks must outlive the C session that calls them.
-        self._callbacks = (native.REFILL(self._refill),
-                           native.REPAIR(self._repair))
+        estimator = self.estimator
+        config = native.Config(
+            n_tags, lam, self.frame_size, self.max_slots, self.omega,
+            self.max_p, estimator._remaining, estimator.mode == "last",
+            estimator.source == "empty", estimator.ewma_weight,
+            *self.outcome_probs, self.draw_free)
+        # The callback must outlive the C session that calls it.
+        self._callback = native.REPAIR(self._repair)
         self._session = self._lib.fcat_new(
-            n_tags, lam, *self.outcome_probs, self.draw_free,
-            *self._callbacks)
+            ctypes.byref(config), self.rng.bit_generator.ctypes.bit_generator,
+            self._callback)
         if not self._session:
-            raise MemoryError("the native FCAT walk could not allocate "
+            raise MemoryError("the native FCAT loop could not allocate "
                               f"{n_tags} tags")
-        self._stats = self._lib.fcat_stats(self._session)
-        self._counts_type = ctypes.c_int64 * self.frame_size
 
     def close(self) -> None:
         if not self._session:
             return
-        stats, result = self._stats, self.result
+        stats = self._lib.fcat_stats(self._session)[:_N_STATS]
+        result = self.result
+        result.frames += stats[_FRAMES]
+        result.advertisements += stats[_ADVERTISEMENTS]
         result.tag_transmissions += stats[_TRANSMISSIONS]
         result.empty_slots += stats[_EMPTY_SLOTS]
         result.singleton_slots += stats[_SINGLETON_SLOTS]
@@ -621,48 +655,18 @@ class _NativeFcatSession(_FcatKernelSession):
         result.n_read += stats[_READ]
         result.resolved_from_collision += stats[_RESOLVED]
         result.index_announcements += stats[_RESOLVED]
+        if stats[_ESTIMATES]:
+            result.estimate_trace += \
+                self._lib.fcat_trace(self._session)[:stats[_ESTIMATES]]
         self._lib.fcat_free(self._session)
-        self._session = self._stats = self._callbacks = None
+        self._session = self._callback = None
 
-    def _walk_frame(self, counts: np.ndarray,
-                    saturated: bool) -> tuple[int, int]:
-        # `from_buffer` checks size and contiguity; the dtype is ours.
-        if counts.dtype is not _INT64:
-            raise TypeError(f"slot counts must be int64, not {counts.dtype}")
-        return self._walked(self._lib.fcat_frame(
-            self._session, self._counts_type.from_buffer(counts),
-            self.frame_size, saturated))
-
-    def _walk_probe(self) -> tuple[int, int]:
-        return self._walked(self._lib.fcat_probe(self._session))
-
-    def _walked(self, status: int) -> tuple[int, int]:
-        """The walk's ``(empty, collision)``, or what made it abort."""
-        if status:
-            error, self._error = self._error, None
-            if error is not None:
-                raise error
-            raise MemoryError("the native FCAT walk ran out of memory")
-        stats = self._stats
-        self.n_active = stats[_ACTIVE]
-        self.n_learned = stats[_LEARNED]
-        return stats[_EMPTY], stats[_COLLISION]
-
-    # -- callbacks from the C walk -------------------------------------------
-
-    def _refill(self, need: int, length) -> int | None:
-        try:
-            block = self.ranks.refill(need)
-            length[0] = len(block)
-            return block.ctypes.data
-        except BaseException as error:  # ctypes would print and drop it
-            self._error = error
-            return None
-
-    def _repair(self, counts, n_counts: int, ranks, total: int) -> int:
+    def _repair(self, counts, n_counts: int, ranks, total: int,
+                n_active: int) -> int:
+        """The C loop's callback for one frame's duplicate repair."""
         try:
             drawn = ranks[:total]
-            if not resample_duplicate_slots(self.rng, self.n_active,
+            if not resample_duplicate_slots(self.rng, n_active,
                                             counts[:n_counts], drawn):
                 return 0
             np.ctypeslib.as_array(ranks, (total,))[:] = drawn
@@ -670,6 +674,37 @@ class _NativeFcatSession(_FcatKernelSession):
         except BaseException as error:  # ctypes would print and drop it
             self._error = error
             return -1
+
+
+def _run_native(lib: ctypes.CDLL, sessions: list[_NativeFcatSession],
+                rows: list[tuple] | None) -> None:
+    """Run a batch in one ``fcat_run`` call, which releases the GIL.
+
+    Its telemetry rows become the Python walk's row tuples, in the same
+    lockstep order -- also when the batch stops on an error, so the frames
+    run before it stay readable.
+    """
+    handles = (ctypes.c_void_p * len(sessions))(
+        *[session._session for session in sessions])
+    table = native.Rows()
+    status = lib.fcat_run(handles, len(handles),
+                          None if rows is None else ctypes.byref(table))
+    if table.len:
+        records = np.frombuffer(
+            (ctypes.c_char * (table.len * native.ROW.itemsize)).from_address(
+                table.data), native.ROW).tolist()
+        rows += [row if row[6] >= 0 else (row[0], _PROBE_OUTCOMES[row[2]])
+                 for row in records]
+        lib.fcat_rows_free(ctypes.byref(table))
+    if status == _RUNAWAY:
+        raise _runaway(sessions[0].max_slots)
+    if status == _CALLBACK:
+        raise next(session._error for session in sessions
+                   if session._error is not None)
+    if status == _ZERO_DIVISION:
+        raise ZeroDivisionError("float division by zero")
+    if status:
+        raise MemoryError("the native FCAT loop ran out of memory")
 
 
 # repro: kernel scalar=repro.core.fcat:_FcatSession.run test=tests/kernels/test_fcat_kernel.py
@@ -683,7 +718,9 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     Each session owns its generator, so results are independent of batch
     composition and chunking -- the basis of the kernel-v2 bit-identity
     guarantee (``docs/performance.md``).  Sessions drop out of the batch
-    as they terminate.
+    as they terminate.  Wherever :func:`repro.kernels.native.library`
+    loads and the estimator is one ``fcat_walk.c`` implements, the whole
+    batch runs in one native call; otherwise the Python walk runs it.
 
     Under an active observation the sessions share one telemetry row
     list, handed to the event stream once when the batch ends -- also when
@@ -691,19 +728,24 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     """
     obs = scope.active()
     rows: list[tuple] | None = None if obs is None else []
-    python_walk = native.library() is None
+    lib = native.library()
+    run_natively = lib is not None and _runs_natively(protocol.config)
     sessions: list[_FcatKernelSession] = []
     try:
         for rng in rngs:
             args = (protocol.name, protocol, n_tags, rng, channel, timing,
                     rows)
-            sessions.append(_FcatKernelSession(*args) if python_walk
-                            else _NativeFcatSession(*args))
-        # Lockstep frame loop: each round advances every live session by
-        # one frame.
-        alive = sessions
-        while alive:
-            alive = [session for session in alive if not session.step()]
+            sessions.append(_NativeFcatSession(*args) if run_natively
+                            else _FcatKernelSession(*args))
+        if run_natively:
+            _run_native(lib, sessions, rows)
+        else:
+            # Lockstep frame loop: each round advances every live session
+            # by one frame.
+            alive = sessions
+            while alive:
+                alive = [session for session in alive
+                         if not session.step()]
     finally:
         for session in sessions:
             session.close()
@@ -718,11 +760,12 @@ def _record_telemetry(obs: scope.Observation, name: str, rows: list[tuple],
     if not rows:
         return  # no frame ran: nothing to record, no instrument to create
     obs.events.record_frames(name, rows)
-    histogram = obs.metrics.histogram("estimator.rel_error")
-    for row in rows:
-        if len(row) > 2:  # a frame row, not a termination probe
-            estimate, actual = row[5], row[6]
-            histogram.observe(abs(estimate - actual) / max(actual, 1))
+    # |estimate - actual| / max(actual, 1) per frame row (not the probes'),
+    # in row order: the same float operations, element by element.
+    *_, estimates, actual = zip(*[row for row in rows if len(row) > 2])
+    actual = np.array(actual)
+    obs.metrics.histogram("estimator.rel_error").observe_many(
+        np.abs(np.array(estimates) - actual) / np.maximum(actual, 1))
     resolved = sum(session.result.resolved_from_collision
                    for session in sessions)
     if resolved:

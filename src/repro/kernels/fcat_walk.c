@@ -1,23 +1,37 @@
 /*
- * The FCAT kernel's frame walk, in C.
+ * The FCAT kernel's batch loop, in C.
  *
- * A port of the Python walk in repro/kernels/fcat.py (`_walk_frame`,
- * `_replay`, `_apply_removals` and the termination probe's walk), which
- * stays the reference: the two consume the session's generator
- * identically and give bit-identical results on every channel.  What
- * stays in Python is reached through two callbacks:
+ * A port of the Python session in repro/kernels/fcat.py
+ * (`_FcatKernelSession`: `_run_frame`, `_walk_frame`, `_replay`,
+ * `_apply_removals`, the termination probe and the estimator update),
+ * which stays the reference: the two consume each session's generator
+ * identically and give bit-identical results on every channel.  One call,
+ * `fcat_run`, runs a whole batch in frame lockstep, so the caller releases
+ * the GIL once per batch.
  *
- *   refill(need, &len)   a fresh uniform block by RankSource's refill
- *                        rule; returns the block, NULL on error;
- *   repair(counts, n, ranks, total)
+ * The generator is the session's numpy bit generator, reached through its
+ * `bitgen_t`.  Slot counts come from numpy's own `random_binomial` (the
+ * function `Generator.binomial` calls, linked from libnpyrandom.a), and
+ * the uniform block from `random_standard_uniform_fill` (what
+ * `Generator.random` calls), so both draw exactly what the Python walk's
+ * numpy calls draw.  The estimator is `EmbeddedEstimator.update` for
+ * method "paper" in modes "ewma" and "last": the same `log` calls in the
+ * same operation order, built with -ffp-contract=off so that no product
+ * and sum fuse into an FMA.
+ *
+ * The duplicate repair stays in Python, behind one callback:
+ *
+ *   repair(counts, n, ranks, total, n_active)
  *                        resample_duplicate_slots over one frame's slot
  *                        segments, in place; 1 if anything changed, 0 if
  *                        not, -1 on error.
  *
- * Errors are sticky: a failed callback sets status -1, a failed
- * allocation -2, and the frame returns it.  A walk that has lost its
- * uniforms runs on to the end of the frame on 0.0 draws, which keep
- * every index in range; the caller discards the session.
+ * Errors are sticky and end the batch: a failed callback sets status
+ * FCAT_CALLBACK, a failed allocation FCAT_NOMEM, the runaway guard
+ * FCAT_RUNAWAY and a log(1 - p) of zero FCAT_ZERO_DIVISION (the Python
+ * estimator's ZeroDivisionError).  A walk that has lost its uniforms runs
+ * on to the end of the frame on 0.0 draws, which keep every index in
+ * range; the caller discards the session.
  *
  * Layout.  The roster is `items` (active tag indices) with `where[tag]`
  * each one's position.  A record is an arena slice [count, n_parts,
@@ -29,16 +43,27 @@
  * cancel set.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
+#include "numpy/random/distributions.h"
+
 typedef int64_t i64;
 typedef int32_t i32;
 
-typedef const double *(*refill_fn)(i64 need, i64 *len_out);
 typedef int (*repair_fn)(const i64 *counts, i64 n_counts, i64 *ranks,
-                         i64 total);
+                         i64 total, i64 n_active);
+
+/* Batch status codes (fcat.py names them). */
+enum {
+    FCAT_OK = 0,
+    FCAT_CALLBACK = -1,
+    FCAT_NOMEM = -2,
+    FCAT_RUNAWAY = -3,
+    FCAT_ZERO_DIVISION = -4
+};
 
 /* The counters Python reads back, by index (fcat.py names them). */
 enum {
@@ -52,20 +77,62 @@ enum {
     ST_COLLISION_SLOTS,
     ST_READ,
     ST_RESOLVED,
+    ST_FRAMES,
+    ST_ADVERTISEMENTS,
+    ST_SLOT_INDEX,
+    ST_ESTIMATES,       /* length of the estimate trace */
     N_STATS
 };
+
+/* What a session is configured with (fcat.py's `native.Config`). */
+typedef struct {
+    i64 n_tags, lam, frame_size, max_slots;
+    double omega, max_p;
+    /* The estimator: its start, mode "last" (else "ewma"), source
+     * "empty" (else "collision") and EWMA weight. */
+    double initial_guess;
+    i32 mode_last, source_empty;
+    double ewma_weight;
+    /* The channel's outcome probabilities, and whether all are zero. */
+    double crc_p, ack_p, unusable_p, capture_p;
+    i32 draw_free;
+} Config;
+
+/* One telemetry row: a frame, or a probe when `actual` is -1 (then
+ * `index` is the probe's slot and `empty` its outcome: 0 empty,
+ * 1 singleton, 2 collision). */
+typedef struct {
+    i64 index;
+    double p;
+    i64 empty, singleton, collision;
+    double estimate;
+    i64 actual;
+} Row;
+
+typedef struct {
+    Row *data;
+    i64 len, cap;
+} Rows;
+
+#define BLOCK 4096  /* RankSource._BLOCK */
 
 typedef struct {
     i64 stats[N_STATS];
     int status;
-    i64 lam;
-    double crc_p, ack_p, unusable_p, capture_p;
-    int draw_free;
-    refill_fn refill;
+    Config c;
+    bitgen_t *bitgen;
+    binomial_t binomial;
     repair_fn repair;
-    /* The uniform block (owned by Python) and the read position. */
-    const double *buf;
-    i64 pos, len;
+    /* The estimator's running estimate, and whether it has a sample. */
+    double remaining;
+    int has_samples;
+    double *trace;
+    i64 trace_cap;
+    /* The uniform block and the read position. */
+    double *block;
+    i64 block_cap, pos, len;
+    /* This frame's slot counts. */
+    i64 *counts;
     /* Roster and learned flags. */
     i32 *items, *where;
     unsigned char *learned;
@@ -102,7 +169,7 @@ static int grow(void **array, i64 *cap, i64 need, size_t size)
         cap2 *= 2;
     void *grown = realloc(*array, (size_t)cap2 * size);
     if (grown == NULL)
-        return -2;
+        return FCAT_NOMEM;
     *array = grown;
     *cap = cap2;
     return 0;
@@ -112,6 +179,9 @@ void fcat_free(Session *s)
 {
     if (s == NULL)
         return;
+    free(s->trace);
+    free(s->block);
+    free(s->counts);
     free(s->items);
     free(s->where);
     free(s->learned);
@@ -132,22 +202,18 @@ void fcat_free(Session *s)
     free(s);
 }
 
-Session *fcat_new(i64 n_tags, i64 lam, double crc_p, double ack_p,
-                  double unusable_p, double capture_p, int draw_free,
-                  refill_fn refill, repair_fn repair)
+Session *fcat_new(const Config *c, bitgen_t *bitgen, repair_fn repair)
 {
     Session *s = calloc(1, sizeof(Session));
     if (s == NULL)
         return NULL;
+    i64 n_tags = c->n_tags;
     size_t n = (size_t)(n_tags > 0 ? n_tags : 1);
-    s->lam = lam;
-    s->crc_p = crc_p;
-    s->ack_p = ack_p;
-    s->unusable_p = unusable_p;
-    s->capture_p = capture_p;
-    s->draw_free = draw_free;
-    s->refill = refill;
+    s->c = *c;
+    s->bitgen = bitgen;
     s->repair = repair;
+    s->remaining = c->initial_guess;
+    s->counts = malloc((size_t)c->frame_size * sizeof(i64));
     s->items = malloc(n * sizeof(i32));
     s->where = malloc(n * sizeof(i32));
     s->learned = calloc(n, 1);
@@ -159,9 +225,9 @@ Session *fcat_new(i64 n_tags, i64 lam, double crc_p, double ack_p,
     s->segment = malloc(n * sizeof(i64));
     s->parts = malloc(n * sizeof(i32));
     s->removed = malloc(n * sizeof(i32));
-    if (!s->items || !s->where || !s->learned || !s->head || !s->tail
-        || !s->seen || !s->cancelled || !s->last_pos || !s->segment
-        || !s->parts || !s->removed) {
+    if (!s->counts || !s->items || !s->where || !s->learned || !s->head
+        || !s->tail || !s->seen || !s->cancelled || !s->last_pos
+        || !s->segment || !s->parts || !s->removed) {
         fcat_free(s);
         return NULL;
     }
@@ -180,17 +246,25 @@ i64 *fcat_stats(Session *s)
     return s->stats;
 }
 
-/* Make `need` uniforms readable from s->pos: RankSource's refill rule. */
+/* The per-frame estimates, `stats[ST_ESTIMATES]` of them. */
+double *fcat_trace(Session *s)
+{
+    return s->trace;
+}
+
+/* Make `need` uniforms readable from s->pos: RankSource's refill rule (a
+ * fresh block of max(BLOCK, need), the leftovers discarded). */
 static int reserve(Session *s, i64 need)
 {
     if (s->pos + need > s->len) {
-        i64 len = 0;
-        const double *buf = s->status ? NULL : s->refill(need, &len);
-        if (buf == NULL) {
-            s->status = -1;
-            return -1;
+        i64 len = need > BLOCK ? need : BLOCK;
+        if (s->status
+            || grow((void **)&s->block, &s->block_cap, len, sizeof(double))) {
+            if (!s->status)
+                s->status = FCAT_NOMEM;
+            return s->status;
         }
-        s->buf = buf;
+        random_standard_uniform_fill(s->bitgen, len, s->block);
         s->len = len;
         s->pos = 0;
     }
@@ -202,7 +276,7 @@ static inline double uniform(Session *s)
 {
     if (s->pos == s->len && reserve(s, 1))
         return 0.0;
-    return s->buf[s->pos++];
+    return s->block[s->pos++];
 }
 
 /* Append arena record `rec` to `tag`'s pending list. */
@@ -212,7 +286,7 @@ static void enlist(Session *s, i32 tag, i64 rec)
         i64 cap = s->nodes_cap, next_cap = s->nodes_cap;
         if (grow((void **)&s->node_rec, &cap, s->n_nodes + 1, sizeof(i64))
             || grow((void **)&s->node_next, &next_cap, cap, sizeof(i64))) {
-            s->status = -2;
+            s->status = FCAT_NOMEM;
             return;
         }
         s->nodes_cap = cap;
@@ -232,7 +306,7 @@ static void store_record(Session *s, const i32 *tags, i64 k)
 {
     if (grow((void **)&s->arena, &s->arena_cap, s->arena_len + k + 2,
              sizeof(i32))) {
-        s->status = -2;
+        s->status = FCAT_NOMEM;
         return;
     }
     i64 rec = s->arena_len;
@@ -277,7 +351,7 @@ static void resolve(Session *s, Walk *w, i32 tag)
 {
     s->learned[tag] = 1;
     w->n_resolved++;
-    if (s->ack_p == 0.0 || uniform(s) >= s->ack_p) {
+    if (s->c.ack_p == 0.0 || uniform(s) >= s->c.ack_p) {
         s->removed[s->n_removed++] = tag;
         cancel_later(s, w, s->where[tag]);
     }
@@ -286,7 +360,7 @@ static void resolve(Session *s, Walk *w, i32 tag)
         return;
     if (grow((void **)&s->stack, &s->stack_cap, s->stack_len + 1,
              sizeof(i64))) {
-        s->status = -2;
+        s->status = FCAT_NOMEM;
         return;
     }
     s->stack[s->stack_len++] = pending;
@@ -362,8 +436,9 @@ static int repair_slots(Session *s, const i64 *counts, i64 n_counts,
                         i64 total)
 {
     if (slot_dups(s, counts, n_counts)
-        && s->repair(counts, n_counts, s->ranks, total) < 0)
-        s->status = -1;
+        && s->repair(counts, n_counts, s->ranks, total,
+                     s->stats[ST_ACTIVE]) < 0)
+        s->status = FCAT_CALLBACK;
     return s->status;
 }
 
@@ -372,10 +447,10 @@ static int repair_slots(Session *s, const i64 *counts, i64 n_counts,
 static int draw_ranks(Session *s, i64 n, i64 total)
 {
     if (grow((void **)&s->ranks, &s->ranks_cap, total, sizeof(i64)))
-        return s->status = -2;
+        return s->status = FCAT_NOMEM;
     if (reserve(s, total))
         return s->status;
-    const double *u = s->buf + s->pos;
+    const double *u = s->block + s->pos;
     double scale = (double)n;
     for (i64 i = 0; i < total; i++)
         s->ranks[i] = (i64)(u[i] * scale);
@@ -402,9 +477,9 @@ static void apply_removals(Session *s)
 static int replay(Session *s, const i64 *counts, i64 n_counts,
                   int has_dups)
 {
-    const i64 lam = s->lam;
-    const double crc_p = s->crc_p, ack_p = s->ack_p;
-    const double unusable_p = s->unusable_p, capture_p = s->capture_p;
+    const i64 lam = s->c.lam;
+    const double crc_p = s->c.crc_p, ack_p = s->c.ack_p;
+    const double unusable_p = s->c.unusable_p, capture_p = s->c.capture_p;
     const i64 *ranks = s->ranks;
     i32 *items = s->items;
     unsigned char *learned = s->learned;
@@ -523,11 +598,11 @@ static int replay(Session *s, const i64 *counts, i64 n_counts,
  * tag can be learned, and only its 2 <= k <= lam slots are observable. */
 static int record_frame(Session *s, const i64 *counts, i64 frame_size)
 {
-    i64 lam = s->lam;
+    i64 lam = s->c.lam;
     i64 total = 0, record_total = 0, n_records = 0, n_empty = 0;
     if (grow((void **)&s->record_counts, &s->record_counts_cap, frame_size,
              sizeof(i64)))
-        return s->status = -2;
+        return s->status = FCAT_NOMEM;
     for (i64 i = 0; i < frame_size; i++) {
         i64 k = counts[i];
         total += k;
@@ -559,8 +634,9 @@ static int record_frame(Session *s, const i64 *counts, i64 frame_size)
     return s->status;
 }
 
-/* One frame from its slot counts; `saturated` is p >= 1. */
-int fcat_frame(Session *s, const i64 *counts, i64 frame_size, int saturated)
+/* Walk one frame of slot counts: the Python `_walk_frame`. */
+static int walk_frame(Session *s, const i64 *counts, i64 frame_size,
+                      int saturated)
 {
     i64 n_active = s->stats[ST_ACTIVE];
     i64 total = 0;
@@ -569,12 +645,12 @@ int fcat_frame(Session *s, const i64 *counts, i64 frame_size, int saturated)
         total += counts[i];
         singleton |= counts[i] == 1;
     }
-    if (total == 0 || (s->draw_free && !singleton))
+    if (total == 0 || (s->c.draw_free && !singleton))
         return record_frame(s, counts, frame_size);
     if (saturated) {
         /* Every active tag in every slot. */
         if (grow((void **)&s->ranks, &s->ranks_cap, total, sizeof(i64)))
-            return s->status = -2;
+            return s->status = FCAT_NOMEM;
         for (i64 i = 0; i < total; i++)
             s->ranks[i] = i % n_active;
     } else if (draw_ranks(s, n_active, total)) {
@@ -589,14 +665,197 @@ int fcat_frame(Session *s, const i64 *counts, i64 frame_size, int saturated)
     return replay(s, counts, frame_size, has_dups);
 }
 
-/* The termination probe's walk: one slot every active tag transmits in. */
-int fcat_probe(Session *s)
+/* One frame's slot counts: `draw_slot_counts`, whose numpy binomial is
+ * the `random_binomial` called here slot by slot. */
+static void draw_counts(Session *s, i64 n_active, double p)
 {
-    i64 n_active = s->stats[ST_ACTIVE];
-    if (grow((void **)&s->ranks, &s->ranks_cap, n_active, sizeof(i64)))
-        return s->status = -2;
+    i64 *counts = s->counts;
+    i64 frame_size = s->c.frame_size;
+    for (i64 i = 0; i < frame_size; i++) {
+        if (n_active == 0 || p == 0.0)
+            counts[i] = 0;
+        else if (p >= 1.0)
+            counts[i] = n_active;
+        else
+            counts[i] = random_binomial(s->bitgen, p, n_active,
+                                        &s->binomial);
+    }
+}
+
+/* Python's max(a, b) on floats: `b` only when it is greater. */
+static inline double py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+/* `EmbeddedEstimator.update` for method "paper", modes "ewma"/"last".
+ * Python's int operands become doubles exactly where Python converts
+ * them. */
+static void estimate(Session *s, i64 n_c, i64 n_empty, double p,
+                     i64 newly_identified)
+{
+    const Config *c = &s->c;
+    double f = (double)c->frame_size;
+    int saturated = c->source_empty ? n_empty == 0 : n_c >= c->frame_size;
+    if (saturated && !s->has_samples) {
+        /* Saturated while still blind: double and re-probe. */
+        s->remaining = py_max(s->remaining * 2.0, 2.0);
+        return;
+    }
+    if (p <= 0.0 || p >= 1.0)
+        return;  /* degenerate advertisement; nothing to invert */
+    double participating, denominator;
+    if (c->source_empty) {
+        double numerator = log(py_max((double)n_empty, 0.5) / f);
+        denominator = log(1.0 - p);
+        participating = numerator / denominator;
+    } else {
+        /* A saturated frame inverts at the half-count boundary. */
+        double n_c_eff = saturated ? f - 0.5 : (double)n_c;
+        double numerator = log(1.0 - n_c_eff / f) - log(1.0 - p + c->omega);
+        denominator = log(1.0 - p);
+        participating = numerator / denominator + 1.0;
+    }
+    if (denominator == 0.0) {
+        s->status = FCAT_ZERO_DIVISION;
+        return;
+    }
+    participating = py_max(participating, 0.0);
+    s->has_samples = 1;
+    double fresh = py_max(participating - (double)newly_identified, 0.0);
+    if (c->mode_last) {
+        s->remaining = fresh;
+    } else {
+        double prior = py_max(s->remaining - (double)newly_identified, 0.0);
+        s->remaining = c->ewma_weight * fresh
+                       + (1.0 - c->ewma_weight) * prior;
+    }
+}
+
+/* Open `n_slots` slots behind one advertisement, or trip the guard. */
+static int advertise(Session *s, i64 n_slots)
+{
+    s->stats[ST_ADVERTISEMENTS]++;
+    if (s->stats[ST_SLOT_INDEX] >= s->c.max_slots)
+        return s->status = FCAT_RUNAWAY;
+    s->stats[ST_SLOT_INDEX] += n_slots;
+    return 0;
+}
+
+static Row *next_row(Session *s, Rows *rows)
+{
+    if (grow((void **)&rows->data, &rows->cap, rows->len + 1, sizeof(Row))) {
+        s->status = FCAT_NOMEM;
+        return NULL;
+    }
+    return rows->data + rows->len++;
+}
+
+/* Draw, walk and estimate one frame: `_run_frame`.  Returns its empty
+ * slot count. */
+static i64 run_frame(Session *s, Rows *rows)
+{
+    i64 *st = s->stats;
+    i64 frame_size = s->c.frame_size;
+    i64 learned_at_start = st[ST_LEARNED];
+    double remaining = s->remaining;
+    if (remaining < 1.0)
+        remaining = 1.0;
+    double p = s->c.omega / remaining;
+    if (p > s->c.max_p)
+        p = s->c.max_p;
+    st[ST_FRAMES]++;
+    if (advertise(s, frame_size))
+        return 0;
+    draw_counts(s, st[ST_ACTIVE], p);
+    if (walk_frame(s, s->counts, frame_size, p >= 1.0))
+        return 0;
+    i64 n_empty = st[ST_EMPTY], n_collision = st[ST_COLLISION];
+    estimate(s, n_collision, n_empty, p, st[ST_LEARNED] - learned_at_start);
+    if (s->status)
+        return 0;
+    if (grow((void **)&s->trace, &s->trace_cap, st[ST_ESTIMATES] + 1,
+             sizeof(double))) {
+        s->status = FCAT_NOMEM;
+        return 0;
+    }
+    remaining = s->remaining;
+    s->trace[st[ST_ESTIMATES]++] = remaining > 1.0 ? remaining : 1.0;
+    if (rows != NULL) {
+        Row *row = next_row(s, rows);
+        if (row == NULL)
+            return 0;
+        *row = (Row){st[ST_FRAMES] - 1, p, n_empty,
+                     frame_size - n_empty - n_collision, n_collision,
+                     py_max(remaining, 1.0), st[ST_ACTIVE]};
+    }
+    return n_empty;
+}
+
+/* One p = 1 slot after an all-empty frame: `_termination_probe`.
+ * Returns whether the session is done. */
+static int probe(Session *s, Rows *rows)
+{
+    i64 *st = s->stats;
+    i64 slot = st[ST_SLOT_INDEX];
+    if (advertise(s, 1))
+        return 0;
+    /* The frame walk over one slot that every active tag transmits in. */
+    i64 n_active = st[ST_ACTIVE];
+    if (grow((void **)&s->ranks, &s->ranks_cap, n_active, sizeof(i64))) {
+        s->status = FCAT_NOMEM;
+        return 0;
+    }
     for (i64 i = 0; i < n_active; i++)
         s->ranks[i] = i;
     stamp_ranks(s, n_active);
-    return replay(s, &n_active, 1, 0);
+    if (replay(s, &n_active, 1, 0))
+        return 0;
+    i64 n_empty = st[ST_EMPTY], n_collision = st[ST_COLLISION];
+    if (rows != NULL) {
+        Row *row = next_row(s, rows);
+        if (row == NULL)
+            return 0;
+        *row = (Row){slot, 0.0, n_empty ? 0 : n_collision ? 2 : 1, 0, 0,
+                     0.0, -1};
+    }
+    if (n_collision)
+        s->remaining = py_max(s->remaining, 2.0);
+    return n_empty != 0;
+}
+
+/* Run `n` sessions in frame lockstep until every one is done: each round
+ * advances every live session by one frame (and its probe).  Telemetry
+ * rows go to `rows` when it is not NULL.  Stops at the first error and
+ * returns its status. */
+int fcat_run(Session **sessions, i64 n, Rows *rows)
+{
+    Session **alive = malloc((size_t)(n > 0 ? n : 1) * sizeof(Session *));
+    if (alive == NULL)
+        return FCAT_NOMEM;
+    memcpy(alive, sessions, (size_t)n * sizeof(Session *));
+    int status = FCAT_OK;
+    while (n > 0 && status == FCAT_OK) {
+        i64 kept = 0;
+        for (i64 i = 0; i < n; i++) {
+            Session *s = alive[i];
+            int done = run_frame(s, rows) == s->c.frame_size
+                       && !s->status && probe(s, rows);
+            status = s->status;
+            if (status)
+                break;
+            if (!done)
+                alive[kept++] = s;
+        }
+        n = kept;
+    }
+    free(alive);
+    return status;
+}
+
+void fcat_rows_free(Rows *rows)
+{
+    free(rows->data);
+    rows->data = NULL;
+    rows->len = rows->cap = 0;
 }

@@ -1,17 +1,25 @@
-"""The native FCAT frame walk: build it on first use, load it, or decline.
+"""The native FCAT batch loop: build it on first use, load it, or decline.
 
-:mod:`repro.kernels.fcat` walks each frame in C when this module can
-hand it the compiled walk (``fcat_walk.c``, beside this file), and in
-Python otherwise; the two are bit-identical, so which one ran never shows
-in a result.  :func:`library` compiles the source with the system C
-compiler the first time an FCAT session asks for it -- never at import --
-into a per-user cache directory keyed by the source's SHA-256, and loads
-it with :class:`ctypes.PyDLL`, so a session keeps the GIL and stays
-single-threaded by construction.  The build writes a temporary file and
-renames it into place with :func:`os.replace`, so processes racing on a
-cold cache each load a complete library.  Any failure -- no compiler, a
-compile error, an unwritable cache -- makes :func:`library` return
-``None`` for the life of the process, and :data:`failure` says why.
+:mod:`repro.kernels.fcat` runs each batch of FCAT sessions in one C call
+when this module can hand it the compiled loop (``fcat_walk.c``, beside
+this file), and in Python otherwise; the two are bit-identical, so which
+one ran never shows in a result.  The C loop draws its slot counts with
+numpy's own binomial (``random_binomial`` from numpy's static
+``libnpyrandom.a``) on the session generator's ``bitgen_t``, so the build
+needs numpy's headers, the Python headers they include, and that library.
+
+:func:`library` compiles the source with the system C compiler the first
+time an FCAT session asks for it -- never at import -- into a per-user
+cache directory.  The cache key covers the source, the flags, numpy's
+version and the SHA-256 of ``libnpyrandom.a``, so a numpy upgrade
+rebuilds rather than keep an old binomial.  The library is loaded with
+:class:`ctypes.CDLL`, which releases the GIL for the length of each call:
+a batch runs while other threads (the service's event loop) keep going.
+The build writes a temporary file and renames it into place with
+:func:`os.replace`, so processes racing on a cold cache each load a
+complete library.  Any failure -- no compiler, a missing header or
+library, a compile error, an unwritable cache -- makes :func:`library`
+return ``None`` for the life of the process, and :data:`failure` says why.
 """
 
 from __future__ import annotations
@@ -21,51 +29,90 @@ import hashlib
 import os
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 import threading
 from pathlib import Path
 
-__all__ = ["REFILL", "REPAIR", "SOURCE", "failure", "library"]
+import numpy as np
 
-#: The walk's C source, shipped as package data.
+__all__ = ["Config", "REPAIR", "ROW", "Rows", "SOURCE", "failure", "inputs",
+           "library"]
+
+#: The loop's C source, shipped as package data.
 SOURCE = Path(__file__).with_name("fcat_walk.c")
 
 #: The compiler looked up on ``PATH``, and its flags (portable: no
-#: ``-march=native``, so a cached library runs on any host of the arch).
+#: ``-march=native``, so a cached library runs on any host of the arch;
+#: no FMA contraction, so the estimator rounds as Python does).
 COMPILER = "cc"
-FLAGS = ("-O2", "-shared", "-fPIC")
+FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: ``const double *refill(int64 need, int64 *len_out)``: a fresh uniform
-#: block of ``*len_out`` values, NULL on error.
-REFILL = ctypes.CFUNCTYPE(ctypes.c_void_p, ctypes.c_int64,
-                          ctypes.POINTER(ctypes.c_int64))
-#: ``int repair(const int64 *counts, int64 n, int64 *ranks, int64 total)``:
-#: 1 if the ranks changed, 0 if not, -1 on error.
+#: numpy's C headers, the Python headers they include, and numpy's static
+#: random library (the binomial ``Generator.binomial`` calls).
+NUMPY_INCLUDE = Path(np.get_include())
+PYTHON_INCLUDE = Path(sysconfig.get_paths()["include"])
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+#: ``int repair(const int64 *counts, int64 n, int64 *ranks, int64 total,
+#: int64 n_active)``: 1 if the ranks changed, 0 if not, -1 on error.
 REPAIR = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
                           ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
-                          ctypes.c_int64)
+                          ctypes.c_int64, ctypes.c_int64)
 
-#: Why the native walk is unavailable (``None`` while it is, or untried).
+
+class Config(ctypes.Structure):
+    """One session's settings (``Config`` in ``fcat_walk.c``)."""
+
+    _fields_ = [("n_tags", ctypes.c_int64), ("lam", ctypes.c_int64),
+                ("frame_size", ctypes.c_int64),
+                ("max_slots", ctypes.c_int64),
+                ("omega", ctypes.c_double), ("max_p", ctypes.c_double),
+                ("initial_guess", ctypes.c_double),
+                ("mode_last", ctypes.c_int32),
+                ("source_empty", ctypes.c_int32),
+                ("ewma_weight", ctypes.c_double),
+                ("crc_p", ctypes.c_double), ("ack_p", ctypes.c_double),
+                ("unusable_p", ctypes.c_double),
+                ("capture_p", ctypes.c_double),
+                ("draw_free", ctypes.c_int32)]
+
+
+#: One telemetry row (``Row`` in ``fcat_walk.c``), as a numpy record.
+ROW = np.dtype([("index", np.int64), ("p", np.float64),
+                ("empty", np.int64), ("singleton", np.int64),
+                ("collision", np.int64), ("estimate", np.float64),
+                ("actual", np.int64)])
+
+
+class Rows(ctypes.Structure):
+    """A batch's telemetry rows, grown by C (``Rows`` in ``fcat_walk.c``)."""
+
+    _fields_ = [("data", ctypes.c_void_p), ("len", ctypes.c_int64),
+                ("cap", ctypes.c_int64)]
+
+
+#: Why the native loop is unavailable (``None`` while it is, or untried).
 failure: str | None = None
 
 _lock = threading.Lock()
 _tried = False
-_library: ctypes.PyDLL | None = None
+_library: ctypes.CDLL | None = None
 
 
 def _cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "native"
 
 
-def library() -> ctypes.PyDLL | None:
-    """The loaded walk, building it on the first call; ``None`` if not."""
+def library() -> ctypes.CDLL | None:
+    """The loaded loop, building it on the first call; ``None`` if not."""
     global _tried, _library, failure
     if _tried:
         return _library
     with _lock:
         if not _tried:
             try:
-                _library = _declare(ctypes.PyDLL(str(_build())))
+                _library = _declare(ctypes.CDLL(str(_build())))
             except (OSError, RuntimeError, subprocess.SubprocessError) \
                     as error:
                 failure = f"{type(error).__name__}: {error}"
@@ -73,11 +120,29 @@ def library() -> ctypes.PyDLL | None:
     return _library
 
 
+def inputs() -> tuple[Path, ...]:
+    """The files a build reads besides the source: numpy's static random
+    library, the numpy header that declares its binomial, and the Python
+    header that one includes."""
+    return (NPYRANDOM, NUMPY_INCLUDE / "numpy" / "random" / "distributions.h",
+            PYTHON_INCLUDE / "Python.h")
+
+
+def _target() -> Path:
+    """The cached library's path, keyed by everything that shapes it."""
+    key = hashlib.sha256(SOURCE.read_bytes())
+    key.update(" ".join(FLAGS).encode())
+    key.update(np.__version__.encode())
+    key.update(hashlib.sha256(NPYRANDOM.read_bytes()).digest())
+    return _cache_dir() / f"fcat_walk-{key.hexdigest()[:16]}.so"
+
+
 def _build() -> Path:
-    """The compiled library for the current source, compiling on a miss."""
-    source = SOURCE.read_bytes()
-    digest = hashlib.sha256(source + " ".join(FLAGS).encode()).hexdigest()
-    target = _cache_dir() / f"fcat_walk-{digest[:16]}.so"
+    """The compiled library for the current inputs, compiling on a miss."""
+    for required in inputs():
+        if not required.is_file():
+            raise RuntimeError(f"missing {required}")
+    target = _target()
     if target.exists():
         return target
     compiler = shutil.which(COMPILER)
@@ -87,9 +152,10 @@ def _build() -> Path:
     handle, partial = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     os.close(handle)
     try:
-        built = subprocess.run([compiler, *FLAGS, "-o", partial,
-                                str(SOURCE)], capture_output=True,
-                               text=True, timeout=300)
+        built = subprocess.run(
+            [compiler, *FLAGS, f"-I{NUMPY_INCLUDE}", f"-I{PYTHON_INCLUDE}",
+             "-o", partial, str(SOURCE), str(NPYRANDOM), "-lm"],
+            capture_output=True, text=True, timeout=300)
         if built.returncode:
             raise RuntimeError(f"{COMPILER} failed: {built.stderr.strip()}")
         os.replace(partial, target)
@@ -99,20 +165,20 @@ def _build() -> Path:
     return target
 
 
-def _declare(lib: ctypes.PyDLL) -> ctypes.PyDLL:
+def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Attach the C signatures (see the prototypes in ``fcat_walk.c``)."""
-    i64, session = ctypes.c_int64, ctypes.c_void_p
+    session = ctypes.c_void_p
     lib.fcat_new.restype = session
-    lib.fcat_new.argtypes = [i64, i64, ctypes.c_double, ctypes.c_double,
-                             ctypes.c_double, ctypes.c_double, ctypes.c_int,
-                             REFILL, REPAIR]
-    lib.fcat_stats.restype = ctypes.POINTER(i64)
+    lib.fcat_new.argtypes = [ctypes.POINTER(Config), ctypes.c_void_p, REPAIR]
+    lib.fcat_stats.restype = ctypes.POINTER(ctypes.c_int64)
     lib.fcat_stats.argtypes = [session]
-    lib.fcat_frame.restype = ctypes.c_int
-    lib.fcat_frame.argtypes = [session, ctypes.POINTER(i64), i64,
-                               ctypes.c_int]
-    lib.fcat_probe.restype = ctypes.c_int
-    lib.fcat_probe.argtypes = [session]
+    lib.fcat_trace.restype = ctypes.POINTER(ctypes.c_double)
+    lib.fcat_trace.argtypes = [session]
+    lib.fcat_run.restype = ctypes.c_int
+    lib.fcat_run.argtypes = [ctypes.POINTER(session), ctypes.c_int64,
+                             ctypes.POINTER(Rows)]
+    lib.fcat_rows_free.restype = None
+    lib.fcat_rows_free.argtypes = [ctypes.POINTER(Rows)]
     lib.fcat_free.restype = None
     lib.fcat_free.argtypes = [session]
     return lib

@@ -1,18 +1,25 @@
-"""The native FCAT walk: bit-identical to the Python walk, or not used.
+"""The native FCAT loop: bit-identical to the Python walk, or not used.
 
-``fcat_walk.c`` ports the Python walk, which stays the reference.  The
-matrix below runs every channel, λ and population through both walks
-and compares everything a caller can see: each ``ReadingResult`` field,
-the telemetry, and the generator's state after the session.  The loader
-tests check that a missing compiler, a compile error or an unwritable
-cache each select the Python walk quietly, and that an exception raised
-in a callback from C reaches the caller.
+``fcat_walk.c`` runs a whole batch -- count draws, walk, estimator,
+termination probe and telemetry rows -- and the Python walk stays the
+reference.  The matrices below run channels, λ, populations and
+estimator settings through both and compare everything a caller can see:
+each ``ReadingResult`` field (the estimate trace float-exact), the
+telemetry, any error the batch raised, and the generator's state after
+the batch.  The loader tests check that a missing compiler, header or
+library, a compile error or an unwritable cache each select the Python
+walk quietly, and that the cache key follows numpy.  The last tests
+check that an exception raised in the repair callback reaches the
+caller, that the C state is freed on every exit, and that a batch
+releases the GIL.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import shutil
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,19 +48,44 @@ SMALL_N = (1, 2, 3, 30, 300)
 LARGE_N = 16_384
 
 needs_native = pytest.mark.skipif(
-    shutil.which(native.COMPILER) is None, reason="no C compiler on PATH")
+    shutil.which(native.COMPILER) is None
+    or not all(path.is_file() for path in native.inputs()),
+    reason="no C compiler on PATH, or numpy's headers or static random "
+           "library missing")
 
 
-def _session(protocol: Fcat, n_tags: int, seed: int,
-             channel: ChannelModel) -> tuple:
-    """Everything one observed session shows a caller."""
-    rng = np.random.default_rng(seed)
+def _observed(protocol: Fcat, n_tags: int, seeds,
+              channel: ChannelModel = PERFECT_CHANNEL) -> tuple:
+    """Everything one observed batch shows a caller, an error included."""
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    results, error = None, None
     with observe() as obs:
-        (result,) = batched_fcat_sessions(protocol, n_tags, [rng],
-                                          channel=channel)
-    return (dataclasses.asdict(result),
+        try:
+            results = batched_fcat_sessions(protocol, n_tags, rngs,
+                                            channel=channel)
+        except (RuntimeError, ZeroDivisionError) as raised:
+            error = repr(raised)
+    return ([dataclasses.asdict(result) for result in results or ()],
             [event.to_json() for event in obs.events.events],
-            obs.metrics.snapshot(), rng.bit_generator.state)
+            obs.metrics.snapshot(),
+            [rng.bit_generator.state for rng in rngs], error)
+
+
+def _on_both_walks(run, monkeypatch) -> tuple:
+    """``run()`` on the native loop, then on the Python walk."""
+    assert native.library() is not None, native.failure
+    mine = run()
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        reference = run()
+    return mine, reference
+
+
+def _saturated_singletons(events: list[dict]) -> int:
+    """Frames at p = 1 that read a tag: the saturated walk ran."""
+    return sum(1 for event in events if event["event"] == "frame"
+               and event["report_probability"] == 1.0
+               and event["singleton"])
 
 
 def _cases(channel: ChannelModel):
@@ -79,7 +111,12 @@ def _cases(channel: ChannelModel):
 
 
 def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
-    """Every case's session, and what the walks were seen to do."""
+    """Every case's session, and what the walks were seen to do.
+
+    Refills are counted where they run in Python (the Python walk's
+    :class:`RankSource`); the native loop refills in C, and the
+    generator states compared show it drew the same blocks.
+    """
     seen = {"refills mid-walk": 0, "repairs": 0, "saturated frames": 0}
     refill = RankSource.refill
     repair = fcat_kernel.resample_duplicate_slots
@@ -99,12 +136,8 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
         patch.setattr(fcat_kernel, "resample_duplicate_slots",
                       counting_repair)
         for protocol, n_tags, seed in _cases(channel):
-            session = _session(protocol, n_tags, seed, channel)
-            # A singleton in a p = 1 frame: the saturated walk ran.
-            seen["saturated frames"] += sum(
-                1 for event in session[1] if event["event"] == "frame"
-                and event["report_probability"] == 1.0
-                and event["singleton"])
+            session = _observed(protocol, n_tags, [seed], channel)
+            seen["saturated frames"] += _saturated_singletons(session[1])
             sessions.append(session)
     return sessions, seen
 
@@ -113,14 +146,15 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
 @pytest.mark.parametrize("channel_name", sorted(CHANNELS))
 def test_the_walks_are_bit_identical(channel_name, monkeypatch):
     channel = CHANNELS[channel_name]
-    assert native.library() is not None, native.failure
-    native_sessions, native_seen = _run_matrix(channel)
-    monkeypatch.setattr(native, "library", lambda: None)
-    python_sessions, python_seen = _run_matrix(channel)
+    (native_sessions, native_seen), (python_sessions, python_seen) = \
+        _on_both_walks(lambda: _run_matrix(channel), monkeypatch)
     for case, mine, reference in zip(_cases(channel), native_sessions,
                                      python_sessions):
         assert mine == reference, case
-    assert native_seen == python_seen
+    assert native_seen["refills mid-walk"] == 0
+    assert native_seen["repairs"] == python_seen["repairs"]
+    assert native_seen["saturated frames"] \
+        == python_seen["saturated frames"]
     # The matrix reaches the walk's rare paths.
     assert python_seen["repairs"] > 0
     assert python_seen["saturated frames"] > 0
@@ -128,10 +162,103 @@ def test_the_walks_are_bit_identical(channel_name, monkeypatch):
         == (channel != PERFECT_CHANNEL)
 
 
+#: The estimator matrix's channels: draw-free, and one that draws every
+#: outcome (capture included, which the empty source is immune to).
+ESTIMATOR_CHANNELS = (PERFECT_CHANNEL, ChannelModel(0.1, 0.1, 0.1, 0.1))
+
+
+@needs_native
+@pytest.mark.parametrize("source", ["collision", "empty"])
+@pytest.mark.parametrize("mode", ["ewma", "last"])
+def test_the_estimator_is_bit_identical(mode, source, monkeypatch):
+    """The C estimator against ``EmbeddedEstimator`` in each mode and
+    source, from a blind, the default and an exact start, at frame sizes
+    1, 2 and 30, with ``p`` capped at 1/2 and at 1 (saturated frames,
+    where the estimator returns without inverting).
+
+    Frames of one or two slots run at small N only: there the estimator
+    often livelocks until the runaway guard stops the session (61,000
+    slots at N = 300), which is compared too but costs seconds.
+    """
+    cases = [(Fcat(lam=lam, frame_size=frame_size, initial_estimate=start,
+                   max_report_probability=max_p, estimator_mode=mode,
+                   estimator_source=source), n_tags, channel)
+             for n_tags, lam, frame_sizes in ((3, 2, (1, 2, 30)),
+                                              (40, 3, (1, 2, 30)),
+                                              (300, 4, (30,)))
+             for start in (1.0, 64.0, float(n_tags))
+             for frame_size in frame_sizes
+             for max_p in (0.5, 1.0)
+             for channel in ESTIMATOR_CHANNELS]
+
+    def run_cases():
+        return [_observed(protocol, n_tags, range(2), channel)
+                for protocol, n_tags, channel in cases]
+
+    mine, reference = _on_both_walks(run_cases, monkeypatch)
+    for case, got, expected in zip(cases, mine, reference):
+        assert got == expected, case
+    assert sum(_saturated_singletons(events)
+               for _, events, *_ in reference) > 0
+    assert any(error is None for *_, error in reference)
+
+
+@needs_native
+def test_a_runaway_raise_is_bit_identical(monkeypatch):
+    """The guard stops a three-session batch mid-round: the rows written
+    before it, the error and the generator states match."""
+    protocol = Fcat(lam=3, max_slots_factor=0.0)
+    mine, reference = _on_both_walks(
+        lambda: _observed(protocol, 1000, range(3), ESTIMATOR_CHANNELS[1]),
+        monkeypatch)
+    assert mine == reference
+    results, events, _, _, error = mine
+    assert not results and "exceeded 1000 slots" in error
+    assert sum(1 for event in events if event["event"] == "frame") >= 90
+
+
+@needs_native
+def test_an_estimate_past_float_resolution_raises_on_both_walks(
+        monkeypatch):
+    """At an initial estimate of 10^17, ``1 - p`` rounds to 1 and Eq. 12
+    divides by ``log(1) = 0``: both walks raise Python's
+    ``ZeroDivisionError`` after the same frame."""
+    protocol = Fcat(lam=2, initial_estimate=1e17)
+    mine, reference = _on_both_walks(
+        lambda: _observed(protocol, 100, range(2)), monkeypatch)
+    assert mine == reference
+    assert "ZeroDivisionError" in mine[-1]
+
+
+@needs_native
+@pytest.mark.parametrize("estimator", [{"estimator_method": "exact"},
+                                       {"estimator_mode": "average"}])
+def test_estimators_the_c_loop_lacks_run_the_python_walk(estimator,
+                                                         monkeypatch):
+    calls = []
+    run_native = fcat_kernel._run_native
+
+    def counting_run_native(*args):
+        calls.append(args)
+        run_native(*args)
+
+    monkeypatch.setattr(fcat_kernel, "_run_native", counting_run_native)
+    protocol = Fcat(lam=2, initial_estimate=300.0, **estimator)
+    mine, reference = _on_both_walks(
+        lambda: _observed(protocol, 300, range(2), ESTIMATOR_CHANNELS[1]),
+        monkeypatch)
+    assert mine == reference
+    assert not calls
+    _observed(Fcat(lam=2), 300, range(2))
+    assert len(calls) == 1
+
+
 def test_the_native_walk_loads_where_a_compiler_exists():
-    """CI must not pass on the fallback alone: with ``cc`` on PATH the
-    walk has to build and load."""
-    if shutil.which(native.COMPILER) is None:
+    """CI must not pass on the fallback alone: with ``cc`` on PATH and
+    numpy's headers and static library present, the loop has to build
+    and load."""
+    if shutil.which(native.COMPILER) is None \
+            or not all(path.is_file() for path in native.inputs()):
         assert native.library() is None
     else:
         assert native.library() is not None, native.failure
@@ -185,7 +312,42 @@ def test_a_broken_build_selects_the_python_walk(breakage, fresh_loader,
     assert native.failure
 
 
-# -- callbacks and the C state's lifetime -------------------------------
+@pytest.mark.parametrize("missing", ["NPYRANDOM", "NUMPY_INCLUDE",
+                                     "PYTHON_INCLUDE"])
+def test_a_missing_build_input_selects_the_python_walk(missing,
+                                                       fresh_loader,
+                                                       monkeypatch):
+    """No static random library, no numpy header or no Python header:
+    the Python walk runs, and ``native.failure`` names the file."""
+    with monkeypatch.context() as patch:
+        patch.setattr(native, "library", lambda: None)
+        expected = _small_batch()
+    gone = fresh_loader / "gone"
+    monkeypatch.setattr(native, missing, gone)
+    assert _small_batch() == expected
+    assert native.library() is None
+    (named,) = [path for path in native.inputs() if gone in path.parents
+                or path == gone]
+    assert str(named) in native.failure
+
+
+def test_the_cache_key_follows_numpy(fresh_loader, monkeypatch):
+    """A numpy upgrade -- a new version, or new bytes in its static
+    random library -- names a new library, so it is rebuilt rather than
+    keep an old binomial."""
+    built = native._target()
+    copy = fresh_loader / "libnpyrandom.a"
+    copy.write_bytes(native.NPYRANDOM.read_bytes())
+    monkeypatch.setattr(native, "NPYRANDOM", copy)
+    assert native._target() == built  # the bytes count, not the path
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "__version__", "0.0.0")
+        assert native._target() != built
+    copy.write_bytes(copy.read_bytes() + b"\n")
+    assert native._target() != built
+
+
+# -- callbacks, the C state's lifetime and the GIL ----------------------
 
 class _Boom(Exception):
     pass
@@ -196,12 +358,9 @@ def _boom(*args):
 
 
 @needs_native
-@pytest.mark.parametrize("callback", ["refill", "repair"])
+@pytest.mark.parametrize("callback", ["repair"])
 def test_a_callback_exception_is_re_raised(callback, monkeypatch, capsys):
-    if callback == "refill":
-        monkeypatch.setattr(RankSource, "refill", _boom)
-    else:
-        monkeypatch.setattr(fcat_kernel, "resample_duplicate_slots", _boom)
+    monkeypatch.setattr(fcat_kernel, "resample_duplicate_slots", _boom)
     # Three tags at p ≈ 1/2: a slot soon draws one rank twice.
     with pytest.raises(_Boom, match="from a callback"):
         batched_fcat_sessions(Fcat(lam=2, initial_estimate=3.0), 3,
@@ -226,3 +385,49 @@ def test_the_c_state_is_freed_when_the_runaway_guard_raises(monkeypatch):
                               [np.random.default_rng(seed)
                                for seed in range(2)])
     assert len(freed) == 2
+
+
+#: A session long enough (≈0.2 s in C) that a GIL held through
+#: ``fcat_run`` would stall a sleeping thread over a hundred times, and
+#: that one late wake-up on a busy host does not decide the p99.
+GIL_TAGS = 1 << 19
+
+
+@needs_native
+def test_a_native_batch_releases_the_gil(monkeypatch):
+    """A thread sleeping 1 ms at a time wakes on time while one long
+    batch runs in C.  Were ``fcat_run`` loaded through ``PyDLL``, the
+    thread could not run at all inside the call."""
+    lib = native.library()
+    run = lib.fcat_run
+    window = []
+
+    def timed_run(*args):
+        window.append(time.perf_counter())
+        status = run(*args)
+        window.append(time.perf_counter())
+        return status
+
+    monkeypatch.setattr(lib, "fcat_run", timed_run)
+    naps = []
+    stop = threading.Event()
+
+    def sleeper():
+        while not stop.is_set():
+            start = time.perf_counter()
+            time.sleep(0.001)
+            naps.append((start, time.perf_counter()))
+
+    thread = threading.Thread(target=sleeper)
+    thread.start()
+    try:
+        batched_fcat_sessions(Fcat(lam=2, initial_estimate=float(GIL_TAGS)),
+                              GIL_TAGS, [np.random.default_rng(0)])
+    finally:
+        stop.set()
+        thread.join()
+    begin, end = window
+    late = [woke - start - 0.001 for start, woke in naps
+            if begin <= start and woke <= end]
+    assert len(late) >= 50, (len(late), end - begin)
+    assert np.percentile(late, 99) <= 0.002, sorted(late)[-3:]

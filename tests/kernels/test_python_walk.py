@@ -28,6 +28,7 @@ from tests.kernels.test_paper_oracles import (  # noqa: F401
     test_a_kernel_drawing_at_a_biased_p_fails_the_oracle,
     test_a_biased_kernel_fails_the_oracle_at_scale,
     test_frame_slot_counts_match_eq_7_9_10,
+    test_session_throughput_matches_the_session_model,
     test_the_oracle_holds_at_scale,
 )
 

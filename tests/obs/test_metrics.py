@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.obs.metrics import (
@@ -128,6 +129,36 @@ class TestHistogram:
         assert set(summary) == {"count", "mean", "p50", "p90", "p99",
                                 "min", "max"}
         assert summary["count"] == 1 and summary["min"] == 1.0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_observe_many_is_observe_in_order_to_the_bit(self, seed):
+        """Same counts, overflow, min, max and float total (sequential
+        addition: a pairwise sum would differ in the last bits), from a
+        histogram that already holds values, with NaN, infinity, exact
+        bounds and values past the last bound mixed in."""
+        rng = np.random.default_rng(seed)
+        values = np.concatenate([
+            rng.lognormal(-3.0, 4.0, 500), DEFAULT_BUCKETS[:5],
+            [0.0, math.inf, math.nan, DEFAULT_BUCKETS[-1] * 10]])
+        rng.shuffle(values)
+        one_by_one, at_once = Histogram("h"), Histogram("h")
+        for histogram in (one_by_one, at_once):
+            histogram.observe(0.1)
+        for value in values:
+            one_by_one.observe(value)
+        at_once.observe_many(values)
+        at_once.observe_many(values[:0])  # empty: no change
+        # repr: exact for floats, and equal for a NaN total.
+        assert repr(at_once) == repr(one_by_one)
+        one_by_one, at_once = Histogram("h"), Histogram("h")
+        finite = values[np.isfinite(values)]
+        for value in finite:
+            one_by_one.observe(value)
+        at_once.observe_many(finite)
+        assert at_once == one_by_one
+        assert [type(count) for count in at_once.counts] \
+            == [int] * len(DEFAULT_BUCKETS)
+        assert type(at_once.total) is float
 
 
 def _worker_registry(spec: dict) -> MetricsRegistry:
