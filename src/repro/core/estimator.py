@@ -16,7 +16,9 @@ Two quantities are maintained:
 * a **responsive** estimate of the tags still participating, used to set the
   next frame's report probability.  By default it is an EWMA over the
   per-frame inversions; per-frame estimates have relative standard deviation
-  ``sqrt(V(N_hat/N)) ~ 18%`` (appendix, Eq. 25), plenty for choosing ``p``
+  ``sqrt(V(N_hat/N)) ~ 11-12%`` at f = 30 (the appendix's Eq. 25 gives
+  16-18% for the exact inversion; Eq. 12's nominal-load slope scales it by
+  ``omega / (1 + omega)``), plenty for choosing ``p``
   because the useful-slot probability is flat around the optimum, and --
   crucially -- the estimate tracks the population as tags leave.  (A
   cumulative average, mode ``"average"``, matches the paper's variance

@@ -356,6 +356,8 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
     results: list[AggregateResult | None] = [None] * len(specs)
     pending: list[int] = []
     keys: dict[int, str] = {}
+    #: index -> range base key, hashed once per cell.
+    range_keys: dict[int, str] = {}
     #: index -> cached prefix metrics; the pool simulates only the suffix.
     prefixes: dict[int, list[RunMetrics]] = {}
     work: list[CellSpec] = list(specs)
@@ -373,7 +375,8 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
                                  cached=True)
                 continue
             if spec.run_start == 0:
-                prefix = cache.run_prefix(spec.range_key(), spec.runs)
+                range_keys[index] = spec.range_key()
+                prefix = cache.run_prefix(range_keys[index], spec.runs)
                 if len(prefix) >= spec.runs:
                     results[index] = aggregate_metrics(
                         spec.protocol.name, spec.n_tags, prefix[:spec.runs])
@@ -405,8 +408,8 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
                              elapsed, cached=False)
             if cache is not None:
                 cache.store(keys[index], results[index])
-                cache.store_runs(spec.range_key(), work[index].run_start,
-                                 computed)
+                cache.store_runs(range_keys.get(index) or spec.range_key(),
+                                 work[index].run_start, computed)
         if cache is not None:
             cache.save()
     return [result for result in results if result is not None]

@@ -9,12 +9,22 @@ address instead.
 
 The key is a SHA-256 over a *canonical fingerprint* of the spec: protocol
 class + config fields, ``n_tags``, ``runs``, ``seed``, channel knobs and
-timing constants, all rendered to sorted-key JSON.  The store is one JSON
-file, ``.repro-results-cache.json`` (git-ignored), invalidated as a whole
-by its *signature*: schema version, ``repro.__version__`` and a digest of
+timing constants, all rendered to sorted-key JSON.  The store is one
+append-only log file, ``.repro-results-cache.json`` (git-ignored), bound
+to a *signature*: schema version, ``repro.__version__`` and a digest of
 the simulator source tree -- so editing any protocol, channel or codec
-never replays stale numbers.  Corrupt or unreadable files are treated as
-empty: the cache can only ever make a run faster, never wrong.
+never replays stale numbers.  Each line is one JSON object
+``{"signature", "entries", "runs"}``; the first line's signature decides
+whether the file is this tree's at all, and every ``save`` appends one
+line holding only what was stored since the last save, so a save costs
+O(new entries) however long the service has run.  Loading merges the
+lines in order and skips any line with another signature, so two source
+trees sharing one path never serve each other's results.  Corrupt or
+unreadable files are treated as empty and a torn line is dropped: the
+cache can only ever make a run faster, never wrong.  Such a file -- and a
+missing one -- is rewritten whole on the next save, through a temporary
+file and ``os.replace``, so a killed process never leaves a torn file
+behind.
 
 Schema 2 adds **partial-batch entries**: per-run
 :class:`~repro.sim.result.RunMetrics` vectors keyed by the run-seed range
@@ -31,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +54,8 @@ from repro.sim.result import AggregateResult, RunMetrics
 
 #: Bump when the fingerprint layout or the stored-result shape changes.
 #: 2: partial-batch run-range entries (the adaptive planner's substrate).
-RESULT_CACHE_SCHEMA = 2
+#: 3: an append-only log, one ``{"signature", "entries", "runs"}`` per line.
+RESULT_CACHE_SCHEMA = 3
 
 DEFAULT_RESULT_CACHE_NAME = ".repro-results-cache.json"
 
@@ -218,38 +230,65 @@ class ResultCache:
         self._entries: dict[str, AggregateResult] = {}
         #: base key -> {(start, stop) -> per-run metric vectors}.
         self._runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
-        self._dirty = False
+        #: What was stored since the last save: the next appended line.
+        self._new_entries: dict[str, AggregateResult] = {}
+        self._new_runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
+        #: True while the file is a clean log of this signature, which a
+        #: save may append to; otherwise the next save rewrites it whole.
+        self._appendable = False
         self._load()
+
+    def _invalidate(self, reason: str) -> None:
+        self._entries = {}
+        self._runs = {}
+        scope.emit("cache_invalidated", path=str(self.path), reason=reason)
 
     def _load(self) -> None:
         try:
-            payload = json.loads(self.path.read_text(encoding="utf-8"))
+            text = self.path.read_text(encoding="utf-8")
         except OSError:
             return  # no cache file yet: a cold start, not an invalidation
         except ValueError:
-            scope.emit("cache_invalidated", path=str(self.path),
-                       reason="unparseable cache file")
+            self._invalidate("unparseable cache file")
             return
-        if not isinstance(payload, dict) \
-                or payload.get("signature") != self.signature:
+        # Every complete save ends in a newline: text after the last one is
+        # a save cut short, dropped unless it is the only line.
+        *lines, tail = text.split("\n")
+        damaged = bool(tail)
+        for index, line in enumerate(lines or [tail]):
+            try:
+                payload = json.loads(line)
+            except ValueError:
+                payload = None
+            signed = isinstance(payload, dict) \
+                and payload.get("signature") == self.signature
+            if index == 0 and not signed:
+                self._invalidate(
+                    "unparseable cache file" if payload is None
+                    else "signature mismatch (source tree or schema changed)")
+                return
+            if payload is None:
+                damaged = True
+            elif signed:  # another tree's appended line is never served
+                try:
+                    self._merge(payload)
+                except (AttributeError, KeyError, TypeError, ValueError):
+                    self._invalidate("entry shape mismatch")
+                    return
+        if damaged:
             scope.emit("cache_invalidated", path=str(self.path),
-                       reason="signature mismatch (source tree or schema "
-                              "changed)")
-            return
-        try:
-            self._entries = {
-                key: _result_from_dict(entry)
-                for key, entry in payload.get("entries", {}).items()}
-            self._runs = {
-                key: {_range_from_label(label):
-                      [RunMetrics.from_list(row) for row in rows]
-                      for label, rows in spans.items()}
-                for key, spans in payload.get("runs", {}).items()}
-        except (KeyError, TypeError, ValueError):
-            self._entries = {}
-            self._runs = {}
-            scope.emit("cache_invalidated", path=str(self.path),
-                       reason="entry shape mismatch")
+                       reason="torn or unparseable line dropped")
+        self._appendable = not damaged
+
+    def _merge(self, payload: dict) -> None:
+        """Fold one line's entries into the in-memory store."""
+        for key, entry in payload.get("entries", {}).items():
+            self._entries[key] = _result_from_dict(entry)
+        for key, spans in payload.get("runs", {}).items():
+            stored = self._runs.setdefault(key, {})
+            for label, rows in spans.items():
+                stored[_range_from_label(label)] = \
+                    [RunMetrics.from_list(row) for row in rows]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -274,7 +313,7 @@ class ResultCache:
 
     def store(self, key: str, result: AggregateResult) -> None:
         self._entries[key] = result
-        self._dirty = True
+        self._new_entries[key] = result
 
     # -- run-range (partial batch) entries ---------------------------------
 
@@ -309,9 +348,9 @@ class ResultCache:
         """File ``values`` as runs ``[start, start + len(values))``."""
         if not values:
             return
-        self._runs.setdefault(key, {})[(start, start + len(values))] = \
-            list(values)
-        self._dirty = True
+        span, stored = (start, start + len(values)), list(values)
+        self._runs.setdefault(key, {})[span] = stored
+        self._new_runs.setdefault(key, {})[span] = stored
 
     def run_prefix(self, key: str, limit: int) -> list[RunMetrics]:
         """The longest contiguous run prefix stored under base ``key``.
@@ -344,23 +383,65 @@ class ResultCache:
         return prefix
 
     def save(self) -> None:
-        """Persist all entries; a no-op unless something was stored."""
-        if not self._dirty:
+        """Persist what was stored since the last save; a no-op if nothing.
+
+        A clean log of this signature gets one line appended with a single
+        ``write``, holding only the new entries, so a save costs O(new
+        entries).  A missing, invalidated or damaged file is rewritten
+        whole instead: every entry goes to a temporary file that
+        ``os.replace`` moves over the path, so a process killed mid-save
+        leaves either the old file or the new one, never a torn one.
+        """
+        if not (self._new_entries or self._new_runs):
             return
+        try:
+            if self._appendable:
+                self._append(self._line(self._new_entries, self._new_runs))
+            else:
+                self._rewrite(self._line(self._entries, self._runs))
+        except OSError:
+            # A read-only checkout just runs cold every time; an append cut
+            # short leaves a torn line the next save must not follow.
+            self._appendable = False
+            return
+        self._appendable = True
+        self._new_entries = {}
+        self._new_runs = {}
+
+    def _line(self, entries: dict[str, AggregateResult],
+              runs: dict[str, dict[tuple[int, int], list[RunMetrics]]]
+              ) -> bytes:
         payload = {
             "signature": self.signature,
             "entries": {key: _result_to_dict(entry)
-                        for key, entry in sorted(self._entries.items())},
+                        for key, entry in sorted(entries.items())},
             "runs": {key: {_range_to_label(span):
                            [value.to_list() for value in values]
                            for span, values in sorted(spans.items())}
-                     for key, spans in sorted(self._runs.items())},
+                     for key, spans in sorted(runs.items())},
         }
+        return (json.dumps(payload) + "\n").encode("utf-8")
+
+    def _append(self, line: bytes) -> None:
+        # O_CREAT: a file deleted since the last save restarts as a valid
+        # log whose first line is this one.
+        handle = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT,
+                         0o666)
         try:
-            self.path.write_text(json.dumps(payload), encoding="utf-8")
-            self._dirty = False
+            written = os.write(handle, line)
+        finally:
+            os.close(handle)
+        if written != len(line):
+            raise OSError(f"short append to {self.path}")
+
+    def _rewrite(self, line: bytes) -> None:
+        temporary = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        try:
+            temporary.write_bytes(line)
+            os.replace(temporary, self.path)
         except OSError:
-            pass  # a read-only checkout just runs cold every time
+            temporary.unlink(missing_ok=True)
+            raise
 
     def stats(self) -> str:
         """One-line hit/miss summary for CLI surfacing.

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+from pathlib import Path
+
+import pytest
 
 from repro.air.timing import ICODE_TIMING
 from repro.baselines.dfsa import Dfsa
@@ -18,6 +22,7 @@ from repro.experiments.result_cache import (
 )
 from repro.experiments.runner import run_cell
 from repro.kernels import native
+from repro.obs.scope import observe
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import AggregateResult
 
@@ -159,6 +164,198 @@ class TestRunRangeEntries:
         assert base != kernel
         assert base != cell_key(Dfsa(), 100, 3, 1, PERFECT_CHANNEL,
                                 ICODE_TIMING)
+
+
+#: One cell result, stored under many same-length keys below: every save of
+#: one such cell is the same number of bytes.
+_CELL = AggregateResult(protocol="DFSA", n_tags=50, runs=2,
+                        throughput_mean=1.25, throughput_std=0.5,
+                        empty_mean=3.0, singleton_mean=50.0,
+                        collision_mean=4.5, total_slots_mean=57.5,
+                        resolved_mean=0.0)
+
+
+def _key(index: int) -> str:
+    return f"{index:064x}"
+
+
+def _cache(path, signature="tree-a") -> ResultCache:
+    return ResultCache(path, signature=signature)
+
+
+def _lines(path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestAppendOnlyLog:
+    """A save appends only what is new; damage costs a save, never a
+    wrong answer."""
+
+    def test_a_save_writes_only_its_new_entries(self, tmp_path):
+        """O(new entries) per save: the 200th save of one cell writes as
+        many bytes as the 2nd, and leaves the earlier bytes in place."""
+        io = Path("/proc/self/io")
+        if not io.exists():
+            pytest.skip("needs the kernel's per-process write counter")
+
+        def bytes_written() -> int:
+            fields = dict(line.split(": ") for line in
+                          io.read_text().splitlines())
+            return int(fields["wchar"])
+
+        path = tmp_path / "cache.json"
+        cache = _cache(path)
+        written, before = [], b""
+        for index in range(200):
+            cache.store(_key(index), _CELL)
+            started = bytes_written()
+            cache.save()
+            written.append(bytes_written() - started)
+            after = path.read_bytes()
+            assert after.startswith(before)
+            before = after
+        assert written[1] == written[199] > 0
+        assert len(_cache(path)) == 200
+
+    def test_a_clean_file_is_appended_to_not_replaced(self, tmp_path,
+                                                      monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = _cache(path)
+        cache.store(_key(0), _CELL)
+        cache.save()
+        inode = path.stat().st_ino
+        replaced = []
+        monkeypatch.setattr(os, "replace",
+                            lambda *args: replaced.append(args))
+        for index in range(1, 4):
+            cache.store(_key(index), _CELL)
+            cache.save()
+        assert replaced == []
+        assert path.stat().st_ino == inode
+        assert [sorted(line["entries"]) for line in _lines(path)] \
+            == [[_key(index)] for index in range(4)]
+
+    def test_a_torn_last_line_costs_only_its_save(self, tmp_path,
+                                                  monkeypatch):
+        path = tmp_path / "cache.json"
+        cache = _cache(path)
+        for index in range(2):
+            cache.store(_key(index), _CELL)
+            cache.save()
+        first, second = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(first + second[:len(second) // 2])
+        with observe() as observation:
+            reloaded = _cache(path)
+        assert reloaded.lookup(_key(0)) == _CELL
+        assert reloaded.lookup(_key(1)) is None
+        assert [e.fields["reason"] for e in observation.events.events
+                if e.name == "cache_invalidated"] \
+            == ["torn or unparseable line dropped"]
+        # The next save repairs the file through a temporary file.
+        replace = os.replace
+        replaced = []
+
+        def spy(source, target):
+            replaced.append(target)
+            replace(source, target)
+
+        monkeypatch.setattr(os, "replace", spy)
+        reloaded.store(_key(2), _CELL)
+        reloaded.save()
+        assert replaced == [path]
+        assert path.read_bytes().endswith(b"\n")
+        assert len(_lines(path)) == 1
+        with observe() as observation:
+            repaired = _cache(path)
+        assert len(repaired) == 2
+        assert repaired.lookup(_key(1)) is None
+        assert not [e for e in observation.events.events
+                    if e.name == "cache_invalidated"]
+
+    def test_another_trees_file_is_replaced_not_appended_to(self, tmp_path):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps({
+            "signature": "tree-b",
+            "entries": {_key(9): dataclasses.asdict(_CELL)}}) + "\n")
+        cache = _cache(path)
+        assert len(cache) == 0
+        cache.store(_key(0), _CELL)
+        cache.save()
+        (line,) = _lines(path)
+        assert line["signature"] == "tree-a"
+        assert list(line["entries"]) == [_key(0)]
+
+    def test_a_failed_rewrite_leaves_the_old_file_whole(self, tmp_path,
+                                                        monkeypatch):
+        path = tmp_path / "cache.json"
+        path.write_text("{ not json")
+
+        def killed(source, target):
+            raise OSError("killed mid-save")
+
+        monkeypatch.setattr(os, "replace", killed)
+        cache = _cache(path)
+        cache.store(_key(0), _CELL)
+        cache.save()
+        assert path.read_text() == "{ not json"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_another_trees_appended_lines_are_never_served(self, tmp_path):
+        path = tmp_path / "cache.json"
+        tree_a = _cache(path, "tree-a")
+        tree_b = _cache(path, "tree-b")
+        tree_a.store(_key(0), _CELL)
+        tree_a.save()
+        tree_b.store(_key(1), _CELL)
+        tree_b.save()  # tree-b's load saw no file: it rewrites
+        tree_a.store(_key(2), _CELL)
+        tree_a.save()  # tree-a's log is clean: it appends to tree-b's file
+        assert [line["signature"] for line in _lines(path)] \
+            == ["tree-b", "tree-a"]
+        reader_b = _cache(path, "tree-b")
+        assert reader_b.lookup(_key(1)) == _CELL
+        assert reader_b.lookup(_key(2)) is None
+        assert len(_cache(path, "tree-a")) == 0
+
+    def test_two_writers_of_one_tree_both_reload_fully(self, tmp_path):
+        path = tmp_path / "cache.json"
+        seed = _cache(path)
+        seed.store(_key(0), _CELL)
+        seed.store_runs("k", 0, TestRunRangeEntries._values(0, 2))
+        seed.save()
+        first, second = _cache(path), _cache(path)
+        first.store(_key(1), _CELL)
+        first.save()
+        second.store(_key(2), _CELL)
+        second.store_runs("k", 2, TestRunRangeEntries._values(2, 5))
+        second.save()
+        first.store(_key(3), _CELL)
+        first.save()
+        reloaded = _cache(path)
+        assert [reloaded.lookup(_key(index)) for index in range(4)] \
+            == [_CELL] * 4
+        assert reloaded.run_prefix("k", 10) \
+            == TestRunRangeEntries._values(0, 5)
+        assert len(_lines(path)) == 4
+
+    @pytest.mark.parametrize("content, reason", [
+        (json.dumps({"signature": "tree-b"}) + "\n",
+         "signature mismatch (source tree or schema changed)"),
+        (json.dumps({"signature": "tree-a",
+                     "entries": {_key(0): {"bogus": 1}}}) + "\n",
+         "entry shape mismatch"),
+        (json.dumps({"signature": "tree-a"}) + "\n{\"signa",
+         "torn or unparseable line dropped"),
+    ], ids=["signature", "shape", "torn"])
+    def test_each_discard_is_an_event_with_its_reason(self, tmp_path,
+                                                      content, reason):
+        path = tmp_path / "cache.json"
+        path.write_text(content)
+        with observe() as observation:
+            _cache(path)
+        (event,) = [e for e in observation.events.events
+                    if e.name == "cache_invalidated"]
+        assert event.fields == {"path": str(path), "reason": reason}
 
 
 class TestPackageSignature:

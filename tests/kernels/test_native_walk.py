@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.core.fcat import Fcat
+from repro.kernels import engine
 from repro.kernels import fcat as fcat_kernel
 from repro.kernels import native
 from repro.kernels.fcat import batched_fcat_sessions
@@ -421,8 +422,13 @@ def test_a_native_batch_releases_the_gil(monkeypatch):
     thread = threading.Thread(target=sleeper)
     thread.start()
     try:
-        batched_fcat_sessions(Fcat(lam=2, initial_estimate=float(GIL_TAGS)),
-                              GIL_TAGS, [np.random.default_rng(0)])
+        # Paused as in every batch the engine runs: otherwise the sleeper's
+        # own appends trigger full collections that scan the whole test
+        # process's heap (≈3 ms late at 3 M objects), whatever the lock.
+        with engine._cyclic_gc_paused():
+            batched_fcat_sessions(
+                Fcat(lam=2, initial_estimate=float(GIL_TAGS)), GIL_TAGS,
+                [np.random.default_rng(0)])
     finally:
         stop.set()
         thread.join()

@@ -13,15 +13,21 @@ Per session, the mean-field model of :mod:`repro.analysis.session_model`
 predicts the throughput (Table I: 201.3 tags/s for FCAT-2 at N = 10⁴);
 a kernel whose estimator inverts Eq. 12 wrongly runs off the optimal
 load and misses it by far more than estimator noise explains.
+
+Per frame, the appendix's delta method gives the variance of N̂/N at the
+optimal load (Eq. 24-25: 0.0342 / 0.0287 / 0.0265 for λ = 2/3/4); an
+estimator that scales its estimate misses it by the square of the scale.
 """
 
 from __future__ import annotations
 
 import math
-from statistics import mean
+from statistics import mean, variance
 
+import numpy as np
 import pytest
 
+from repro.analysis.estimator_stats import relative_variance_at_load
 from repro.analysis.session_model import predict_session
 from repro.analysis.slot_distribution import (
     expected_collision_slots,
@@ -29,11 +35,14 @@ from repro.analysis.slot_distribution import (
     expected_singleton_slots,
 )
 from repro.core import estimator as estimator_module
+from repro.core.estimator import EmbeddedEstimator
 from repro.core.fcat import Fcat
+from repro.core.optimal import optimal_omega
 from repro.experiments.runner import rng_from_seed, spawn_run_seeds
 from repro.kernels import fcat as fcat_kernel
 from repro.kernels import native
 from repro.kernels.fcat import batched_fcat_sessions
+from repro.kernels.frame import draw_slot_counts
 from repro.obs.scope import observe
 
 N_TAGS = 10_000
@@ -184,3 +193,65 @@ def test_eq_12_inverted_at_2_omega_fails_the_session_oracle(lam,
                         inverted_at_2_omega)
     gap = session_throughput_gap(lam, seed=20100562 + lam)
     assert abs(gap) > SESSION_TOLERANCE, gap
+
+
+#: Single frames the variance oracle inverts per λ: the sample variance of
+#: N̂/N then has a relative standard error near 1 %.
+VARIANCE_FRAMES = 20_000
+#: The paper's frame size f.
+FRAME_SIZE = 30
+#: Largest relative gap the variance oracle accepts, midway between the
+#: two measured sides.  Eq. 24-25 are a first-order (delta-method)
+#: variance; the log inversion's curvature puts the sample variance 6-16 %
+#: above it (λ = 2/3/4, both inversions), while a 1.1× estimate sits
+#: 31-40 % above.
+VARIANCE_TOLERANCE = 0.23
+
+
+def relative_variance_gap(lam: int, method: str, seed: int) -> float:
+    """Relative gap of the sample variance of single-frame N̂/N from the
+    delta-method closed form.
+
+    Each frame is drawn with the kernel's count law at ``N_TAGS`` and
+    ``p = ω/N`` and inverted on its own by the estimator (mode ``last``).
+    The exact inversion of ``E(n_c)`` has the variance of Eq. 24-25.
+    Eq. 12 substitutes the nominal load ω for ``N p`` inside the
+    logarithm, so its slope in ``n_c`` is ``ω/(1+ω)`` of the exact one
+    and its variance is Eq. 25 times ``(ω/(1+ω))²``.
+    """
+    omega = optimal_omega(lam)
+    p = omega / N_TAGS
+    rng = rng_from_seed(seed)
+    ratios = []
+    for _ in range(VARIANCE_FRAMES):
+        counts = draw_slot_counts(rng, N_TAGS, FRAME_SIZE, p)
+        estimator = EmbeddedEstimator(omega=omega, frame_size=FRAME_SIZE,
+                                      initial_guess=float(N_TAGS),
+                                      method=method, mode="last")
+        estimator.update(int(np.count_nonzero(counts >= 2)), p, 0, 0)
+        ratios.append(estimator.remaining() / N_TAGS)
+    expected = relative_variance_at_load(omega, FRAME_SIZE)
+    if method == "paper":
+        expected *= (omega / (1.0 + omega)) ** 2
+    return variance(ratios) / expected - 1.0
+
+
+@pytest.mark.parametrize("method", ["exact", "paper"])
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_frame_estimate_variance_matches_eq_24_25(lam, method):
+    gap = relative_variance_gap(lam, method, seed=20100562 + lam)
+    assert abs(gap) <= VARIANCE_TOLERANCE, gap
+
+
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_an_estimate_scaled_by_1_1_fails_the_variance_oracle(lam,
+                                                             monkeypatch):
+    """Mutant: Eq. 12's estimate comes out 1.1× too large."""
+    invert = estimator_module._invert_paper
+
+    def scaled(n_c, frame_size, p, omega):
+        return 1.1 * invert(n_c, frame_size, p, omega)
+
+    monkeypatch.setattr(estimator_module, "_invert_paper", scaled)
+    gap = relative_variance_gap(lam, "paper", seed=20100562 + lam)
+    assert abs(gap) > VARIANCE_TOLERANCE, gap
