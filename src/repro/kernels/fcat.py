@@ -40,17 +40,19 @@ draw-free channel consumes the generator exactly as a perfect-channel
 session always has.  The termination probe is the same walk over a
 one-slot ``p = 1`` frame.
 
-Under an active observation each frame appends one tuple to a row list
-the batch's sessions share, in lockstep order, and each termination probe
-a ``(slot_index, outcome)`` row; the C loop writes the same rows to a
-buffer that becomes those tuples when the batch ends.
-:func:`batched_fcat_sessions` hands the
-rows to the event stream once, as a frame block
+Under an active observation each frame and each termination probe adds
+one :data:`repro.obs.events.FRAME_ROW` row to the batch's telemetry, in
+lockstep order.  The C loop writes the rows to a buffer that is copied
+into one numpy array when the batch ends; the Python walk appends row
+tuples to a list the batch's sessions share and turns it into the same
+array.  :func:`batched_fcat_sessions` hands the array to the event stream
+once, as a frame block
 (:meth:`repro.obs.events.EventStream.record_frames`) that stands for the
 ``frame``, ``estimator_update`` and ``termination_probe`` events and
 builds them only when read, then folds the ``estimator.rel_error``
-histogram and the ``kernel.anc_resolved`` counter.  The scalar engine's
-per-slot ``anc_resolution`` events have no kernel counterpart.
+histogram from its columns and the ``kernel.anc_resolved`` counter: no
+per-row Python runs while recording.  The scalar engine's per-slot
+``anc_resolution`` events have no kernel counterpart.
 
 Seed semantics are **kernel-v2** (``docs/performance.md``): each session
 owns an independent per-run generator minted from the same spawned child
@@ -195,7 +197,7 @@ class _FcatKernelSession:
         remaining = estimator._remaining
         result.estimate_trace.append(remaining if remaining > 1.0 else 1.0)
         if self.rows is not None:
-            # One tuple per frame; events are built only when read.
+            # One row per frame; events are built only when read.
             self.rows.append((result.frames - 1, p, n_empty,
                               frame_size - n_empty - n_collision,
                               n_collision, estimator.remaining(),
@@ -568,8 +570,9 @@ class _FcatKernelSession:
         self._advertise(1)  # advertise p = 1
         n_empty, n_collision = self._walk_probe()
         if self.rows is not None:
-            self.rows.append((slot, "empty" if n_empty else
-                              "collision" if n_collision else "singleton"))
+            # A probe row: `actual` -1, the outcome's code in `empty`.
+            self.rows.append((slot, 0.0, 0 if n_empty else
+                              2 if n_collision else 1, 0, 0, 0.0, -1))
         if n_collision:
             self.estimator.force_at_least(2.0)
         return bool(n_empty)
@@ -586,15 +589,16 @@ class _FcatKernelSession:
 
 
 #: Indices into the native loop's counters (the enum in ``fcat_walk.c``).
+#: The last six say what the walk did, for attribution; they are not
+#: part of the result.
 (_EMPTY, _COLLISION, _ACTIVE, _LEARNED, _TRANSMISSIONS, _EMPTY_SLOTS,
  _SINGLETON_SLOTS, _COLLISION_SLOTS, _READ, _RESOLVED, _FRAMES,
- _ADVERTISEMENTS, _SLOT_INDEX, _ESTIMATES, _N_STATS) = range(15)
+ _ADVERTISEMENTS, _SLOT_INDEX, _ESTIMATES, _REPAIRED_FRAMES, _RETRY_ROUNDS,
+ _DENSE_SHUFFLES, _RECORDS, _CASCADE_VISITS, _BINOMIAL_SETUPS,
+ _N_STATS) = range(21)
 
 #: The native loop's error statuses (the enum in ``fcat_walk.c``).
-_CALLBACK, _NOMEM, _RUNAWAY, _ZERO_DIVISION = -1, -2, -3, -4
-
-#: A probe row's outcome, by the code ``fcat_walk.c`` writes.
-_PROBE_OUTCOMES = ("empty", "singleton", "collision")
+_NOMEM, _RUNAWAY, _ZERO_DIVISION = -2, -3, -4
 
 
 def _runs_natively(config: FcatConfig) -> bool:
@@ -616,27 +620,22 @@ class _NativeFcatSession(_FcatKernelSession):
     :meth:`_init_walk` hands the settings, the estimator's start and the
     generator's ``bitgen_t`` to C, which then holds the roster, the record
     store, the uniform block and the estimator.  :func:`_run_native`
-    advances a whole batch in one call; C calls back into Python only for
-    :func:`resample_duplicate_slots`.  A callback that raises records its
-    exception and the batch stops; :func:`_run_native` re-raises it.
-    :meth:`close` folds the C counters and estimate trace into the result
-    and frees the C state.
+    advances a whole batch in one call that never calls back into Python:
+    the duplicate-rank repair is C too, drawing what
+    :func:`resample_duplicate_slots` draws.  :meth:`close` folds the C
+    counters and estimate trace into the result and frees the C state.
     """
 
     def _init_walk(self, n_tags: int, lam: int) -> None:
         self._lib = native.library()
-        self._error: BaseException | None = None
         estimator = self.estimator
         config = native.Config(
             n_tags, lam, self.frame_size, self.max_slots, self.omega,
             self.max_p, estimator._remaining, estimator.mode == "last",
             estimator.source == "empty", estimator.ewma_weight,
             *self.outcome_probs, self.draw_free)
-        # The callback must outlive the C session that calls it.
-        self._callback = native.REPAIR(self._repair)
         self._session = self._lib.fcat_new(
-            ctypes.byref(config), self.rng.bit_generator.ctypes.bit_generator,
-            self._callback)
+            ctypes.byref(config), self.rng.bit_generator.ctypes.bit_generator)
         if not self._session:
             raise MemoryError("the native FCAT loop could not allocate "
                               f"{n_tags} tags")
@@ -659,48 +658,37 @@ class _NativeFcatSession(_FcatKernelSession):
             result.estimate_trace += \
                 self._lib.fcat_trace(self._session)[:stats[_ESTIMATES]]
         self._lib.fcat_free(self._session)
-        self._session = self._callback = None
-
-    def _repair(self, counts, n_counts: int, ranks, total: int,
-                n_active: int) -> int:
-        """The C loop's callback for one frame's duplicate repair."""
-        try:
-            drawn = ranks[:total]
-            if not resample_duplicate_slots(self.rng, n_active,
-                                            counts[:n_counts], drawn):
-                return 0
-            np.ctypeslib.as_array(ranks, (total,))[:] = drawn
-            return 1
-        except BaseException as error:  # ctypes would print and drop it
-            self._error = error
-            return -1
+        self._session = None
 
 
 def _run_native(lib: ctypes.CDLL, sessions: list[_NativeFcatSession],
-                rows: list[tuple] | None) -> None:
+                observed: bool) -> tuple[np.ndarray | None, int]:
     """Run a batch in one ``fcat_run`` call, which releases the GIL.
 
-    Its telemetry rows become the Python walk's row tuples, in the same
-    lockstep order -- also when the batch stops on an error, so the frames
-    run before it stay readable.
+    Returns the batch's telemetry rows in lockstep order (``None`` when
+    not ``observed``) and its status -- the rows also when the batch
+    stopped on an error, so the frames run before it stay readable.  The
+    rows are copied out of the C buffer before it is freed: frame blocks
+    are shared, never mutated, and must own their memory.
     """
     handles = (ctypes.c_void_p * len(sessions))(
         *[session._session for session in sessions])
     table = native.Rows()
     status = lib.fcat_run(handles, len(handles),
-                          None if rows is None else ctypes.byref(table))
+                          ctypes.byref(table) if observed else None)
+    if not observed:
+        return None, status
+    rows = np.empty(table.len, native.ROW)
     if table.len:
-        records = np.frombuffer(
-            (ctypes.c_char * (table.len * native.ROW.itemsize)).from_address(
-                table.data), native.ROW).tolist()
-        rows += [row if row[6] >= 0 else (row[0], _PROBE_OUTCOMES[row[2]])
-                 for row in records]
+        ctypes.memmove(rows.ctypes.data, table.data, rows.nbytes)
         lib.fcat_rows_free(ctypes.byref(table))
+    return rows, status
+
+
+def _raise_for(status: int, max_slots: int) -> None:
+    """Raise the error a failed ``fcat_run`` status stands for."""
     if status == _RUNAWAY:
-        raise _runaway(sessions[0].max_slots)
-    if status == _CALLBACK:
-        raise next(session._error for session in sessions
-                   if session._error is not None)
+        raise _runaway(max_slots)
     if status == _ZERO_DIVISION:
         raise ZeroDivisionError("float division by zero")
     if status:
@@ -722,12 +710,14 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     loads and the estimator is one ``fcat_walk.c`` implements, the whole
     batch runs in one native call; otherwise the Python walk runs it.
 
-    Under an active observation the sessions share one telemetry row
-    list, handed to the event stream once when the batch ends -- also when
+    Under an active observation the batch's telemetry rows are handed to
+    the event stream once, as one array, when the batch ends -- also when
     the runaway guard raises, so the frames run before it stay readable.
     """
     obs = scope.active()
+    # The Python walk's shared row list; the native loop returns an array.
     rows: list[tuple] | None = None if obs is None else []
+    block: np.ndarray | None = None
     lib = native.library()
     run_natively = lib is not None and _runs_natively(protocol.config)
     sessions: list[_FcatKernelSession] = []
@@ -738,7 +728,8 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
             sessions.append(_NativeFcatSession(*args) if run_natively
                             else _FcatKernelSession(*args))
         if run_natively:
-            _run_native(lib, sessions, rows)
+            block, status = _run_native(lib, sessions, obs is not None)
+            _raise_for(status, sessions[0].max_slots)
         else:
             # Lockstep frame loop: each round advances every live session
             # by one frame.
@@ -750,22 +741,26 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
         for session in sessions:
             session.close()
         if obs is not None:
-            _record_telemetry(obs, protocol.name, rows, sessions)
+            if block is None:
+                block = np.array(rows, native.ROW)
+            _record_telemetry(obs, protocol.name, block, sessions)
     return [session.result for session in sessions]
 
 
-def _record_telemetry(obs: scope.Observation, name: str, rows: list[tuple],
+def _record_telemetry(obs: scope.Observation, name: str, rows: np.ndarray,
                       sessions: list[_FcatKernelSession]) -> None:
     """Fold one batch's telemetry into ``obs``, in row order."""
-    if not rows:
+    if not len(rows):
         return  # no frame ran: nothing to record, no instrument to create
     obs.events.record_frames(name, rows)
     # |estimate - actual| / max(actual, 1) per frame row (not the probes'),
     # in row order: the same float operations, element by element.
-    *_, estimates, actual = zip(*[row for row in rows if len(row) > 2])
-    actual = np.array(actual)
+    # Masking the two columns, not the records, copies 16 bytes a row.
+    actual = rows["actual"]
+    frame = actual >= 0
+    actual = actual[frame]
     obs.metrics.histogram("estimator.rel_error").observe_many(
-        np.abs(np.array(estimates) - actual) / np.maximum(actual, 1))
+        np.abs(rows["estimate"][frame] - actual) / np.maximum(actual, 1))
     resolved = sum(session.result.resolved_from_collision
                    for session in sessions)
     if resolved:

@@ -19,19 +19,19 @@
  * same operation order, built with -ffp-contract=off so that no product
  * and sum fuse into an FMA.
  *
- * The duplicate repair stays in Python, behind one callback:
+ * The duplicate repair is `resample_duplicate_slots` (frame.py), draw for
+ * draw: its `rng.integers` calls are numpy's Lemire draws from the same
+ * library, `random_bounded_uint64_fill` for a sparse segment's retry
+ * rounds and `random_bounded_uint64` per element for a dense segment's
+ * array-`low` Fisher-Yates swaps.  Nothing in a batch calls back into
+ * Python.
  *
- *   repair(counts, n, ranks, total, n_active)
- *                        resample_duplicate_slots over one frame's slot
- *                        segments, in place; 1 if anything changed, 0 if
- *                        not, -1 on error.
- *
- * Errors are sticky and end the batch: a failed callback sets status
- * FCAT_CALLBACK, a failed allocation FCAT_NOMEM, the runaway guard
- * FCAT_RUNAWAY and a log(1 - p) of zero FCAT_ZERO_DIVISION (the Python
- * estimator's ZeroDivisionError).  A walk that has lost its uniforms runs
- * on to the end of the frame on 0.0 draws, which keep every index in
- * range; the caller discards the session.
+ * Errors are sticky and end the batch: a failed allocation sets status
+ * FCAT_NOMEM, the runaway guard FCAT_RUNAWAY and a log(1 - p) of zero
+ * FCAT_ZERO_DIVISION (the Python estimator's ZeroDivisionError).  A walk
+ * that has lost its uniforms runs on to the end of the frame on 0.0
+ * draws, which keep every index in range; the caller discards the
+ * session.
  *
  * Layout.  The roster is `items` (active tag indices) with `where[tag]`
  * each one's position.  A record is an arena slice [count, n_parts,
@@ -53,13 +53,9 @@
 typedef int64_t i64;
 typedef int32_t i32;
 
-typedef int (*repair_fn)(const i64 *counts, i64 n_counts, i64 *ranks,
-                         i64 total, i64 n_active);
-
 /* Batch status codes (fcat.py names them). */
 enum {
     FCAT_OK = 0,
-    FCAT_CALLBACK = -1,
     FCAT_NOMEM = -2,
     FCAT_RUNAWAY = -3,
     FCAT_ZERO_DIVISION = -4
@@ -81,6 +77,13 @@ enum {
     ST_ADVERTISEMENTS,
     ST_SLOT_INDEX,
     ST_ESTIMATES,       /* length of the estimate trace */
+    /* What the walk did, for attribution only (not in ReadingResult). */
+    ST_REPAIRED_FRAMES, /* frames whose ranks the repair changed */
+    ST_RETRY_ROUNDS,    /* sparse segments' redraw rounds */
+    ST_DENSE_SHUFFLES,  /* dense segments replaced by a shuffle */
+    ST_RECORDS,         /* records stored */
+    ST_CASCADE_VISITS,  /* pending-list nodes the cascade visited */
+    ST_BINOMIAL_SETUPS, /* frames whose binomial (n, p) needed a set-up */
     N_STATS
 };
 
@@ -122,7 +125,6 @@ typedef struct {
     Config c;
     bitgen_t *bitgen;
     binomial_t binomial;
-    repair_fn repair;
     /* The estimator's running estimate, and whether it has a sample. */
     double remaining;
     int has_samples;
@@ -152,6 +154,11 @@ typedef struct {
     i64 *record_counts;
     i64 record_counts_cap;
     i64 *segment;
+    /* The repair's retry positions, redraws and shuffle pool. */
+    i64 *retry;
+    uint64_t *draws;
+    i64 *pool;
+    i64 retry_cap, draws_cap, pool_cap;
     i32 *parts;
     i32 *removed;
     i64 n_removed;
@@ -196,13 +203,16 @@ void fcat_free(Session *s)
     free(s->ranks);
     free(s->record_counts);
     free(s->segment);
+    free(s->retry);
+    free(s->draws);
+    free(s->pool);
     free(s->parts);
     free(s->removed);
     free(s->stack);
     free(s);
 }
 
-Session *fcat_new(const Config *c, bitgen_t *bitgen, repair_fn repair)
+Session *fcat_new(const Config *c, bitgen_t *bitgen)
 {
     Session *s = calloc(1, sizeof(Session));
     if (s == NULL)
@@ -211,7 +221,6 @@ Session *fcat_new(const Config *c, bitgen_t *bitgen, repair_fn repair)
     size_t n = (size_t)(n_tags > 0 ? n_tags : 1);
     s->c = *c;
     s->bitgen = bitgen;
-    s->repair = repair;
     s->remaining = c->initial_guess;
     s->counts = malloc((size_t)c->frame_size * sizeof(i64));
     s->items = malloc(n * sizeof(i32));
@@ -314,6 +323,7 @@ static void store_record(Session *s, const i32 *tags, i64 k)
     s->arena[rec + 1] = (i32)k;
     memcpy(s->arena + rec + 2, tags, (size_t)k * sizeof(i32));
     s->arena_len += k + 2;
+    s->stats[ST_RECORDS]++;
     for (i64 j = 0; j < k; j++)
         enlist(s, tags[j], rec);
 }
@@ -372,6 +382,7 @@ static void cascade(Session *s, Walk *w, i64 node)
 {
     for (;;) {
         for (; node >= 0; node = s->node_next[node]) {
+            s->stats[ST_CASCADE_VISITS]++;
             i32 *rec = s->arena + s->node_rec[node];
             i32 c = rec[0];
             if (c < 2)
@@ -411,34 +422,93 @@ static int stamp_ranks(Session *s, i64 total)
     return has_dups;
 }
 
-/* Whether some slot segment repeats a rank (what the repair redraws). */
-static int slot_dups(Session *s, const i64 *counts, i64 n_counts)
+/* Whether the segment ranks[offset, offset + k) repeats a rank. */
+static int segment_dups(Session *s, i64 offset, i64 k)
 {
-    i64 offset = 0;
-    for (i64 i = 0; i < n_counts; i++) {
-        i64 k = counts[i];
-        if (k >= 2) {
-            i32 stamp = ++s->stamp;
-            for (i64 j = offset; j < offset + k; j++) {
-                if (s->seen[s->ranks[j]] == stamp)
-                    return 1;
-                s->seen[s->ranks[j]] = stamp;
-            }
-        }
-        offset += k;
+    i32 stamp = ++s->stamp;
+    for (i64 j = offset; j < offset + k; j++) {
+        if (s->seen[s->ranks[j]] == stamp)
+            return 1;
+        s->seen[s->ranks[j]] = stamp;
     }
     return 0;
 }
 
-/* Redraw within-slot duplicate ranks through Python, and only where
- * there are some: the repair draws nothing for a frame without them. */
-static int repair_slots(Session *s, const i64 *counts, i64 n_counts,
-                        i64 total)
+/* A sparse segment: redraw its later duplicate occurrences, round after
+ * round, until it is distinct (`rng.integers(0, n, size=len(retry))`). */
+static int retry_segment(Session *s, i64 offset, i64 k, i64 n_active)
 {
-    if (slot_dups(s, counts, n_counts)
-        && s->repair(counts, n_counts, s->ranks, total,
-                     s->stats[ST_ACTIVE]) < 0)
-        s->status = FCAT_CALLBACK;
+    if (grow((void **)&s->retry, &s->retry_cap, k, sizeof(i64))
+        || grow((void **)&s->draws, &s->draws_cap, k, sizeof(uint64_t)))
+        return s->status = FCAT_NOMEM;
+    i32 stamp = ++s->stamp;
+    i64 n_retry = 0;
+    for (i64 j = offset; j < offset + k; j++) {
+        if (s->seen[s->ranks[j]] == stamp)
+            s->retry[n_retry++] = j;
+        else
+            s->seen[s->ranks[j]] = stamp;
+    }
+    while (n_retry) {
+        s->stats[ST_RETRY_ROUNDS]++;
+        random_bounded_uint64_fill(s->bitgen, 0, (uint64_t)(n_active - 1),
+                                   n_retry, false, s->draws);
+        i64 still = 0;
+        for (i64 j = 0; j < n_retry; j++) {
+            i64 rank = (i64)s->draws[j];
+            if (s->seen[rank] == stamp) {
+                s->retry[still++] = s->retry[j];
+            } else {
+                s->seen[rank] = stamp;
+                s->ranks[s->retry[j]] = rank;
+            }
+        }
+        n_retry = still;
+    }
+    return 0;
+}
+
+/* A dense segment (2k >= n): a partial Fisher-Yates draw over the whole
+ * roster, its swap j from [j, n) (`rng.integers(np.arange(k), n)`). */
+static int shuffle_segment(Session *s, i64 offset, i64 k, i64 n_active)
+{
+    if (grow((void **)&s->pool, &s->pool_cap, n_active, sizeof(i64)))
+        return s->status = FCAT_NOMEM;
+    s->stats[ST_DENSE_SHUFFLES]++;
+    i64 *pool = s->pool;
+    for (i64 j = 0; j < n_active; j++)
+        pool[j] = j;
+    for (i64 j = 0; j < k; j++) {
+        i64 swap = (i64)random_bounded_uint64(
+            s->bitgen, (uint64_t)j, (uint64_t)(n_active - 1 - j), 0, false);
+        i64 drawn = pool[swap];
+        pool[swap] = pool[j];
+        pool[j] = drawn;
+        s->ranks[offset + j] = drawn;
+    }
+    return 0;
+}
+
+/* Redraw within-slot duplicate ranks, segment by segment in slot order:
+ * `resample_duplicate_slots`, which draws nothing for a frame without
+ * them. */
+static int repair_slots(Session *s, const i64 *counts, i64 n_counts)
+{
+    i64 n_active = s->stats[ST_ACTIVE];
+    int changed = 0;
+    i64 offset = 0;
+    for (i64 i = 0; i < n_counts && !s->status; i++) {
+        i64 k = counts[i];
+        if (k >= 2 && segment_dups(s, offset, k)) {
+            changed = 1;
+            if (k * 2 >= n_active)
+                shuffle_segment(s, offset, k, n_active);
+            else
+                retry_segment(s, offset, k, n_active);
+        }
+        offset += k;
+    }
+    s->stats[ST_REPAIRED_FRAMES] += changed;
     return s->status;
 }
 
@@ -614,7 +684,7 @@ static int record_frame(Session *s, const i64 *counts, i64 frame_size)
     }
     if (record_total) {
         if (draw_ranks(s, s->stats[ST_ACTIVE], record_total)
-            || repair_slots(s, s->record_counts, n_records, record_total))
+            || repair_slots(s, s->record_counts, n_records))
             return s->status;
         i64 offset = 0;
         for (i64 r = 0; r < n_records; r++) {
@@ -658,7 +728,7 @@ static int walk_frame(Session *s, const i64 *counts, i64 frame_size,
     }
     int has_dups = stamp_ranks(s, total);
     if (has_dups) {
-        if (repair_slots(s, counts, frame_size, total))
+        if (repair_slots(s, counts, frame_size))
             return s->status;
         has_dups = stamp_ranks(s, total);
     }
@@ -666,20 +736,24 @@ static int walk_frame(Session *s, const i64 *counts, i64 frame_size,
 }
 
 /* One frame's slot counts: `draw_slot_counts`, whose numpy binomial is
- * the `random_binomial` called here slot by slot. */
+ * the `random_binomial` called here slot by slot.  A frame whose (n, p)
+ * differs from the last one's makes the binomial set up its tables again
+ * (`random_binomial` draws at min(p, 1 - p)); that is counted. */
 static void draw_counts(Session *s, i64 n_active, double p)
 {
     i64 *counts = s->counts;
     i64 frame_size = s->c.frame_size;
-    for (i64 i = 0; i < frame_size; i++) {
-        if (n_active == 0 || p == 0.0)
-            counts[i] = 0;
-        else if (p >= 1.0)
-            counts[i] = n_active;
-        else
-            counts[i] = random_binomial(s->bitgen, p, n_active,
-                                        &s->binomial);
+    if (n_active == 0 || p == 0.0 || p >= 1.0) {
+        for (i64 i = 0; i < frame_size; i++)
+            counts[i] = n_active == 0 || p == 0.0 ? 0 : n_active;
+        return;
     }
+    double drawn_p = p <= 0.5 ? p : 1.0 - p;
+    binomial_t *b = &s->binomial;
+    if (!b->has_binomial || b->nsave != n_active || b->psave != drawn_p)
+        s->stats[ST_BINOMIAL_SETUPS]++;
+    for (i64 i = 0; i < frame_size; i++)
+        counts[i] = random_binomial(s->bitgen, p, n_active, b);
 }
 
 /* Python's max(a, b) on floats: `b` only when it is greater. */

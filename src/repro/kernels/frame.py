@@ -135,7 +135,9 @@ def resample_duplicate_slots(rng: np.random.Generator, n_active: int,
     many redraw rounds, so they are replaced wholesale by a partial
     Fisher-Yates shuffle -- directly the same uniform distinct-tuple law.
     Returns True when anything changed (the caller's rank index is then
-    stale).
+    stale).  This is the Python walk's repair and the reference for
+    ``fcat_walk.c``'s, which makes the same draws with numpy's own bounded
+    integer functions.
     """
     changed = False
     offset = 0

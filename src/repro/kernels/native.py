@@ -7,6 +7,8 @@ one ran never shows in a result.  The C loop draws its slot counts with
 numpy's own binomial (``random_binomial`` from numpy's static
 ``libnpyrandom.a``) on the session generator's ``bitgen_t``, so the build
 needs numpy's headers, the Python headers they include, and that library.
+The duplicate-rank repair draws with the same library's Lemire bounded
+integers, so nothing in a batch calls back into Python.
 
 :func:`library` compiles the source with the system C compiler the first
 time an FCAT session asks for it -- never at import -- into a per-user
@@ -36,8 +38,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Config", "REPAIR", "ROW", "Rows", "SOURCE", "failure", "inputs",
-           "library"]
+from repro.obs.events import FRAME_ROW
+
+__all__ = ["Config", "ROW", "Rows", "SOURCE", "failure", "inputs", "library"]
 
 #: The loop's C source, shipped as package data.
 SOURCE = Path(__file__).with_name("fcat_walk.c")
@@ -53,13 +56,6 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 NUMPY_INCLUDE = Path(np.get_include())
 PYTHON_INCLUDE = Path(sysconfig.get_paths()["include"])
 NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-
-#: ``int repair(const int64 *counts, int64 n, int64 *ranks, int64 total,
-#: int64 n_active)``: 1 if the ranks changed, 0 if not, -1 on error.
-REPAIR = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(ctypes.c_int64),
-                          ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
-                          ctypes.c_int64, ctypes.c_int64)
-
 
 class Config(ctypes.Structure):
     """One session's settings (``Config`` in ``fcat_walk.c``)."""
@@ -78,11 +74,9 @@ class Config(ctypes.Structure):
                 ("draw_free", ctypes.c_int32)]
 
 
-#: One telemetry row (``Row`` in ``fcat_walk.c``), as a numpy record.
-ROW = np.dtype([("index", np.int64), ("p", np.float64),
-                ("empty", np.int64), ("singleton", np.int64),
-                ("collision", np.int64), ("estimate", np.float64),
-                ("actual", np.int64)])
+#: One telemetry row (``Row`` in ``fcat_walk.c``): the event stream's
+#: frame-block row, whose layout the C struct repeats.
+ROW = FRAME_ROW
 
 
 class Rows(ctypes.Structure):
@@ -169,7 +163,7 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     """Attach the C signatures (see the prototypes in ``fcat_walk.c``)."""
     session = ctypes.c_void_p
     lib.fcat_new.restype = session
-    lib.fcat_new.argtypes = [ctypes.POINTER(Config), ctypes.c_void_p, REPAIR]
+    lib.fcat_new.argtypes = [ctypes.POINTER(Config), ctypes.c_void_p]
     lib.fcat_stats.restype = ctypes.POINTER(ctypes.c_int64)
     lib.fcat_stats.argtypes = [session]
     lib.fcat_trace.restype = ctypes.POINTER(ctypes.c_double)

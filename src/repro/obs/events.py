@@ -16,8 +16,9 @@ parent, in deterministic chunk order, the folded events take the next
 positions, so a serial run and a parallel run produce the same ordering.
 
 Hot per-frame telemetry may arrive as a *frame block*
-(:meth:`EventStream.record_frames`): one tuple per FCAT frame or
-termination probe, type-checked once per batch and expanded into ordinary
+(:meth:`EventStream.record_frames`): one numpy array of
+:data:`FRAME_ROW` records per batch, one row per FCAT frame or
+termination probe, checked once by its dtype and expanded into ordinary
 events only when :attr:`EventStream.events` is read.
 """
 
@@ -29,11 +30,14 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 __all__ = [
     "EVENT_SCHEMA",
     "Event",
     "EventSpec",
     "EventStream",
+    "FRAME_ROW",
     "frame_fields",
     "read_jsonl",
     "validate_event",
@@ -186,36 +190,72 @@ def frame_fields(protocol: str, row: tuple) -> tuple[dict, dict]:
              "error": estimate - actual})
 
 
-#: Row widths of a frame block: a frame row stands for a ``frame`` and an
-#: ``estimator_update`` event, a ``(slot_index, outcome)`` probe row for
-#: one ``termination_probe``.
-_FRAME_ROW = 7
-_PROBE_ROW = 2
+#: One frame-block row.  A frame row stands for a ``frame`` and an
+#: ``estimator_update`` event (:func:`frame_fields`, ``actual`` >= 0); a
+#: probe row, marked by ``actual`` = -1, for one ``termination_probe``
+#: whose ``slot_index`` is ``index`` and whose outcome is
+#: ``_PROBE_OUTCOMES[empty]``.  The FCAT kernel's C loop writes the same
+#: layout (``Row`` in ``repro/kernels/fcat_walk.c``).
+FRAME_ROW = np.dtype([("index", np.int64), ("p", np.float64),
+                      ("empty", np.int64), ("singleton", np.int64),
+                      ("collision", np.int64), ("estimate", np.float64),
+                      ("actual", np.int64)])
+
+#: A probe row's outcome, by its code.
+_PROBE_OUTCOMES = ("empty", "singleton", "collision")
 
 
 def _row_events(protocol: str, row: tuple) -> tuple[tuple[str, dict], ...]:
     """The ``(name, fields)`` events one frame-block row stands for."""
-    if len(row) == _PROBE_ROW:
+    if row[6] < 0:
         return (("termination_probe", {"protocol": protocol,
                                        "slot_index": row[0],
-                                       "outcome": row[1]}),)
-    if len(row) != _FRAME_ROW:
-        raise ValueError(f"frame block row must have {_FRAME_ROW} (frame) "
-                         f"or {_PROBE_ROW} (probe) values, got {len(row)}")
+                                       "outcome": _PROBE_OUTCOMES[row[2]]}),)
     frame, update = frame_fields(protocol, row)
     return ("frame", frame), ("estimator_update", update)
 
 
+def _check_block(protocol: str, rows: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``rows`` is a valid frame block.
+
+    A :data:`FRAME_ROW` array is typed by construction, so the dtype is
+    checked once.  Any other dtype with the same fields raises as the
+    ``emit`` of its first frame row would, if that row is wrong for the
+    schema.  Probe outcome codes are checked in one vectorised test.
+    """
+    names = rows.dtype.names
+    if names != FRAME_ROW.names:
+        raise ValueError(f"frame block fields must be {FRAME_ROW.names}, "
+                         f"got {names}")
+    if rows.dtype != FRAME_ROW:
+        frames = rows[rows["actual"] >= 0]
+        if len(frames):
+            for name, fields in _row_events(protocol, frames[0].tolist()):
+                validate_event(name, fields)
+        raise ValueError(f"frame block dtype must be {FRAME_ROW}, "
+                         f"got {rows.dtype}")
+    codes = rows["empty"][rows["actual"] < 0]
+    bad = codes[(codes < 0) | (codes >= len(_PROBE_OUTCOMES))]
+    if len(bad):
+        raise ValueError("termination_probe outcome code must be 0, 1 or 2, "
+                         f"got {bad[0]}")
+
+
 class _FrameBlock(NamedTuple):
-    """One batch's frame rows, standing for ``size`` events in row order."""
+    """One batch's frame rows, standing for ``size`` events in row order.
+
+    ``rows`` is a :data:`FRAME_ROW` array that no one mutates: blocks are
+    shared by :meth:`EventStream.snapshot` and :meth:`EventStream.fold`,
+    and :meth:`drop` slices rather than cuts in place.
+    """
 
     protocol: str
-    rows: list[tuple]
+    rows: np.ndarray
     size: int
 
     def records(self) -> Iterator[tuple[str, dict]]:
         protocol = self.protocol
-        for row in self.rows:
+        for row in self.rows.tolist():
             yield from _row_events(protocol, row)
 
     def drop(self, count: int) -> list:
@@ -225,18 +265,14 @@ class _FrameBlock(NamedTuple):
         ``estimator_update`` as an ordinary record.
         """
         rows = self.rows
-        index = 0
-        left = count
-        while left:
-            width = 1 if len(rows[index]) == _PROBE_ROW else 2
-            if left < width:
-                break
-            left -= width
-            index += 1
+        # Events stood for up to and including each row.
+        ends = np.cumsum(np.where(rows["actual"] >= 0, 2, 1))
+        index = int(np.searchsorted(ends, count, side="right"))
         kept: list = []
-        if left:
+        if count > (ends[index - 1] if index else 0):
             kept.append(("estimator_update",
-                         frame_fields(self.protocol, rows[index])[1]))
+                         frame_fields(self.protocol,
+                                      rows[index].tolist())[1]))
             index += 1
         if index < len(rows):
             kept.append(_FrameBlock(self.protocol, rows[index:],
@@ -295,26 +331,21 @@ class EventStream:
         validate_event(name, fields)
         self._record(name, fields)
 
-    def record_frames(self, protocol: str, rows: list[tuple]) -> None:
+    def record_frames(self, protocol: str, rows: np.ndarray) -> None:
         """Record a batch's per-frame telemetry as one frame block.
 
-        Each row stands for the events :func:`frame_fields` (a
-        ``(frame_index, p, empty, singleton, collision, estimate,
-        actual)`` frame row) or a ``(slot_index, outcome)`` probe row
-        defines, in row order.  :func:`validate_event` only looks at
-        types, so one row per distinct row type signature is validated,
-        in first-appearance order: a bad row raises as its ``emit`` would,
-        and nothing of the block is recorded.  ``rows`` is kept, not
-        copied.
+        ``rows`` is a :data:`FRAME_ROW` array; each row stands for the
+        events :func:`frame_fields` defines (a frame row) or one
+        ``termination_probe`` (a probe row), in row order.  It is checked
+        once, as a whole: a bad block raises ``ValueError`` and nothing of
+        it is recorded.  ``rows`` is kept, not copied, and must not be
+        mutated afterwards.
         """
-        if not rows:
+        if not len(rows):
             return
-        signatures = {tuple(map(type, row)): row for row in rows}
-        for row in signatures.values():
-            for name, fields in _row_events(protocol, row):
-                validate_event(name, fields)
-        probes = [len(row) for row in rows].count(_PROBE_ROW)
-        frames = len(rows) - probes
+        _check_block(protocol, rows)
+        frames = int(np.count_nonzero(rows["actual"] >= 0))
+        probes = len(rows) - frames
         tally = self._tally
         if frames:
             for name in ("frame", "estimator_update"):

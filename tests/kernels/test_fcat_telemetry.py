@@ -1,12 +1,14 @@
 """The observed FCAT kernel's telemetry: pinned content, bounded cost.
 
 Under an active observation a kernel batch records its per-frame
-telemetry as one frame block, expanded into ``frame``,
-``estimator_update`` and ``termination_probe`` events only when read.
-These tests pin what a reader sees to digests recorded before the block
-existed, when every frame emitted two validated events eagerly, and gate
-the enabled path's per-frame cost deterministically: stream records and
-schema validations must not grow with the frame count.
+telemetry as one frame block -- one typed numpy array of rows --
+expanded into ``frame``, ``estimator_update`` and ``termination_probe``
+events only when read.  These tests pin what a reader sees to digests
+recorded before the block existed, when every frame emitted two
+validated events eagerly, and gate the enabled path's per-frame cost
+deterministically on both walks: stream records and schema validations
+must not grow with the frame count, and no event is built per row until
+the events are read.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.fcat import Fcat
+from repro.kernels import native
 from repro.kernels.fcat import batched_fcat_sessions
 from repro.obs import events as events_module
 from repro.obs.events import EventStream
@@ -91,10 +94,16 @@ def test_frames_before_a_runaway_raise_stay_readable():
 
 def _enabled_path_cost(monkeypatch, n_tags: int, frame_size: int
                        ) -> tuple[int, int, int, int]:
-    """(frames, validations, stream records, events) of one observed batch."""
-    tally = {"validate": 0, "record": 0}
+    """(frames, validations, stream records, events) of one observed batch.
+
+    Also checks that recording the batch built no event: ``frame_fields``
+    and ``_row_events`` run only once the events are read.
+    """
+    tally = {"validate": 0, "record": 0, "build": 0}
     validate = events_module.validate_event
     record = EventStream._record
+    frame_fields = events_module.frame_fields
+    row_events = events_module._row_events
     # Looked up softly so the gate fails on its counts, not on a missing
     # attribute, against a stream without frame blocks.
     record_frames = getattr(EventStream, "record_frames", None)
@@ -111,7 +120,17 @@ def _enabled_path_cost(monkeypatch, n_tags: int, frame_size: int
         tally["record"] += 1
         record_frames(self, protocol, rows)
 
+    def counting_frame_fields(*args):
+        tally["build"] += 1
+        return frame_fields(*args)
+
+    def counting_row_events(*args):
+        tally["build"] += 1
+        return row_events(*args)
+
     with monkeypatch.context() as patch:
+        patch.setattr(events_module, "frame_fields", counting_frame_fields)
+        patch.setattr(events_module, "_row_events", counting_row_events)
         patch.setattr(events_module, "validate_event", counting_validate)
         patch.setattr(EventStream, "_record", counting_record)
         patch.setattr(EventStream, "record_frames", counting_record_frames,
@@ -120,7 +139,9 @@ def _enabled_path_cost(monkeypatch, n_tags: int, frame_size: int
             (result,) = batched_fcat_sessions(
                 Fcat(lam=2, frame_size=frame_size), n_tags,
                 [np.random.default_rng(1)])
-    events = obs.events.events
+        assert tally["build"] == 0
+        events = obs.events.events
+        assert tally["build"] > 0
     assert len(obs.events) == len(events)
     assert sum(1 for event in events if event.name == "frame") \
         == result.frames
@@ -130,13 +151,18 @@ def _enabled_path_cost(monkeypatch, n_tags: int, frame_size: int
 def test_enabled_path_cost_does_not_grow_with_frames(monkeypatch):
     """A deterministic gate on the observed kernel's per-frame cost.
 
-    Two batches at N = 4,096 whose frame counts differ several-fold make
-    the same number of schema validations and stream records; only the
-    expanded event count follows the frames.
+    On the native loop and on the Python walk, two batches at N = 4,096
+    whose frame counts differ several-fold make the same number of schema
+    validations and stream records, and build no event until the events
+    are read; only the expanded event count follows the frames.
     """
-    long_run = _enabled_path_cost(monkeypatch, 4096, frame_size=10)
-    short_run = _enabled_path_cost(monkeypatch, 4096, frame_size=60)
-    assert long_run[0] > 3 * short_run[0] > 300
-    assert long_run[1:3] == short_run[1:3]
-    assert long_run[1] <= 3 and long_run[2] == 1
-    assert long_run[3] > 3 * short_run[3]
+    for python_walk in (False, True):
+        with monkeypatch.context() as patch:
+            if python_walk:
+                patch.setattr(native, "library", lambda: None)
+            long_run = _enabled_path_cost(patch, 4096, frame_size=10)
+            short_run = _enabled_path_cost(patch, 4096, frame_size=60)
+        assert long_run[0] > 3 * short_run[0] > 300
+        assert long_run[1:3] == short_run[1:3]
+        assert long_run[1] <= 3 and long_run[2] == 1
+        assert long_run[3] > 3 * short_run[3]

@@ -1,17 +1,20 @@
 """The native FCAT loop: bit-identical to the Python walk, or not used.
 
-``fcat_walk.c`` runs a whole batch -- count draws, walk, estimator,
-termination probe and telemetry rows -- and the Python walk stays the
-reference.  The matrices below run channels, λ, populations and
-estimator settings through both and compare everything a caller can see:
-each ``ReadingResult`` field (the estimate trace float-exact), the
-telemetry, any error the batch raised, and the generator's state after
-the batch.  The loader tests check that a missing compiler, header or
-library, a compile error or an unwritable cache each select the Python
-walk quietly, and that the cache key follows numpy.  The last tests
-check that an exception raised in the repair callback reaches the
-caller, that the C state is freed on every exit, and that a batch
-releases the GIL.
+``fcat_walk.c`` runs a whole batch -- count draws, walk, duplicate-rank
+repair, estimator, termination probe and telemetry rows -- without
+calling back into Python, and the Python walk stays the reference.  The
+matrices below run channels, λ, populations and estimator settings
+through both and compare everything a caller can see: each
+``ReadingResult`` field (the estimate trace float-exact), the telemetry,
+any error the batch raised, and the generator's state after the batch.
+The channel matrix also checks, from the C loop's own counters, that it
+repaired the frames the Python walk repaired and reached both of the
+repair's branches.  The loader tests check that a missing compiler,
+header or library, a compile error or an unwritable cache each select
+the Python walk quietly, and that the cache key follows numpy.  The last
+tests check that a native batch repairs without the Python repair, that
+the C state is freed on every exit, and that a batch -- repair included
+-- releases the GIL.
 """
 
 from __future__ import annotations
@@ -111,14 +114,41 @@ def _cases(channel: ChannelModel):
                 LARGE_N, 0
 
 
+#: The C loop's repair counters (``fcat_stats``), by name.
+C_REPAIR_COUNTERS = {"repairs": fcat_kernel._REPAIRED_FRAMES,
+                     "sparse rounds": fcat_kernel._RETRY_ROUNDS,
+                     "dense shuffles": fcat_kernel._DENSE_SHUFFLES}
+
+
+def _count_c_repairs(patch, seen: dict) -> None:
+    """Add each native session's repair counters into ``seen`` as the
+    session is closed (its one ``fcat_stats`` read)."""
+    lib = native.library()
+    if lib is None:
+        return
+    stats = lib.fcat_stats
+
+    def counting_stats(session):
+        counters = stats(session)
+        for name, index in C_REPAIR_COUNTERS.items():
+            seen[name] = seen.get(name, 0) + counters[index]
+        return counters
+
+    patch.setattr(lib, "fcat_stats", counting_stats)
+
+
 def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
     """Every case's session, and what the walks were seen to do.
 
     Refills are counted where they run in Python (the Python walk's
     :class:`RankSource`); the native loop refills in C, and the
-    generator states compared show it drew the same blocks.
+    generator states compared show it drew the same blocks.  Repairs
+    (frames whose ranks the repair changed) are counted by the Python
+    walk's :func:`resample_duplicate_slots` and by the C loop's counters;
+    ``repair calls`` counts calls of the Python function.
     """
-    seen = {"refills mid-walk": 0, "repairs": 0, "saturated frames": 0}
+    seen = {"refills mid-walk": 0, "repairs": 0, "repair calls": 0,
+            "saturated frames": 0}
     refill = RankSource.refill
     repair = fcat_kernel.resample_duplicate_slots
 
@@ -128,6 +158,7 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
 
     def counting_repair(*args):
         changed = repair(*args)
+        seen["repair calls"] += 1
         seen["repairs"] += changed
         return changed
 
@@ -136,6 +167,7 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
         patch.setattr(RankSource, "refill", counting_refill)
         patch.setattr(fcat_kernel, "resample_duplicate_slots",
                       counting_repair)
+        _count_c_repairs(patch, seen)
         for protocol, n_tags, seed in _cases(channel):
             session = _observed(protocol, n_tags, [seed], channel)
             seen["saturated frames"] += _saturated_singletons(session[1])
@@ -153,11 +185,18 @@ def test_the_walks_are_bit_identical(channel_name, monkeypatch):
                                      python_sessions):
         assert mine == reference, case
     assert native_seen["refills mid-walk"] == 0
+    # The C loop repaired the frames the Python walk repaired, without
+    # calling the Python repair.
+    assert native_seen["repair calls"] == 0
     assert native_seen["repairs"] == python_seen["repairs"]
     assert native_seen["saturated frames"] \
         == python_seen["saturated frames"]
-    # The matrix reaches the walk's rare paths.
+    # The matrix reaches the walk's rare paths, and both of the repair's
+    # branches: sparse segments' redraw rounds and dense segments'
+    # shuffles.
     assert python_seen["repairs"] > 0
+    assert native_seen["sparse rounds"] > 0
+    assert native_seen["dense shuffles"] > 0
     assert python_seen["saturated frames"] > 0
     assert (python_seen["refills mid-walk"] > 0) \
         == (channel != PERFECT_CHANNEL)
@@ -241,7 +280,7 @@ def test_estimators_the_c_loop_lacks_run_the_python_walk(estimator,
 
     def counting_run_native(*args):
         calls.append(args)
-        run_native(*args)
+        return run_native(*args)
 
     monkeypatch.setattr(fcat_kernel, "_run_native", counting_run_native)
     protocol = Fcat(lam=2, initial_estimate=300.0, **estimator)
@@ -348,26 +387,31 @@ def test_the_cache_key_follows_numpy(fresh_loader, monkeypatch):
     assert native._target() != built
 
 
-# -- callbacks, the C state's lifetime and the GIL ----------------------
+# -- the repair, the C state's lifetime and the GIL ----------------------
 
 class _Boom(Exception):
     pass
 
 
 def _boom(*args):
-    raise _Boom("from a callback")
+    raise _Boom("the Python repair ran")
 
 
 @needs_native
-@pytest.mark.parametrize("callback", ["repair"])
-def test_a_callback_exception_is_re_raised(callback, monkeypatch, capsys):
-    monkeypatch.setattr(fcat_kernel, "resample_duplicate_slots", _boom)
+def test_a_native_batch_repairs_without_python(monkeypatch):
+    """With the Python repair patched to raise, a native batch that
+    repairs still completes, bit-identical to an unpatched run:
+    results, telemetry and generator state."""
     # Three tags at p ≈ 1/2: a slot soon draws one rank twice.
-    with pytest.raises(_Boom, match="from a callback"):
-        batched_fcat_sessions(Fcat(lam=2, initial_estimate=3.0), 3,
-                              [np.random.default_rng(0)])
-    # Recorded and re-raised, not printed and dropped by ctypes.
-    assert "_Boom" not in capsys.readouterr().err
+    protocol = Fcat(lam=2, initial_estimate=3.0)
+    expected = _observed(protocol, 3, range(3))
+    seen: dict = {}
+    with monkeypatch.context() as patch:
+        _count_c_repairs(patch, seen)
+        patch.setattr(fcat_kernel, "resample_duplicate_slots", _boom)
+        assert _observed(protocol, 3, range(3)) == expected
+    assert expected[-1] is None
+    assert seen["repairs"] > 0
 
 
 @needs_native
@@ -397,8 +441,9 @@ GIL_TAGS = 1 << 19
 @needs_native
 def test_a_native_batch_releases_the_gil(monkeypatch):
     """A thread sleeping 1 ms at a time wakes on time while one long
-    batch runs in C.  Were ``fcat_run`` loaded through ``PyDLL``, the
-    thread could not run at all inside the call."""
+    batch runs in C, duplicate-rank repairs included.  Were ``fcat_run``
+    loaded through ``PyDLL``, or did it call back into Python, the thread
+    could not run, or would stall, inside the call."""
     lib = native.library()
     run = lib.fcat_run
     window = []
@@ -410,6 +455,8 @@ def test_a_native_batch_releases_the_gil(monkeypatch):
         return status
 
     monkeypatch.setattr(lib, "fcat_run", timed_run)
+    seen: dict = {}
+    _count_c_repairs(monkeypatch, seen)
     naps = []
     stop = threading.Event()
 
@@ -433,6 +480,8 @@ def test_a_native_batch_releases_the_gil(monkeypatch):
         stop.set()
         thread.join()
     begin, end = window
+    # The batch repaired duplicate ranks, in C, inside the window.
+    assert seen["repairs"] > 0
     late = [woke - start - 0.001 for start, woke in naps
             if begin <= start and woke <= end]
     assert len(late) >= 50, (len(late), end - begin)

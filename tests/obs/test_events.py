@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import pickle
 
+import numpy as np
 import pytest
 
 from repro.obs.events import (
     EVENT_SCHEMA,
+    FRAME_ROW,
     EventStream,
     frame_fields,
     read_jsonl,
@@ -116,20 +119,24 @@ class TestEventStream:
             [(e.seq, e.name, e.fields) for e in parent.events]
 
 
-#: Frame-block rows as the FCAT kernel records them: frame rows
-#: ``(frame_index, p, empty, singleton, collision, estimate, actual)`` and
-#: termination-probe rows ``(slot_index, outcome)``.
+#: Frame-block rows as the FCAT kernel records them, in the
+#: ``FRAME_ROW`` layout ``(index, p, empty, singleton, collision,
+#: estimate, actual)``: frame rows, and termination-probe rows marked by
+#: ``actual`` = -1 with the outcome's code in ``empty``.
 ROWS = [(0, 0.5, 10, 12, 8, 40.0, 38), (0, 0.5, 9, 14, 7, 41.5, 37),
-        (1, 0.625, 11, 9, 10, 30.5, 30), (93, "collision"),
-        (2, 1.0, 30, 0, 0, 1.0, 0), (124, "empty")]
+        (1, 0.625, 11, 9, 10, 30.5, 30), (93, 0.0, 2, 0, 0, 0.0, -1),
+        (2, 1.0, 30, 0, 0, 1.0, 0), (124, 0.0, 0, 0, 0, 0.0, -1)]
+
+#: A probe row's outcome by its code.
+OUTCOMES = ("empty", "singleton", "collision")
 
 
 def _emit_eagerly(stream: EventStream, protocol: str, rows) -> None:
     """What a frame block stands for, emitted one event at a time."""
     for row in rows:
-        if len(row) == 2:
+        if row[6] < 0:
             stream.emit("termination_probe", protocol=protocol,
-                        slot_index=row[0], outcome=row[1])
+                        slot_index=row[0], outcome=OUTCOMES[row[2]])
         else:
             frame, update = frame_fields(protocol, row)
             stream.emit("frame", **frame)
@@ -143,7 +150,7 @@ def _block_and_eager(*blocks) -> tuple[EventStream, EventStream]:
     for rows in blocks:
         for stream in (block, eager):
             stream.emit("cache_hit", key="k")
-        block.record_frames("FCAT-3", list(rows))
+        block.record_frames("FCAT-3", np.array(rows, FRAME_ROW))
         _emit_eagerly(eager, "FCAT-3", rows)
     return block, eager
 
@@ -152,30 +159,55 @@ def _seen(stream: EventStream) -> list:
     return [(event.seq, event.name, event.fields) for event in stream.events]
 
 
+def _retyped(field: str, kind) -> np.ndarray:
+    """ROWS with one column of another type."""
+    return np.array(ROWS, [(name, kind if name == field else FRAME_ROW[name])
+                           for name in FRAME_ROW.names])
+
+
+#: Bad blocks, and whether the ``emit`` of their rows would raise the same
+#: error (only a column of the wrong type has an eager counterpart).
+BAD_BLOCKS = {
+    "bool-index": (lambda: _retyped("index", np.bool_), True),
+    "str-probability": (lambda: _retyped("p", "U8"), True),
+    "float-actual": (lambda: _retyped("actual", np.float64), True),
+    "missing-field": (lambda: np.array(
+        [row[:5] + row[6:] for row in ROWS],
+        [(name, FRAME_ROW[name]) for name in FRAME_ROW.names
+         if name != "estimate"]), False),
+    "outcome-code-3": (lambda: np.array(
+        ROWS[:3] + [(93, 0.0, 3, 0, 0, 0.0, -1)] + ROWS[4:], FRAME_ROW),
+        False),
+}
+
+
 class TestFrameBlock:
     def test_expands_to_the_eager_events(self):
         block, eager = _block_and_eager(ROWS, ROWS[:2])
         assert _seen(block) == _seen(eager)
         assert len(block) == len(eager) == 2 + (2 * 4 + 2) + 2 * 2
         assert block.counts() == eager.counts()
+        # Python scalars, as the eager emits hold: a reader sees no numpy.
+        for _, _, fields in _seen(block):
+            for value in fields.values():
+                assert type(value) in (str, int, float), fields
 
-    @pytest.mark.parametrize("bad_row", [
-        (True, 0.5, 10, 12, 8, 40.0, 38),
-        (0, "0.5", 10, 12, 8, 40.0, 38),
-        (0, 0.5, 10, 12, 8, 40.0, 38.0),
-        (93, 1),
-    ], ids=["bool-index", "str-probability", "float-actual", "int-outcome"])
+    @pytest.mark.parametrize("bad_row", sorted(BAD_BLOCKS))
     def test_a_bad_row_raises_as_emit_would(self, bad_row):
-        rows = ROWS[:3] + [bad_row] + ROWS[3:]
-        with pytest.raises(ValueError) as eager_error:
-            _emit_eagerly(EventStream(), "FCAT-3", rows)
+        """A bad block raises ``ValueError`` at record time and records
+        nothing; a column of the wrong type raises as the ``emit`` of its
+        first row would."""
+        build, eager_counterpart = BAD_BLOCKS[bad_row]
+        rows = build()
         stream = EventStream()
         with pytest.raises(ValueError) as block_error:
             stream.record_frames("FCAT-3", rows)
-        assert str(block_error.value) == str(eager_error.value)
         assert len(stream) == 0 and stream.counts() == {}
-        with pytest.raises(ValueError, match="7 .* or 2 "):
-            stream.record_frames("FCAT-3", [(0, 0.5, 10)])
+        assert stream.events == []
+        if eager_counterpart:
+            with pytest.raises(ValueError) as eager_error:
+                _emit_eagerly(EventStream(), "FCAT-3", rows.tolist())
+            assert str(block_error.value) == str(eager_error.value)
 
     def test_forget_cuts_anywhere_like_eager_events(self):
         """Every cut -- before, between and inside blocks, between a frame
@@ -209,6 +241,22 @@ class TestFrameBlock:
         assert write_jsonl(path, parent) == len(parent)
         assert [(e.seq, e.name, e.fields) for e in read_jsonl(path)] == \
             _seen(eager_parent)
+
+    def test_a_stream_holding_a_block_survives_pickling(self):
+        """A worker's collector reaches the parent pickled: a block, also
+        one a forget has split, comes back with its events, ``seq``s,
+        length and counts."""
+        worker, eager = _block_and_eager(ROWS, ROWS)
+        for stream in (worker, eager):
+            stream.forget(4)  # inside the first block
+        copy = pickle.loads(pickle.dumps(worker))
+        assert _seen(copy) == _seen(eager)
+        assert len(copy) == len(eager)
+        assert copy.counts() == eager.counts()
+        parent = EventStream()
+        parent.fold(copy)
+        assert _seen(parent) == [(seq - 4, name, fields)
+                                 for seq, name, fields in _seen(eager)]
 
 
 class TestJsonlRoundTrip:
