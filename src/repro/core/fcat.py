@@ -54,7 +54,8 @@ class FcatConfig:
     estimator_method: str = "paper"
     estimator_mode: str = "ewma"
     #: Slot statistic the estimator inverts: "collision" (the paper's
-    #: choice) or "empty" (capture-robust; see the estimator's docs).
+    #: choice) or "empty" (capture-robust, on frames of 3 or more slots;
+    #: see the estimator's docs).
     estimator_source: str = "collision"
     #: Weight of the newest frame in the EWMA estimator mode.
     estimator_ewma_weight: float = 0.6
@@ -74,6 +75,13 @@ class FcatConfig:
             raise ValueError("lam must be >= 2")
         if self.frame_size < 1:
             raise ValueError("frame_size must be >= 1")
+        if self.estimator_source == "empty" and self.frame_size <= 2:
+            # At the default 0.5 cap on p, a frame with no empty slot
+            # inverts to at most log2(2f) <= 2 tags, below the 2ω
+            # (>= 2.8) that lifts p off the cap: p pins there and a
+            # perfect-channel session never ends.
+            raise ValueError('estimator_source="empty" needs frame_size '
+                             '>= 3')
         if self.omega is not None and self.omega <= 0:
             raise ValueError("omega must be positive")
         if not 0.0 < self.max_report_probability <= 1.0:

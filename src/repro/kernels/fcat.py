@@ -28,17 +28,22 @@ in modes ``ewma`` and ``last``, the termination probe and the telemetry
 rows -- and runs each batch in one call that releases the GIL, wherever
 :func:`repro.kernels.native.library` can build it
 (:class:`_NativeFcatSession`, :func:`_run_native`).  The two consume the
-generator identically, so which one ran never shows in a result, and the
-Python walk stays the reference the tests hold the C loop to and the
-fallback (also for the ``exact`` and ``average`` estimators).  The paper's
-section IV-E imperfections and the capture extension are channel
-*outcomes* taken as data: each is one uniform from the same amortized
-block that supplies the ranks -- one per singleton (CRC), per stored
-record (usable), per learned tag (ack) and per collision (capture, plus
-one for the captured index).  A zero probability takes no uniform, so a
-draw-free channel consumes the generator exactly as a perfect-channel
-session always has.  The termination probe is the same walk over a
-one-slot ``p = 1`` frame.
+generator identically, so which one ran never shows in a result, and they
+accept the same configurations (the ``exact`` and ``average`` estimators,
+which C does not port, run the scalar engine).  The Python walk stays as
+the reference the tests hold the C loop to and as the fallback without a
+compiler, several times faster than the scalar engine
+(``docs/performance.md``, "Three FCATs, measured").  It favours plainness
+over speed: the store's own :meth:`KernelRecordStore.register` stores
+every record and :meth:`KernelRecordStore.cascade` runs every
+resolution cascade.  The paper's section IV-E imperfections and the
+capture extension are channel *outcomes* taken as data: each is one
+uniform from the same amortized block that supplies the ranks -- one per
+singleton (CRC), per stored record (usable), per learned tag (ack) and
+per collision (capture, plus one for the captured index).  A zero
+probability takes no uniform, so a draw-free channel consumes the
+generator exactly as a perfect-channel session always has.  The
+termination probe is the same walk over a one-slot ``p = 1`` frame.
 
 Under an active observation each frame and each termination probe adds
 one :data:`repro.obs.events.FRAME_ROW` row to the batch's telemetry, in
@@ -78,7 +83,7 @@ import numpy as np
 
 from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.core.estimator import EmbeddedEstimator
-from repro.core.fcat import Fcat, FcatConfig
+from repro.core.fcat import Fcat
 from repro.kernels import native
 from repro.kernels.frame import (RankSource, draw_slot_counts,
                                  resample_duplicate_slots)
@@ -114,6 +119,10 @@ class _FcatKernelSession:
         if config.bootstrap_abort_after is not None:
             raise ValueError("the FCAT kernel does not implement the "
                              "bootstrap abort; use the scalar engine")
+        if config.estimator_method != "paper" \
+                or config.estimator_mode == "average":
+            raise ValueError("the FCAT kernel implements Eq. 12 in modes "
+                             "'ewma' and 'last' only; use the scalar engine")
         self.rng = rng
         self.ranks = RankSource(rng)
         self.omega = config.effective_omega
@@ -242,18 +251,12 @@ class _FcatKernelSession:
                 record_counts = [k for k in counts if 2 <= k <= lam]
                 resample_duplicate_slots(self.rng, n_active,
                                          record_counts, ranks)
-                by_tag = store._by_tag
                 items = self.items
                 offset = 0
                 for k in record_counts:
-                    rec = [k] + [items[r] for r in ranks[offset:offset + k]]
+                    store.register([items[r]
+                                    for r in ranks[offset:offset + k]])
                     offset += k
-                    for tag in rec[1:]:
-                        entries = by_tag[tag]
-                        if entries is None:
-                            by_tag[tag] = [rec]
-                        else:
-                            entries.append(rec)
             result.tag_transmissions += total
             result.empty_slots += n_empty
             result.collision_slots += n_collision
@@ -319,6 +322,8 @@ class _FcatKernelSession:
         lam = store.lam
         by_tag = store._by_tag
         learned = store._learned
+        register = store.register
+        cascade = store.cascade
         items = self.items
         pos = self.pos
         append_removed = removed.append
@@ -373,68 +378,9 @@ class _FcatKernelSession:
                 n_collision += 1
                 if k > lam or (unusable_p and uniform() < unusable_p):
                     continue
-                if ack_p:
-                    parts = [items[r] for r in
-                             (ranks[start:end] if seg is None else seg)]
-                    rank = -1  # no read: the record path below
-                else:
-                    # Inlined `store.add_record`, minus the learned scan:
-                    # with every ack received a transmitting tag is never
-                    # already learned, so the record starts fully unknown
-                    # -- its counter is simply k.  The common small sizes
-                    # are unrolled (no slice, no listcomp); every
-                    # participant registers, mirroring records.py.
-                    if seg is None:
-                        if k == 2:
-                            rec = [2, items[ranks[start]],
-                                   items[ranks[start + 1]]]
-                        elif k == 3:
-                            rec = [3, items[ranks[start]],
-                                   items[ranks[start + 1]],
-                                   items[ranks[start + 2]]]
-                        elif k == 4:
-                            rec = [4, items[ranks[start]],
-                                   items[ranks[start + 1]],
-                                   items[ranks[start + 2]],
-                                   items[ranks[start + 3]]]
-                        else:
-                            rec = [k] + [items[r] for r in ranks[start:end]]
-                    else:
-                        rec = [k] + [items[r] for r in seg]
-                    t0 = rec[1]
-                    entries = by_tag[t0]
-                    if entries is None:
-                        by_tag[t0] = [rec]
-                    else:
-                        entries.append(rec)
-                    t1 = rec[2]
-                    entries = by_tag[t1]
-                    if entries is None:
-                        by_tag[t1] = [rec]
-                    else:
-                        entries.append(rec)
-                    if k > 2:
-                        t2 = rec[3]
-                        entries = by_tag[t2]
-                        if entries is None:
-                            by_tag[t2] = [rec]
-                        else:
-                            entries.append(rec)
-                        if k > 3:
-                            t3 = rec[4]
-                            entries = by_tag[t3]
-                            if entries is None:
-                                by_tag[t3] = [rec]
-                            else:
-                                entries.append(rec)
-                            if k > 4:
-                                for tag in rec[5:]:
-                                    entries = by_tag[tag]
-                                    if entries is None:
-                                        by_tag[tag] = [rec]
-                                    else:
-                                        entries.append(rec)
-                    continue
+                parts = [items[r] for r in
+                         (ranks[start:end] if seg is None else seg)]
+                rank = -1  # no read: the record path below
             if rank < 0:
                 entries = None
             else:
@@ -454,80 +400,33 @@ class _FcatKernelSession:
                 entries = by_tag[tag]
                 by_tag[tag] = None
             if parts is not None:
-                # `store.add_record` for a record that may hold learned
-                # participants: they drop out, and a lone unknown resolves
-                # at creation -- visited first, as a record whose count
-                # is about to reach one.
-                unknown = [tag for tag in parts if not learned[tag]]
+                # `store.add_record`: learned participants drop out (only
+                # a lost ack lets one transmit), and a lone unknown
+                # resolves at creation -- visited first, as a record
+                # whose count is about to reach one.
+                unknown = ([tag for tag in parts if not learned[tag]]
+                           if ack_p else parts)
                 if len(unknown) > 1:
-                    rec = [len(unknown)] + unknown
-                    for tag in unknown:
-                        pending = by_tag[tag]
-                        if pending is None:
-                            by_tag[tag] = [rec]
-                        else:
-                            pending.append(rec)
+                    register(unknown)
                 elif unknown:
                     seed = [2, unknown[0]]
                     entries = [seed] if entries is None else [seed] + entries
             if entries is None:
                 continue
-            # `KernelRecordStore.learn`'s cascade, inlined so resolutions
-            # feed the removal list and the cancel set without any
-            # intermediate bookkeeping (see records.py for the
-            # unknown-counter visit logic this mirrors).  A worklist
-            # fixpoint over ragged pending lists: inherently serial,
-            # O(total record visits).
-            stack = None
-            while True:
-                for rec in entries:
-                    c = rec[0]
-                    if c < 2:
-                        continue  # spent (stored counts never hit 1)
-                    rec[0] = c - 1
-                    if c > 2:
-                        continue  # still > 1 unknown participant
-                    # The count just hit one: resolve the survivor -- the
-                    # lone unlearned stored participant (none on a
-                    # duplicate residual).  Unrolled over the first four
-                    # stored participants, looped over the rest (λ >= 5);
-                    # the k == 2 case (the bulk) exits after two flag
-                    # reads.
-                    other = rec[1]
-                    if learned[other]:
-                        other = rec[2]
-                        if learned[other]:
-                            other = rec[3] if len(rec) > 3 else -1
-                            if other >= 0 and learned[other]:
-                                other = rec[4] if len(rec) > 4 else -1
-                                if other >= 0 and learned[other]:
-                                    other = -1
-                                    for tag in rec[5:]:
-                                        if not learned[tag]:
-                                            other = tag
-                                            break
-                    rec[0] = 0
-                    if other < 0:
-                        continue  # duplicate residual
-                    learned[other] = 1
-                    n_resolved += 1
-                    if not ack_p or uniform() >= ack_p:
-                        append_removed(other)
-                        resolved_rank = pos[other]
-                        if (resolved_rank in frame_ranks if last_pos is None
-                                else last_pos.get(resolved_rank, -1) >= end):
-                            if cancel is None:
-                                cancel = set()
-                            cancel.add(resolved_rank)
-                    pending = by_tag[other]
-                    if pending is not None:
-                        by_tag[other] = None
-                        if stack is None:
-                            stack = []
-                        stack.append(pending)
-                if not stack:
-                    break
-                entries = stack.pop()
+            # The store's cascade draws nothing and `pos` holds until the
+            # frame ends, so each resolved tag's ack, removal and
+            # cancellation can follow it in resolution order.
+            resolved = cascade(entries)
+            n_resolved += len(resolved)
+            for other in resolved:
+                if not ack_p or uniform() >= ack_p:
+                    append_removed(other)
+                    resolved_rank = pos[other]
+                    if (resolved_rank in frame_ranks if last_pos is None
+                            else last_pos.get(resolved_rank, -1) >= end):
+                        if cancel is None:
+                            cancel = set()
+                        cancel.add(resolved_rank)
         # Fold the flat counters: every eventful slot lands in exactly one
         # of the singleton / collision / cancelled-to-empty buckets, so
         # the empty count is the slot count minus the first two.
@@ -599,17 +498,6 @@ class _FcatKernelSession:
 
 #: The native loop's error statuses (the enum in ``fcat_walk.c``).
 _NOMEM, _RUNAWAY, _ZERO_DIVISION = -2, -3, -4
-
-
-def _runs_natively(config: FcatConfig) -> bool:
-    """Whether ``fcat_walk.c`` implements the session's estimator.
-
-    It implements Eq. 12 in modes ``ewma`` and ``last``.  The ``exact``
-    inversion (scipy) and the ``average`` mode, whose ``sum()`` rounding
-    varies by Python version, run the Python walk.
-    """
-    return (config.estimator_method == "paper"
-            and config.estimator_mode != "average")
 
 
 class _NativeFcatSession(_FcatKernelSession):
@@ -707,8 +595,8 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     composition and chunking -- the basis of the kernel-v2 bit-identity
     guarantee (``docs/performance.md``).  Sessions drop out of the batch
     as they terminate.  Wherever :func:`repro.kernels.native.library`
-    loads and the estimator is one ``fcat_walk.c`` implements, the whole
-    batch runs in one native call; otherwise the Python walk runs it.
+    loads, the whole batch runs in one native call; otherwise the Python
+    walk runs it.
 
     Under an active observation the batch's telemetry rows are handed to
     the event stream once, as one array, when the batch ends -- also when
@@ -719,15 +607,14 @@ def batched_fcat_sessions(protocol: Fcat, n_tags: int,
     rows: list[tuple] | None = None if obs is None else []
     block: np.ndarray | None = None
     lib = native.library()
-    run_natively = lib is not None and _runs_natively(protocol.config)
     sessions: list[_FcatKernelSession] = []
     try:
         for rng in rngs:
             args = (protocol.name, protocol, n_tags, rng, channel, timing,
                     rows)
-            sessions.append(_NativeFcatSession(*args) if run_natively
-                            else _FcatKernelSession(*args))
-        if run_natively:
+            sessions.append(_FcatKernelSession(*args) if lib is None
+                            else _NativeFcatSession(*args))
+        if lib is not None:
             block, status = _run_native(lib, sessions, obs is not None)
             _raise_for(status, sessions[0].max_slots)
         else:

@@ -34,6 +34,15 @@ the order within a cascade may differ, which is statistically irrelevant
 (it permutes the kernel's internal roster only) and is pinned as part of
 kernel-v2 semantics by the equivalence tests.
 
+:meth:`KernelRecordStore.register` is the one record path and
+:meth:`KernelRecordStore.cascade` the one cascade body: ``add_record`` and
+``learn`` use them, and so does the Python FCAT walk
+(:mod:`repro.kernels.fcat`), which touches the pending lists and learned
+flags itself only to detach a read tag's list and to drop learned
+participants.  ``fcat_walk.c`` ports both, pending-list order and the
+cascade's LIFO stack included, and the bit-identity tests hold the two
+walks to the same resolution order.
+
 Records that can never resolve (noise-unusable or ``k > lam``) are
 counted by the session but not stored at all: the scalar store keeps them
 only for introspection, and dropping them keeps the pending lists small
@@ -107,7 +116,13 @@ class KernelRecordStore:
             # again): learn the single unknown and run the cascade.
             recovered = unknown[0]
             return [recovered] + self.learn(recovered)
-        rec = [n_unknown] + unknown
+        self.register(unknown)
+        return []
+
+    def register(self, unknown: list[int]) -> None:
+        """Store a record over ``unknown``, two or more unlearned tags,
+        appended to each one's pending list."""
+        rec = [len(unknown)] + unknown
         by_tag = self._by_tag
         for tag in unknown:
             entries = by_tag[tag]
@@ -115,10 +130,9 @@ class KernelRecordStore:
                 by_tag[tag] = [rec]
             else:
                 entries.append(rec)
-        return []
 
     def learn(self, tag: int) -> list[int]:
-        """Feed a newly learned index into the cascade (worklist fixpoint).
+        """Feed a newly learned index into the cascade.
 
         Returns the resolved tag indices in resolution order.
         """
@@ -126,14 +140,28 @@ class KernelRecordStore:
         if learned[tag]:
             return []
         learned[tag] = 1
-        self._learned_count += 1
+        entries = self._by_tag[tag]
+        self._by_tag[tag] = None
+        out = [] if entries is None else self.cascade(entries)
+        self._learned_count += 1 + len(out)
+        return out
+
+    def cascade(self, entries: list[list[int]]) -> list[int]:
+        """Resolve what one detached pending list lets resolve.
+
+        ``entries`` is a just-learned tag's pending list, already detached
+        from ``_by_tag``.  Each resolved tag is marked learned, and its
+        own pending list is detached and pushed on a stack that is popped
+        once the current list is done (last in, first out, as
+        ``fcat_walk.c`` does).  Returns the resolved tags in resolution
+        order; :attr:`learned_count` is left to the caller.  Draws
+        nothing, so a caller may act on the resolutions afterwards in
+        that order as if it had acted on each one as it came.
+        """
+        learned = self._learned
         by_tag = self._by_tag
-        entries = by_tag[tag]
-        if entries is None:
-            return []
-        by_tag[tag] = None
         out: list[int] = []
-        stack: list[list[list[int]]] | None = None
+        stack: list[list[list[int]]] = []
         # The cascade is a worklist fixpoint over ragged pending lists:
         # inherently serial, O(total record visits), nothing rectangular
         # to mask over (the kernels batch the *draws*, not the closure).
@@ -146,14 +174,11 @@ class KernelRecordStore:
                 if c > 2:
                     continue  # still more than one unknown participant
                 # The count just hit one: the lone survivor resolves now.
-                other = -1
-                for j in range(1, len(rec)):
-                    part = rec[j]
-                    if not learned[part]:
-                        other = part
-                        break
                 rec[0] = 0  # retired either way
-                if other < 0:
+                for other in rec[1:]:
+                    if not learned[other]:
+                        break
+                else:
                     # Duplicate residual: the last unknown was learned
                     # moments ago through another record of this same
                     # cascade; a real reader discards the duplicate ID.
@@ -163,10 +188,7 @@ class KernelRecordStore:
                 pending = by_tag[other]
                 if pending is not None:
                     by_tag[other] = None
-                    if stack is None:
-                        stack = []
                     stack.append(pending)
             if not stack:
-                self._learned_count += len(out)
                 return out
             entries = stack.pop()

@@ -181,6 +181,9 @@ class TestConfig:
             Fcat(lam=1)
         with pytest.raises(ValueError):
             Fcat(frame_size=0)
+        for frame_size in (1, 2):
+            with pytest.raises(ValueError, match="frame_size >= 3"):
+                Fcat(frame_size=frame_size, estimator_source="empty")
         with pytest.raises(ValueError):
             Fcat(omega=0.0)
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ through both and compare everything a caller can see: each
 any error the batch raised, and the generator's state after the batch.
 The channel matrix also checks, from the C loop's own counters, that it
 repaired the frames the Python walk repaired and reached both of the
-repair's branches.  The loader tests check that a missing compiler,
+repair's branches.  Estimators C does not port run the scalar engine
+on both walks, and the empty-source estimator finishes at the service's
+frame size.  The loader tests check that a missing compiler,
 header or library, a compile error or an unwritable cache each select
 the Python walk quietly, and that the cache key follows numpy.  The last
 tests check that a native batch repairs without the Python repair, that
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import shutil
+import sys
 import threading
 import time
 
@@ -28,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.core.fcat import Fcat
+from repro.experiments.runner import run_single, spawn_run_seeds
 from repro.kernels import engine
 from repro.kernels import fcat as fcat_kernel
 from repro.kernels import native
@@ -213,18 +217,20 @@ ESTIMATOR_CHANNELS = (PERFECT_CHANNEL, ChannelModel(0.1, 0.1, 0.1, 0.1))
 def test_the_estimator_is_bit_identical(mode, source, monkeypatch):
     """The C estimator against ``EmbeddedEstimator`` in each mode and
     source, from a blind, the default and an exact start, at frame sizes
-    1, 2 and 30, with ``p`` capped at 1/2 and at 1 (saturated frames,
+    1, 2 and 30 (3, 4 and 30 for the empty source, which refuses frames
+    under 3 slots), with ``p`` capped at 1/2 and at 1 (saturated frames,
     where the estimator returns without inverting).
 
-    Frames of one or two slots run at small N only: there the estimator
-    often livelocks until the runaway guard stops the session (61,000
-    slots at N = 300), which is compared too but costs seconds.
+    The smallest frames run at small N only: there the estimator often
+    livelocks until the runaway guard stops the session (61,000 slots at
+    N = 300), which is compared too but costs seconds.
     """
+    small = (1, 2, 30) if source == "collision" else (3, 4, 30)
     cases = [(Fcat(lam=lam, frame_size=frame_size, initial_estimate=start,
                    max_report_probability=max_p, estimator_mode=mode,
                    estimator_source=source), n_tags, channel)
-             for n_tags, lam, frame_sizes in ((3, 2, (1, 2, 30)),
-                                              (40, 3, (1, 2, 30)),
+             for n_tags, lam, frame_sizes in ((3, 2, small),
+                                              (40, 3, small),
                                               (300, 4, (30,)))
              for start in (1.0, 64.0, float(n_tags))
              for frame_size in frame_sizes
@@ -273,8 +279,12 @@ def test_an_estimate_past_float_resolution_raises_on_both_walks(
 @needs_native
 @pytest.mark.parametrize("estimator", [{"estimator_method": "exact"},
                                        {"estimator_mode": "average"}])
-def test_estimators_the_c_loop_lacks_run_the_python_walk(estimator,
-                                                         monkeypatch):
+def test_estimators_the_c_loop_lacks_run_the_scalar_engine(estimator,
+                                                           monkeypatch):
+    """Neither walk takes an estimator C does not port: the engine runs
+    it scalar, bit-identical to ``run_single``, and a kernel session
+    refuses it, so the C and the Python walk accept the same
+    configurations."""
     calls = []
     run_native = fcat_kernel._run_native
 
@@ -284,13 +294,34 @@ def test_estimators_the_c_loop_lacks_run_the_python_walk(estimator,
 
     monkeypatch.setattr(fcat_kernel, "_run_native", counting_run_native)
     protocol = Fcat(lam=2, initial_estimate=300.0, **estimator)
-    mine, reference = _on_both_walks(
-        lambda: _observed(protocol, 300, range(2), ESTIMATOR_CHANNELS[1]),
-        monkeypatch)
-    assert mine == reference
+    channel = ESTIMATOR_CHANNELS[1]
+    assert not engine.kernel_supported(protocol, channel)
+    children = spawn_run_seeds(7, 2)
+    assert engine.run_batch(protocol, 300, children, channel=channel) \
+        == [run_single(protocol, 300, child, channel=channel)
+            for child in children]
+    with pytest.raises(ValueError, match="scalar engine"):
+        batched_fcat_sessions(protocol, 300, [np.random.default_rng(0)])
     assert not calls
     _observed(Fcat(lam=2), 300, range(2))
     assert len(calls) == 1
+
+
+@needs_native
+@pytest.mark.parametrize("lam", [2, 3, 4])
+def test_the_empty_source_finishes_at_the_service_frame_size(lam):
+    """The capture-robust empty-source estimator at the service's f = 30
+    and initial estimate N: a 16,384-tag session finishes on the C walk,
+    on a perfect and on a capture channel (ROADMAP item 6's pin before
+    the service may use that source)."""
+    assert native.library() is not None, native.failure
+    protocol = Fcat(lam=lam, estimator_source="empty",
+                    initial_estimate=float(LARGE_N))
+    for channel in (PERFECT_CHANNEL, CHANNELS["capture"]):
+        (result,) = batched_fcat_sessions(
+            protocol, LARGE_N, [np.random.default_rng(lam)],
+            channel=channel)
+        assert result.complete, (channel, result.n_read)
 
 
 def test_the_native_walk_loads_where_a_compiler_exists():
@@ -432,25 +463,40 @@ def test_the_c_state_is_freed_when_the_runaway_guard_raises(monkeypatch):
     assert len(freed) == 2
 
 
-#: A session long enough (≈0.2 s in C) that a GIL held through
-#: ``fcat_run`` would stall a sleeping thread over a hundred times, and
-#: that one late wake-up on a busy host does not decide the p99.
+#: A session long enough (≈0.2 s in C) that a thread sleeping 1 ms at a
+#: time wakes well over fifty times inside it.
 GIL_TAGS = 1 << 19
 
 
 @needs_native
 def test_a_native_batch_releases_the_gil(monkeypatch):
-    """A thread sleeping 1 ms at a time wakes on time while one long
-    batch runs in C, duplicate-rank repairs included.  Were ``fcat_run``
-    loaded through ``PyDLL``, or did it call back into Python, the thread
-    could not run, or would stall, inside the call."""
+    """A thread sleeping 1 ms at a time keeps waking while one long batch
+    runs in C, duplicate-rank repairs included, and the calling thread
+    runs no Python inside the call.  Were ``fcat_run`` loaded through
+    ``PyDLL``, the sleeper could not run inside the call; did it call
+    back into Python, the profile hook would see the call.
+
+    How late the sleeper wakes is not checked: that is the host's doing,
+    not the lock's.  On a shared 2-core host its p99 lateness over five
+    rounds was 0.8-5.5 ms beside a batch and 0.6-4.6 ms beside an idle
+    wait of the same length.
+    """
     lib = native.library()
     run = lib.fcat_run
     window = []
+    python_calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            python_calls.append(frame.f_code.co_name)
 
     def timed_run(*args):
         window.append(time.perf_counter())
-        status = run(*args)
+        sys.setprofile(profile)  # this thread only
+        try:
+            status = run(*args)
+        finally:
+            sys.setprofile(None)
         window.append(time.perf_counter())
         return status
 
@@ -469,20 +515,19 @@ def test_a_native_batch_releases_the_gil(monkeypatch):
     thread = threading.Thread(target=sleeper)
     thread.start()
     try:
-        # Paused as in every batch the engine runs: otherwise the sleeper's
-        # own appends trigger full collections that scan the whole test
-        # process's heap (≈3 ms late at 3 M objects), whatever the lock.
+        # Paused as in every batch the engine runs.
         with engine._cyclic_gc_paused():
             batched_fcat_sessions(
                 Fcat(lam=2, initial_estimate=float(GIL_TAGS)), GIL_TAGS,
                 [np.random.default_rng(0)])
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
     begin, end = window
     # The batch repaired duplicate ranks, in C, inside the window.
     assert seen["repairs"] > 0
+    assert not python_calls, python_calls[:5]
     late = [woke - start - 0.001 for start, woke in naps
             if begin <= start and woke <= end]
     assert len(late) >= 50, (len(late), end - begin)
-    assert np.percentile(late, 99) <= 0.002, sorted(late)[-3:]

@@ -34,6 +34,31 @@ def test_cascade_chains_through_records():
     assert store.learned_count == 4
 
 
+def _two_chains() -> KernelRecordStore:
+    """Tag 0 resolves 1 and 2, which resolve 3 and 4 in turn."""
+    store = KernelRecordStore(lam=2, n_tags=5)
+    for pair in ([0, 1], [0, 2], [1, 3], [2, 4]):
+        store.add_record(0, pair)
+    return store
+
+
+def test_the_cascade_pops_pending_lists_last_in_first_out():
+    """The resolution order, which fixes the walks' roster permutation:
+    a pending list in order, then the lists its resolutions detached,
+    the last one first (``fcat_walk.c`` pops the same stack)."""
+    store = _two_chains()
+    assert store.learn(0) == [1, 2, 4, 3]
+    assert store.learned_count == 5
+    # The FCAT walk detaches a learned tag's list itself and keeps the
+    # count: the cascade marks every resolution learned, counts none.
+    store = _two_chains()
+    store._learned[0] = 1
+    entries, store._by_tag[0] = store._by_tag[0], None
+    assert store.cascade(entries) == [1, 2, 4, 3]
+    assert all(store.is_learned(tag) for tag in range(5))
+    assert store.learned_count == 0
+
+
 def test_record_with_single_unknown_resolves_at_creation():
     store = KernelRecordStore(lam=3, n_tags=4)
     store.learn(0)
