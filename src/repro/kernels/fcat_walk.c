@@ -10,14 +10,16 @@
  * the GIL once per batch.
  *
  * The generator is the session's numpy bit generator, reached through its
- * `bitgen_t`.  Slot counts come from numpy's own `random_binomial` (the
- * function `Generator.binomial` calls, linked from libnpyrandom.a), and
- * the uniform block from `random_standard_uniform_fill` (what
- * `Generator.random` calls), so both draw exactly what the Python walk's
- * numpy calls draw.  The estimator is `EmbeddedEstimator.update` for
- * method "paper" in modes "ewma" and "last": the same `log` calls in the
- * same operation order, built with -ffp-contract=off so that no product
- * and sum fuse into an FMA.
+ * `bitgen_t`.  Slot counts come from `fcat_binomial_fill`, which draws
+ * what `Generator.binomial(n, p, size=len)` draws: numpy's inversion
+ * sampler for n * p <= 30, its recurrence tabulated once per call since
+ * (n, p) is fixed for the whole frame, and numpy's own `random_binomial`
+ * (linked from libnpyrandom.a) above that.  The uniform block comes from
+ * `random_standard_uniform_fill` (what `Generator.random` calls), so both
+ * draw exactly what the Python walk's numpy calls draw.  The estimator is
+ * `EmbeddedEstimator.update` for method "paper" in modes "ewma" and
+ * "last": the same `log` calls in the same operation order, built with
+ * -ffp-contract=off so that no product and sum fuse into an FMA.
  *
  * The duplicate repair is `resample_duplicate_slots` (frame.py), draw for
  * draw: its `rng.integers` calls are numpy's Lemire draws from the same
@@ -33,14 +35,28 @@
  * draws, which keep every index in range; the caller discards the
  * session.
  *
+ * Limits.  Tags, records, pending-list nodes and a frame's transmission
+ * positions are i32 indices.  `fcat_new` refuses a session of more than
+ * INT32_MAX tags, and a session whose records or nodes, or a frame whose
+ * transmissions, would pass INT32_MAX sets FCAT_NOMEM instead of
+ * wrapping.
+ *
  * Layout.  The roster is `items` (active tag indices) with `where[tag]`
- * each one's position.  A record is an arena slice [count, n_parts,
- * parts...] whose count is its still-unknown participants; each one
- * holds the record in its pending list, a singly linked list of nodes in
- * append order.  Learning a tag detaches its list, and the cascade walks
- * detached lists from a LIFO stack.  Per-rank stamps, bumped once per
- * frame, stand in for the Python walk's frame set, last-event map and
- * cancel set.
+ * each one's position.  The cascade is a peeling decoder, so a record is
+ * two i32s: the count of its participants the cascade has not visited
+ * yet and the XOR of their tags.  When the count reaches one, the XOR is
+ * the last participant: the survivor, or a duplicate residual if it is
+ * already learned.  This is the Python store's "first unlearned
+ * participant": every visited participant is learned, so only the
+ * unvisited one can be unlearned.  Each participant holds the record in
+ * its pending list of {record, next} nodes; `head[tag]` is the list's
+ * first node, 0 for an empty list and LEARNED once the tag is learned,
+ * so a calloc'd array starts every tag unknown with no records.  Nodes
+ * are prepended, and a list is reversed into append order when it is
+ * detached.  The cascade walks detached lists from a LIFO stack of
+ * {tag, node} pairs.  Per-rank stamps {seen, cancelled, last_pos},
+ * bumped once per frame, stand in for the Python walk's frame set,
+ * cancel set and last-event map.  Scratch arrays grow with use.
  */
 
 #include <math.h>
@@ -83,7 +99,8 @@ enum {
     ST_DENSE_SHUFFLES,  /* dense segments replaced by a shuffle */
     ST_RECORDS,         /* records stored */
     ST_CASCADE_VISITS,  /* pending-list nodes the cascade visited */
-    ST_BINOMIAL_SETUPS, /* frames whose binomial (n, p) needed a set-up */
+    ST_BINOMIAL_SETUPS, /* frames whose binomial (n, p) differed from the
+                           last frame's */
     N_STATS
 };
 
@@ -119,12 +136,39 @@ typedef struct {
 
 #define BLOCK 4096  /* RankSource._BLOCK */
 
+/* A record: its participants the cascade has not visited, their count
+ * (0 once spent) and the XOR of their tags. */
+typedef struct {
+    i32 count, xor;
+} Record;
+
+/* A pending-list node; `next` 0 ends the list (node 0 is unused). */
+typedef struct {
+    i32 rec, next;
+} Node;
+
+/* A detached pending list waiting for the cascade, and whose it is. */
+typedef struct {
+    i32 tag, node;
+} Pending;
+
+/* One rank's frame stamps: transmits this frame, cancelled this frame,
+ * and its last transmission's position. */
+typedef struct {
+    i32 seen, cancelled, last_pos;
+} Stamps;
+
+/* `head[tag]` of a learned tag. */
+#define LEARNED (-1)
+
 typedef struct {
     i64 stats[N_STATS];
     int status;
     Config c;
     bitgen_t *bitgen;
-    binomial_t binomial;
+    /* The last frame's binomial (n, p), for ST_BINOMIAL_SETUPS. */
+    i64 last_n;
+    double last_p;
     /* The estimator's running estimate, and whether it has a sample. */
     double remaining;
     int has_samples;
@@ -135,34 +179,32 @@ typedef struct {
     i64 block_cap, pos, len;
     /* This frame's slot counts. */
     i64 *counts;
-    /* Roster and learned flags. */
-    i32 *items, *where;
-    unsigned char *learned;
-    /* Records and pending lists. */
-    i32 *arena;
-    i64 arena_len, arena_cap;
-    i64 *node_rec, *node_next;
+    /* Roster, and each tag's pending list or LEARNED. */
+    i32 *items, *where, *head;
+    /* Records and pending-list nodes. */
+    Record *records;
+    i64 n_records, records_cap;
+    Node *nodes;
     i64 n_nodes, nodes_cap;
-    i64 *head, *tail;
     /* Per-rank frame stamps. */
     i32 stamp;
-    i32 *seen, *cancelled;
-    i64 *last_pos;
+    Stamps *stamps;
     /* Scratch. */
-    i64 *ranks;
+    i32 *ranks;
     i64 ranks_cap;
     i64 *record_counts;
     i64 record_counts_cap;
-    i64 *segment;
+    i32 *segment;
+    i64 segment_cap;
     /* The repair's retry positions, redraws and shuffle pool. */
-    i64 *retry;
+    i32 *retry;
     uint64_t *draws;
-    i64 *pool;
+    i32 *pool;
     i64 retry_cap, draws_cap, pool_cap;
     i32 *parts;
     i32 *removed;
-    i64 n_removed;
-    i64 *stack;
+    i64 n_removed, removed_cap;
+    Pending *stack;
     i64 stack_len, stack_cap;
 } Session;
 
@@ -182,6 +224,13 @@ static int grow(void **array, i64 *cap, i64 need, size_t size)
     return 0;
 }
 
+/* grow() for an array an i32 indexes: past INT32_MAX items is out of
+ * memory. */
+static int grow32(void **array, i64 *cap, i64 need, size_t size)
+{
+    return need > INT32_MAX ? FCAT_NOMEM : grow(array, cap, need, size);
+}
+
 void fcat_free(Session *s)
 {
     if (s == NULL)
@@ -191,15 +240,10 @@ void fcat_free(Session *s)
     free(s->counts);
     free(s->items);
     free(s->where);
-    free(s->learned);
-    free(s->arena);
-    free(s->node_rec);
-    free(s->node_next);
     free(s->head);
-    free(s->tail);
-    free(s->seen);
-    free(s->cancelled);
-    free(s->last_pos);
+    free(s->records);
+    free(s->nodes);
+    free(s->stamps);
     free(s->ranks);
     free(s->record_counts);
     free(s->segment);
@@ -214,10 +258,12 @@ void fcat_free(Session *s)
 
 Session *fcat_new(const Config *c, bitgen_t *bitgen)
 {
+    i64 n_tags = c->n_tags;
+    if (n_tags > INT32_MAX)
+        return NULL;
     Session *s = calloc(1, sizeof(Session));
     if (s == NULL)
         return NULL;
-    i64 n_tags = c->n_tags;
     size_t n = (size_t)(n_tags > 0 ? n_tags : 1);
     s->c = *c;
     s->bitgen = bitgen;
@@ -225,26 +271,19 @@ Session *fcat_new(const Config *c, bitgen_t *bitgen)
     s->counts = malloc((size_t)c->frame_size * sizeof(i64));
     s->items = malloc(n * sizeof(i32));
     s->where = malloc(n * sizeof(i32));
-    s->learned = calloc(n, 1);
-    s->head = malloc(n * sizeof(i64));
-    s->tail = malloc(n * sizeof(i64));
-    s->seen = calloc(n, sizeof(i32));
-    s->cancelled = calloc(n, sizeof(i32));
-    s->last_pos = malloc(n * sizeof(i64));
-    s->segment = malloc(n * sizeof(i64));
-    s->parts = malloc(n * sizeof(i32));
-    s->removed = malloc(n * sizeof(i32));
-    if (!s->counts || !s->items || !s->where || !s->learned || !s->head
-        || !s->tail || !s->seen || !s->cancelled || !s->last_pos
-        || !s->segment || !s->parts || !s->removed) {
+    s->head = calloc(n, sizeof(i32));
+    s->stamps = calloc(n, sizeof(Stamps));
+    /* A record's participants beside a read: at most lam. */
+    s->parts = malloc((size_t)(c->lam > 0 ? c->lam : 1) * sizeof(i32));
+    s->n_nodes = 1;
+    if (!s->counts || !s->items || !s->where || !s->head || !s->stamps
+        || !s->parts) {
         fcat_free(s);
         return NULL;
     }
-    for (i64 tag = 0; tag < n_tags; tag++) {
-        s->items[tag] = (i32)tag;
-        s->where[tag] = (i32)tag;
-        s->head[tag] = -1;
-        s->tail[tag] = -1;
+    for (i32 tag = 0; tag < n_tags; tag++) {
+        s->items[tag] = tag;
+        s->where[tag] = tag;
     }
     s->stats[ST_ACTIVE] = n_tags;
     return s;
@@ -288,53 +327,59 @@ static inline double uniform(Session *s)
     return s->block[s->pos++];
 }
 
-/* Append arena record `rec` to `tag`'s pending list. */
-static void enlist(Session *s, i32 tag, i64 rec)
-{
-    if (s->n_nodes == s->nodes_cap) {
-        i64 cap = s->nodes_cap, next_cap = s->nodes_cap;
-        if (grow((void **)&s->node_rec, &cap, s->n_nodes + 1, sizeof(i64))
-            || grow((void **)&s->node_next, &next_cap, cap, sizeof(i64))) {
-            s->status = FCAT_NOMEM;
-            return;
-        }
-        s->nodes_cap = cap;
-    }
-    i64 node = s->n_nodes++;
-    s->node_rec[node] = rec;
-    s->node_next[node] = -1;
-    if (s->head[tag] < 0)
-        s->head[tag] = node;
-    else
-        s->node_next[s->tail[tag]] = node;
-    s->tail[tag] = node;
-}
-
-/* Store a record over `k` unknown tags, registered under each of them. */
+/* Store a record over `k` unknown tags, prepended to each one's pending
+ * list. */
 static void store_record(Session *s, const i32 *tags, i64 k)
 {
-    if (grow((void **)&s->arena, &s->arena_cap, s->arena_len + k + 2,
-             sizeof(i32))) {
+    if (grow32((void **)&s->records, &s->records_cap, s->n_records + 1,
+               sizeof(Record))
+        || grow32((void **)&s->nodes, &s->nodes_cap, s->n_nodes + k,
+                  sizeof(Node))) {
         s->status = FCAT_NOMEM;
         return;
     }
-    i64 rec = s->arena_len;
-    s->arena[rec] = (i32)k;
-    s->arena[rec + 1] = (i32)k;
-    memcpy(s->arena + rec + 2, tags, (size_t)k * sizeof(i32));
-    s->arena_len += k + 2;
+    i32 rec = (i32)s->n_records++;
+    i32 xor = 0;
+    Node *node = s->nodes + s->n_nodes;
+    i32 *head = s->head;
+    for (i64 j = 0; j < k; j++) {
+        i32 tag = tags[j];
+        xor ^= tag;
+        node[j] = (Node){rec, head[tag]};
+        head[tag] = (i32)(s->n_nodes + j);
+    }
+    s->n_nodes += k;
+    s->records[rec] = (Record){(i32)k, xor};
     s->stats[ST_RECORDS]++;
-    for (i64 j = 0; j < k; j++)
-        enlist(s, tags[j], rec);
 }
 
-/* Detach `tag`'s pending list; returns its first node or -1. */
-static inline i64 detach(Session *s, i32 tag)
+/* Learn `tag` and detach its pending list: returns the list's first node
+ * in append order (the list is reversed), or 0. */
+static inline i32 detach(Session *s, i32 tag)
 {
-    i64 node = s->head[tag];
-    s->head[tag] = -1;
-    s->tail[tag] = -1;
-    return node;
+    Node *nodes = s->nodes;
+    i32 node = s->head[tag], prev = 0;
+    s->head[tag] = LEARNED;
+    while (node > 0) {
+        i32 next = nodes[node].next;
+        nodes[node].next = prev;
+        prev = node;
+        node = next;
+    }
+    return prev;
+}
+
+/* Add a tag to the frame's acked tags, removed from the roster at its
+ * end. */
+static inline void push_removed(Session *s, i32 tag)
+{
+    if (s->n_removed == s->removed_cap
+        && grow((void **)&s->removed, &s->removed_cap, s->n_removed + 1,
+                sizeof(i32))) {
+        s->status = FCAT_NOMEM;
+        return;
+    }
+    s->removed[s->n_removed++] = tag;
 }
 
 /* The state one frame's walk threads through its helpers. */
@@ -346,11 +391,11 @@ typedef struct {
 } Walk;
 
 /* Cancel `rank`'s transmissions after the current slot, if it has any. */
-static inline void cancel_later(Session *s, Walk *w, i64 rank)
+static inline void cancel_later(Session *s, Walk *w, i32 rank)
 {
-    if (s->seen[rank] == s->stamp
-        && (!w->has_dups || s->last_pos[rank] >= w->end)) {
-        s->cancelled[rank] = s->stamp;
+    Stamps *st = s->stamps + rank;
+    if (st->seen == s->stamp && (!w->has_dups || st->last_pos >= w->end)) {
+        st->cancelled = s->stamp;
         w->cancel_any = 1;
     }
 }
@@ -359,65 +404,65 @@ static inline void cancel_later(Session *s, Walk *w, i64 rank)
  * pending list onto the cascade's stack. */
 static void resolve(Session *s, Walk *w, i32 tag)
 {
-    s->learned[tag] = 1;
     w->n_resolved++;
     if (s->c.ack_p == 0.0 || uniform(s) >= s->c.ack_p) {
-        s->removed[s->n_removed++] = tag;
+        push_removed(s, tag);
         cancel_later(s, w, s->where[tag]);
     }
-    i64 pending = detach(s, tag);
-    if (pending < 0)
+    i32 pending = detach(s, tag);
+    if (pending == 0)
         return;
     if (grow((void **)&s->stack, &s->stack_cap, s->stack_len + 1,
-             sizeof(i64))) {
+             sizeof(Pending))) {
         s->status = FCAT_NOMEM;
         return;
     }
-    s->stack[s->stack_len++] = pending;
+    s->stack[s->stack_len++] = (Pending){tag, pending};
 }
 
-/* The resolution cascade from one detached pending list: a worklist
+/* The resolution cascade from `tag`'s detached pending list: a worklist
  * fixpoint, O(record visits). */
-static void cascade(Session *s, Walk *w, i64 node)
+static void cascade(Session *s, Walk *w, i32 tag, i32 node)
 {
+    const Node *nodes = s->nodes;
+    Record *records = s->records;
+    i64 visits = 0;
     for (;;) {
-        for (; node >= 0; node = s->node_next[node]) {
-            s->stats[ST_CASCADE_VISITS]++;
-            i32 *rec = s->arena + s->node_rec[node];
-            i32 c = rec[0];
+        for (; node > 0; node = nodes[node].next) {
+            visits++;
+            Record *rec = records + nodes[node].rec;
+            i32 c = rec->count;
             if (c < 2)
                 continue;  /* spent */
-            rec[0] = c - 1;
+            rec->count = c - 1;
+            rec->xor ^= tag;
             if (c > 2)
                 continue;  /* still more than one unknown participant */
-            i32 survivor = -1;
-            for (i32 j = 2; j < rec[1] + 2; j++) {
-                if (!s->learned[rec[j]]) {
-                    survivor = rec[j];
-                    break;
-                }
-            }
-            rec[0] = 0;
-            if (survivor >= 0)  /* else a duplicate residual */
-                resolve(s, w, survivor);
+            rec->count = 0;
+            if (s->head[rec->xor] != LEARNED)  /* else a duplicate residual */
+                resolve(s, w, rec->xor);
         }
         if (s->stack_len == 0)
-            return;
-        node = s->stack[--s->stack_len];
+            break;
+        Pending next = s->stack[--s->stack_len];
+        tag = next.tag;
+        node = next.node;
     }
+    s->stats[ST_CASCADE_VISITS] += visits;
 }
 
 /* Stamp the frame's ranks; returns whether some rank repeats. */
 static int stamp_ranks(Session *s, i64 total)
 {
     i32 stamp = ++s->stamp;
+    Stamps *stamps = s->stamps;
     int has_dups = 0;
-    for (i64 i = 0; i < total; i++) {
-        i64 rank = s->ranks[i];
-        if (s->seen[rank] == stamp)
+    for (i32 i = 0; i < total; i++) {
+        Stamps *st = stamps + s->ranks[i];
+        if (st->seen == stamp)
             has_dups = 1;
-        s->seen[rank] = stamp;
-        s->last_pos[rank] = i;
+        st->seen = stamp;
+        st->last_pos = i;
     }
     return has_dups;
 }
@@ -427,9 +472,10 @@ static int segment_dups(Session *s, i64 offset, i64 k)
 {
     i32 stamp = ++s->stamp;
     for (i64 j = offset; j < offset + k; j++) {
-        if (s->seen[s->ranks[j]] == stamp)
+        Stamps *st = s->stamps + s->ranks[j];
+        if (st->seen == stamp)
             return 1;
-        s->seen[s->ranks[j]] = stamp;
+        st->seen = stamp;
     }
     return 0;
 }
@@ -438,16 +484,17 @@ static int segment_dups(Session *s, i64 offset, i64 k)
  * round, until it is distinct (`rng.integers(0, n, size=len(retry))`). */
 static int retry_segment(Session *s, i64 offset, i64 k, i64 n_active)
 {
-    if (grow((void **)&s->retry, &s->retry_cap, k, sizeof(i64))
+    if (grow((void **)&s->retry, &s->retry_cap, k, sizeof(i32))
         || grow((void **)&s->draws, &s->draws_cap, k, sizeof(uint64_t)))
         return s->status = FCAT_NOMEM;
     i32 stamp = ++s->stamp;
+    Stamps *stamps = s->stamps;
     i64 n_retry = 0;
-    for (i64 j = offset; j < offset + k; j++) {
-        if (s->seen[s->ranks[j]] == stamp)
+    for (i32 j = (i32)offset; j < offset + k; j++) {
+        if (stamps[s->ranks[j]].seen == stamp)
             s->retry[n_retry++] = j;
         else
-            s->seen[s->ranks[j]] = stamp;
+            stamps[s->ranks[j]].seen = stamp;
     }
     while (n_retry) {
         s->stats[ST_RETRY_ROUNDS]++;
@@ -455,11 +502,11 @@ static int retry_segment(Session *s, i64 offset, i64 k, i64 n_active)
                                    n_retry, false, s->draws);
         i64 still = 0;
         for (i64 j = 0; j < n_retry; j++) {
-            i64 rank = (i64)s->draws[j];
-            if (s->seen[rank] == stamp) {
+            i32 rank = (i32)s->draws[j];
+            if (stamps[rank].seen == stamp) {
                 s->retry[still++] = s->retry[j];
             } else {
-                s->seen[rank] = stamp;
+                stamps[rank].seen = stamp;
                 s->ranks[s->retry[j]] = rank;
             }
         }
@@ -472,16 +519,16 @@ static int retry_segment(Session *s, i64 offset, i64 k, i64 n_active)
  * roster, its swap j from [j, n) (`rng.integers(np.arange(k), n)`). */
 static int shuffle_segment(Session *s, i64 offset, i64 k, i64 n_active)
 {
-    if (grow((void **)&s->pool, &s->pool_cap, n_active, sizeof(i64)))
+    if (grow((void **)&s->pool, &s->pool_cap, n_active, sizeof(i32)))
         return s->status = FCAT_NOMEM;
     s->stats[ST_DENSE_SHUFFLES]++;
-    i64 *pool = s->pool;
-    for (i64 j = 0; j < n_active; j++)
+    i32 *pool = s->pool;
+    for (i32 j = 0; j < n_active; j++)
         pool[j] = j;
     for (i64 j = 0; j < k; j++) {
         i64 swap = (i64)random_bounded_uint64(
             s->bitgen, (uint64_t)j, (uint64_t)(n_active - 1 - j), 0, false);
-        i64 drawn = pool[swap];
+        i32 drawn = pool[swap];
         pool[swap] = pool[j];
         pool[j] = drawn;
         s->ranks[offset + j] = drawn;
@@ -516,14 +563,14 @@ static int repair_slots(Session *s, const i64 *counts, i64 n_counts)
  * integers np.multiply(u, n).astype(np.intp) gives. */
 static int draw_ranks(Session *s, i64 n, i64 total)
 {
-    if (grow((void **)&s->ranks, &s->ranks_cap, total, sizeof(i64)))
+    if (grow32((void **)&s->ranks, &s->ranks_cap, total, sizeof(i32)))
         return s->status = FCAT_NOMEM;
     if (reserve(s, total))
         return s->status;
     const double *u = s->block + s->pos;
     double scale = (double)n;
     for (i64 i = 0; i < total; i++)
-        s->ranks[i] = (i64)(u[i] * scale);
+        s->ranks[i] = (i32)(u[i] * scale);
     s->pos += total;
     return 0;
 }
@@ -550,9 +597,9 @@ static int replay(Session *s, const i64 *counts, i64 n_counts,
     const i64 lam = s->c.lam;
     const double crc_p = s->c.crc_p, ack_p = s->c.ack_p;
     const double unusable_p = s->c.unusable_p, capture_p = s->c.capture_p;
-    const i64 *ranks = s->ranks;
-    i32 *items = s->items;
-    unsigned char *learned = s->learned;
+    const i32 *ranks = s->ranks;
+    i32 *items = s->items, *head = s->head;
+    Stamps *stamps = s->stamps;
     i32 *parts = s->parts;
     Walk w = {0, has_dups, 0, 0};
     i64 n_singleton = 0, n_collision = 0, n_reread = 0;
@@ -565,16 +612,18 @@ static int replay(Session *s, const i64 *counts, i64 n_counts,
             continue;
         i64 start = offset;
         offset = w.end = start + k;
-        const i64 *seg = ranks + start;
-        i64 rank = -1;
+        const i32 *seg = ranks + start;
+        i32 rank = -1;
         if (k == 1) {
             rank = seg[0];
-            if (w.cancel_any && s->cancelled[rank] == s->stamp)
+            if (w.cancel_any && stamps[rank].cancelled == s->stamp)
                 continue;
         } else if (w.cancel_any) {
+            if (grow((void **)&s->segment, &s->segment_cap, k, sizeof(i32)))
+                return s->status = FCAT_NOMEM;
             i64 kept = 0;
             for (i64 j = 0; j < k; j++)
-                if (s->cancelled[seg[j]] != s->stamp)
+                if (stamps[seg[j]].cancelled != s->stamp)
                     s->segment[kept++] = seg[j];
             k = kept;
             if (k == 0)
@@ -618,35 +667,34 @@ static int replay(Session *s, const i64 *counts, i64 n_counts,
             }
             n_parts = k;  /* the record path below, without a read */
         }
-        i64 entries = -1;
+        i32 tag = -1, entries = 0;
         if (rank >= 0) {
             /* Read: ack, learn, then the cascade. */
-            i32 tag = items[rank];
+            tag = items[rank];
             n_singleton++;
             if (ack_p == 0.0 || uniform(s) >= ack_p) {
-                s->removed[s->n_removed++] = tag;
-                if (has_dups && s->last_pos[rank] >= w.end) {
-                    s->cancelled[rank] = s->stamp;
+                push_removed(s, tag);
+                if (has_dups && stamps[rank].last_pos >= w.end) {
+                    stamps[rank].cancelled = s->stamp;
                     w.cancel_any = 1;
                 }
             }
-            if (ack_p != 0.0 && learned[tag])
+            if (ack_p != 0.0 && head[tag] == LEARNED)
                 n_reread++;
-            learned[tag] = 1;
             entries = detach(s, tag);
         }
         /* A record that may hold learned participants: they drop out,
          * and a lone unknown resolves first. */
         i64 n_unknown = 0;
         for (i64 j = 0; j < n_parts; j++)
-            if (!learned[parts[j]])
+            if (head[parts[j]] != LEARNED)
                 parts[n_unknown++] = parts[j];
         if (n_unknown > 1)
             store_record(s, parts, n_unknown);
         else if (n_unknown == 1)
             resolve(s, &w, parts[0]);
-        if (n_unknown == 1 || entries >= 0)
-            cascade(s, &w, entries);
+        if (n_unknown == 1 || entries > 0)
+            cascade(s, &w, tag, entries);
     }
     i64 n_read = n_singleton - n_reread;
     i64 n_empty = n_counts - n_singleton - n_collision;
@@ -719,10 +767,10 @@ static int walk_frame(Session *s, const i64 *counts, i64 frame_size,
         return record_frame(s, counts, frame_size);
     if (saturated) {
         /* Every active tag in every slot. */
-        if (grow((void **)&s->ranks, &s->ranks_cap, total, sizeof(i64)))
+        if (grow32((void **)&s->ranks, &s->ranks_cap, total, sizeof(i32)))
             return s->status = FCAT_NOMEM;
         for (i64 i = 0; i < total; i++)
-            s->ranks[i] = i % n_active;
+            s->ranks[i] = (i32)(i % n_active);
     } else if (draw_ranks(s, n_active, total)) {
         return s->status;
     }
@@ -735,10 +783,69 @@ static int walk_frame(Session *s, const i64 *counts, i64 frame_size,
     return replay(s, counts, frame_size, has_dups);
 }
 
-/* One frame's slot counts: `draw_slot_counts`, whose numpy binomial is
- * the `random_binomial` called here slot by slot.  A frame whose (n, p)
- * differs from the last one's makes the binomial set up its tables again
- * (`random_binomial` draws at min(p, 1 - p)); that is counted. */
+/* numpy's `random_binomial_inversion` drawn `len` times at one (n, p),
+ * p <= 1/2 and n * p <= 30.  Its probability recurrence depends on
+ * (n, p) alone, so each term is computed once, when a draw first
+ * reaches it, by the same expression in the same order; the draws then
+ * subtract and compare exactly the doubles numpy's loop does, restart
+ * past the same bound and consume the same uniforms. */
+static void binomial_inversion_fill(bitgen_t *bitgen, i64 n, double p,
+                                    i64 *out, i64 len)
+{
+    double q = 1.0 - p;
+    double np = n * p;
+    i64 bound = (i64)(n < np + 10.0 * sqrt(np * q + 1)
+                      ? n : np + 10.0 * sqrt(np * q + 1));
+    /* bound <= 30 + 10 * sqrt(31) < 86. */
+    double px[96];
+    px[0] = exp(n * log1p(-p));
+    i64 tabulated = 0;
+    for (i64 i = 0; i < len; i++) {
+        i64 X = 0;
+        double U = next_double(bitgen);
+        while (U > px[X]) {
+            X++;
+            if (X > bound) {
+                X = 0;
+                U = next_double(bitgen);
+            } else {
+                U -= px[X - 1];
+                if (X > tabulated) {
+                    px[X] = ((n - X + 1) * p * px[X - 1]) / (X * q);
+                    tabulated = X;
+                }
+            }
+        }
+        out[i] = X;
+    }
+}
+
+/* `Generator.binomial(n, p, size=len)` for 0 <= p <= 1: numpy's
+ * `random_binomial` per draw, with its inversion branch tabulated and
+ * its p > 1/2 mirror, n - Binomial(n, 1 - p). */
+void fcat_binomial_fill(bitgen_t *bitgen, i64 n, double p, i64 *out,
+                        i64 len)
+{
+    if (n == 0 || p == 0.0) {
+        memset(out, 0, (size_t)len * sizeof(i64));
+        return;
+    }
+    double drawn_p = p <= 0.5 ? p : 1.0 - p;
+    if (drawn_p * n > 30.0) {
+        /* The BTPE branch, as numpy runs it. */
+        binomial_t binomial = {0};
+        for (i64 i = 0; i < len; i++)
+            out[i] = random_binomial(bitgen, p, n, &binomial);
+        return;
+    }
+    binomial_inversion_fill(bitgen, n, drawn_p, out, len);
+    if (drawn_p != p)
+        for (i64 i = 0; i < len; i++)
+            out[i] = n - out[i];
+}
+
+/* One frame's slot counts: `draw_slot_counts`.  A frame whose (n, p)
+ * differs from the last one's is counted as a binomial set-up. */
 static void draw_counts(Session *s, i64 n_active, double p)
 {
     i64 *counts = s->counts;
@@ -748,12 +855,12 @@ static void draw_counts(Session *s, i64 n_active, double p)
             counts[i] = n_active == 0 || p == 0.0 ? 0 : n_active;
         return;
     }
-    double drawn_p = p <= 0.5 ? p : 1.0 - p;
-    binomial_t *b = &s->binomial;
-    if (!b->has_binomial || b->nsave != n_active || b->psave != drawn_p)
+    if (n_active != s->last_n || p != s->last_p) {
         s->stats[ST_BINOMIAL_SETUPS]++;
-    for (i64 i = 0; i < frame_size; i++)
-        counts[i] = random_binomial(s->bitgen, p, n_active, b);
+        s->last_n = n_active;
+        s->last_p = p;
+    }
+    fcat_binomial_fill(s->bitgen, n_active, p, counts, frame_size);
 }
 
 /* Python's max(a, b) on floats: `b` only when it is greater. */
@@ -876,11 +983,11 @@ static int probe(Session *s, Rows *rows)
         return 0;
     /* The frame walk over one slot that every active tag transmits in. */
     i64 n_active = st[ST_ACTIVE];
-    if (grow((void **)&s->ranks, &s->ranks_cap, n_active, sizeof(i64))) {
+    if (grow((void **)&s->ranks, &s->ranks_cap, n_active, sizeof(i32))) {
         s->status = FCAT_NOMEM;
         return 0;
     }
-    for (i64 i = 0; i < n_active; i++)
+    for (i32 i = 0; i < n_active; i++)
         s->ranks[i] = i;
     stamp_ranks(s, n_active);
     if (replay(s, &n_active, 1, 0))

@@ -3,10 +3,12 @@
 :mod:`repro.kernels.fcat` runs each batch of FCAT sessions in one C call
 when this module can hand it the compiled loop (``fcat_walk.c``, beside
 this file), and in Python otherwise; the two are bit-identical, so which
-one ran never shows in a result.  The C loop draws its slot counts with
-numpy's own binomial (``random_binomial`` from numpy's static
-``libnpyrandom.a``) on the session generator's ``bitgen_t``, so the build
-needs numpy's headers, the Python headers they include, and that library.
+one ran never shows in a result.  The C loop draws its slot counts on the
+session generator's ``bitgen_t`` with numpy's binomial: its inversion
+sampler restated and tabulated per frame (``fcat_binomial_fill``, which
+the tests hold to ``Generator.binomial``), and ``random_binomial`` from
+numpy's static ``libnpyrandom.a`` above n * p = 30, so the build needs
+numpy's headers, the Python headers they include, and that library.
 The duplicate-rank repair draws with the same library's Lemire bounded
 integers, so nothing in a batch calls back into Python.
 
@@ -175,4 +177,8 @@ def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
     lib.fcat_rows_free.argtypes = [ctypes.POINTER(Rows)]
     lib.fcat_free.restype = None
     lib.fcat_free.argtypes = [session]
+    lib.fcat_binomial_fill.restype = None
+    lib.fcat_binomial_fill.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+        ctypes.POINTER(ctypes.c_int64), ctypes.c_int64]
     return lib

@@ -39,9 +39,11 @@ kernel-v2 semantics by the equivalence tests.
 ``learn`` use them, and so does the Python FCAT walk
 (:mod:`repro.kernels.fcat`), which touches the pending lists and learned
 flags itself only to detach a read tag's list and to drop learned
-participants.  ``fcat_walk.c`` ports both, pending-list order and the
-cascade's LIFO stack included, and the bit-identity tests hold the two
-walks to the same resolution order.
+participants.  ``fcat_walk.c`` computes the same resolutions in the same
+order -- pending lists in append order, the cascade's LIFO stack -- from
+a leaner record: the count of participants not yet visited and the XOR
+of their indices, which is the survivor once the count reaches one.
+The bit-identity tests hold the two walks to the same resolution order.
 
 Records that can never resolve (noise-unusable or ``k > lam``) are
 counted by the session but not stored at all: the scalar store keeps them

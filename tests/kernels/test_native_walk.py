@@ -8,8 +8,10 @@ through both and compare everything a caller can see: each
 ``ReadingResult`` field (the estimate trace float-exact), the telemetry,
 any error the batch raised, and the generator's state after the batch.
 The channel matrix also checks, from the C loop's own counters, that it
-repaired the frames the Python walk repaired and reached both of the
-repair's branches.  Estimators C does not port run the scalar engine
+repaired the frames the Python walk repaired, reached both of the
+repair's branches and stored as many records as the Python walk
+registered.  The C count draw is held to ``Generator.binomial`` on its
+own, draw for draw.  Estimators C does not port run the scalar engine
 on both walks, and the empty-source estimator finishes at the service's
 frame size.  The loader tests check that a missing compiler,
 header or library, a compile error or an unwritable cache each select
@@ -21,6 +23,7 @@ the C state is freed on every exit, and that a batch -- repair included
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import shutil
 import sys
@@ -37,6 +40,7 @@ from repro.kernels import fcat as fcat_kernel
 from repro.kernels import native
 from repro.kernels.fcat import batched_fcat_sessions
 from repro.kernels.frame import RankSource
+from repro.kernels.records import KernelRecordStore
 from repro.obs.scope import observe
 from repro.service.interference import DEFAULT_INTERFERENCE
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
@@ -118,15 +122,16 @@ def _cases(channel: ChannelModel):
                 LARGE_N, 0
 
 
-#: The C loop's repair counters (``fcat_stats``), by name.
-C_REPAIR_COUNTERS = {"repairs": fcat_kernel._REPAIRED_FRAMES,
-                     "sparse rounds": fcat_kernel._RETRY_ROUNDS,
-                     "dense shuffles": fcat_kernel._DENSE_SHUFFLES}
+#: The C loop's repair and record counters (``fcat_stats``), by name.
+C_COUNTERS = {"repairs": fcat_kernel._REPAIRED_FRAMES,
+              "sparse rounds": fcat_kernel._RETRY_ROUNDS,
+              "dense shuffles": fcat_kernel._DENSE_SHUFFLES,
+              "records": fcat_kernel._RECORDS}
 
 
-def _count_c_repairs(patch, seen: dict) -> None:
-    """Add each native session's repair counters into ``seen`` as the
-    session is closed (its one ``fcat_stats`` read)."""
+def _count_c_stats(patch, seen: dict) -> None:
+    """Add each native session's repair and record counters into
+    ``seen`` as the session is closed (its one ``fcat_stats`` read)."""
     lib = native.library()
     if lib is None:
         return
@@ -134,7 +139,7 @@ def _count_c_repairs(patch, seen: dict) -> None:
 
     def counting_stats(session):
         counters = stats(session)
-        for name, index in C_REPAIR_COUNTERS.items():
+        for name, index in C_COUNTERS.items():
             seen[name] = seen.get(name, 0) + counters[index]
         return counters
 
@@ -149,12 +154,15 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
     generator states compared show it drew the same blocks.  Repairs
     (frames whose ranks the repair changed) are counted by the Python
     walk's :func:`resample_duplicate_slots` and by the C loop's counters;
-    ``repair calls`` counts calls of the Python function.
+    ``repair calls`` counts calls of the Python function.  Records are
+    counted by the C loop's counter and, on the Python walk, as calls of
+    :meth:`KernelRecordStore.register`, its one record path.
     """
     seen = {"refills mid-walk": 0, "repairs": 0, "repair calls": 0,
-            "saturated frames": 0}
+            "register calls": 0, "saturated frames": 0}
     refill = RankSource.refill
     repair = fcat_kernel.resample_duplicate_slots
+    register = KernelRecordStore.register
 
     def counting_refill(self, need):
         seen["refills mid-walk"] += need == 1  # a channel uniform's
@@ -166,12 +174,17 @@ def _run_matrix(channel: ChannelModel) -> tuple[list, dict]:
         seen["repairs"] += changed
         return changed
 
+    def counting_register(self, unknown):
+        seen["register calls"] += 1
+        return register(self, unknown)
+
     sessions = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(RankSource, "refill", counting_refill)
         patch.setattr(fcat_kernel, "resample_duplicate_slots",
                       counting_repair)
-        _count_c_repairs(patch, seen)
+        patch.setattr(KernelRecordStore, "register", counting_register)
+        _count_c_stats(patch, seen)
         for protocol, n_tags, seed in _cases(channel):
             session = _observed(protocol, n_tags, [seed], channel)
             seen["saturated frames"] += _saturated_singletons(session[1])
@@ -193,6 +206,9 @@ def test_the_walks_are_bit_identical(channel_name, monkeypatch):
     # calling the Python repair.
     assert native_seen["repair calls"] == 0
     assert native_seen["repairs"] == python_seen["repairs"]
+    # It stored the records the Python walk registered, without Python.
+    assert native_seen["register calls"] == 0
+    assert native_seen["records"] == python_seen["register calls"] > 0
     assert native_seen["saturated frames"] \
         == python_seen["saturated frames"]
     # The matrix reaches the walk's rare paths, and both of the repair's
@@ -324,6 +340,35 @@ def test_the_empty_source_finishes_at_the_service_frame_size(lam):
         assert result.complete, (channel, result.n_read)
 
 
+#: (n, p) for the count draw: n = 1, 60 and a 52,428-tag zone; p small,
+#: with n * p just under and just over 30 (numpy's inversion and BTPE
+#: samplers), 1/2, over 1/2 (drawn as n - Binomial(n, 1 - p)) and 1.
+BINOMIAL_CASES = [(n_tags, p) for n_tags in (1, 60, 52_428)
+                  for p in (1.4 / n_tags if n_tags > 1 else 0.3,
+                            29.99 / n_tags, 30.01 / n_tags, 0.5,
+                            1.0 - 29.99 / n_tags, 1.0 - 30.01 / n_tags,
+                            0.75, 1.0)
+                  if 0.0 < p <= 1.0]
+
+
+@needs_native
+@pytest.mark.parametrize("n_tags,p", BINOMIAL_CASES)
+def test_the_count_draw_is_generator_binomial(n_tags, p):
+    """``fcat_binomial_fill``, which draws every frame's slot counts,
+    against ``Generator.binomial(n, p, size=len)``: the same counts,
+    draw for draw, and the same generator state after."""
+    lib = native.library()
+    size = 3_000
+    mine, reference = np.random.default_rng(7), np.random.default_rng(7)
+    counts = np.empty(size, np.int64)
+    lib.fcat_binomial_fill(mine.bit_generator.ctypes.bit_generator, n_tags,
+                           p, counts.ctypes.data_as(
+                               ctypes.POINTER(ctypes.c_int64)), size)
+    expected = reference.binomial(n_tags, p, size=size)
+    assert np.array_equal(counts, expected), (n_tags, p)
+    assert mine.bit_generator.state == reference.bit_generator.state
+
+
 def test_the_native_walk_loads_where_a_compiler_exists():
     """CI must not pass on the fallback alone: with ``cc`` on PATH and
     numpy's headers and static library present, the loop has to build
@@ -438,7 +483,7 @@ def test_a_native_batch_repairs_without_python(monkeypatch):
     expected = _observed(protocol, 3, range(3))
     seen: dict = {}
     with monkeypatch.context() as patch:
-        _count_c_repairs(patch, seen)
+        _count_c_stats(patch, seen)
         patch.setattr(fcat_kernel, "resample_duplicate_slots", _boom)
         assert _observed(protocol, 3, range(3)) == expected
     assert expected[-1] is None
@@ -502,7 +547,7 @@ def test_a_native_batch_releases_the_gil(monkeypatch):
 
     monkeypatch.setattr(lib, "fcat_run", timed_run)
     seen: dict = {}
-    _count_c_repairs(monkeypatch, seen)
+    _count_c_stats(monkeypatch, seen)
     naps = []
     stop = threading.Event()
 
