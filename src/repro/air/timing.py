@@ -20,6 +20,7 @@ throughputs are comparable with the paper's Table I.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,8 @@ class TimingModel:
     """Time accounting for a slotted RFID reading session.
 
     All durations are in seconds.  The defaults reproduce the Philips I-Code
-    numbers quoted in the paper.
+    numbers quoted in the paper.  The model is frozen, so each derived
+    duration is computed once per instance.
     """
 
     bit_rate: float = 53_000.0
@@ -50,7 +52,7 @@ class TimingModel:
             raise ValueError(
                 "index_bits and probability_bits must be positive")
 
-    @property
+    @cached_property
     def bit_time(self) -> float:
         """Seconds to transmit one bit (18.88 us at 53 kbit/s)."""
         return 1.0 / self.bit_rate
@@ -59,22 +61,22 @@ class TimingModel:
         """Seconds to transmit ``bits`` bits, without guard time."""
         return bits * self.bit_time
 
-    @property
+    @cached_property
     def report_duration(self) -> float:
         """Guard time plus one full ID transmission (~302 + 1812 us)."""
         return self.guard_time + self.transmission_time(self.id_bits)
 
-    @property
+    @cached_property
     def ack_duration(self) -> float:
         """Guard time plus the reader's basic acknowledgement (~302 + 378 us)."""
         return self.guard_time + self.transmission_time(self.ack_bits)
 
-    @property
+    @cached_property
     def slot_duration(self) -> float:
         """Duration of one basic slot (report + ack segments), ~2794 us."""
         return self.report_duration + self.ack_duration
 
-    @property
+    @cached_property
     def advertisement_duration(self) -> float:
         """Duration of a (frame or slot) advertisement broadcast by the reader."""
         return self.guard_time + self.transmission_time(

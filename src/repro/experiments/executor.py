@@ -31,12 +31,14 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
 
 from repro.air.timing import ICODE_TIMING, TimingModel
-from repro.experiments.result_cache import ResultCache, cell_key, run_range_key
+from repro.experiments.result_cache import (ResultCache, cell_address,
+                                            cell_fields, range_address)
 from repro.experiments.runner import run_single, spawn_run_seeds
 from repro.obs import scope
 from repro.obs.manifest import CellRun
@@ -83,16 +85,34 @@ class CellSpec:
     #: prefix-determinism contract rests on this slicing.
     run_start: int = 0
 
+    # Both addresses are memoised on the spec object (a spec is frozen and
+    # its protocol, channel and timing are never mutated), never in a
+    # table keyed by value: equal specs can render differently.
+
+    def _fields(self) -> dict:
+        """The canonical fields both addresses derive from, built once."""
+        fields = self.__dict__.get("_cell_fields")
+        if fields is None:
+            fields = cell_fields(self.protocol, self.n_tags, self.seed,
+                                 self.channel, self.timing, self.engine)
+            object.__setattr__(self, "_cell_fields", fields)
+        return fields
+
     def key(self) -> str:
         """The cell's content address (see ``result_cache.cell_key``)."""
-        return cell_key(self.protocol, self.n_tags, self.runs, self.seed,
-                        self.channel, self.timing, engine=self.engine,
-                        run_start=self.run_start)
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = cell_address(self._fields(), self.runs, self.run_start)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def range_key(self) -> str:
         """The base address this cell's run-range entries file under."""
-        return run_range_key(self.protocol, self.n_tags, self.seed,
-                             self.channel, self.timing, engine=self.engine)
+        key = self.__dict__.get("_range_key")
+        if key is None:
+            key = range_address(self._fields())
+            object.__setattr__(self, "_range_key", key)
+        return key
 
 
 @dataclass(frozen=True)
@@ -317,7 +337,7 @@ def _compute_pending(specs: Sequence[CellSpec], pending: Sequence[int],
     for index in pending:
         ordered: list[ReadingResult] = []
         elapsed = 0.0
-        for _, outcome in sorted(per_cell[index], key=lambda pair: pair[0]):
+        for _, outcome in sorted(per_cell[index], key=itemgetter(0)):
             ordered.extend(outcome.results)
             elapsed += outcome.duration_s
         folded[index] = (ordered, elapsed)

@@ -17,7 +17,15 @@ never replays stale numbers.  Each line is one JSON object
 ``{"signature", "entries", "runs"}``; the first line's signature decides
 whether the file is this tree's at all, and every ``save`` appends one
 line holding only what was stored since the last save, so a save costs
-O(new entries) however long the service has run.  Loading merges the
+O(new entries) however long the service has run.
+
+The cache is **bounded**: it holds at most :data:`MAX_ENTRIES` cells plus
+run ranges and evicts the least recently used (a lookup hit refreshes an
+entry; a cell's run ranges go together).  Eviction only turns a hit into a
+miss.  A load that finds evicted or overwritten entries, or more than
+:data:`COMPACT_LINES` lines, rewrites the file as one line of what it
+holds, and a running process rewrites it once its log would pass twice
+the bound, so the file stays bounded too.  Loading merges the
 lines in order and skips any line with another signature, so two source
 trees sharing one path never serve each other's results.  Corrupt or
 unreadable files are treated as empty and a torn line is dropped: the
@@ -39,9 +47,13 @@ run ``i``'s metrics are a pure function of the cell config and the ``i``-th
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+from collections import OrderedDict
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +70,15 @@ from repro.sim.result import AggregateResult, RunMetrics
 RESULT_CACHE_SCHEMA = 3
 
 DEFAULT_RESULT_CACHE_NAME = ".repro-results-cache.json"
+
+#: Cells plus run ranges one cache holds.  Past it the least recently used
+#: cell, or cell's run ranges, is evicted: an eviction only turns a hit
+#: into a miss.  A 30 s benchmark run stores one cell and one run range
+#: per cold request, under 300 entries in all.
+MAX_ENTRIES = 4096
+
+#: A loaded log with more lines than this is rewritten as one line.
+COMPACT_LINES = 1024
 
 #: Subpackages whose source feeds the cache signature: everything a cell
 #: result can depend on.  ``devtools`` (the linter) and ``report``
@@ -102,6 +123,20 @@ def package_signature() -> str:
     return _source_digest_memo
 
 
+#: Types :func:`canonical_fingerprint` returns unchanged, checked by exact
+#: type first (subclasses take the slower ``isinstance`` tests).
+_PLAIN = frozenset({bool, int, str, float, type(None)})
+
+#: ``json.dumps`` with the address settings, without an encoder per call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+@functools.cache
+def _field_names(kind: type) -> tuple[str, ...]:
+    """A dataclass's field names, in declaration order (a pure memo)."""
+    return tuple(field.name for field in dataclasses.fields(kind))
+
+
 def canonical_fingerprint(value: object) -> object:
     """Reduce ``value`` to a JSON-able structure with a stable rendering.
 
@@ -111,6 +146,9 @@ def canonical_fingerprint(value: object) -> object:
     round-trip through ``repr`` inside JSON, so distinct configs never
     collide and equal configs always agree.
     """
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, float):
@@ -122,18 +160,96 @@ def canonical_fingerprint(value: object) -> object:
     if isinstance(value, np.ndarray):
         return [canonical_fingerprint(item) for item in value.tolist()]
     if isinstance(value, (list, tuple)):
-        return [canonical_fingerprint(item) for item in value]
+        return [item if type(item) in _PLAIN else canonical_fingerprint(item)
+                for item in value]
     if isinstance(value, dict):
-        return {str(key): canonical_fingerprint(item)
-                for key, item in sorted(value.items(), key=lambda kv: str(kv[0]))}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        fields = {f.name: canonical_fingerprint(getattr(value, f.name))
-                  for f in dataclasses.fields(value)}
-        return {type(value).__qualname__: fields}
+        # Sorted by the rendered key, stably, as JSON will see them.
+        return {key: item if type(item) in _PLAIN
+                else canonical_fingerprint(item)
+                for key, item in sorted(zip(map(str, value), value.values()),
+                                        key=itemgetter(0))}
+    if hasattr(kind, "__dataclass_fields__") and not isinstance(value, type):
+        fields = {}
+        for name in _field_names(kind):
+            item = getattr(value, name)
+            fields[name] = item if type(item) in _PLAIN \
+                else canonical_fingerprint(item)
+        return {kind.__qualname__: fields}
     state = getattr(value, "__dict__", None)
     if state is not None:
-        return {type(value).__qualname__: canonical_fingerprint(dict(state))}
-    return {type(value).__qualname__: repr(value)}
+        return {kind.__qualname__: canonical_fingerprint(dict(state))}
+    return {kind.__qualname__: repr(value)}
+
+
+def _rendered(model: ChannelModel | TimingModel) -> str:
+    """The canonical JSON of a channel or timing model, memoised on it.
+
+    Both are frozen dataclasses, so an object's rendering never changes.
+    The memo sits on the object, never in a table keyed by value: equal
+    models (``0 == 0.0``) can render differently.
+    """
+    text = model.__dict__.get("_canonical_json")
+    if text is None:
+        text = model.__dict__["_canonical_json"] = \
+            _ENCODER.encode(canonical_fingerprint(model))
+    return text
+
+
+def cell_fields(protocol: TagReadingProtocol, n_tags: int, seed: int,
+                channel: ChannelModel, timing: TimingModel,
+                engine: str = "scalar") -> dict[str, str]:
+    """The canonical fields both of a cell's addresses are built from.
+
+    Each field is already rendered to its canonical JSON, so
+    :func:`cell_address` and :func:`range_address` derive the cell key and
+    the run-range base key from one such dict and a cell's protocol,
+    channel and timing are fingerprinted once for both.  The default
+    scalar engine is omitted to keep pre-existing keys stable.
+    """
+    fields = {
+        "protocol": _ENCODER.encode(canonical_fingerprint(protocol)),
+        "n_tags": _scalar(n_tags),
+        "seed": _scalar(seed),
+        "channel": _rendered(channel),
+        "timing": _rendered(timing),
+    }
+    if engine != "scalar":
+        fields["engine"] = _scalar(engine)
+    return fields
+
+
+def _scalar(value: object) -> str:
+    """``_ENCODER.encode(value)``, directly for a plain int or str."""
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    return _ENCODER.encode(value)
+
+
+def _address(fields: dict[str, str]) -> str:
+    """SHA-256 of the JSON object of rendered ``fields``.
+
+    Exactly ``_ENCODER.encode`` of the unrendered dict: sorted keys, each
+    (a plain identifier) quoted, ``:`` before and ``,`` between items.
+    """
+    payload = "{" + ",".join([f'"{name}":{text}' for name, text
+                              in sorted(fields.items())]) + "}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def cell_address(fields: dict[str, str], runs: int,
+                 run_start: int = 0) -> str:
+    """:func:`cell_key` from a cell's :func:`cell_fields`."""
+    spec = {**fields, "runs": _scalar(runs)}
+    if run_start:
+        spec["run_start"] = _scalar(run_start)
+    return _address(spec)
+
+
+def range_address(fields: dict[str, str]) -> str:
+    """:func:`run_range_key` from a cell's :func:`cell_fields`."""
+    return _address({**fields, "kind": '"run-range"'})
 
 
 def cell_key(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
@@ -147,20 +263,8 @@ def cell_key(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
     engine (and the default ``run_start`` of a whole cell) is omitted from
     the payload to keep pre-existing keys stable.
     """
-    spec = {
-        "protocol": canonical_fingerprint(protocol),
-        "n_tags": n_tags,
-        "runs": runs,
-        "seed": seed,
-        "channel": canonical_fingerprint(channel),
-        "timing": canonical_fingerprint(timing),
-    }
-    if engine != "scalar":
-        spec["engine"] = engine
-    if run_start:
-        spec["run_start"] = run_start
-    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return cell_address(cell_fields(protocol, n_tags, seed, channel, timing,
+                                    engine), runs, run_start)
 
 
 def run_range_key(protocol: TagReadingProtocol, n_tags: int, seed: int,
@@ -174,18 +278,8 @@ def run_range_key(protocol: TagReadingProtocol, n_tags: int, seed: int,
     range as the sub-key.  A ``kind`` marker keeps the namespace disjoint
     from full-cell addresses.
     """
-    spec = {
-        "kind": "run-range",
-        "protocol": canonical_fingerprint(protocol),
-        "n_tags": n_tags,
-        "seed": seed,
-        "channel": canonical_fingerprint(channel),
-        "timing": canonical_fingerprint(timing),
-    }
-    if engine != "scalar":
-        spec["engine"] = engine
-    payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return range_address(cell_fields(protocol, n_tags, seed, channel, timing,
+                                     engine))
 
 
 def _range_to_label(span: tuple[int, int]) -> str:
@@ -230,17 +324,27 @@ class ResultCache:
         self._entries: dict[str, AggregateResult] = {}
         #: base key -> {(start, stop) -> per-run metric vectors}.
         self._runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
+        #: ``(False, cell key)`` and ``(True, base key)`` items, least
+        #: recently used first; a base key's ranges are evicted together.
+        self._recency: OrderedDict[tuple[bool, str], None] = OrderedDict()
+        #: Cells plus run ranges held, at most :data:`MAX_ENTRIES`.
+        self._size = 0
         #: What was stored since the last save: the next appended line.
         self._new_entries: dict[str, AggregateResult] = {}
         self._new_runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
         #: True while the file is a clean log of this signature, which a
         #: save may append to; otherwise the next save rewrites it whole.
         self._appendable = False
+        #: Entries the file holds, evicted and overwritten ones included.
+        self._logged = 0
         self._load()
 
     def _invalidate(self, reason: str) -> None:
         self._entries = {}
         self._runs = {}
+        self._recency = OrderedDict()
+        self._size = 0
+        self._logged = 0
         scope.emit("cache_invalidated", path=str(self.path), reason=reason)
 
     def _load(self) -> None:
@@ -279,16 +383,75 @@ class ResultCache:
             scope.emit("cache_invalidated", path=str(self.path),
                        reason="torn or unparseable line dropped")
         self._appendable = not damaged
+        if self._appendable and (self._logged > self._size
+                                 or len(lines) > COMPACT_LINES):
+            # Evicted or overwritten entries, or many short lines: keep
+            # only what is held, as one line.
+            try:
+                self._rewrite(self._line(*self._by_recency()))
+            except OSError:
+                self._appendable = False
+                return
+            self._logged = self._size
 
     def _merge(self, payload: dict) -> None:
-        """Fold one line's entries into the in-memory store."""
+        """Fold one line's entries into the in-memory store, in order."""
         for key, entry in payload.get("entries", {}).items():
-            self._entries[key] = _result_from_dict(entry)
+            self._hold(key, _result_from_dict(entry))
+            self._logged += 1
         for key, spans in payload.get("runs", {}).items():
-            stored = self._runs.setdefault(key, {})
             for label, rows in spans.items():
-                stored[_range_from_label(label)] = \
-                    [RunMetrics.from_list(row) for row in rows]
+                self._hold_runs(key, _range_from_label(label),
+                                [RunMetrics.from_list(row) for row in rows])
+                self._logged += 1
+
+    # -- the bound ---------------------------------------------------------
+
+    def _touch(self, item: tuple[bool, str]) -> None:
+        recency = self._recency
+        if item in recency:
+            recency.move_to_end(item)
+        else:
+            recency[item] = None
+
+    def _hold(self, key: str, result: AggregateResult) -> None:
+        if key not in self._entries:
+            self._size += 1
+        self._entries[key] = result
+        self._touch((False, key))
+        self._evict()
+
+    def _hold_runs(self, key: str, span: tuple[int, int],
+                   values: list[RunMetrics]) -> None:
+        spans = self._runs.setdefault(key, {})
+        if span not in spans:
+            self._size += 1
+        spans[span] = values
+        self._touch((True, key))
+        self._evict()
+
+    def _evict(self) -> None:
+        """Drop least recently used items until the bound holds."""
+        while self._size > MAX_ENTRIES:
+            (runs, key), _ = self._recency.popitem(last=False)
+            if runs:
+                self._size -= len(self._runs.pop(key))
+                self._new_runs.pop(key, None)
+            else:
+                del self._entries[key]
+                self._size -= 1
+                self._new_entries.pop(key, None)
+
+    def _by_recency(self) -> tuple[dict, dict]:
+        """Everything held, least recently used first (a rewrite's order,
+        which the next load restores)."""
+        entries, runs = {}, {}
+        for is_runs, key in self._recency:
+            if is_runs:
+                runs[key] = self._runs[key]
+            else:
+                entries[key] = self._entries[key]
+        return entries, runs
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -302,6 +465,7 @@ class ResultCache:
         """
         entry = self._entries.get(key)
         if entry is not None:
+            self._recency.move_to_end((False, key))
             self.hits += 1
             scope.inc("result_cache.hits")
             scope.emit("cache_hit", key=key)
@@ -312,8 +476,8 @@ class ResultCache:
         return None
 
     def store(self, key: str, result: AggregateResult) -> None:
-        self._entries[key] = result
         self._new_entries[key] = result
+        self._hold(key, result)
 
     # -- run-range (partial batch) entries ---------------------------------
 
@@ -334,6 +498,7 @@ class ResultCache:
                     values = stored[start - span_start:stop - span_start]
                     break
         if values is not None:
+            self._recency.move_to_end((True, key))
             self.run_hits += 1
             scope.inc("result_cache.run_hits")
             scope.emit("cache_hit", key=f"{key}:{start}:{stop}")
@@ -349,8 +514,8 @@ class ResultCache:
         if not values:
             return
         span, stored = (start, start + len(values)), list(values)
-        self._runs.setdefault(key, {})[span] = stored
         self._new_runs.setdefault(key, {})[span] = stored
+        self._hold_runs(key, span, stored)
 
     def run_prefix(self, key: str, limit: int) -> list[RunMetrics]:
         """The longest contiguous run prefix stored under base ``key``.
@@ -363,6 +528,7 @@ class ResultCache:
         spans = self._runs.get(key)
         if not spans:
             return []
+        self._recency.move_to_end((True, key))
         ordered = sorted(spans.items())
         prefix: list[RunMetrics] = []
         position = 0
@@ -388,17 +554,25 @@ class ResultCache:
         A clean log of this signature gets one line appended with a single
         ``write``, holding only the new entries, so a save costs O(new
         entries).  A missing, invalidated or damaged file is rewritten
-        whole instead: every entry goes to a temporary file that
+        whole instead: every entry held goes to a temporary file that
         ``os.replace`` moves over the path, so a process killed mid-save
-        leaves either the old file or the new one, never a torn one.
+        leaves either the old file or the new one, never a torn one.  So
+        is a log that would pass twice :data:`MAX_ENTRIES` entries, evicted
+        ones included, which keeps the file bounded while the process
+        runs: a rewrite comes once per about :data:`MAX_ENTRIES` new
+        entries, so a save stays O(new entries) amortised.
         """
         if not (self._new_entries or self._new_runs):
             return
+        new = len(self._new_entries) + sum(map(len, self._new_runs.values()))
         try:
-            if self._appendable:
+            if self._appendable \
+                    and self._logged + new <= 2 * MAX_ENTRIES:
                 self._append(self._line(self._new_entries, self._new_runs))
+                self._logged += new
             else:
-                self._rewrite(self._line(self._entries, self._runs))
+                self._rewrite(self._line(*self._by_recency()))
+                self._logged = self._size
         except OSError:
             # A read-only checkout just runs cold every time; an append cut
             # short leaves a torn line the next save must not follow.
@@ -413,12 +587,13 @@ class ResultCache:
               ) -> bytes:
         payload = {
             "signature": self.signature,
+            # In the given order, which a load replays as recency.
             "entries": {key: _result_to_dict(entry)
-                        for key, entry in sorted(entries.items())},
+                        for key, entry in entries.items()},
             "runs": {key: {_range_to_label(span):
                            [value.to_list() for value in values]
                            for span, values in sorted(spans.items())}
-                     for key, spans in sorted(runs.items())},
+                     for key, spans in runs.items()},
         }
         return (json.dumps(payload) + "\n").encode("utf-8")
 

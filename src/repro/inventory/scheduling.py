@@ -47,7 +47,7 @@ def color_phases(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
         earlier[max(a, b)].append(min(a, b))
     colors: list[int] = []
     for vertex in range(n):
-        taken = {colors[neighbour] for neighbour in earlier[vertex]}
+        taken = set(map(colors.__getitem__, earlier[vertex]))
         color = 0
         while color in taken:
             color += 1

@@ -499,6 +499,15 @@ class _FcatKernelSession:
 #: The native loop's error statuses (the enum in ``fcat_walk.c``).
 _NOMEM, _RUNAWAY, _ZERO_DIVISION = -2, -3, -4
 
+#: A generator's ``bitgen_t`` address from its ``BitGenerator`` capsule:
+#: the pointer ``bit_generator.ctypes.bit_generator`` holds, without the
+#: ctypes interface that property builds for every new generator.
+#: Its own prototype, so the shared ``ctypes.pythonapi`` entry keeps its
+#: default signature.
+_capsule_pointer = ctypes.PYFUNCTYPE(
+    ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+
 
 class _NativeFcatSession(_FcatKernelSession):
     """The same session, run by ``fcat_walk.c``.
@@ -523,7 +532,8 @@ class _NativeFcatSession(_FcatKernelSession):
             estimator.source == "empty", estimator.ewma_weight,
             *self.outcome_probs, self.draw_free)
         self._session = self._lib.fcat_new(
-            ctypes.byref(config), self.rng.bit_generator.ctypes.bit_generator)
+            ctypes.byref(config),
+            _capsule_pointer(self.rng.bit_generator.capsule, b"BitGenerator"))
         if not self._session:
             raise MemoryError("the native FCAT loop could not allocate "
                               f"{n_tags} tags")

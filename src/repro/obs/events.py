@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -151,26 +152,34 @@ EVENT_SCHEMA: dict[str, EventSpec] = {
 
 def validate_event(name: str, fields: dict) -> None:
     """Raise ``ValueError`` unless (name, fields) matches the schema."""
+    _validate_all(name, (fields,))
+
+
+def _validate_all(name: str, many: Iterable[dict]) -> None:
+    """:func:`validate_event` for each of ``many`` fields dicts."""
     spec = EVENT_SCHEMA.get(name)
     if spec is None:
         raise ValueError(f"undeclared event {name!r}; add it to EVENT_SCHEMA")
-    if fields.keys() != spec._names:
-        declared = spec.field_names
-        missing = set(declared) - set(fields)
-        extra = set(fields) - set(declared)
-        raise ValueError(
-            f"event {name!r} fields mismatch: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}")
-    for field_name, kind, accepted, numeric in spec._checks:
-        value = fields[field_name]
-        if numeric and value.__class__ is bool:
+    names = spec._names
+    checks = spec._checks
+    for fields in many:
+        if fields.keys() != names:
+            declared = spec.field_names
+            missing = set(declared) - set(fields)
+            extra = set(fields) - set(declared)
             raise ValueError(
-                f"event {name!r} field {field_name!r} must be {kind}, "
-                "got bool")
-        if not isinstance(value, accepted):
-            raise ValueError(
-                f"event {name!r} field {field_name!r} must be {kind}, "
-                f"got {type(value).__name__}")
+                f"event {name!r} fields mismatch: missing {sorted(missing)}, "
+                f"unexpected {sorted(extra)}")
+        for field_name, kind, accepted, numeric in checks:
+            value = fields[field_name]
+            if numeric and value.__class__ is bool:
+                raise ValueError(
+                    f"event {name!r} field {field_name!r} must be {kind}, "
+                    "got bool")
+            if not isinstance(value, accepted):
+                raise ValueError(
+                    f"event {name!r} field {field_name!r} must be {kind}, "
+                    f"got {type(value).__name__}")
 
 
 def frame_fields(protocol: str, row: tuple) -> tuple[dict, dict]:
@@ -203,6 +212,7 @@ FRAME_ROW = np.dtype([("index", np.int64), ("p", np.float64),
 
 #: A probe row's outcome, by its code.
 _PROBE_OUTCOMES = ("empty", "singleton", "collision")
+_PROBE_CODES = frozenset(range(len(_PROBE_OUTCOMES)))
 
 
 def _row_events(protocol: str, row: tuple) -> tuple[tuple[str, dict], ...]:
@@ -215,13 +225,14 @@ def _row_events(protocol: str, row: tuple) -> tuple[tuple[str, dict], ...]:
     return ("frame", frame), ("estimator_update", update)
 
 
-def _check_block(protocol: str, rows: np.ndarray) -> None:
+def _check_block(protocol: str, rows: np.ndarray) -> int:
     """Raise ``ValueError`` unless ``rows`` is a valid frame block.
 
-    A :data:`FRAME_ROW` array is typed by construction, so the dtype is
-    checked once.  Any other dtype with the same fields raises as the
-    ``emit`` of its first frame row would, if that row is wrong for the
-    schema.  Probe outcome codes are checked in one vectorised test.
+    Returns the block's probe-row count.  A :data:`FRAME_ROW` array is
+    typed by construction, so the dtype is checked once.  Any other dtype
+    with the same fields raises as the ``emit`` of its first frame row
+    would, if that row is wrong for the schema.  Probe outcome codes are
+    checked in one vectorised test.
     """
     names = rows.dtype.names
     if names != FRAME_ROW.names:
@@ -235,10 +246,11 @@ def _check_block(protocol: str, rows: np.ndarray) -> None:
         raise ValueError(f"frame block dtype must be {FRAME_ROW}, "
                          f"got {rows.dtype}")
     codes = rows["empty"][rows["actual"] < 0]
-    bad = codes[(codes < 0) | (codes >= len(_PROBE_OUTCOMES))]
-    if len(bad):
+    if len(codes) and not _PROBE_CODES.issuperset(codes.tolist()):
+        bad = codes[(codes < 0) | (codes >= len(_PROBE_OUTCOMES))]
         raise ValueError("termination_probe outcome code must be 0, 1 or 2, "
                          f"got {bad[0]}")
+    return len(codes)
 
 
 class _FrameBlock(NamedTuple):
@@ -328,8 +340,21 @@ class EventStream:
 
     def append(self, name: str, fields: dict) -> None:
         """:meth:`emit` for a ready-made ``fields`` dict (kept, not copied)."""
-        validate_event(name, fields)
+        _validate_all(name, (fields,))
         self._record(name, fields)
+
+    def append_all(self, name: str, fields: list[dict]) -> None:
+        """:meth:`append` each of ``fields`` as a ``name`` event, in order.
+
+        All are validated before any is recorded, so a bad one raises
+        ``ValueError`` and records nothing.
+        """
+        _validate_all(name, fields)
+        if not fields:
+            return
+        self._records.extend(zip(repeat(name), fields))
+        self._tally[name] = self._tally.get(name, 0) + len(fields)
+        self._length += len(fields)
 
     def record_frames(self, protocol: str, rows: np.ndarray) -> None:
         """Record a batch's per-frame telemetry as one frame block.
@@ -343,9 +368,8 @@ class EventStream:
         """
         if not len(rows):
             return
-        _check_block(protocol, rows)
-        frames = int(np.count_nonzero(rows["actual"] >= 0))
-        probes = len(rows) - frames
+        probes = _check_block(protocol, rows)
+        frames = len(rows) - probes
         tally = self._tally
         if frames:
             for name in ("frame", "estimator_update"):

@@ -27,6 +27,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
+from typing import Iterable
 
 import numpy as np
 
@@ -130,24 +133,31 @@ class Histogram:
         The result is the same to the bit: bucket counts come from
         ``searchsorted`` (``bisect_left``), NaN overflows and never moves
         the minimum or maximum, and the total is added left to right
-        (``cumsum`` accumulates sequentially, unlike ``sum``).  Only the
+        (``np.add.accumulate`` adds sequentially, unlike ``sum``).  Only the
         sign of a zero minimum or maximum may differ.
         """
         values = np.asarray(values, dtype=np.float64)
         if not values.size:
             return
         self.n += int(values.size)
-        self.total = float(np.cumsum(np.concatenate(([self.total],
-                                                      values)))[-1])
-        seen = values[values == values]
+        self.total = float(np.add.accumulate(
+            np.concatenate(([self.total], values)))[-1])
+        # A NaN among the values makes the running total NaN, so a
+        # non-NaN total says every value is seen.
+        seen = values if self.total == self.total \
+            else values[values == values]
         if seen.size:
-            self.min_seen = min(self.min_seen, float(seen.min()))
-            self.max_seen = max(self.max_seen, float(seen.max()))
-        buckets = np.bincount(np.searchsorted(self.bounds, seen),
+            self.min_seen = min(self.min_seen, float(np.minimum.reduce(seen)))
+            self.max_seen = max(self.max_seen, float(np.maximum.reduce(seen)))
+        buckets = np.bincount(self._bounds_array.searchsorted(seen),
                               minlength=len(self.bounds) + 1).tolist()
-        self.counts = [count + added
-                       for count, added in zip(self.counts, buckets)]
+        self.counts = list(map(add, self.counts, buckets))
         self.overflow += buckets[-1] + int(values.size - seen.size)
+
+    @cached_property
+    def _bounds_array(self) -> np.ndarray:
+        """``bounds`` as the array ``searchsorted`` would convert it to."""
+        return np.asarray(self.bounds, dtype=np.float64)
 
     @property
     def mean(self) -> float:
@@ -184,7 +194,7 @@ class Histogram:
         if self.bounds != other.bounds:
             raise ValueError(
                 f"cannot merge histogram {self.name!r}: bucket bounds differ")
-        self.counts = [a + b for a, b in zip(self.counts, other.counts)]
+        self.counts = list(map(add, self.counts, other.counts))
         self.overflow += other.overflow
         self.total += other.total
         self.n += other.n
@@ -235,16 +245,57 @@ class MetricsRegistry:
                 f"histogram {name!r} already registered with other bounds")
         return instrument
 
+    def add_counts(self, amounts: Iterable[tuple[str, float]]) -> None:
+        """``counter(name).inc(amount)`` for each pair, in order."""
+        counters = self._counters
+        for name, amount in amounts:
+            if amount < 0:
+                raise ValueError("counters only move forward; use a gauge")
+            counter = counters.get(name)
+            if counter is None:
+                counter = counters[name] = Counter(name)
+            counter.value += amount
+
     # -- folding -----------------------------------------------------------
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold ``other`` into this registry (commutative, associative)."""
+        """Fold ``other`` into this registry (commutative, associative).
+
+        Each instrument is what ``self.counter(name).merge(counter)`` and
+        its gauge and histogram siblings make of it, looked up inline.
+        """
+        counters = self._counters
         for name, counter in other._counters.items():
-            self.counter(name).merge(counter)
+            mine = counters.get(name)
+            if mine is None:
+                counters[name] = Counter(name, 0.0 + counter.value)
+            else:
+                mine.value += counter.value
         for name, gauge in other._gauges.items():
             self.gauge(name).merge(gauge)
+        histograms = self._histograms
         for name, histogram in other._histograms.items():
-            self.histogram(name, histogram.bounds).merge(histogram)
+            mine = histograms.get(name)
+            if mine is None or mine.bounds != histogram.bounds:
+                mine = self.histogram(name, histogram.bounds)
+            mine.merge(histogram)
+
+    def absorb(self, other: "MetricsRegistry") -> None:
+        """:meth:`merge` a registry that is done with: an instrument this
+        one lacks is taken over, not copied.
+
+        A taken-over instrument snapshots as its merged copy would: a
+        counter's value is already a float and a histogram's sums are
+        what adding them to empty ones gives.  ``other`` must not be
+        written to afterwards.
+        """
+        kinds = ("_counters", "_gauges", "_histograms")
+        if any(getattr(self, kind).keys() & getattr(other, kind).keys()
+               for kind in kinds):
+            self.merge(other)
+            return
+        for kind in kinds:
+            getattr(self, kind).update(getattr(other, kind))
 
     def snapshot(self) -> dict:
         """Plain sorted-key dict of every instrument (JSON-ready)."""

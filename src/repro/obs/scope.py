@@ -19,10 +19,9 @@ themselves.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterable
 
 from repro.obs.events import EventStream
 from repro.obs.metrics import MetricsRegistry
@@ -57,6 +56,10 @@ class Observation:
     def count(self, name: str, amount: float = 1.0) -> None:
         self.metrics.counter(name).inc(amount)
 
+    def count_many(self, amounts: Iterable[tuple[str, float]]) -> None:
+        """:meth:`count` each ``(name, amount)`` pair, in order."""
+        self.metrics.add_counts(amounts)
+
     def observe_value(self, name: str, value: float) -> None:
         self.metrics.histogram(name).observe(value)
 
@@ -76,9 +79,12 @@ class Observation:
         """Fold a worker's or a request's observation in.
 
         Order-independent for metrics; events append in the caller-chosen
-        deterministic order, as one bulk :meth:`EventStream.fold`.
+        deterministic order, as one bulk :meth:`EventStream.fold`.  A
+        folded-in collector is done: its records are shared and its
+        instruments taken over (:meth:`MetricsRegistry.absorb`), not
+        copied.
         """
-        self.metrics.merge(other.metrics)
+        self.metrics.absorb(other.metrics)
         self.events.fold(other.events)
         self.cells.extend(other.cells)
 
@@ -100,16 +106,31 @@ def enabled() -> bool:
     return _current.get() is not None
 
 
-@contextmanager
-def observe(target: Observation | MetricsRegistry | None = None
-            ) -> Iterator[Observation]:
+class _Scope:
+    """The context manager :func:`observe` returns (one ``with`` each)."""
+
+    __slots__ = ("observation", "_token")
+
+    def __init__(self, observation: Observation) -> None:
+        self.observation = observation
+
+    def __enter__(self) -> Observation:
+        self._token = _current.set(self.observation)
+        return self.observation
+
+    def __exit__(self, *exc_info: object) -> None:
+        _current.reset(self._token)
+
+
+def observe(target: Observation | MetricsRegistry | None = None) -> _Scope:
     """Install a collector for the duration of the ``with`` block.
 
     ``target`` may be a full :class:`Observation`, a bare
     :class:`~repro.obs.metrics.MetricsRegistry` (wrapped into a fresh
     observation, the ``with observe(registry):`` one-liner), or ``None``
-    for a fresh observation.  Yields the installed observation; the
-    previous collector is restored on exit.
+    for a fresh observation.  The ``with`` target is the installed
+    observation; the previous collector is restored on exit, also when
+    the block raises.
     """
     if target is None:
         observation = Observation()
@@ -117,11 +138,7 @@ def observe(target: Observation | MetricsRegistry | None = None
         observation = Observation(metrics=target)
     else:
         observation = target
-    token = _current.set(observation)
-    try:
-        yield observation
-    finally:
-        _current.reset(token)
+    return _Scope(observation)
 
 
 # -- module-level one-liners (no-ops while disabled) -----------------------

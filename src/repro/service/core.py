@@ -56,6 +56,8 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from repro.core import Fcat
 from repro.experiments.executor import CellSpec, execute_cells
@@ -65,9 +67,10 @@ from repro.obs import scope
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.scope import Observation
 from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
-from repro.service.requests import InventoryRequest, encode_response
+from repro.service.requests import (InventoryRequest, encode_response,
+                                    render_entry)
 from repro.service.sharding import ShardPlan, ZoneShard, plan_shards
-from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
+from repro.sim.channel import PERFECT_CHANNEL
 from repro.sim.result import AggregateResult
 
 __all__ = [
@@ -88,6 +91,11 @@ RETAINED_REQUESTS = 32
 #: Bound on the response bytes the store keeps; least recently used
 #: responses are evicted past it.
 RESPONSE_STORE_BYTES = 64 * 1024 * 1024
+
+#: A zone name no zone has, and how it renders: the slot in a zone
+#: shape's rendered entry that each zone's own name fills.
+_NAME_MARK = "\x00"
+_NAME_MARK_JSON = encode_basestring_ascii(_NAME_MARK)
 
 
 @dataclass(frozen=True)
@@ -142,9 +150,11 @@ class InventoryService:
         self._store_bytes = 0
         self._requests_served = 0
         self._responses_cached = 0
-        #: Retained (event, cell) record counts at each retained request's
-        #: start, oldest first.
+        #: (event, cell) records ever kept before each retained request's
+        #: start, oldest first, forgotten ones included.
         self._window: deque[tuple[int, int]] = deque()
+        #: (event, cell) records forgotten so far.
+        self._forgotten = (0, 0)
 
     # -- request handling --------------------------------------------------
 
@@ -212,13 +222,14 @@ class InventoryService:
 
     def _slide_window(self) -> None:
         """Open a request's retention slot; forget the oldest past the cap."""
-        self._window.append((len(self.obs.events), len(self.obs.cells)))
+        events, cells = self._forgotten
+        self._window.append((events + len(self.obs.events),
+                             cells + len(self.obs.cells)))
         if len(self._window) > RETAINED_REQUESTS:
             self._window.popleft()
-            events, cells = self._window[0]
-            self.obs.forget(events, cells)
-            self._window = deque((e - events, c - cells)
-                                 for e, c in self._window)
+            first_events, first_cells = self._window[0]
+            self.obs.forget(first_events - events, first_cells - cells)
+            self._forgotten = (first_events, first_cells)
 
     def _account(self, key: str, elapsed_s: float, cached: bool) -> None:
         self._requests_served += 1
@@ -239,7 +250,7 @@ class InventoryService:
         Runs inside the request's collector scope (:func:`scope.active`).
         """
         obs = scope.active()
-        base = PERFECT_CHANNEL if request.channel == ChannelModel() \
+        base = PERFECT_CHANNEL if request.channel == PERFECT_CHANNEL \
             else request.channel
         plan = plan_shards(request.n_tags, request.zones,
                            capability=request.lam, overlap=request.overlap,
@@ -247,71 +258,97 @@ class InventoryService:
                            interference=self.config.interference)
         # Deduplicate interchangeable zones into distinct cells, in first-
         # appearance order so cell seeds are stable under zone reindexing.
+        # The plan builds one channel object per distinct load, so zones
+        # are first grouped by that object (alive throughout, so its id is
+        # unique) and only each group's first zone is compared by value.
         signatures: dict[tuple, int] = {}
+        shapes: dict[tuple, int] = {}
         specs: list[CellSpec] = []
-        zone_cell: dict[int, int] = {}
+        zone_cells: list[int] = []
         for zone in plan.zones:
-            signature = _zone_cell_signature(zone, request)
-            if signature not in signatures:
-                signatures[signature] = len(specs)
-                specs.append(CellSpec(
-                    protocol=Fcat(lam=request.lam,
-                                  frame_size=zone.frame_size,
-                                  initial_estimate=float(max(zone.n_tags,
-                                                             1))),
-                    n_tags=zone.n_tags,
-                    runs=request.runs,
-                    seed=request.seed + SERVICE_CELL_STRIDE * len(specs),
-                    channel=zone.channel,
-                    engine=request.engine,
-                ))
-            zone_cell[zone.index] = signatures[signature]
+            shape = (zone.n_tags, zone.frame_size, id(zone.channel))
+            cell = shapes.get(shape)
+            if cell is None:
+                signature = _zone_cell_signature(zone, request)
+                cell = signatures.get(signature)
+                if cell is None:
+                    cell = signatures[signature] = len(specs)
+                    specs.append(CellSpec(
+                        protocol=Fcat(lam=request.lam,
+                                      frame_size=zone.frame_size,
+                                      initial_estimate=float(
+                                          max(zone.n_tags, 1))),
+                        n_tags=zone.n_tags,
+                        runs=request.runs,
+                        seed=request.seed + SERVICE_CELL_STRIDE * cell,
+                        channel=zone.channel,
+                        engine=request.engine,
+                    ))
+                shapes[shape] = cell
+            zone_cells.append(cell)
+        interfered = plan.interfered_zones
         obs.emit("shard_plan", key=key, zones=len(plan.zones),
-                      phases=plan.n_phases, distinct_cells=len(specs),
-                      interfered_zones=plan.interfered_zones)
+                 phases=plan.n_phases, distinct_cells=len(specs),
+                 interfered_zones=interfered)
         planner = None if request.precision is None \
             else PlannerConfig(precision=request.precision)
         results = execute_cells(specs, jobs=self.config.jobs,
                                 cache=self.config.cache, planner=planner)
-        for zone in plan.zones:
-            obs.emit("shard_done", key=key, zone=zone.name,
-                          n_tags=zone.n_tags, phase=zone.phase,
-                          frame_size=zone.frame_size,
-                          interference_load=zone.interference_load)
-        payload = self._payload(request, key, plan, results, zone_cell)
-        return encode_response(payload)
+        obs.events.append_all("shard_done", [
+            {"key": key, "zone": zone.name, "n_tags": zone.n_tags,
+             "phase": zone.phase, "frame_size": zone.frame_size,
+             "interference_load": zone.interference_load}
+            for zone in plan.zones])
+        payload, zones = self._payload(request, key, plan, results,
+                                       zone_cells, interfered)
+        return encode_response(payload, zones)
 
     @staticmethod
     def _payload(request: InventoryRequest, key: str, plan: ShardPlan,
-                 results: list[AggregateResult],
-                 zone_cell: dict[int, int]) -> dict:
-        """Assemble the response: per-zone stats plus facility rollups."""
-        zones_payload = []
+                 results: list[AggregateResult], zone_cells: list[int],
+                 interfered: int) -> tuple[dict, list[str]]:
+        """Assemble the response: facility rollups plus rendered zones.
+
+        Zones of one shape -- same cell, exclusive tags, phase and load --
+        differ only in their names, so each shape is rendered once with a
+        placeholder name that each zone's fills.  A load is a ratio of
+        non-negative counts (never ``-0.0`` or NaN), so equal loads render
+        alike.
+        """
+        templates: dict[tuple, tuple[str, str, float]] = {}
+        zones = []
         phase_durations = [0.0] * plan.n_phases
-        for zone in plan.zones:
-            cell = results[zone_cell[zone.index]]
-            # The mean session length of this zone's reader, from the
-            # cell's Monte-Carlo throughput (unique IDs per second).
-            duration_s = zone.n_tags / cell.throughput_mean \
-                if cell.throughput_mean > 0 else 0.0
-            phase_durations[zone.phase] = max(phase_durations[zone.phase],
-                                              duration_s)
-            zones_payload.append({
-                "name": zone.name,
-                "n_tags": zone.n_tags,
-                "exclusive_tags": zone.exclusive_tags,
-                "phase": zone.phase,
-                "frame_size": zone.frame_size,
-                "interference_load": zone.interference_load,
-                "throughput_mean": cell.throughput_mean,
-                "throughput_std": cell.throughput_std,
-                "total_slots_mean": cell.total_slots_mean,
-                "resolved_mean": cell.resolved_mean,
-                "runs": cell.runs,
-                "estimated_duration_s": duration_s,
-            })
+        for zone, cell_index in zip(plan.zones, zone_cells):
+            shape = (cell_index, zone.exclusive_tags, zone.phase,
+                     zone.interference_load)
+            template = templates.get(shape)
+            if template is None:
+                cell = results[cell_index]
+                # The mean session length of this zone's reader, from the
+                # cell's Monte-Carlo throughput (unique IDs per second).
+                duration_s = zone.n_tags / cell.throughput_mean \
+                    if cell.throughput_mean > 0 else 0.0
+                head, _, tail = render_entry({
+                    "name": _NAME_MARK,
+                    "n_tags": zone.n_tags,
+                    "exclusive_tags": zone.exclusive_tags,
+                    "phase": zone.phase,
+                    "frame_size": zone.frame_size,
+                    "interference_load": zone.interference_load,
+                    "throughput_mean": cell.throughput_mean,
+                    "throughput_std": cell.throughput_std,
+                    "total_slots_mean": cell.total_slots_mean,
+                    "resolved_mean": cell.resolved_mean,
+                    "runs": cell.runs,
+                    "estimated_duration_s": duration_s,
+                }).partition(_NAME_MARK_JSON)
+                template = templates[shape] = (head, tail, duration_s)
+            head, tail, duration_s = template
+            zones.append(head + encode_basestring_ascii(zone.name) + tail)
+            if duration_s > phase_durations[zone.phase]:
+                phase_durations[zone.phase] = duration_s
         facility_read_s = sum(phase_durations)
-        duplicates = sum(count for _, _, count in plan.overlap_pairs)
+        duplicates = sum(map(itemgetter(2), plan.overlap_pairs))
         return {
             "schema": "repro-inventory/1",
             "request": request.to_dict(),
@@ -319,11 +356,10 @@ class InventoryService:
             "plan": {
                 "zones": len(plan.zones),
                 "phases": plan.n_phases,
-                "interfered_zones": plan.interfered_zones,
-                "distinct_cells": len(set(zone_cell.values())),
+                "interfered_zones": interfered,
+                "distinct_cells": len(results),
                 "duplicate_coverage": duplicates,
             },
-            "zones": zones_payload,
             "facility": {
                 "unique_tags": plan.facility_tags,
                 "phase_durations_s": phase_durations,
@@ -331,7 +367,7 @@ class InventoryService:
                 "throughput": plan.facility_tags / facility_read_s
                 if facility_read_s > 0 else 0.0,
             },
-        }
+        }, zones
 
     # -- observability surfaces --------------------------------------------
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from repro.experiments.result_cache import canonical_fingerprint
 from repro.kernels.engine import ENGINES
@@ -33,6 +34,7 @@ __all__ = [
     "MAX_ZONES",
     "InventoryRequest",
     "encode_response",
+    "render_entry",
     "request_from_dict",
 ]
 
@@ -57,6 +59,14 @@ MAX_ERROR_PROB = 0.5
 #: Fields a request dict may carry (everything else is rejected early).
 _REQUEST_FIELDS = ("n_tags", "zones", "seed", "runs", "lam", "overlap",
                    "max_phases", "engine", "precision", "channel")
+#: The channel's knobs, as the request echo flattens them.
+_CHANNEL_KNOBS = tuple(knob.name for knob in fields(ChannelModel))
+
+#: ``json.dumps`` with these settings, without building an encoder per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_RESPONSE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(", ", ": "))
+#: How a response whose ``zones`` list is empty ends.
+_EMPTY_ZONES = '"zones": []}'
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,24 @@ class InventoryRequest:
                 raise ValueError(f"channel {knob} must be <= "
                                  f"{MAX_ERROR_PROB}")
 
+    def _fields(self) -> dict:
+        """Every field by name, the channel flattened to its knobs.
+
+        Built once per request object and shared by :meth:`key` and
+        :meth:`to_dict`, so it must not be mutated.  The memo lives on the
+        object, never in a table keyed by value: ``0``, ``0.0`` and
+        ``False`` are equal, yet they render, and so address, differently.
+        """
+        values = self.__dict__.get("_field_memo")
+        if values is None:
+            values = {name: getattr(self, name)
+                      for name in _REQUEST_FIELDS}
+            channel = self.channel
+            values["channel"] = {knob: getattr(channel, knob)
+                                 for knob in _CHANNEL_KNOBS}
+            object.__setattr__(self, "_field_memo", values)  # frozen: no field
+        return values
+
     def key(self) -> str:
         """The request's content address (SHA-256 of its canonical form).
 
@@ -119,17 +147,17 @@ class InventoryRequest:
         """
         key = self.__dict__.get("_key")
         if key is None:
-            payload = json.dumps({"kind": "inventory-request",
-                                  **canonical_fingerprint(asdict(self))},
-                                 sort_keys=True, separators=(",", ":"))
+            payload = _KEY_ENCODER.encode(
+                {"kind": "inventory-request",
+                 **canonical_fingerprint(self._fields())})
             key = hashlib.sha256(payload.encode("utf-8")).hexdigest()
             object.__setattr__(self, "_key", key)  # frozen: not a field
         return key
 
     def to_dict(self) -> dict:
         """JSON-able form; the channel flattens to its four knobs."""
-        payload = asdict(self)
-        payload["channel"] = asdict(self.channel)
+        payload = dict(self._fields())
+        payload["channel"] = dict(payload["channel"])
         return payload
 
 
@@ -175,13 +203,31 @@ def request_from_dict(payload: dict) -> InventoryRequest:
         raise ValueError(f"bad request: {error}") from None
 
 
-def encode_response(payload: dict) -> bytes:
+def render_entry(fields: dict) -> str:
+    """One JSON object exactly as :func:`encode_response` renders it
+    nested, for splicing in through its ``zones`` argument."""
+    return _RESPONSE_ENCODER.encode(fields)
+
+
+def encode_response(payload: dict,
+                    zones: Sequence[str] | None = None) -> bytes:
     """Render a response payload to its canonical bytes.
 
     Sorted keys and a fixed separator style make the rendering a pure
     function of the payload's value; the payload itself is a pure function
     of the request, so the encoded bytes are the determinism contract's
     unit of comparison.
+
+    ``zones``, when given, are the ``zones`` list's entries already
+    rendered (:func:`render_entry`); the bytes are those of ``payload``
+    with that list in it.  ``zones`` sorts after every other top-level
+    key, so the list closes the rendering and is spliced in there.
     """
-    return (json.dumps(payload, sort_keys=True, separators=(", ", ": "))
-            + "\n").encode("utf-8")
+    if zones is None:
+        text = _RESPONSE_ENCODER.encode(payload)
+    else:
+        text = _RESPONSE_ENCODER.encode({**payload, "zones": []})
+        if not text.endswith(_EMPTY_ZONES):
+            raise ValueError("a payload key sorts after 'zones'")
+        text = text[:-len("[]}")] + "[" + ", ".join(zones) + "]}"
+    return (text + "\n").encode("utf-8")

@@ -81,7 +81,8 @@ class ShardPlan:
     @property
     def interfered_zones(self) -> int:
         """Zones reading through a non-zero interference load."""
-        return sum(1 for zone in self.zones if zone.interference_load > 0.0)
+        return len([zone for zone in self.zones
+                    if zone.interference_load > 0.0])
 
     def phase_members(self) -> list[list[ZoneShard]]:
         """Zones grouped by phase, phases in execution order."""
@@ -137,26 +138,36 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
         phases = [phase % max_phases for phase in phases]
     n_phases = max(phases) + 1
 
+    # Residual overlap: tags shared with zones active in the same phase.
+    # A ring pair joins two distinct zones, so one pass over the pairs
+    # credits both ends.
+    shared = [0] * zones
+    for left, right, count in pairs:
+        if phases[left] == phases[right]:
+            shared[left] += count
+            shared[right] += count
+    # Zones differ in a handful of shapes: each distinct load's channel,
+    # and each distinct shape's fields, are built once.
+    channels: dict[float, ChannelModel] = {}
+    shapes: dict[tuple, dict] = {}
+    frame_size = FcatConfig.frame_size
     shards = []
     for index in range(zones):
-        # Residual overlap: shared tags with zones active in my phase.
-        shared = 0
-        for left, right, count in pairs:
-            if left == index and phases[right] == phases[index]:
-                shared += count
-            elif right == index and phases[left] == phases[index]:
-                shared += count
-        load = min(shared / covered[index], 1.0) if covered[index] else 0.0
-        shards.append(ZoneShard(
-            name=f"zone-{index:03d}",
-            index=index,
-            n_tags=covered[index],
-            exclusive_tags=exclusive[index],
-            phase=phases[index],
-            interference_load=load,
-            frame_size=FcatConfig.frame_size,
-            channel=interference.channel_for_load(load, base),
-        ))
+        load = min(shared[index] / covered[index], 1.0) \
+            if covered[index] else 0.0
+        signature = (covered[index], exclusive[index], phases[index], load)
+        shape = shapes.get(signature)
+        if shape is None:
+            channel = channels.get(load)
+            if channel is None:
+                channel = channels[load] = \
+                    interference.channel_for_load(load, base)
+            shape = shapes[signature] = {
+                "n_tags": covered[index], "exclusive_tags": exclusive[index],
+                "phase": phases[index], "interference_load": load,
+                "frame_size": frame_size, "channel": channel}
+        shards.append(ZoneShard(name=f"zone-{index:03d}", index=index,
+                                **shape))
     return ShardPlan(facility_tags=n_tags, zones=tuple(shards),
                      n_phases=n_phases, overlap=overlap,
                      capability=capability, overlap_pairs=pairs)

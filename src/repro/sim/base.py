@@ -44,21 +44,22 @@ class TagReadingProtocol(ABC):
         obs = scope.active()
         if obs is None:
             return
-        obs.count("sessions")
-        obs.count("slots.empty", result.empty_slots)
-        obs.count("slots.singleton", result.singleton_slots)
-        obs.count("slots.collision", result.collision_slots)
-        obs.count("tags.read", result.n_read)
-        obs.count("tags.resolved_from_collision",
-                  result.resolved_from_collision)
-        obs.observe_value("session.duration_s", result.duration_s)
+        duration_s = result.duration_s
+        obs.count_many((("sessions", 1.0),
+                        ("slots.empty", result.empty_slots),
+                        ("slots.singleton", result.singleton_slots),
+                        ("slots.collision", result.collision_slots),
+                        ("tags.read", result.n_read),
+                        ("tags.resolved_from_collision",
+                         result.resolved_from_collision)))
+        obs.observe_value("session.duration_s", duration_s)
         obs.observe_value("session.slots", result.total_slots)
         obs.emit("session", protocol=result.protocol, n_tags=result.n_tags,
                  n_read=result.n_read, empty_slots=result.empty_slots,
                  singleton_slots=result.singleton_slots,
                  collision_slots=result.collision_slots,
                  resolved_from_collision=result.resolved_from_collision,
-                 frames=result.frames, duration_s=result.duration_s)
+                 frames=result.frames, duration_s=duration_s)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"

@@ -9,8 +9,10 @@ reading throughput in tags per second (Table I).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, floordiv, itemgetter, mul
 from statistics import mean, stdev
-from typing import Any
+from typing import Any, Sequence
 
 from repro.air.timing import ICODE_TIMING, TimingModel
 
@@ -156,6 +158,42 @@ def aggregate(results: list[ReadingResult]) -> AggregateResult:
                              [run_metrics(r) for r in results])
 
 
+#: A run's metrics in :class:`AggregateResult` column order.
+_COLUMNS = attrgetter("throughput", "empty_slots", "singleton_slots",
+                      "collision_slots", "total_slots",
+                      "resolved_from_collision")
+
+
+def exact_mean(values: Sequence) -> int | float:
+    """``statistics.mean(values)``: the same value and the same type.
+
+    ``statistics.mean`` sums exact ratios as ``Fraction`` objects.  Over
+    Python ints or finite floats the same exact sum is an integer ratio:
+    ints sum as they are, floats over their common power-of-two
+    denominator.  The mean is then that ratio over ``len(values)``: an
+    int when the ints divide evenly (as ``statistics.mean`` returns),
+    else one correctly rounded division, as ``float(Fraction)`` does.
+    Anything else -- bools, numpy scalars, mixed types, infinities --
+    goes to ``statistics.mean`` itself.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        total = sum(values)
+        count = len(values)
+        return total // count if total % count == 0 else total / count
+    if kinds == {float}:
+        try:
+            ratios = list(map(float.as_integer_ratio, values))
+        except (OverflowError, ValueError):  # inf or nan
+            return mean(values)
+        denominators = list(map(itemgetter(1), ratios))
+        common = max(denominators)  # powers of two: the largest is the lcm
+        total = sum(map(mul, map(itemgetter(0), ratios),
+                        map(floordiv, repeat(common), denominators)))
+        return total / (common * len(values))
+    return mean(values)
+
+
 def aggregate_metrics(protocol: str, n_tags: int,
                       values: list[RunMetrics]) -> AggregateResult:
     """:func:`aggregate` over pre-projected per-run metric vectors.
@@ -163,20 +201,22 @@ def aggregate_metrics(protocol: str, n_tags: int,
     ``aggregate`` delegates here, so a cell assembled from cached
     :class:`RunMetrics` ranges and one computed from live results agree
     bit-for-bit -- the invariant the planner's partial-batch cache and the
-    executor's prefix reuse rest on.
+    executor's prefix reuse rest on.  Means are :func:`exact_mean`, which
+    is ``statistics.mean`` without its ``Fraction`` objects.
     """
     if not values:
         raise ValueError("need at least one result to aggregate")
-    throughputs = [v.throughput for v in values]
+    (throughputs, empty, singleton, collision, total_slots,
+     resolved) = zip(*map(_COLUMNS, values))
     return AggregateResult(
         protocol=protocol,
         n_tags=n_tags,
         runs=len(values),
-        throughput_mean=mean(throughputs),
+        throughput_mean=exact_mean(throughputs),
         throughput_std=stdev(throughputs) if len(throughputs) > 1 else 0.0,
-        empty_mean=mean(v.empty_slots for v in values),
-        singleton_mean=mean(v.singleton_slots for v in values),
-        collision_mean=mean(v.collision_slots for v in values),
-        total_slots_mean=mean(v.total_slots for v in values),
-        resolved_mean=mean(v.resolved_from_collision for v in values),
+        empty_mean=exact_mean(empty),
+        singleton_mean=exact_mean(singleton),
+        collision_mean=exact_mean(collision),
+        total_slots_mean=exact_mean(total_slots),
+        resolved_mean=exact_mean(resolved),
     )

@@ -13,6 +13,7 @@ from repro.air.timing import ICODE_TIMING
 from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
 from repro.experiments.result_cache import (
+    MAX_ENTRIES,
     ResultCache,
     _iter_signature_sources,
     canonical_fingerprint,
@@ -24,7 +25,7 @@ from repro.experiments.runner import run_cell
 from repro.kernels import native
 from repro.obs.scope import observe
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
-from repro.sim.result import AggregateResult
+from repro.sim.result import AggregateResult, RunMetrics
 
 
 class TestCanonicalFingerprint:
@@ -173,6 +174,10 @@ _CELL = AggregateResult(protocol="DFSA", n_tags=50, runs=2,
                         empty_mean=3.0, singleton_mean=50.0,
                         collision_mean=4.5, total_slots_mean=57.5,
                         resolved_mean=0.0)
+
+
+_RUN = RunMetrics(throughput=1.5, empty_slots=3, singleton_slots=50,
+                  collision_slots=4, total_slots=57, resolved_from_collision=0)
 
 
 def _key(index: int) -> str:
@@ -373,3 +378,65 @@ class TestPackageSignature:
         """An edit to the C walk must not keep serving cells cached from
         the old walk."""
         assert native.SOURCE.resolve() in _iter_signature_sources()
+
+
+class TestBound:
+    """At most ``MAX_ENTRIES`` cells plus run ranges, in memory and on
+    disk; the least recently used go first."""
+
+    def test_storing_past_the_bound_keeps_memory_and_file_bounded(
+            self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = _cache(path)
+        stored = 3 * MAX_ENTRIES
+        for index in range(stored):
+            cache.store(_key(index), _CELL)
+            if index % 2 == 0:
+                cache.store_runs(_key(index), 0, [_RUN])
+            if index == 10:
+                assert cache.lookup(_key(0)) == _CELL  # a refresh
+            if index == 2735:
+                # Past the bound: what was stored before the refresh goes
+                # first, and the refreshed entry outlives it.
+                assert cache.lookup(_key(1)) is None
+                assert cache.lookup(_key(0)) == _CELL
+            if index % 256 == 255:
+                cache.save()
+                assert path.stat().st_size <= 2 * _bytes_per_entry(path) \
+                    * (2 * MAX_ENTRIES + 256 * 3 // 2)
+        cache.save()
+        assert len(cache) <= MAX_ENTRIES
+        assert cache.lookup(_key(stored - 1)) == _CELL
+        assert cache.lookup(_key(0)) is None  # evicted at last
+        assert cache.lookup(_key(MAX_ENTRIES)) is None
+        grown = path.stat().st_size
+        reloaded = _cache(path)
+        compacted = path.stat().st_size
+        assert len(_lines(path)) == 1
+        assert compacted <= grown
+        held = _lines(path)[0]
+        assert len(held["entries"]) + sum(map(len, held["runs"].values())) \
+            <= MAX_ENTRIES
+        assert len(reloaded) == len(held["entries"]) > 0
+        assert reloaded.lookup(_key(stored - 1)) == _CELL
+        assert reloaded.run_prefix(_key(stored - 2), 1) == [_RUN]
+        # A second load finds nothing to compact.
+        _cache(path)
+        assert path.stat().st_size == compacted
+
+    def test_eviction_only_turns_hits_into_misses(self, tmp_path):
+        path = tmp_path / "cache.json"
+        cache = _cache(path)
+        for index in range(MAX_ENTRIES + 8):
+            cache.store(_key(index), _CELL)
+        hits = [cache.lookup(_key(index))
+                for index in range(MAX_ENTRIES + 8)]
+        assert set(map(id, hits)) <= {id(None), id(_CELL)}
+        assert hits.count(_CELL) == MAX_ENTRIES
+        assert hits[:8] == [None] * 8
+
+
+def _bytes_per_entry(path) -> int:
+    held = _lines(path)[-1]
+    count = len(held["entries"]) + sum(map(len, held["runs"].values()))
+    return len(path.read_text().splitlines()[-1]) // max(count, 1) + 1

@@ -19,6 +19,7 @@ from repro.service.requests import (
     MAX_ZONES,
     InventoryRequest,
     encode_response,
+    render_entry,
     request_from_dict,
 )
 from repro.sim.channel import ChannelModel
@@ -194,3 +195,13 @@ def test_encode_response_is_canonical():
     assert first == second
     assert first.endswith(b"\n")
     assert json.loads(first) == payload
+
+
+def test_spliced_zones_render_as_the_payload_would():
+    zones = [{"name": f"zone-{index:03d}", "n_tags": index,
+              "interference_load": 0.1 * index} for index in range(3)]
+    payload = {"schema": "s", "request_key": "k", "plan": {"zones": 3}}
+    assert encode_response(payload, [render_entry(zone) for zone in zones]) \
+        == encode_response({**payload, "zones": zones})
+    with pytest.raises(ValueError):
+        encode_response({**payload, "zzz": 1}, [])

@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.fcat import Fcat
 from repro.service.interference import InterferenceModel
-from repro.service.sharding import plan_shards
+from repro.inventory.scheduling import color_phases
+from repro.service.sharding import ZoneShard, plan_shards
 from repro.sim.channel import ChannelModel
 
 
@@ -130,3 +131,58 @@ def test_phase_members_partition_the_zones():
     flattened = [zone for phase in members for zone in phase]
     assert sorted(zone.index for zone in flattened) == list(range(17))
     assert "17 zones" in plan.summary()
+
+
+def _reference_plan(n_tags, zones, overlap, max_phases, base, interference):
+    """The per-zone scan: each zone's residual overlap summed over every
+    ring pair, one channel derived per zone, every shard constructed."""
+    exclusive = [n_tags // zones + (1 if i < n_tags % zones else 0)
+                 for i in range(zones)]
+    borrowed = [0] * zones
+    if zones > 1 and overlap > 0.0:
+        borrowed = [int(exclusive[(i + 1) % zones] * overlap)
+                    for i in range(zones)]
+    covered = [exclusive[i] + borrowed[i] for i in range(zones)]
+    pairs = [(i, (i + 1) % zones, borrowed[i])
+             for i in range(zones) if borrowed[i] > 0]
+    phases = color_phases(zones, [(left, right) for left, right, _ in pairs])
+    if max_phases is not None:
+        phases = [phase % max_phases for phase in phases]
+    shards = []
+    for index in range(zones):
+        shared = 0
+        for left, right, count in pairs:
+            if left == index and phases[right] == phases[index]:
+                shared += count
+            elif right == index and phases[left] == phases[index]:
+                shared += count
+        load = min(shared / covered[index], 1.0) if covered[index] else 0.0
+        shards.append(ZoneShard(
+            name=f"zone-{index:03d}", index=index, n_tags=covered[index],
+            exclusive_tags=exclusive[index], phase=phases[index],
+            interference_load=load, frame_size=30,
+            channel=interference.channel_for_load(
+                load, base if base is not None else ChannelModel())))
+    return shards
+
+
+@pytest.mark.parametrize("max_phases", [None, 1, 2, 3])
+@pytest.mark.parametrize("base", [None, ChannelModel(ack_loss_prob=0),
+                                  ChannelModel(singleton_corrupt_prob=0.1)],
+                         ids=["none", "int-zero", "corrupt"])
+def test_the_plan_matches_the_per_zone_scan(max_phases, base):
+    """Zones built once per shape equal the per-zone construction, field
+    by field and in each field's rendering (``0`` stays ``0``)."""
+    interference = InterferenceModel()
+    for n_tags in (7, 1_001, 65_536):
+        for zones in (1, 2, 3, 5, 16, 48):
+            for overlap in (0.0, 0.15, 0.99):
+                if zones > n_tags:
+                    continue
+                plan = plan_shards(n_tags, zones, 3, overlap, max_phases,
+                                   base, interference)
+                expected = _reference_plan(n_tags, zones, overlap,
+                                           max_phases, base, interference)
+                assert list(plan.zones) == expected
+                assert [repr(zone) for zone in plan.zones] \
+                    == [repr(zone) for zone in expected]

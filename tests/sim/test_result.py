@@ -75,3 +75,34 @@ class TestAggregate:
     def test_rejects_mixed_sizes(self):
         with pytest.raises(ValueError):
             aggregate([_result(), _result(n_tags=7, n_read=7)])
+
+
+def test_exact_mean_is_statistics_mean_in_value_and_type():
+    """Ints that divide evenly stay ints; everything else is the one
+    correctly rounded division ``statistics.mean`` makes."""
+    import math
+    import statistics
+
+    import numpy as np
+
+    from repro.sim.result import exact_mean
+
+    rng = np.random.default_rng(7)
+    cases = [(0,), (3,), (3, 4), (1, 2, 2), (0.1, 0.2, 0.3), (-0.0,),
+             (1e308, 1e308), (5e-324, 1.0), (math.inf, 1.0), (math.nan,),
+             (True, False), (1, 2.5), (2 ** 80, 3)]
+    for _ in range(3000):
+        count = int(rng.integers(1, 7))
+        if rng.random() < 0.5:
+            top = 10 ** int(rng.integers(1, 13))
+            cases.append(tuple(int(rng.integers(0, top))
+                               for _ in range(count)))
+        else:
+            cases.append(tuple(math.ldexp(float(rng.random()),
+                                          int(rng.integers(-1070, 1021)))
+                               for _ in range(count)))
+    for values in cases:
+        expected = statistics.mean(values)
+        got = exact_mean(values)
+        assert type(got) is type(expected), values
+        assert repr(got) == repr(expected), values
