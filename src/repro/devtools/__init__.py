@@ -1,26 +1,26 @@
 """repro.devtools -- static analysis guarding the simulator's invariants.
 
 The reproduction's claims (Tables I-IV throughput, the Table III resolved
-fractions) assume two things review alone cannot keep true at scale: every
-Monte-Carlo path is deterministic under its seed, and every protocol speaks
-the exact same read-session contract.  This package machine-checks those
-invariants with a two-pass whole-program lint engine: pass 1 indexes every
-module (symbol tables, call records, function signatures, module-global
-access); pass 2 runs the cross-file rule families -- RNG reachability over
-the call graph, experiment-registry completeness, fork-safety of the sweep
-workers, kernel-equivalence registration -- alongside the per-file hygiene
-and data-flow rules.
+fractions) are averages over seeded Monte-Carlo runs.  This package keeps
+the checks that guard that seed discipline where no tier-1 test can see a
+fault: randomness drawn from hidden or constant state, draws whose order
+hangs on hash order or float rounding, worker code leaning on module
+globals across the fork, float-literal equality in the numeric code, and
+vectorized kernels without a paired scalar reference.  It is a two-pass
+whole-program lint engine: pass 1 indexes every module (symbol tables,
+call records, function signatures, module-global access); pass 2 runs the
+cross-file rules over that index.
 ``repro-lint src`` runs it from the command line and
 ``tests/test_static_analysis.py`` runs it in tier-1 CI.
 
-Every unsuppressed finding blocks; the only way to accept one is a
-``# repro: allow-<rule>`` comment on its line.  See docs/static_analysis.md
-for the rule catalogue and the suppression syntax.
+Every finding blocks: there are no suppression comments.  See
+docs/static_analysis.md for the rule catalogue and the audit that decided
+which rules stay.
 """
 
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
 from repro.devtools.dataflow import TagFlow, build_cfg, global_access
-from repro.devtools.engine import LintEngine, parse_suppressions
+from repro.devtools.engine import LintEngine
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import (
     FunctionInfo,
@@ -46,7 +46,6 @@ __all__ = [
     "build_cfg",
     "global_access",
     "LintEngine",
-    "parse_suppressions",
     "Finding",
     "LintReport",
     "FunctionInfo",

@@ -4,11 +4,10 @@ Examples::
 
     repro-lint src                    # whole tree, text output
     repro-lint --format json src      # machine-readable
-    repro-lint --rules float-equality,mutable-default src/repro/core
+    repro-lint --rules float-equality,rng-order src
     repro-lint --list-rules
 
-Exit status: 0 clean, 1 blocking findings, 2 usage error.  ``--warn-only``
-always exits 0 (used for advisory sweeps over tests/ and scripts/).
+Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("Whole-program static analysis of the repro simulator: "
-                     "determinism, protocol conformance, numeric hygiene, "
-                     "public-API consistency, RNG reachability, "
-                     "experiment-registry completeness, event schema, "
+                     "determinism, numeric hygiene, RNG draw order, "
                      "fork-safety and kernel-equivalence registration."))
     parser.add_argument("paths", nargs="*", default=["src"],
                         help="files or directories to lint (default: src)")
@@ -37,11 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     parser.add_argument("--rules", default="",
                         help="comma-separated subset of rules to run")
-    parser.add_argument("--show-suppressed", action="store_true",
-                        help="also print findings silenced by "
-                             "`# repro: allow-<rule>` comments")
-    parser.add_argument("--warn-only", action="store_true",
-                        help="report findings but always exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every registered rule and exit")
     return parser
@@ -69,9 +61,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if options.format == "json":
         print(render_json(report))
     else:
-        print(render_text(report, show_suppressed=options.show_suppressed))
-    if options.warn_only:
-        return 0
+        print(render_text(report))
     return 0 if report.ok else 1
 
 

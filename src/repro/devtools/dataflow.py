@@ -1,6 +1,6 @@
 """Intraprocedural data-flow analysis: CFG, tag lattice, global access.
 
-The R1--R9 families see *occurrences* -- a call here, a parameter there.
+The R1 and R3 rules see *occurrences* -- a call here, a comparison there.
 R10 and R11 need to know how values *flow*: which names hold a Generator
 when a loop body draws from it, and which module globals a
 worker-reachable function touches.  This module supplies the shared

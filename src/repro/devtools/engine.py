@@ -2,45 +2,27 @@
 
 A run has two passes:
 
-**Pass 1** touches every file independently: parse, scan suppressions, run
-the per-module rules, build the module's
-:class:`~repro.devtools.index.ModuleIndex`.
+**Pass 1** touches every file independently: parse, run the per-module
+rules, build the module's :class:`~repro.devtools.index.ModuleIndex`.
 
 **Pass 2** assembles the module indexes into a
 :class:`~repro.devtools.index.ProjectIndex` and runs every rule's
-``check_project`` -- the whole-program families (rng reachability,
-experiment registry, fork-safety, kernel equivalence) plus the older
-cross-file checks (protocol conformance, public API).
+``check_project`` -- the whole-program families over the index plus the
+cross-file checks.
 
-Afterwards the engine resolves ``# repro: allow-<rule>`` suppressions.
-
-Typical use::
+Every finding blocks.  Typical use::
 
     from repro.devtools import LintEngine
 
     report = LintEngine().lint_paths(["src"])
     if not report.ok:
         ...
-
-Suppressions are line-scoped comments of the form::
-
-    risky_line()  # repro: allow-float-equality -- rationale
-
-    # repro: allow-mutable-default -- rationale
-    def helper(cache={}): ...
-
-A trailing comment covers its own line; a comment alone on a line covers the
-next line as well (so multi-line statements can be annotated above).  Several
-rules can be allowed at once: ``# repro: allow-rule-a,rule-b``.
 """
 
 from __future__ import annotations
 
 import ast
-import io
-import re
 import time
-import tokenize
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -49,64 +31,6 @@ from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import ProjectIndex, build_module_index
 from repro.devtools.rules import ModuleContext, ProjectContext, Rule, \
     create_rules
-
-_SUPPRESS = re.compile(r"#\s*repro:\s*allow-([a-z0-9_,\-]+)")
-
-
-def parse_suppressions(source: str) -> dict[int, set[str]]:
-    """Map line number -> rule names allowed on that line."""
-    allowed: dict[int, set[str]] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        comments = [(token.start[0], token.start[1], token.string)
-                    for token in tokens if token.type == tokenize.COMMENT]
-    except tokenize.TokenizeError:
-        return allowed
-    lines = source.splitlines()
-    for line, column, text in comments:
-        match = _SUPPRESS.search(text)
-        if match is None:
-            continue
-        rules = {name.strip() for name in match.group(1).split(",")
-                 if name.strip()}
-        targets = [line]
-        prefix = lines[line - 1][:column] if line - 1 < len(lines) else ""
-        if not prefix.strip():
-            targets.append(line + 1)  # standalone comment covers next line
-        for target in targets:
-            allowed.setdefault(target, set()).update(rules)
-    return allowed
-
-
-def normalize_suppression_spans(allowed: dict[int, set[str]],
-                                tree: ast.Module) -> dict[int, set[str]]:
-    """Extend suppressions over each statement's full span.
-
-    Rules anchor findings at a statement's ``lineno`` -- which for a
-    decorated ``def``/``class`` is the ``def`` line, *below* the
-    decorators.  A suppression comment on (or just above) a decorator line
-    used to miss such findings entirely.  Here every suppression landing
-    anywhere inside a statement's header span (first decorator line
-    through the anchor line) is mirrored onto the anchor line, so "the
-    comment covers the statement it annotates" holds regardless of
-    decorators or signature wrapping.
-    """
-    if not allowed:
-        return allowed
-    for node in ast.walk(tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-            continue
-        start = min((decorator.lineno for decorator in node.decorator_list),
-                    default=node.lineno)
-        if start == node.lineno:
-            continue
-        span_rules = set()
-        for line in range(start, node.lineno):
-            span_rules.update(allowed.get(line, ()))
-        if span_rules:
-            allowed.setdefault(node.lineno, set()).update(span_rules)
-    return allowed
 
 
 def find_repo_root(start: Path) -> Path | None:
@@ -175,22 +99,19 @@ class LintEngine:
                     path=relpath, line=error.lineno or 1, rule="parse-error",
                     message=f"cannot parse: {error.msg}"))
                 continue
-            suppressions = normalize_suppression_spans(
-                parse_suppressions(source), tree)
             module = ModuleContext(path=path, relpath=relpath, source=source,
-                                   tree=tree, suppressions=suppressions)
+                                   tree=tree)
             modules.append(module)
             for rule in self.rules:
                 findings.extend(rule.check_module(module, self.config))
             records.append(
                 build_module_index(module.dotted_name, relpath, tree))
-        repo_root = find_repo_root(scan_root.resolve())
-        project = ProjectContext(root=scan_root, modules=modules,
-                                 repo_root=repo_root,
-                                 index=ProjectIndex(records))
+        project = ProjectContext(
+            modules=modules, repo_root=find_repo_root(scan_root.resolve()),
+            index=ProjectIndex(records))
         return project, findings
 
-    # -- pass 2 and assembly -----------------------------------------------
+    # -- pass 2 -------------------------------------------------------------
 
     def lint_paths(self, paths: Sequence[str | Path]) -> LintReport:
         started = time.perf_counter()
@@ -198,20 +119,7 @@ class LintEngine:
         index_seconds = time.perf_counter() - started
         for rule in self.rules:
             findings.extend(rule.check_project(project, self.config))
-        report = self._resolve(project, findings)
-        report.index_seconds = index_seconds
-        return report
-
-    def _resolve(self, project: ProjectContext,
-                 findings: list[Finding]) -> LintReport:
-        suppressions = {module.relpath: module.suppressions
-                        for module in project.modules}
-        resolved = []
-        for finding in findings:
-            allowed = suppressions.get(finding.path, {}).get(finding.line, ())
-            resolved.append(finding.as_suppressed()
-                            if finding.rule in allowed else finding)
-        return LintReport(findings=sorted(resolved),
+        return LintReport(findings=sorted(findings),
                           modules_checked=len(project.modules),
-                          rules_run=tuple(rule.name for rule in self.rules))
-
+                          rules_run=tuple(rule.name for rule in self.rules),
+                          index_seconds=index_seconds)

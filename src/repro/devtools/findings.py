@@ -1,14 +1,13 @@
 """Finding and report types shared by the lint engine, rules and reporters.
 
 A :class:`Finding` is one rule violation anchored to a file and line.  Every
-unsuppressed finding blocks the run.  The engine marks findings whose line
-carries a ``# repro: allow-<rule>`` comment as *suppressed*; those are still
-collected (so reporters can show them) but do not fail the run.
+finding blocks the run: there is no way to silence one except fixing it (or
+the rule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True, order=True)
@@ -25,20 +24,14 @@ class Finding:
     rule: str
     #: Human-readable explanation of what is wrong and how to fix it.
     message: str
-    #: True when a ``# repro: allow-<rule>`` comment covers this line.
-    suppressed: bool = False
-
-    def as_suppressed(self) -> "Finding":
-        return replace(self, suppressed=True)
 
     def render(self) -> str:
-        mark = " (suppressed)" if self.suppressed else ""
-        return f"{self.path}:{self.line}: [{self.rule}] {self.message}{mark}"
+        return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
 @dataclass
 class LintReport:
-    """Everything one engine run produced, split by suppression state."""
+    """Everything one engine run produced."""
 
     findings: list[Finding] = field(default_factory=list)
     #: Number of Python modules the engine parsed.
@@ -49,19 +42,6 @@ class LintReport:
     index_seconds: float = 0.0
 
     @property
-    def unsuppressed(self) -> list[Finding]:
-        return [finding for finding in self.findings if not finding.suppressed]
-
-    @property
-    def suppressed(self) -> list[Finding]:
-        return [finding for finding in self.findings if finding.suppressed]
-
-    @property
-    def blocking(self) -> list[Finding]:
-        """Unsuppressed findings: what actually fails the gate."""
-        return self.unsuppressed
-
-    @property
     def ok(self) -> bool:
-        """True when nothing blocking was found (the CI gate)."""
-        return not self.blocking
+        """True when nothing was found (the CI gate)."""
+        return not self.findings

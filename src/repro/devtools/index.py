@@ -9,10 +9,10 @@ module-global reads and writes.
 :class:`ProjectIndex` assembles the per-module records into whole-program
 structure: a global function table, alias-aware call resolution (falling
 back to name-based method matching, the classic cheap-call-graph move) and
-the call graph the reachability and fork-safety rules walk.
+the call graph the fork-safety rule walks.
 
 Nested functions are folded into their enclosing function: their calls
-count as the parent's, so closures do not break reachability.
+count as the parent's, so closures do not break the call graph.
 """
 
 from __future__ import annotations
@@ -22,9 +22,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from repro.devtools.dataflow import global_access
-
-MODULE_SCOPE = "<module>"
-
 
 # ---------------------------------------------------------------------------
 # per-module records
@@ -53,7 +50,6 @@ class FunctionInfo:
     lineno: int
     params: list[ParamInfo] = field(default_factory=list)
     calls: list[CallInfo] = field(default_factory=list)
-    has_rng_param: bool = False
     #: Module-global reads ``(name, line)`` inside this function.
     global_reads: list[tuple[str, int]] = field(default_factory=list)
     #: Module-global writes ``(name, line, how)``; ``how`` is one of
@@ -86,8 +82,7 @@ class ModuleIndex:
     #: local name -> imported dotted target (``np`` -> ``numpy``,
     #: ``RecordStore`` -> ``repro.core.collision.RecordStore``).
     aliases: dict[str, str] = field(default_factory=dict)
-    #: functions and methods by qualname (plus the ``<module>`` pseudo-scope
-    #: holding module-level calls).
+    #: functions and methods by qualname.
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: names of classes defined in this module.
     classes: tuple[str, ...] = ()
@@ -170,7 +165,6 @@ class _ModuleIndexer:
 
     def build(self, tree: ast.Module) -> ModuleIndex:
         self._prescan_globals(tree)
-        module_scope = FunctionInfo(qualname=MODULE_SCOPE, lineno=1)
         classes: list[str] = []
         for node in tree.body:
             if isinstance(node, ast.Import):
@@ -192,10 +186,6 @@ class _ModuleIndexer:
             elif isinstance(node, ast.ClassDef):
                 classes.append(node.name)
                 self._index_class(node)
-            else:
-                self._collect_calls(node, module_scope)
-        if module_scope.calls:
-            self.index.functions[MODULE_SCOPE] = module_scope
         self.index.classes = tuple(classes)
         return self.index
 
@@ -222,12 +212,10 @@ class _ModuleIndexer:
                     continue
                 fields.append(ParamInfo(name=name, annotation=annotation))
         if fields and not has_init and _is_dataclass(node):
-            # Synthetic constructor: `Class(...)` call sites resolve to it,
-            # and a dataclass holding an `rng` field counts as stochastic.
+            # Synthetic constructor: `Class(...)` call sites resolve to it.
             self.index.functions[f"{node.name}.__init__"] = FunctionInfo(
                 qualname=f"{node.name}.__init__", lineno=node.lineno,
-                params=fields,
-                has_rng_param=any(f.name == "rng" for f in fields))
+                params=fields)
 
     # -- functions ---------------------------------------------------------
 
@@ -245,7 +233,6 @@ class _ModuleIndexer:
         reads, writes = global_access(node, self.module_globals)
         info = FunctionInfo(
             qualname=qualname, lineno=node.lineno, params=params,
-            has_rng_param=any(p.name == "rng" for p in params),
             global_reads=reads, global_writes=writes)
         for statement in node.body:
             self._collect_calls(statement, info)
@@ -300,8 +287,6 @@ class ProjectIndex:
         self._by_method: dict[str, list[Callee]] = {}
         for module in modules:
             for info in module.functions.values():
-                if info.qualname == MODULE_SCOPE:
-                    continue
                 self._by_method.setdefault(info.name, []).append(
                     Callee(module=module, function=info))
         self._subclasses = self._build_subclass_map()

@@ -7,20 +7,15 @@ import json
 from repro.devtools.findings import LintReport
 
 
-def render_text(report: LintReport, *, show_suppressed: bool = False) -> str:
+def render_text(report: LintReport) -> str:
     """One finding per line plus a one-line summary, flake8-style."""
-    lines = [finding.render() for finding in report.unsuppressed]
-    if show_suppressed:
-        lines.extend(finding.render() for finding in report.suppressed)
-    n_blocking = len(report.blocking)
-    summary = (f"{n_blocking} blocking finding"
-               f"{'s' if n_blocking != 1 else ''}"
-               f" ({len(report.suppressed)} suppressed)"
+    count = len(report.findings)
+    summary = (f"{count} blocking finding{'s' if count != 1 else ''}"
                f" in {report.modules_checked} modules")
-    if not lines:
+    if not report.findings:
         return f"OK: {summary}"
-    lines.append(summary)
-    return "\n".join(lines)
+    return "\n".join([*(finding.render() for finding in report.findings),
+                      summary])
 
 
 def render_json(report: LintReport) -> str:
@@ -33,9 +28,7 @@ def render_json(report: LintReport) -> str:
         "modules_checked": report.modules_checked,
         "rules_run": list(report.rules_run),
         "counts": {
-            "unsuppressed": len(report.unsuppressed),
-            "suppressed": len(report.suppressed),
-            "blocking": len(report.blocking),
+            "blocking": len(report.findings),
         },
         "timing": {
             "pass1_seconds": round(report.index_seconds, 3),
@@ -46,7 +39,6 @@ def render_json(report: LintReport) -> str:
                 "line": finding.line,
                 "rule": finding.rule,
                 "message": finding.message,
-                "suppressed": finding.suppressed,
             }
             for finding in report.findings
         ],

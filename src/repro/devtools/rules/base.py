@@ -5,8 +5,7 @@ or the whole project at once (:meth:`Rule.check_project`) for cross-file
 invariants.  Project rules get both the parsed modules *and* the pass-1
 :class:`~repro.devtools.index.ProjectIndex` (symbol tables, signatures,
 call records, global-access summaries) on ``project.index``.  Rules yield
-:class:`~repro.devtools.findings.Finding` objects; the engine decides
-suppression afterwards, so rules never look at comments.
+:class:`~repro.devtools.findings.Finding` objects, and every one blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import ast
 from abc import ABC
 from pathlib import Path
-from typing import ClassVar, Iterable, Iterator, TYPE_CHECKING
+from typing import ClassVar, Iterable, TYPE_CHECKING
 
 from repro.devtools.config import LintConfig
 from repro.devtools.findings import Finding
@@ -27,19 +26,12 @@ class ModuleContext:
     """One parsed Python file plus its lint-relevant metadata."""
 
     def __init__(self, path: Path, relpath: str, source: str,
-                 tree: ast.Module,
-                 suppressions: dict[int, set[str]] | None = None) -> None:
+                 tree: ast.Module) -> None:
         self.path = path
         #: POSIX path relative to the scan root, e.g. ``repro/core/fcat.py``.
         self.relpath = relpath
         self.source = source
         self.tree = tree
-        #: line -> rule names that ``# repro: allow-<rule>`` comments cover.
-        self.suppressions: dict[int, set[str]] = suppressions or {}
-
-    @property
-    def is_package_init(self) -> bool:
-        return self.relpath.endswith("__init__.py")
 
     @property
     def dotted_name(self) -> str:
@@ -53,29 +45,15 @@ class ModuleContext:
 class ProjectContext:
     """All modules of one scan, plus where the repository itself lives."""
 
-    def __init__(self, root: Path, modules: list[ModuleContext],
+    def __init__(self, modules: list[ModuleContext],
                  repo_root: Path | None = None,
                  index: "ProjectIndex | None" = None) -> None:
-        #: The scan root the relpaths hang off (typically ``src``).
-        self.root = root
         self.modules = modules
         #: Directory containing ``pyproject.toml``; None when scanning a bare
-        #: fixture tree, which disables the repo-level (docs/tests) checks.
+        #: fixture tree, which disables the repository file checks.
         self.repo_root = repo_root
         #: Pass-1 whole-program index; always present after engine builds.
         self.index = index
-
-    def package_inits(self) -> Iterator[ModuleContext]:
-        for module in self.modules:
-            if module.is_package_init:
-                yield module
-
-    def module_at(self, relpath: str) -> ModuleContext | None:
-        for module in self.modules:
-            if module.relpath == relpath or \
-                    module.relpath.endswith("/" + relpath):
-                return module
-        return None
 
 
 class Rule(ABC):

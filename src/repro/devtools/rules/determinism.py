@@ -3,16 +3,15 @@
 The paper's headline numbers (Tables I-IV) are Monte-Carlo averages; they are
 only reproducible if every draw flows from one seed through explicitly
 threaded :class:`numpy.random.Generator` objects.  These rules ban the three
-ways hidden global randomness sneaks in (the stdlib ``random`` module, the
-legacy ``np.random.*`` global state, and ad-hoc ``default_rng()``
-construction) and require ``rng`` parameters to be annotated so the contract
-stays visible in every signature.
+ways hidden or constant randomness sneaks in: the stdlib ``random`` module,
+the legacy ``np.random.*`` global state, and ad-hoc ``default_rng()``
+construction.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.devtools.config import LintConfig, path_matches
 from repro.devtools.findings import Finding
@@ -41,12 +40,6 @@ def _numpy_random_attr(func: ast.expr) -> str | None:
     if head in ("np.random", "numpy.random"):
         return attr
     return None
-
-
-def _walk_functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
 
 
 @register
@@ -137,34 +130,3 @@ class RngConstruction(Rule):
                     f"`{called}(...)` outside the seed entry points "
                     f"({entries}); accept an `rng: np.random.Generator` "
                     "parameter or use repro.experiments.rng_from_seed")
-
-
-@register
-class RngParamAnnotated(Rule):
-    """Every ``rng`` parameter must be annotated ``np.random.Generator``."""
-
-    name = "rng-annotation"
-    description = ("parameters named `rng` must carry the "
-                   "np.random.Generator annotation so the determinism "
-                   "contract is visible in every signature")
-
-    def check_module(self, module: ModuleContext,
-                     config: LintConfig) -> Iterable[Finding]:
-        accepted = set(config.rng_annotations)
-        for func in _walk_functions(module.tree):
-            args = func.args
-            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-            for param in params:
-                if param.arg != "rng":
-                    continue
-                annotation = (ast.unparse(param.annotation)
-                              if param.annotation is not None else None)
-                if annotation is not None:
-                    # `Generator | None` is fine for optional randomness.
-                    annotation = annotation.replace(" | None", "")
-                if annotation not in accepted:
-                    have = annotation or "no annotation"
-                    yield self.finding(
-                        module, func.lineno,
-                        f"`{func.name}` takes `rng` with {have}; annotate "
-                        "it `rng: np.random.Generator`")

@@ -37,8 +37,7 @@ def iter_comments(source: str) -> list[tuple[int, str]]:
     """``(1-based line, comment text)`` for every real comment token.
 
     Tokenizing (instead of line-scanning) keeps contract markers inside
-    string literals and docstrings from parsing as contracts -- the same
-    discipline the engine's suppression scanner follows.
+    string literals and docstrings from parsing as contracts.
     """
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)

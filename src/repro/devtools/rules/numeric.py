@@ -2,9 +2,7 @@
 
 Collision-recovery results live and die on slot bookkeeping thresholds
 (report probabilities, SNR cutoffs, estimator corrections).  Exact float
-equality makes those comparisons platform- and optimisation-dependent, and
-mutable default arguments leak state between the independent Monte-Carlo
-runs the paper averages over.
+equality makes those comparisons platform- and optimisation-dependent.
 """
 
 from __future__ import annotations
@@ -16,10 +14,6 @@ from repro.devtools.config import LintConfig, path_has_dir
 from repro.devtools.findings import Finding
 from repro.devtools.rules.base import ModuleContext, Rule
 from repro.devtools.rules.registry import register
-
-_MUTABLE_CALLS = {"list", "dict", "set", "bytearray"}
-_MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set,
-                     ast.ListComp, ast.DictComp, ast.SetComp)
 
 
 @register
@@ -50,36 +44,3 @@ class FloatEquality(Rule):
                         module, node.lineno,
                         f"float-literal equality `{ast.unparse(node)}`; "
                         "use >=/<= or math.isclose")
-
-
-@register
-class MutableDefault(Rule):
-    """No mutable default arguments anywhere in ``src/``."""
-
-    name = "mutable-default"
-    description = ("mutable default arguments persist across calls and "
-                   "leak state between Monte-Carlo runs; default to None "
-                   "or a tuple")
-
-    def check_module(self, module: ModuleContext,
-                     config: LintConfig) -> Iterable[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.Lambda)):
-                continue
-            defaults = [*node.args.defaults,
-                        *(d for d in node.args.kw_defaults if d is not None)]
-            for default in defaults:
-                mutable = isinstance(default, _MUTABLE_LITERALS) or (
-                    isinstance(default, ast.Call)
-                    and isinstance(default.func, ast.Name)
-                    and default.func.id in _MUTABLE_CALLS)
-                if mutable:
-                    where = (f"`{node.name}`"
-                             if not isinstance(node, ast.Lambda)
-                             else "lambda")
-                    yield self.finding(
-                        module, default.lineno,
-                        f"{where} has mutable default "
-                        f"`{ast.unparse(default)}`; use None (or a tuple) "
-                        "and build inside the body")

@@ -195,9 +195,8 @@ class ChunkOutcome:
 def run_chunk(task: _ChunkTask) -> ChunkOutcome:
     """Worker entry point: run one chunk's sessions in seed order.
 
-    Registered as a ``rng_public_roots`` seed root for the lint engine's
-    R7 reachability walk: in a worker process this *is* the outermost frame
-    above the seeded simulation path.
+    In a worker process this is the outermost frame above the seeded
+    simulation path; the lint engine's fork-safety rule walks from here.
     """
     started = time.perf_counter()
     queue_wait = max(time.monotonic() - task.submitted_monotonic, 0.0) \
@@ -243,11 +242,7 @@ def _chunk_tasks(specs: Sequence[CellSpec], indices: Sequence[int],
     tasks: list[_ChunkTask] = []
     for cell_index in indices:
         spec = specs[cell_index]
-        # Children are indexed by spawn key, so spawning the full prefix and
-        # slicing gives batch runs the exact seeds a fixed-budget run would:
-        # spawn(m)[k:] == spawn(k + m')[k:] for any covering m.
-        children = spawn_run_seeds(
-            spec.seed, spec.run_start + spec.runs)[spec.run_start:]
+        children = spawn_run_seeds(spec.seed, spec.runs, spec.run_start)
         for chunk_index, start in enumerate(
                 range(0, spec.runs, chunk_size)):
             tasks.append(_ChunkTask(

@@ -46,16 +46,21 @@ def rng_from_seed(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_run_seeds(seed: int, runs: int) -> list[np.random.SeedSequence]:
-    """The per-run child seeds of one cell: ``SeedSequence(seed).spawn(runs)``.
+def spawn_run_seeds(seed: int, runs: int,
+                    start: int = 0) -> list[np.random.SeedSequence]:
+    """Run seeds ``start .. start + runs`` of one cell.
 
-    Every execution path -- serial loop, process-pool chunk, cache key
-    derivation -- must obtain run seeds through this function so that run
-    ``i`` of a cell sees the same RNG stream no matter who computes it.
+    Child ``i`` is ``SeedSequence(seed, spawn_key=(i,))``: the ``i``-th
+    child of ``SeedSequence(seed).spawn(...)``, built directly, so a batch
+    that starts at run ``start`` needs no spawned prefix.  Every execution
+    path -- serial loop, process-pool chunk, cache key derivation -- must
+    obtain run seeds through this function so that run ``i`` of a cell
+    sees the same RNG stream no matter who computes it.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    return np.random.SeedSequence(seed).spawn(runs)
+    return [np.random.SeedSequence(seed, spawn_key=(index,))
+            for index in range(start, start + runs)]
 
 
 def run_single(protocol: TagReadingProtocol, n_tags: int,

@@ -3,10 +3,8 @@
 Every telemetry event the simulator can emit is declared up front in
 :data:`EVENT_SCHEMA` -- event name to :class:`EventSpec` (field name to
 field kind).  Emission validates against the spec, so an event stream that
-reached a sink is guaranteed to parse back; the lint engine's
-``event-schema`` rule (R9) statically pins every ``emit("name", ...)`` call
-site in the source tree to this registry, so the schema and its emitters
-cannot drift apart.
+reached a sink is guaranteed to parse back, and a tier-1 test that runs
+an emit site under observation fails if the site drifts from its spec.
 
 The on-disk form is JSONL: one event per line as
 ``{"seq": n, "event": name, <field>: <value>...}``.  ``seq`` is positional:
@@ -86,8 +84,7 @@ def _spec(**fields: str) -> EventSpec:
     return EventSpec(fields=tuple(fields.items()))
 
 
-#: The full event vocabulary.  Keys must be string literals: the R9 lint
-#: rule reads this dict statically to check every ``emit()`` call site.
+#: The full event vocabulary.
 EVENT_SCHEMA: dict[str, EventSpec] = {
     # One complete reading session (emitted by the shared protocol hook).
     "session": _spec(protocol="str", n_tags="int", n_read="int",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import isqrt
 from operator import attrgetter, floordiv, itemgetter, mul
 from statistics import mean, stdev
 from typing import Any, Sequence
@@ -164,6 +165,22 @@ _COLUMNS = attrgetter("throughput", "empty_slots", "singleton_slots",
                       "resolved_from_collision")
 
 
+def _float_ratios(values: Sequence) -> tuple[list[int], int] | None:
+    """Finite floats as integer numerators over one common denominator.
+
+    Every denominator is a power of two, so the largest is the lcm of
+    them all.  None when some value is infinite or NaN.
+    """
+    try:
+        ratios = list(map(float.as_integer_ratio, values))
+    except (OverflowError, ValueError):  # inf or nan
+        return None
+    denominators = list(map(itemgetter(1), ratios))
+    common = max(denominators)
+    return list(map(mul, map(itemgetter(0), ratios),
+                    map(floordiv, repeat(common), denominators))), common
+
+
 def exact_mean(values: Sequence) -> int | float:
     """``statistics.mean(values)``: the same value and the same type.
 
@@ -181,17 +198,48 @@ def exact_mean(values: Sequence) -> int | float:
         total = sum(values)
         count = len(values)
         return total // count if total % count == 0 else total / count
-    if kinds == {float}:
-        try:
-            ratios = list(map(float.as_integer_ratio, values))
-        except (OverflowError, ValueError):  # inf or nan
-            return mean(values)
-        denominators = list(map(itemgetter(1), ratios))
-        common = max(denominators)  # powers of two: the largest is the lcm
-        total = sum(map(mul, map(itemgetter(0), ratios),
-                        map(floordiv, repeat(common), denominators)))
-        return total / (common * len(values))
-    return mean(values)
+    exact = _float_ratios(values) if kinds == {float} else None
+    if exact is None:
+        return mean(values)
+    numerators, common = exact
+    return sum(numerators) / (common * len(values))
+
+
+def exact_stdev(values: Sequence) -> float:
+    """``statistics.stdev(values)`` with one correct rounding everywhere.
+
+    From Python 3.11 ``statistics.stdev`` takes the square root of the
+    exact sample variance with one correct rounding; before 3.11 it
+    rounds the variance to a float first and then takes ``math.sqrt``.
+    Over plain ints or finite floats the variance is an integer ratio
+    ``n / m``, and this takes its square root the 3.11 way: an ``isqrt``
+    carrying at least 109 bits, rounded to odd, then one rounding to a
+    float -- so every interpreter returns the same bits.  Anything else,
+    and fewer than two values, goes to ``statistics.stdev`` itself.
+    """
+    kinds = set(map(type, values))
+    if kinds == {int}:
+        exact = list(values), 1
+    else:
+        exact = _float_ratios(values) if kinds == {float} else None
+    if exact is None or len(values) < 2:
+        return stdev(values)
+    numerators, common = exact
+    count = len(values)
+    total = sum(numerators)
+    n = count * sum(x * x for x in numerators) - total * total
+    m = count * (count - 1) * common * common
+    # Scale n / m by 4**-shift so the integer root carries 2*53 + 3 bits.
+    shift = (n.bit_length() - m.bit_length() - 109) // 2
+    if shift >= 0:
+        m <<= 2 * shift
+    else:
+        n <<= -2 * shift
+    root = isqrt(n // m)
+    root |= root * root * m != n  # round to odd: inexact roots get a 1
+    if shift >= 0:
+        return float(root << shift)
+    return root / (1 << -shift)
 
 
 def aggregate_metrics(protocol: str, n_tags: int,
@@ -202,7 +250,9 @@ def aggregate_metrics(protocol: str, n_tags: int,
     :class:`RunMetrics` ranges and one computed from live results agree
     bit-for-bit -- the invariant the planner's partial-batch cache and the
     executor's prefix reuse rest on.  Means are :func:`exact_mean`, which
-    is ``statistics.mean`` without its ``Fraction`` objects.
+    is ``statistics.mean`` without its ``Fraction`` objects, and the
+    spread is :func:`exact_stdev`, which rounds as ``statistics.stdev``
+    does from Python 3.11 on every interpreter.
     """
     if not values:
         raise ValueError("need at least one result to aggregate")
@@ -213,7 +263,8 @@ def aggregate_metrics(protocol: str, n_tags: int,
         n_tags=n_tags,
         runs=len(values),
         throughput_mean=exact_mean(throughputs),
-        throughput_std=stdev(throughputs) if len(throughputs) > 1 else 0.0,
+        throughput_std=(exact_stdev(throughputs)
+                        if len(throughputs) > 1 else 0.0),
         empty_mean=exact_mean(empty),
         singleton_mean=exact_mean(singleton),
         collision_mean=exact_mean(collision),

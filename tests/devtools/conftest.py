@@ -26,9 +26,9 @@ class LintTree:
         return LintEngine(select=rules).lint_paths([self.root])
 
     def rule_findings(self, *rules: str) -> list[str]:
-        """Unsuppressed findings as `path:line rule` strings."""
+        """Findings as `path:line rule` strings."""
         report = self.lint(*rules)
-        return [f"{f.path}:{f.line} {f.rule}" for f in report.unsuppressed]
+        return [f"{f.path}:{f.line} {f.rule}" for f in report.findings]
 
 
 @pytest.fixture

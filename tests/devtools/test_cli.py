@@ -13,7 +13,9 @@ from repro.devtools.cli import main
 @pytest.fixture
 def bad_tree(tree):
     tree.write("repro/core/bad.py", """\
-        def check(p, log=[]):
+        import random
+
+        def check(p):
             return p == 1.0
         """)
     return tree
@@ -28,19 +30,19 @@ def test_exit_zero_on_clean_tree(tree, capsys):
 def test_exit_one_on_findings(bad_tree, capsys):
     assert main([str(bad_tree.root)]) == 1
     out = capsys.readouterr().out
-    assert "float-equality" in out and "mutable-default" in out
+    assert "float-equality" in out and "no-import-random" in out
 
 
 def test_json_format_is_parseable(bad_tree, capsys):
     assert main(["--format", "json", str(bad_tree.root)]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["counts"]["unsuppressed"] == 2
+    assert payload["counts"]["blocking"] == 2
     assert {f["rule"] for f in payload["findings"]} == {
-        "float-equality", "mutable-default"}
+        "float-equality", "no-import-random"}
 
 
 def test_rule_selection(bad_tree, capsys):
-    assert main(["--rules", "no-import-random", str(bad_tree.root)]) == 0
+    assert main(["--rules", "rng-order", str(bad_tree.root)]) == 0
     capsys.readouterr()
 
 
@@ -61,19 +63,10 @@ def test_list_rules_names_every_rule(capsys):
         assert name in out
 
 
-def test_show_suppressed_prints_annotated_findings(tree, capsys):
-    tree.write("repro/core/noted.py", """\
-        def check(p):
-            return p == 1.0  # repro: allow-float-equality -- sentinel
-        """)
-    assert main(["--show-suppressed", str(tree.root)]) == 0
-    assert "(suppressed)" in capsys.readouterr().out
-
-
 def test_parse_error_is_reported(tree):
     tree.write("repro/core/broken.py", "def broken(:\n")
     report = LintEngine().lint_paths([tree.root])
-    assert [f.rule for f in report.unsuppressed] == ["parse-error"]
+    assert [f.rule for f in report.findings] == ["parse-error"]
 
 
 def test_json_report_carries_pass1_wall_time(tree, capsys):

@@ -84,19 +84,6 @@ def test_generator_rebound_into_global_is_flagged(tree):
         "repro/sim/state.py:7 rng-order"]
 
 
-def test_rng_order_suppression_comment(tree):
-    tree.write("repro/sim/collect.py", """\
-        def sample(rng, tags):
-            out = []
-            for tag in set(tags):
-                out.append(rng.normal())  # repro: allow-rng-order -- demo
-            return out
-        """)
-    report = tree.lint("rng-order")
-    assert not tree.rule_findings("rng-order")
-    assert any(f.suppressed for f in report.findings)
-
-
 # ---------------------------------------------------------------------------
 # R11: fork-safety
 
@@ -156,7 +143,7 @@ def test_allow_listed_global_is_not_flagged(tree):
         fork_safe_globals=("repro.experiments.executor:RESULTS",))
     report = LintEngine(config=config,
                         select=("fork-safety",)).lint_paths([tree.root])
-    assert [f for f in report.unsuppressed] == []
+    assert report.findings == []
 
 
 def test_module_level_handle_read_is_flagged(tree):
@@ -182,16 +169,3 @@ def test_unresolvable_root_means_no_findings(tree):
             STATE.append(x)
         """)
     assert tree.rule_findings("fork-safety") == []
-
-
-def test_fork_safety_suppression_comment(tree):
-    tree.write("repro/experiments/executor.py", """\
-        RESULTS = []
-
-        def run_chunk(chunk):
-            RESULTS.append(chunk)  # repro: allow-fork-safety -- demo
-            return RESULTS
-        """)
-    report = tree.lint("fork-safety")
-    assert not tree.rule_findings("fork-safety")
-    assert any(f.suppressed for f in report.findings)

@@ -20,13 +20,12 @@ GOLDEN = Path(__file__).parent / "golden" / "report.json"
 
 def _fixture_report(tree) -> LintReport:
     tree.write("repro/core/bad.py", """\
-        def check(p, log=[]):
-            return p == 1.0
+        import random
 
-        def noted(p):
-            return p == 0.5  # repro: allow-float-equality -- golden sentinel
+        def check(p):
+            return p == 1.0
         """)
-    report = tree.lint("float-equality", "mutable-default")
+    report = tree.lint("float-equality", "no-import-random")
     report.index_seconds = 0.0  # wall time is not part of the golden
     return report
 
@@ -46,23 +45,16 @@ def test_json_findings_carry_state_fields(tree):
     assert set(payload) == {"modules_checked", "rules_run", "counts",
                             "timing", "findings"}
     for finding in payload["findings"]:
-        assert set(finding) == {"path", "line", "rule", "message",
-                                "suppressed"}
-    assert payload["counts"]["blocking"] == 2
-    assert payload["counts"]["suppressed"] == 1
+        assert set(finding) == {"path", "line", "rule", "message"}
+    assert payload["counts"] == {"blocking": 2}
 
 
-def test_text_summary_counts_every_state():
+def test_text_lists_each_finding_then_the_count():
     report = LintReport(
-        findings=[
-            Finding(path="a.py", line=1, rule="r", message="boom"),
-            Finding(path="a.py", line=4, rule="r", message="ok",
-                    suppressed=True),
-        ],
+        findings=[Finding(path="a.py", line=1, rule="r", message="boom")],
         modules_checked=1)
-    text = render_text(report)
-    assert "1 blocking finding " in text
-    assert "(1 suppressed)" in text
+    assert render_text(report).splitlines() == [
+        "a.py:1: [r] boom", "1 blocking finding in 1 modules"]
 
 
 def regenerate_golden() -> None:  # pragma: no cover - manual helper

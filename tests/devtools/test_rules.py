@@ -1,5 +1,5 @@
 """Fixture-driven tests: each rule fires on a known-bad snippet and stays
-silent on a known-good one, and suppression comments are honoured."""
+silent on a known-good one."""
 
 from __future__ import annotations
 
@@ -90,103 +90,6 @@ def test_seed_sequence_in_entry_point_ok(tree):
     assert tree.rule_findings("rng-construction") == []
 
 
-# -- R1: rng-annotation -----------------------------------------------------
-
-def test_unannotated_rng_param_fires(tree):
-    tree.write("repro/sim/thing.py", """\
-        def sample(population, rng):
-            return rng.choice(population)
-        """)
-    assert tree.rule_findings("rng-annotation") == [
-        "repro/sim/thing.py:1 rng-annotation"]
-
-
-def test_annotated_rng_param_ok(tree):
-    tree.write("repro/sim/thing.py", """\
-        import numpy as np
-
-        def sample(population, rng: np.random.Generator,
-                   fallback_rng: np.random.Generator | None = None):
-            return rng.choice(population)
-        """)
-    assert tree.rule_findings("rng-annotation") == []
-
-
-# -- R2: protocol-conformance -----------------------------------------------
-
-GOOD_PROTOCOL = """\
-    import numpy as np
-    from repro.sim.base import TagReadingProtocol
-
-    class GoodProtocol(TagReadingProtocol):
-        def read_all(self, population, rng: np.random.Generator,
-                     channel=None, timing=None):
-            return None
-    """
-
-
-def test_conforming_protocol_ok(tree):
-    tree.write("repro/baselines/good.py", GOOD_PROTOCOL)
-    assert tree.rule_findings("protocol-conformance") == []
-
-
-def test_wrong_parameter_order_fires(tree):
-    tree.write("repro/baselines/bad.py", """\
-        import numpy as np
-        from repro.sim.base import TagReadingProtocol
-
-        class BadProtocol(TagReadingProtocol):
-            def read_all(self, rng: np.random.Generator, population):
-                return None
-        """)
-    findings = tree.rule_findings("protocol-conformance")
-    assert findings == ["repro/baselines/bad.py:5 protocol-conformance"]
-
-
-def test_missing_read_all_fires(tree):
-    tree.write("repro/baselines/bad.py", """\
-        from repro.sim.base import TagReadingProtocol
-
-        class Incomplete(TagReadingProtocol):
-            def reread(self):
-                return None
-        """)
-    assert tree.rule_findings("protocol-conformance") == [
-        "repro/baselines/bad.py:3 protocol-conformance"]
-
-
-def test_off_contract_parameter_fires(tree):
-    tree.write("repro/baselines/bad.py", """\
-        import numpy as np
-        from repro.sim.base import TagReadingProtocol
-
-        class Chatty(TagReadingProtocol):
-            def read_all(self, population, rng: np.random.Generator,
-                         verbose=False):
-                return None
-        """)
-    assert tree.rule_findings("protocol-conformance")
-
-
-def test_inherited_read_all_ok(tree):
-    tree.write("repro/baselines/family.py", GOOD_PROTOCOL + """\
-
-    class Derived(GoodProtocol):
-        pass
-    """)
-    assert tree.rule_findings("protocol-conformance") == []
-
-
-def test_classes_outside_protocol_dirs_ignored(tree):
-    tree.write("repro/report/viz.py", """\
-        from repro.sim.base import TagReadingProtocol
-
-        class NotChecked(TagReadingProtocol):
-            pass
-        """)
-    assert tree.rule_findings("protocol-conformance") == []
-
-
 # -- R3: float-equality -----------------------------------------------------
 
 def test_float_equality_in_core_fires(tree):
@@ -208,191 +111,3 @@ def test_float_inequality_and_other_dirs_ok(tree):
             return p == 1.0
         """)
     assert tree.rule_findings("float-equality") == []
-
-
-# -- R3: mutable-default ----------------------------------------------------
-
-def test_mutable_default_fires(tree):
-    tree.write("repro/sim/thing.py", """\
-        def collect(values=[]):
-            return values
-
-        def tally(*, counts=dict()):
-            return counts
-        """)
-    assert tree.rule_findings("mutable-default") == [
-        "repro/sim/thing.py:1 mutable-default",
-        "repro/sim/thing.py:4 mutable-default"]
-
-
-def test_immutable_defaults_ok(tree):
-    tree.write("repro/sim/thing.py", """\
-        def collect(values=(), fallback=None, scale=1.0):
-            return values
-        """)
-    assert tree.rule_findings("mutable-default") == []
-
-
-# -- R4: public-api (module-level checks) -----------------------------------
-
-def test_missing_all_fires(tree):
-    tree.write("repro/newpkg/__init__.py", "from repro.sim import thing\n")
-    findings = tree.rule_findings("public-api")
-    assert "repro/newpkg/__init__.py:1 public-api" in findings
-
-
-def test_unresolvable_all_entry_fires(tree):
-    tree.write("repro/newpkg/__init__.py", """\
-        __all__ = ["ghost"]
-        """)
-    assert tree.rule_findings("public-api") == [
-        "repro/newpkg/__init__.py:1 public-api"]
-
-
-def test_unexported_repro_import_fires(tree):
-    tree.write("repro/newpkg/__init__.py", """\
-        from repro.sim import helper
-
-        __all__ = []
-        """)
-    assert tree.rule_findings("public-api") == [
-        "repro/newpkg/__init__.py:1 public-api"]
-
-
-def test_complete_package_ok(tree):
-    tree.write("repro/newpkg/__init__.py", """\
-        from repro.sim import helper as _helper
-
-        def api():
-            return _helper
-
-        __all__ = ["api"]
-        """)
-    assert tree.rule_findings("public-api") == []
-
-
-# -- R4: public-api (repo-level checks) -------------------------------------
-
-def _make_repo(tree, packages_list, doc_line):
-    repo_root = tree.root.parent
-    (repo_root / "pyproject.toml").write_text("[project]\nname = 'fixture'\n")
-    (repo_root / "tests").mkdir(exist_ok=True)
-    (repo_root / "tests" / "test_public_api.py").write_text(
-        f"PACKAGES = {packages_list!r}\n")
-    (repo_root / "docs").mkdir(exist_ok=True)
-    (repo_root / "docs" / "api_reference.md").write_text(doc_line + "\n")
-    tree.write("repro/__init__.py", """\
-        from repro.core import api
-
-        __all__ = ["api"]
-        """)
-    tree.write("repro/core/__init__.py", """\
-        def api():
-            return None
-
-        __all__ = ["api"]
-        """)
-
-
-def test_consistent_repo_manifest_ok(tree):
-    _make_repo(tree, ["repro", "repro.core"], "from repro import api")
-    assert tree.rule_findings("public-api") == []
-
-
-def test_package_missing_from_manifest_fires(tree):
-    _make_repo(tree, ["repro"], "from repro import api")
-    assert tree.rule_findings("public-api") == [
-        "tests/test_public_api.py:1 public-api"]
-
-
-def test_manifest_lists_ghost_package_fires(tree):
-    _make_repo(tree, ["repro", "repro.core", "repro.ghost"],
-               "from repro import api")
-    assert tree.rule_findings("public-api") == [
-        "tests/test_public_api.py:1 public-api"]
-
-
-def test_doc_importing_unexported_name_fires(tree):
-    _make_repo(tree, ["repro", "repro.core"],
-               "from repro.core import api, secret")
-    assert tree.rule_findings("public-api") == [
-        "docs/api_reference.md:1 public-api"]
-
-
-# -- suppression comments ---------------------------------------------------
-
-def test_trailing_suppression_silences(tree):
-    tree.write("repro/core/thing.py", """\
-        def check(p):
-            return p == 1.0  # repro: allow-float-equality -- probe sentinel
-        """)
-    report = tree.lint("float-equality")
-    assert report.ok
-    assert [f.rule for f in report.suppressed] == ["float-equality"]
-
-
-def test_standalone_suppression_covers_next_line(tree):
-    tree.write("repro/core/thing.py", """\
-        def check(p):
-            # repro: allow-float-equality -- exact sentinel comparison
-            return p == 1.0
-        """)
-    assert tree.lint("float-equality").ok
-
-
-def test_suppression_is_rule_specific(tree):
-    tree.write("repro/core/thing.py", """\
-        def check(p):
-            return p == 1.0  # repro: allow-mutable-default
-        """)
-    assert not tree.lint("float-equality").ok
-
-
-def test_multi_rule_suppression(tree):
-    tree.write("repro/core/thing.py", """\
-        # repro: allow-mutable-default,float-equality -- fixture
-        def check(p, log=[]): return p == 1.0
-        """)
-    report = tree.lint("float-equality", "mutable-default")
-    assert report.unsuppressed == []
-    assert len(report.suppressed) == 2
-
-
-def test_suppression_on_decorator_line_covers_the_def(tree):
-    """Regression: a trailing comment on a decorator line used to cover
-    only that line, while findings for the function (mutable-default)
-    anchor at the `def` line below the decorators."""
-    tree.write("repro/core/thing.py", """\
-        import functools
-
-        @functools.lru_cache  # repro: allow-mutable-default -- fixture
-        def check(p, log=[]):
-            return log
-        """)
-    report = tree.lint("mutable-default")
-    assert report.ok
-    assert [f.rule for f in report.suppressed] == ["mutable-default"]
-
-
-def test_suppression_above_decorator_stack_covers_the_def(tree):
-    tree.write("repro/core/thing.py", """\
-        import functools
-
-        # repro: allow-mutable-default -- fixture
-        @functools.lru_cache
-        @functools.wraps(print)
-        def check(p, log=[]):
-            return log
-        """)
-    assert tree.lint("mutable-default").ok
-
-
-def test_decorator_suppression_stays_rule_specific(tree):
-    tree.write("repro/core/thing.py", """\
-        import functools
-
-        @functools.lru_cache  # repro: allow-float-equality -- wrong rule
-        def check(p, log=[]):
-            return log
-        """)
-    assert not tree.lint("mutable-default").ok

@@ -43,7 +43,7 @@ def test_self_referencing_scalar_fires(tree):
         def batched_decode(xs):
             return xs
     """)
-    findings = tree.lint("kernel-equivalence").unsuppressed
+    findings = tree.lint("kernel-equivalence").findings
     assert len(findings) == 1
     assert "itself" in findings[0].message
 
@@ -54,7 +54,7 @@ def test_unresolvable_scalar_reference_fires(tree):
         def batched_decode(xs):
             return xs
     """)
-    findings = tree.lint("kernel-equivalence").unsuppressed
+    findings = tree.lint("kernel-equivalence").findings
     assert len(findings) == 1
     assert "does not resolve" in findings[0].message
 
@@ -65,7 +65,7 @@ def test_malformed_kernel_registration_fires(tree):
         def batched_decode(xs):
             return xs
     """)
-    findings = tree.lint("kernel-equivalence").unsuppressed
+    findings = tree.lint("kernel-equivalence").findings
     assert any("malformed" in finding.message for finding in findings)
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
-from repro.experiments.runner import run_cell, sweep
+from repro.experiments.runner import run_cell, spawn_run_seeds, sweep
 
 
 class TestRunCell:
@@ -38,6 +41,24 @@ class TestRunCell:
             run_cell(Dfsa(), n_tags=10, runs=0, seed=1)
         with pytest.raises(ValueError):
             run_cell(Dfsa(), n_tags=-1, runs=1, seed=1)
+
+
+@pytest.mark.parametrize("seed, start, runs",
+                         [(0, 0, 1), (5, 0, 4), (2 ** 40 + 3, 3, 5),
+                          (12_345, 17, 2)])
+def test_run_seeds_are_the_spawned_children(seed, start, runs):
+    """Children built by spawn key equal the slice of a spawned prefix
+    in every respect a run or a pickle can see."""
+    direct = spawn_run_seeds(seed, runs, start)
+    spawned = np.random.SeedSequence(seed).spawn(start + runs)[start:]
+    assert len(direct) == len(spawned) == runs
+    for got, want in zip(direct, spawned):
+        assert got.entropy == want.entropy
+        assert got.spawn_key == want.spawn_key
+        assert got.pool_size == want.pool_size
+        assert got.n_children_spawned == want.n_children_spawned
+        assert np.array_equal(got.generate_state(8), want.generate_state(8))
+        assert pickle.dumps(got) == pickle.dumps(want)
 
 
 class TestSweep:

@@ -130,9 +130,19 @@ def test_batch_composition_does_not_change_a_session():
     assert len({result.frames for result in together}) > 1
 
 
-@pytest.mark.parametrize("lam,runs", [(2, 1000), (3, 400), (4, 400)])
-def test_paired_runs_match_the_scalar_engine(lam, runs):
-    protocol = Fcat(lam=lam)
+@pytest.mark.parametrize("lam,runs,options", [
+    pytest.param(2, 1000, {}, id="2-1000"),
+    pytest.param(3, 400, {}, id="3-400"),
+    pytest.param(4, 400, {}, id="4-400"),
+    # A4's "FCAT-2 (empty est.)" at the paper's frame size.
+    pytest.param(2, 400, {"estimator_source": "empty", "frame_size": 30},
+                 id="2-400-empty-source"),
+    # Fig. 5's load override, off the optimum on both sides.
+    pytest.param(2, 400, {"omega": 0.6}, id="2-400-omega-0.6"),
+    pytest.param(3, 400, {"omega": 2.4}, id="3-400-omega-2.4"),
+])
+def test_paired_runs_match_the_scalar_engine(lam, runs, options):
+    protocol = Fcat(lam=lam, **options)
     scalar = _scalar_runs(protocol, 100, seed=lam, runs=runs)
     kernel = _kernel_runs(protocol, 100, seed=lam, runs=runs)
     assert all(result.complete for result in kernel)

@@ -20,16 +20,14 @@ requests that must keep two addresses and two echoes), three runs (float
 means and a standard deviation), the adaptive planner and the scalar
 engine.
 
-Run-to-run spread is ``statistics.stdev``'s, which rounds once from
-Python 3.11 on and twice before, so the three-run response digest holds
-from 3.11 on.
+Run-to-run spread is ``exact_stdev``'s, which rounds once on every
+interpreter, so the three-run response digest holds on each of them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import sys
 
 import pytest
 
@@ -257,11 +255,7 @@ def observed(tmp_path_factory):
 
 @pytest.mark.parametrize("case", [*CASES, "shared-telemetry"])
 def test_the_case_is_pinned(observed, case):
-    expected = dict(PINS[case])
-    got = dict(observed[case])
-    if case == "three-runs" and sys.version_info < (3, 11):
-        del expected["response"], got["response"]
-    assert got == expected
+    assert dict(observed[case]) == dict(PINS[case])
 
 
 def test_zero_and_float_zero_keep_distinct_addresses_and_echoes(observed):

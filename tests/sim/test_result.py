@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import statistics
+import sys
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.air.timing import ICODE_TIMING
 from repro.sim.result import ReadingResult, aggregate
@@ -106,3 +111,31 @@ def test_exact_mean_is_statistics_mean_in_value_and_type():
         got = exact_mean(values)
         assert type(got) is type(expected), values
         assert repr(got) == repr(expected), values
+
+
+_FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SAMPLES = st.one_of(
+    st.lists(st.integers(), min_size=2, max_size=100),
+    st.lists(_FINITE_FLOATS, min_size=2, max_size=100),
+    # Mixed magnitudes: tiny, service-sized and huge values side by side.
+    st.lists(st.one_of(st.floats(1e-300, 1e-290), st.floats(100.0, 500.0),
+                       st.floats(1e150, 1e160)), min_size=2, max_size=100),
+)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev rounds twice before 3.11")
+@given(values=_SAMPLES)
+@settings(max_examples=300, deadline=None)
+def test_exact_stdev_is_statistics_stdev_bit_for_bit(values):
+    """From 3.11 ``statistics.stdev`` rounds once, as ``exact_stdev``
+    does on every interpreter."""
+    from repro.sim.result import exact_stdev
+
+    try:
+        expected = statistics.stdev(values)
+    except OverflowError:  # the root itself exceeds the float range
+        with pytest.raises(OverflowError):
+            exact_stdev(values)
+        return
+    assert exact_stdev(values).hex() == expected.hex(), values

@@ -20,8 +20,7 @@ PACKAGES = [
     "repro.experiments",
     "repro.kernels",
     "repro.service",
-    # Standalone modules registered as public API surfaces (lint rule
-    # public-api, LintConfig.api_export_modules).
+    # Standalone modules that are public API surfaces in their own right.
     "repro.experiments.executor",
     "repro.obs",
     "repro.obs.events",
