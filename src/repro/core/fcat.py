@@ -169,10 +169,10 @@ class _FcatSession:
         # outcome (paper Sec. IV): serial by protocol design; batching
         # happens across sessions, not within one.  This loop is the
         # *scalar reference*: ``repro.kernels.fcat`` replays the same
-        # process frame-at-once, and ``engine="kernel"`` routes the hot
-        # BENCH cells there -- what remains here is the bit-pinned
-        # golden path and the ZigZag/trace configurations the kernel
-        # does not implement.
+        # process frame-at-once, and the kernel engine every cell asks
+        # for routes sessions there -- what remains here is the
+        # bit-pinned golden path and the ZigZag/trace configurations the
+        # kernel does not implement.
         while True:
             empty_slots_in_frame = self._run_frame()
             if empty_slots_in_frame == self.config.frame_size:

@@ -67,9 +67,20 @@ class LintConfig:
     )
     #: Module globals (``module.dotted:name``) audited as fork-safe: either
     #: re-initialized per worker or merged back through ChunkOutcome.
-    #: None today: the ambient Observation slot is a ContextVar, whose
-    #: ``set``/``reset`` never write the module global.
-    fork_safe_globals: tuple[str, ...] = ()
+    #: (The ambient Observation slot needs no entry: it is a ContextVar,
+    #: whose ``set``/``reset`` never write the module global.)
+    fork_safe_globals: tuple[str, ...] = (
+        # The native FCAT loop's build/load memo: every process that
+        # loads the library gets the same one, so no worker's copy of
+        # the memo needs to reach the parent.
+        "repro.kernels.native:_library",
+        "repro.kernels.native:_tried",
+        # Why the load failed, if it did: the same reason in any process.
+        "repro.kernels.native:failure",
+        # Held only while library() loads, by the thread that later forks
+        # the pool, so no fork copies it held.
+        "repro.kernels.native:_lock",
+    )
 
     # --- R15: kernel-equivalence registry ---------------------------------
     #: Name markers identifying vectorized kernels: a leading-underscore-

@@ -12,7 +12,10 @@ back to name-based method matching, the classic cheap-call-graph move) and
 the call graph the fork-safety rule walks.
 
 Nested functions are folded into their enclosing function: their calls
-count as the parent's, so closures do not break the call graph.
+count as the parent's, so closures do not break the call graph.  Imports
+inside a function body bind aliases of that function, which shadow the
+module's own: a worker that imports its kernel at call time still reaches
+it.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ class FunctionInfo:
     #: Module-global writes ``(name, line, how)``; ``how`` is one of
     #: ``rebind``/``mutate``/``store`` (see dataflow.global_access).
     global_writes: list[tuple[str, int, str]] = field(default_factory=list)
+    #: Import aliases bound inside the body (see ``ModuleIndex.aliases``).
+    aliases: dict[str, str] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -107,6 +112,23 @@ def _dotted(node: ast.expr) -> str | None:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
+
+
+def _import_aliases(node: ast.stmt) -> Iterator[tuple[str, str]]:
+    """``(local name, dotted target)`` pairs an import statement binds."""
+    if isinstance(node, ast.Import):
+        for alias in node.names:
+            if alias.asname:
+                yield alias.asname, alias.name
+            else:
+                head = alias.name.split(".")[0]
+                yield head, head
+    elif isinstance(node, ast.ImportFrom) and node.module \
+            and node.level == 0:
+        for alias in node.names:
+            if alias.name != "*":
+                yield alias.asname or alias.name, \
+                    f"{node.module}.{alias.name}"
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -167,20 +189,8 @@ class _ModuleIndexer:
         self._prescan_globals(tree)
         classes: list[str] = []
         for node in tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    local = alias.asname or alias.name.split(".")[0]
-                    target = alias.name if alias.asname else \
-                        alias.name.split(".")[0]
-                    self.index.aliases[local] = target
-            elif isinstance(node, ast.ImportFrom) and node.module \
-                    and node.level == 0:
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    local = alias.asname or alias.name
-                    self.index.aliases[local] = \
-                        f"{node.module}.{alias.name}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.index.aliases.update(_import_aliases(node))
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._index_function(node, class_name=None)
             elif isinstance(node, ast.ClassDef):
@@ -236,6 +246,9 @@ class _ModuleIndexer:
             global_reads=reads, global_writes=writes)
         for statement in node.body:
             self._collect_calls(statement, info)
+            for sub in ast.walk(statement):
+                if isinstance(sub, (ast.Import, ast.ImportFrom)):
+                    info.aliases.update(_import_aliases(sub))
         self.index.functions[qualname] = info
 
     # -- call collection ---------------------------------------------------
@@ -284,11 +297,14 @@ class ProjectIndex:
     def __init__(self, modules: Sequence[ModuleIndex]) -> None:
         self.modules: dict[str, ModuleIndex] = {
             module.dotted: module for module in modules}
+        #: Methods by name: the fallback for receivers no lexical rule
+        #: resolves (a module-level function is never called that way).
         self._by_method: dict[str, list[Callee]] = {}
         for module in modules:
             for info in module.functions.values():
-                self._by_method.setdefault(info.name, []).append(
-                    Callee(module=module, function=info))
+                if info.class_name is not None:
+                    self._by_method.setdefault(info.name, []).append(
+                        Callee(module=module, function=info))
         self._subclasses = self._build_subclass_map()
 
     def _build_subclass_map(self) -> dict[str, set[str]]:
@@ -345,10 +361,10 @@ class ProjectIndex:
             return None
         return None
 
-    def _resolve_alias_chain(self, module: ModuleIndex,
+    def _resolve_alias_chain(self, aliases: dict[str, str],
                              raw: str) -> Callee | None:
         parts = raw.split(".")
-        target = module.aliases.get(parts[0])
+        target = aliases.get(parts[0])
         if target is None:
             return None
         return self._function_at(".".join([target, *parts[1:]]))
@@ -362,6 +378,8 @@ class ProjectIndex:
         known method of that name.
         """
         parts = call.raw.split(".")
+        aliases = {**module.aliases, **caller.aliases} if caller.aliases \
+            else module.aliases
         caller_class = caller.class_name
         if parts[0] in ("self", "cls") and caller_class is not None:
             if len(parts) == 2:
@@ -377,12 +395,12 @@ class ProjectIndex:
             if name in module.classes:
                 ctor = module.functions.get(f"{name}.__init__")
                 return [Callee(module=module, function=ctor)] if ctor else []
-            target = module.aliases.get(name)
+            target = aliases.get(name)
             if target is not None:
                 resolved = self._function_at(target)
                 return [resolved] if resolved else []
             return []
-        resolved = self._resolve_alias_chain(module, call.raw)
+        resolved = self._resolve_alias_chain(aliases, call.raw)
         if resolved is not None:
             return [resolved]
         # Receiver annotated with a known class?  `timing.session_seconds()`

@@ -20,7 +20,7 @@ from repro.experiments.planner import (
     Welford,
     plan_cells,
 )
-from repro.experiments.result_cache import ResultCache, cell_key, run_range_key
+from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import (
     rng_from_seed,
     run_cell,
@@ -61,13 +61,11 @@ __all__ = [
     "ResultCache",
     "RunBatch",
     "Welford",
-    "cell_key",
     "default_jobs",
     "execute_cells",
     "execute_run_metrics",
     "plan_cells",
     "rng_from_seed",
-    "run_range_key",
     "run_cell",
     "run_single",
     "spawn_run_seeds",

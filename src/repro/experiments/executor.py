@@ -75,10 +75,12 @@ class CellSpec:
     seed: int
     channel: ChannelModel = PERFECT_CHANNEL
     timing: TimingModel = ICODE_TIMING
-    #: ``"scalar"`` (per-slot reference) or ``"kernel"`` (batched
-    #: frame-at-once sessions, kernel-v2 seed semantics).  Part of the
-    #: cache key: the engines are statistically, not bitwise, equivalent.
-    engine: str = "scalar"
+    #: ``"kernel"`` (batched frame-at-once sessions, kernel-v2 seed
+    #: semantics; ``run_batch`` falls back to the scalar sessions for
+    #: configurations no kernel implements) or ``"scalar"`` (the per-slot
+    #: reference).  Part of the cache key: the engines are statistically,
+    #: not bitwise, equivalent.
+    engine: str = "kernel"
     #: First run index of this (possibly partial) cell.  A batch covering
     #: runs ``[run_start, run_start + runs)`` consumes exactly those
     #: ``SeedSequence`` children of the cell seed -- the planner's
@@ -99,7 +101,7 @@ class CellSpec:
         return fields
 
     def key(self) -> str:
-        """The cell's content address (see ``result_cache.cell_key``)."""
+        """The cell's content address (see ``result_cache.cell_address``)."""
         key = self.__dict__.get("_key")
         if key is None:
             key = cell_address(self._fields(), self.runs, self.run_start)
@@ -161,11 +163,11 @@ class _ChunkTask:
     children: tuple[np.random.SeedSequence, ...]
     channel: ChannelModel
     timing: TimingModel
-    #: Which engine computes the runs: ``"scalar"`` loops ``run_single``,
-    #: ``"kernel"`` dispatches the chunk to ``repro.kernels.engine:
-    #: run_batch`` (which itself falls back to ``run_single`` for
-    #: unsupported configurations).
-    engine: str = "scalar"
+    #: The cell's engine: ``"kernel"`` dispatches the chunk to
+    #: ``repro.kernels.engine:run_batch`` (which itself falls back to
+    #: ``run_single`` for unsupported configurations), ``"scalar"`` loops
+    #: ``run_single``.
+    engine: str
     #: Collect telemetry inside the worker and ship it back.  Decided in
     #: the parent (workers spawned without the parent's scope still know).
     collect: bool = False
@@ -346,8 +348,9 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
     """Compute every cell, in ``specs`` order, parallel- and cache-aware.
 
     The contract: the returned list is element-for-element identical to
-    ``[aggregate([run_single(...) for child in spawn_run_seeds(...)])]`` --
-    the serial loop -- for any ``jobs`` and any cache state.  Under an
+    the serial loop of each cell's engine -- ``run_batch`` over
+    ``spawn_run_seeds(...)``, or ``run_single`` per child on the scalar
+    engine -- for any ``jobs`` and any cache state.  Under an
     active ``repro.obs`` scope the executor additionally reports per-chunk
     worker accounting and per-cell timings -- including cache-served cells,
     which would otherwise leave no telemetry at all on a warm run.

@@ -197,14 +197,18 @@ def _rendered(model: ChannelModel | TimingModel) -> str:
 
 def cell_fields(protocol: TagReadingProtocol, n_tags: int, seed: int,
                 channel: ChannelModel, timing: TimingModel,
-                engine: str = "scalar") -> dict[str, str]:
+                engine: str) -> dict[str, str]:
     """The canonical fields both of a cell's addresses are built from.
 
     Each field is already rendered to its canonical JSON, so
     :func:`cell_address` and :func:`range_address` derive the cell key and
     the run-range base key from one such dict and a cell's protocol,
-    channel and timing are fingerprinted once for both.  The default
-    scalar engine is omitted to keep pre-existing keys stable.
+    channel and timing are fingerprinted once for both.  The engine is
+    part of the address -- scalar and kernel cells follow the same
+    process law but different draw orders, so their aggregates differ
+    bitwise and must never serve each other -- except that the scalar
+    engine is omitted, which keeps the keys recorded before the kernel
+    engine existed stable.
     """
     fields = {
         "protocol": _ENCODER.encode(canonical_fingerprint(protocol)),
@@ -240,7 +244,10 @@ def _address(fields: dict[str, str]) -> str:
 
 def cell_address(fields: dict[str, str], runs: int,
                  run_start: int = 0) -> str:
-    """:func:`cell_key` from a cell's :func:`cell_fields`."""
+    """The content address of one cell: SHA-256 of its canonical spec.
+
+    ``run_start`` of a whole cell (0) is omitted from the payload.
+    """
     spec = {**fields, "runs": _scalar(runs)}
     if run_start:
         spec["run_start"] = _scalar(run_start)
@@ -248,38 +255,15 @@ def cell_address(fields: dict[str, str], runs: int,
 
 
 def range_address(fields: dict[str, str]) -> str:
-    """:func:`run_range_key` from a cell's :func:`cell_fields`."""
-    return _address({**fields, "kind": '"run-range"'})
-
-
-def cell_key(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
-             channel: ChannelModel, timing: TimingModel,
-             engine: str = "scalar", run_start: int = 0) -> str:
-    """The content address of one cell: SHA-256 of its canonical spec.
-
-    The engine is part of the address -- scalar and kernel cells follow
-    the same process law but different draw orders, so their aggregates
-    differ bitwise and must never serve each other.  The default scalar
-    engine (and the default ``run_start`` of a whole cell) is omitted from
-    the payload to keep pre-existing keys stable.
-    """
-    return cell_address(cell_fields(protocol, n_tags, seed, channel, timing,
-                                    engine), runs, run_start)
-
-
-def run_range_key(protocol: TagReadingProtocol, n_tags: int, seed: int,
-                  channel: ChannelModel, timing: TimingModel,
-                  engine: str = "scalar") -> str:
     """The base address partial-batch entries of one cell share.
 
-    Identical to :func:`cell_key` minus ``runs``/``run_start``: every batch
-    of the same (protocol, N, seed, channel, timing, engine) cell -- whatever
-    range it covers -- files under this key, with the ``[start, stop)``
-    range as the sub-key.  A ``kind`` marker keeps the namespace disjoint
-    from full-cell addresses.
+    The cell address minus ``runs``/``run_start``: every batch of the same
+    (protocol, N, seed, channel, timing, engine) cell -- whatever range it
+    covers -- files under this key, with the ``[start, stop)`` range as
+    the sub-key.  A ``kind`` marker keeps the namespace disjoint from
+    full-cell addresses.
     """
-    return range_address(cell_fields(protocol, n_tags, seed, channel, timing,
-                                     engine))
+    return _address({**fields, "kind": '"run-range"'})
 
 
 def _range_to_label(span: tuple[int, int]) -> str:

@@ -89,7 +89,6 @@ def run_cell(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
              timing: TimingModel = ICODE_TIMING,
              jobs: int = 1,
              cache: "ResultCache | None" = None,
-             engine: str = "scalar",
              precision: float | None = None,
              planner: "PlannerConfig | None" = None) -> AggregateResult:
     """Average ``runs`` sessions of one protocol at one population size.
@@ -97,10 +96,9 @@ def run_cell(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
     ``jobs`` > 1 fans the runs out across worker processes; ``cache`` serves
     previously computed cells by content-addressed key.  Both are pure
     mechanics: the returned ``AggregateResult`` is identical either way.
-    ``engine="kernel"`` computes the cell with the batched frame-at-once
-    sessions of :mod:`repro.kernels` where supported (kernel-v2 seed
-    semantics: statistically, not bitwise, equivalent to scalar; cached
-    under a distinct key).
+    The cell runs on the kernel engine (``CellSpec``'s default): the
+    batched frame-at-once sessions of :mod:`repro.kernels` where a kernel
+    implements the configuration, the scalar sessions otherwise.
 
     ``precision`` (or a full ``planner`` config; passing both is an error)
     switches the cell to the adaptive sequential planner: ``runs`` becomes
@@ -115,7 +113,7 @@ def run_cell(protocol: TagReadingProtocol, n_tags: int, runs: int, seed: int,
     planner = _resolve_planner(precision, planner)
     from repro.experiments.executor import CellSpec, execute_cells
     spec = CellSpec(protocol=protocol, n_tags=n_tags, runs=runs, seed=seed,
-                    channel=channel, timing=timing, engine=engine)
+                    channel=channel, timing=timing)
     return execute_cells([spec], jobs=jobs, cache=cache,
                          planner=planner)[0]
 
@@ -138,7 +136,6 @@ def sweep(protocols: list[TagReadingProtocol], n_values: list[int],
           timing: TimingModel = ICODE_TIMING,
           jobs: int = 1,
           cache: "ResultCache | None" = None,
-          engine: str = "scalar",
           precision: float | None = None,
           planner: "PlannerConfig | None" = None
           ) -> dict[tuple[str, int], AggregateResult]:
@@ -173,8 +170,7 @@ def sweep(protocols: list[TagReadingProtocol], n_values: list[int],
                          + SWEEP_ROW_STRIDE * row)
             specs.append(CellSpec(protocol=protocol, n_tags=n_tags,
                                   runs=runs, seed=cell_seed,
-                                  channel=channel, timing=timing,
-                                  engine=engine))
+                                  channel=channel, timing=timing))
     if duplicates:
         listed = ", ".join(f"({name!r}, {n_tags})"
                            for name, n_tags in duplicates)

@@ -3,7 +3,8 @@
 Drop-in batched engines for the hot protocols -- FCAT, SCAT and the
 DFSA baseline -- that replace per-slot Python iteration with bulk RNG
 draws and array classification, plus the lockstep ``run_batch`` entry
-point the experiment executor dispatches to under ``engine="kernel"``.
+point the experiment executor dispatches every kernel-engine chunk to
+(the default engine of every cell).
 Scalar implementations in :mod:`repro.core` / :mod:`repro.baselines`
 remain the reference; every kernel registers its scalar counterpart and
 an equivalence test via the ``# repro: kernel`` contract (lint rule
@@ -13,7 +14,7 @@ documented in ``docs/performance.md``.
 
 from repro.kernels.dfsa import batched_dfsa_sessions
 from repro.kernels.engine import (ENGINES, batch_read_all, kernel_supported,
-                                  run_batch, validate_engine)
+                                  run_batch)
 from repro.kernels.fcat import batched_fcat_sessions
 from repro.kernels.frame import (RankSource, draw_slot_counts,
                                  resample_duplicate_slots)
@@ -32,5 +33,4 @@ __all__ = [
     "kernel_supported",
     "resample_duplicate_slots",
     "run_batch",
-    "validate_engine",
 ]

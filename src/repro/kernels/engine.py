@@ -1,10 +1,10 @@
 """Engine selection and the batched Monte-Carlo entry point.
 
-The experiment stack asks for an *engine* -- ``"scalar"`` (the per-slot
-reference implementations, the default everywhere) or ``"kernel"`` (the
-frame-at-once sessions in this package).  This module owns the mapping
+Every experiment cell and service request asks for the ``"kernel"``
+engine (``CellSpec.engine``); ``"scalar"`` names the per-slot reference
+implementations the kernels are held to.  This module owns the mapping
 from (protocol, channel) to a kernel and the one entry point the
-runners call:
+executor calls:
 
 * :func:`kernel_supported` -- whether a batched kernel implements this
   exact configuration;
@@ -15,8 +15,8 @@ runners call:
   child seeds in, one :class:`~repro.sim.result.ReadingResult` per child
   out.  Unsupported configurations fall back to
   :func:`repro.experiments.runner.run_single` per child, which is
-  *bit-for-bit* the scalar chunk -- requesting ``engine="kernel"`` never
-  changes what an unsupported cell computes.
+  *bit-for-bit* the scalar chunk -- the kernel engine never changes what
+  an unsupported cell computes.
 
 The kernel path deliberately skips :class:`~repro.sim.population`
 materialization: slot outcomes are independent of tag ID bit patterns
@@ -48,16 +48,8 @@ from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
 from repro.sim.result import ReadingResult
 
-#: The engines the experiment stack accepts.
+#: The engines a cell or a service request may ask for.
 ENGINES = ("scalar", "kernel")
-
-
-def validate_engine(engine: str) -> str:
-    """Reject unknown engine names early, at the API boundary."""
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of "
-                         f"{', '.join(ENGINES)}")
-    return engine
 
 
 def kernel_supported(protocol: TagReadingProtocol,
@@ -133,7 +125,7 @@ def _cyclic_gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-# repro: kernel scalar=repro.sim.base:run_many test=tests/kernels/test_engine.py
+# repro: kernel scalar=repro.experiments.runner:run_single test=tests/kernels/test_engine.py
 def run_batch(protocol: TagReadingProtocol, n_tags: int,
               children: Sequence[np.random.SeedSequence],
               channel: ChannelModel = PERFECT_CHANNEL,
@@ -146,6 +138,7 @@ def run_batch(protocol: TagReadingProtocol, n_tags: int,
     check and ``observe_session`` hook the scalar path applies.
     Unsupported (protocol, channel) configurations fall back to the
     scalar ``run_single`` per child -- bit-identical to ``engine="scalar"``.
+    This fallback is the only place the engine is decided from the input.
     """
     from repro.experiments.runner import rng_from_seed, run_single
     results = batch_read_all(

@@ -11,7 +11,7 @@ The observability layer the production-scale executor reports through:
   cache traffic, executor chunk accounting) with a JSONL sink;
 * :mod:`repro.obs.manifest` -- one provenance document per experiment
   invocation: command, git SHA, python/numpy versions, wall time, and the
-  config fingerprint (``cell_key``) plus timing of every sweep cell;
+  config fingerprint (``CellSpec.key()``) plus timing of every sweep cell;
 * :mod:`repro.obs.scope` -- the ``with observe(...):`` context manager that
   turns collection on; instrumentation points cost one ``is None`` check
   while disabled;

@@ -4,7 +4,7 @@ A manifest is the provenance half of observability: one JSON document per
 experiment invocation recording the command, the environment (git revision,
 python/numpy versions, platform, CPU count), wall time, and one record per
 sweep cell -- including the cell's *config fingerprint*, the same
-content-address :func:`repro.experiments.result_cache.cell_key` computes,
+content-address :meth:`repro.experiments.executor.CellSpec.key` computes,
 so a manifest entry can be matched against cache entries and ``cell_done``
 events byte-for-byte.
 
@@ -45,7 +45,7 @@ class CellRun:
     """One sweep cell as the executor ran (or cache-served) it."""
 
     #: Content address of the cell's canonical config fingerprint
-    #: (``repro.experiments.result_cache.cell_key``).
+    #: (``repro.experiments.executor.CellSpec.key``).
     key: str
     protocol: str
     n_tags: int

@@ -68,39 +68,19 @@ class TagReadingProtocol(ABC):
 def run_many(protocol: TagReadingProtocol, population: TagPopulation,
              runs: int, seed: int,
              channel: ChannelModel = PERFECT_CHANNEL,
-             timing: TimingModel = ICODE_TIMING,
-             engine: str = "scalar") -> AggregateResult:
-    """Average ``runs`` independent sessions (the paper's 100-run averaging).
+             timing: TimingModel = ICODE_TIMING) -> AggregateResult:
+    """Average ``runs`` independent sessions over one fixed population.
 
     Each run gets an independent child generator spawned from ``seed`` so the
-    whole sweep is reproducible yet runs are uncorrelated.
-
-    ``engine="kernel"`` routes supported (protocol, channel) configurations
-    to the batched frame-at-once sessions of :mod:`repro.kernels` -- same
-    child seeds, kernel-v2 consumption order (statistically, not bitwise,
-    equivalent; see ``docs/performance.md``) -- and falls back to this
-    scalar loop otherwise.
+    whole sweep is reproducible yet runs are uncorrelated.  This is the
+    scalar engine's loop; the experiment stack draws a fresh population per
+    run and batches supported configurations through
+    :func:`repro.kernels.engine.run_batch`.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
-    seeds = np.random.SeedSequence(seed).spawn(runs)
-    if engine != "scalar":
-        from repro.kernels.engine import batch_read_all, validate_engine
-        validate_engine(engine)
-        rngs = [np.random.default_rng(child) for child in seeds]
-        batched = batch_read_all(protocol, len(population), rngs,
-                                 channel=channel, timing=timing)
-        if batched is not None:
-            for result in batched:
-                if not result.complete and channel == PERFECT_CHANNEL:
-                    raise RuntimeError(
-                        f"{protocol.name} failed to read all tags on a "
-                        f"perfect channel "
-                        f"({result.n_read}/{result.n_tags})")
-                protocol.observe_session(result)
-            return aggregate(batched)
     results: list[ReadingResult] = []
-    for child in seeds:
+    for child in np.random.SeedSequence(seed).spawn(runs):
         rng = np.random.default_rng(child)
         result = protocol.read_all(population, rng, channel=channel,
                                    timing=timing)

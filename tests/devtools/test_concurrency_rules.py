@@ -117,6 +117,42 @@ def test_reachable_helper_is_audited_too(tree):
         "repro/experiments/executor.py:4 fork-safety"]
 
 
+def test_a_function_local_import_is_followed(tree):
+    # The worker imports its engine at call time, as the executor does.
+    tree.write("repro/kernels/engine.py", """\
+        CALLS = []
+
+        def run_batch(chunk):
+            CALLS.append(chunk)
+            return list(chunk)
+        """)
+    tree.write("repro/experiments/executor.py", """\
+        def run_chunk(chunk):
+            from repro.kernels.engine import run_batch as batch
+            return batch(chunk)
+        """)
+    assert tree.rule_findings("fork-safety") == [
+        "repro/kernels/engine.py:4 fork-safety"]
+
+
+def test_a_receiver_call_never_matches_a_module_function(tree):
+    # ``store.register`` is some object's method; the module-level
+    # ``register`` that shares its name is not reached.
+    tree.write("repro/experiments/registry.py", """\
+        RULES = []
+
+        def register(rule):
+            RULES.append(rule)
+            return rule
+        """)
+    tree.write("repro/experiments/executor.py", """\
+        def run_chunk(chunk, store):
+            store.register(chunk)
+            return list(chunk)
+        """)
+    assert tree.rule_findings("fork-safety") == []
+
+
 def test_unreachable_function_is_not_audited(tree):
     tree.write("repro/experiments/executor.py", """\
         RESULTS = []

@@ -18,6 +18,7 @@ from repro.experiments.executor import (
 )
 from repro.experiments.result_cache import ResultCache
 from repro.experiments.runner import run_cell, sweep
+from repro.kernels.engine import ENGINES
 from repro.sim.channel import ChannelModel
 from repro.sim.result import AggregateResult
 
@@ -52,11 +53,13 @@ class TestParallelEqualsSerial:
 
     def test_chunking_does_not_change_results(self):
         """Different job counts imply different chunk boundaries."""
-        spec = CellSpec(protocol=Dfsa(), n_tags=120, runs=7, seed=9)
-        reference = execute_cells([spec], jobs=1)[0]
-        for jobs in (2, 3, 5):
-            assert_cells_identical(reference,
-                                   execute_cells([spec], jobs=jobs)[0])
+        for engine in ENGINES:
+            spec = CellSpec(protocol=Dfsa(), n_tags=120, runs=7, seed=9,
+                            engine=engine)
+            reference = execute_cells([spec], jobs=1)[0]
+            for jobs in (2, 3, 5):
+                assert_cells_identical(reference,
+                                       execute_cells([spec], jobs=jobs)[0])
 
     def test_execute_cells_preserves_spec_order(self):
         specs = [CellSpec(protocol=Dfsa(), n_tags=n, runs=2, seed=4)
@@ -97,19 +100,23 @@ class TestRunStartSlicing:
     mechanism behind planner batches and cached-prefix resumption."""
 
     BASE = CellSpec(protocol=Fcat(lam=2), n_tags=100, runs=8, seed=17)
+    #: The same cell on each engine.
+    BASES = (BASE, dataclasses.replace(BASE, engine="scalar"))
 
     def test_window_matches_full_run_slice(self):
-        full = execute_run_metrics([self.BASE])[0].values
-        window = execute_run_metrics(
-            [dataclasses.replace(self.BASE, run_start=3, runs=4)])[0].values
-        assert window == full[3:7]
+        for base in self.BASES:
+            full = execute_run_metrics([base])[0].values
+            window = execute_run_metrics(
+                [dataclasses.replace(base, run_start=3, runs=4)])[0].values
+            assert window == full[3:7]
 
     def test_batched_windows_reassemble_the_full_cell(self):
-        full = execute_run_metrics([self.BASE])[0].values
-        batches = execute_run_metrics(
-            [dataclasses.replace(self.BASE, run_start=start, runs=2)
-             for start in (0, 2, 4, 6)])
-        assert [v for batch in batches for v in batch.values] == full
+        for base in self.BASES:
+            full = execute_run_metrics([base])[0].values
+            batches = execute_run_metrics(
+                [dataclasses.replace(base, run_start=start, runs=2)
+                 for start in (0, 2, 4, 6)])
+            assert [v for batch in batches for v in batch.values] == full
 
     def test_run_start_is_part_of_the_content_address(self):
         shifted = dataclasses.replace(self.BASE, run_start=2)
@@ -128,18 +135,19 @@ class TestRunStartSlicing:
     def test_prefix_assembly_completes_a_partial_cell(self, tmp_path):
         """execute_cells resumes a cell whose prefix is cached as
         run-range entries, computing only the missing suffix."""
-        cache = ResultCache(tmp_path / "cache.json")
-        prefix_spec = dataclasses.replace(self.BASE, runs=5)
-        execute_run_metrics([prefix_spec], cache=cache)
         from repro.obs.scope import observe
-        with observe() as observation:
-            (resumed,) = execute_cells([self.BASE], cache=cache)
-        (plain,) = execute_cells([self.BASE])
-        assert_cells_identical(plain, resumed)
-        chunk_runs = sum(event.fields["runs"]
-                         for event in observation.events.events
-                         if event.name == "chunk_done")
-        assert chunk_runs == self.BASE.runs - prefix_spec.runs
+        for base in self.BASES:
+            cache = ResultCache(tmp_path / f"{base.engine}.json")
+            prefix_spec = dataclasses.replace(base, runs=5)
+            execute_run_metrics([prefix_spec], cache=cache)
+            with observe() as observation:
+                (resumed,) = execute_cells([base], cache=cache)
+            (plain,) = execute_cells([base])
+            assert_cells_identical(plain, resumed)
+            chunk_runs = sum(event.fields["runs"]
+                             for event in observation.events.events
+                             if event.name == "chunk_done")
+            assert chunk_runs == base.runs - prefix_spec.runs
 
 
 class TestExecutionPlan:
@@ -198,8 +206,10 @@ class TestExecutorCacheInterplay:
 class TestExecutorObservability:
     """Telemetry collection must never disturb the bit-exact contract."""
 
+    #: One cell per engine.
     SPECS = [CellSpec(protocol=Fcat(lam=2), n_tags=80, runs=4, seed=31),
-             CellSpec(protocol=Dfsa(), n_tags=60, runs=4, seed=32)]
+             CellSpec(protocol=Dfsa(), n_tags=60, runs=4, seed=32,
+                      engine="scalar")]
 
     def test_observed_parallel_matches_unobserved_serial(self):
         from repro.obs.scope import observe

@@ -33,8 +33,10 @@ def assert_cells_identical(a: AggregateResult, b: AggregateResult) -> None:
         assert getattr(a, field.name) == getattr(b, field.name), field.name
 
 
+#: One cell per engine.
 SPECS = [CellSpec(protocol=Fcat(lam=2), n_tags=120, runs=12, seed=41),
-         CellSpec(protocol=Dfsa(), n_tags=80, runs=12, seed=42)]
+         CellSpec(protocol=Dfsa(), n_tags=80, runs=12, seed=42,
+                  engine="scalar")]
 
 
 def config(**overrides) -> PlannerConfig:
@@ -162,7 +164,7 @@ class TestPairedAgainstFixedBudget:
                                   Dfsa())
                  for n_tags in (200, 500)]
         specs = [CellSpec(protocol=protocol, n_tags=n_tags, runs=nominal,
-                          seed=20100563 + 13 * index, engine="kernel")
+                          seed=20100563 + 13 * index)
                  for index, (protocol, n_tags) in enumerate(cells)]
 
         def smoke_config() -> PlannerConfig:

@@ -9,22 +9,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.air.timing import ICODE_TIMING
 from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
+from repro.experiments.executor import CellSpec, execute_cells
 from repro.experiments.result_cache import (
     MAX_ENTRIES,
     ResultCache,
     _iter_signature_sources,
     canonical_fingerprint,
-    cell_key,
     package_signature,
-    run_range_key,
 )
 from repro.experiments.runner import run_cell
 from repro.kernels import native
+from repro.kernels.engine import ENGINES
 from repro.obs.scope import observe
-from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
+from repro.sim.channel import ChannelModel
 from repro.sim.result import AggregateResult, RunMetrics
 
 
@@ -54,31 +53,32 @@ class TestCanonicalFingerprint:
 
 
 class TestCellKey:
+    SPEC = CellSpec(protocol=Dfsa(), n_tags=100, runs=3, seed=1)
+
     def test_distinct_channel_distinct_key(self):
-        base = cell_key(Dfsa(), 100, 3, 1, PERFECT_CHANNEL, ICODE_TIMING)
-        noisy = cell_key(Dfsa(), 100, 3, 1,
-                         ChannelModel(collision_unusable_prob=0.5),
-                         ICODE_TIMING)
-        assert base != noisy
+        noisy = dataclasses.replace(
+            self.SPEC, channel=ChannelModel(collision_unusable_prob=0.5))
+        assert self.SPEC.key() != noisy.key()
 
     def test_key_is_a_sha256_hex(self):
-        key = cell_key(Dfsa(), 100, 3, 1, PERFECT_CHANNEL, ICODE_TIMING)
+        key = self.SPEC.key()
         assert len(key) == 64
         int(key, 16)  # raises if not hex
 
 
 class TestResultCacheRoundTrip:
     def test_cold_then_warm_equality(self, tmp_path):
-        path = tmp_path / "cache.json"
-        cold = run_cell(Fcat(lam=2), n_tags=120, runs=3, seed=5,
-                        cache=ResultCache(path))
-        warm_cache = ResultCache(path)
-        warm = run_cell(Fcat(lam=2), n_tags=120, runs=3, seed=5,
-                        cache=warm_cache)
-        for field in dataclasses.fields(AggregateResult):
-            assert getattr(cold, field.name) == getattr(warm, field.name)
-        assert warm_cache.hits == 1
-        assert warm_cache.misses == 0
+        for engine in ENGINES:
+            path = tmp_path / f"{engine}.json"
+            spec = CellSpec(protocol=Fcat(lam=2), n_tags=120, runs=3, seed=5,
+                            engine=engine)
+            (cold,) = execute_cells([spec], cache=ResultCache(path))
+            warm_cache = ResultCache(path)
+            (warm,) = execute_cells([spec], cache=warm_cache)
+            for field in dataclasses.fields(AggregateResult):
+                assert getattr(cold, field.name) == getattr(warm, field.name)
+            assert warm_cache.hits == 1
+            assert warm_cache.misses == 0
 
     def test_config_change_invalidates_by_address(self, tmp_path):
         path = tmp_path / "cache.json"
@@ -159,12 +159,12 @@ class TestRunRangeEntries:
         assert "1 ranges" in reloaded.stats()
 
     def test_run_range_key_ignores_runs_but_not_engine(self):
-        base = run_range_key(Dfsa(), 100, 1, PERFECT_CHANNEL, ICODE_TIMING)
-        kernel = run_range_key(Dfsa(), 100, 1, PERFECT_CHANNEL, ICODE_TIMING,
-                               engine="kernel")
-        assert base != kernel
-        assert base != cell_key(Dfsa(), 100, 3, 1, PERFECT_CHANNEL,
-                                ICODE_TIMING)
+        spec = CellSpec(protocol=Dfsa(), n_tags=100, runs=3, seed=1)
+        assert spec.range_key() \
+            == dataclasses.replace(spec, runs=7).range_key()
+        assert spec.range_key() \
+            != dataclasses.replace(spec, engine="scalar").range_key()
+        assert spec.range_key() != spec.key()
 
 
 #: One cell result, stored under many same-length keys below: every save of

@@ -1,15 +1,16 @@
 """Engine selection and the batched entry point (run_batch).
 
 Registered by the ``# repro: kernel`` contract on
-:func:`repro.kernels.engine.run_batch`, whose scalar reference is the
-``run_many`` session loop.  Pins the support matrix, the scalar
-fallback's bit-identity, and that the experiment stack (run_many,
-run_cell at any ``jobs=``) produces identical results through the
-kernel engine regardless of parallelism.
+:func:`repro.kernels.engine.run_batch`, whose scalar reference is
+``run_single``.  Pins the support matrix, the scalar fallback's
+bit-identity, and that the experiment stack (run_cell at any ``jobs=``)
+produces identical results through the kernel engine regardless of
+parallelism.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import pickle
 import time
@@ -22,30 +23,16 @@ from repro.baselines.aloha import SlottedAloha
 from repro.baselines.dfsa import Dfsa
 from repro.core.fcat import Fcat
 from repro.core.scat import Scat
-from repro.experiments.result_cache import cell_key
+from repro.experiments.executor import CellSpec, execute_cells
 from repro.experiments.runner import run_cell, run_single, spawn_run_seeds
 from repro.kernels import engine
-from repro.kernels.engine import (
-    ENGINES,
-    batch_read_all,
-    kernel_supported,
-    run_batch,
-    validate_engine,
-)
+from repro.kernels.engine import batch_read_all, kernel_supported, run_batch
 from repro.kernels.fcat import batched_fcat_sessions
-from repro.sim.base import TagReadingProtocol, run_many
+from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
-from repro.sim.population import TagPopulation
-from repro.sim.result import ReadingResult
+from repro.sim.result import ReadingResult, aggregate
 
 NOISY = ChannelModel(ack_loss_prob=0.1)
-
-
-def test_validate_engine_accepts_exactly_the_known_engines():
-    for engine in ENGINES:
-        assert validate_engine(engine) == engine
-    with pytest.raises(ValueError, match="unknown engine"):
-        validate_engine("turbo")
 
 
 def test_kernel_support_matrix():
@@ -72,6 +59,7 @@ def test_batch_read_all_returns_none_when_unsupported():
     (Dfsa(), ChannelModel(capture_prob=0.2)),
     (SlottedAloha(), PERFECT_CHANNEL),
     (Fcat(lam=2, bootstrap_abort_after=8), PERFECT_CHANNEL),
+    (Fcat(lam=2, zigzag=True), PERFECT_CHANNEL),
 ])
 def test_unsupported_configs_fall_back_bit_identically(protocol, channel):
     """run_batch on an unsupported config IS the scalar chunk."""
@@ -114,10 +102,6 @@ def test_incomplete_read_raises_on_an_unpickled_perfect_channel(
                           n_read=n_tags - 1) for _ in rngs])
     with pytest.raises(RuntimeError, match="perfect channel"):
         run_batch(Fcat(lam=2), 20, [child], channel=channel)
-    population = TagPopulation.random(20, np.random.default_rng(0))
-    with pytest.raises(RuntimeError, match="perfect channel"):
-        run_many(Fcat(lam=2), population, runs=1, seed=3, channel=channel,
-                 engine="kernel")
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -140,11 +124,11 @@ def test_kernel_batches_pause_the_cyclic_collector(monkeypatch, enabled):
     assert results[0].complete
 
 
-def test_run_many_kernel_engine_matches_the_scalar_law():
-    population = TagPopulation.random(150, np.random.default_rng(99))
-    scalar = run_many(Fcat(lam=2), population, runs=40, seed=11)
-    kernel = run_many(Fcat(lam=2), population, runs=40, seed=11,
-                      engine="kernel")
+def test_run_batch_matches_the_scalar_law():
+    children = spawn_run_seeds(11, 40)
+    scalar = aggregate([run_single(Fcat(lam=2), 150, child)
+                        for child in children])
+    kernel = aggregate(run_batch(Fcat(lam=2), 150, children))
     assert kernel.runs == scalar.runs == 40
     assert kernel.n_tags == scalar.n_tags
     # Different draw orders, same process: the 40-run means must be close
@@ -152,18 +136,6 @@ def test_run_many_kernel_engine_matches_the_scalar_law():
     # tight statistical line).
     assert kernel.throughput_mean == pytest.approx(scalar.throughput_mean,
                                                    rel=0.1)
-    with pytest.raises(ValueError, match="unknown engine"):
-        run_many(Fcat(lam=2), population, runs=2, seed=1, engine="turbo")
-
-
-def test_run_many_kernel_engine_falls_back_for_zigzag():
-    """Unsupported configs fall through to the scalar loop bit-for-bit."""
-    population = TagPopulation.random(120, np.random.default_rng(99))
-    protocol = Fcat(lam=2, zigzag=True)
-    scalar = run_many(protocol, population, runs=10, seed=3)
-    kernel = run_many(protocol, population, runs=10, seed=3,
-                      engine="kernel")
-    assert kernel == scalar
 
 
 @pytest.mark.parametrize("protocol", [Fcat(lam=3), Scat(lam=2), Dfsa()])
@@ -173,9 +145,8 @@ def test_run_cell_kernel_engine_is_parallel_invariant(protocol):
     Kernel batches advance whole chunks in lockstep, but every session
     owns its child generator, so chunking must be unobservable.
     """
-    serial = run_cell(protocol, 80, runs=12, seed=9, engine="kernel")
-    parallel = run_cell(protocol, 80, runs=12, seed=9, jobs=2,
-                        engine="kernel")
+    serial = run_cell(protocol, 80, runs=12, seed=9)
+    parallel = run_cell(protocol, 80, runs=12, seed=9, jobs=2)
     assert serial == parallel
 
 
@@ -192,8 +163,10 @@ def test_kernel_engine_beats_scalar_on_smoke_cells():
             best = {"scalar": float("inf"), "kernel": float("inf")}
             for _ in range(3):
                 for engine in best:
+                    spec = CellSpec(protocol=protocol, n_tags=n_tags,
+                                    runs=3, seed=20100562, engine=engine)
                     started = time.perf_counter()
-                    run_cell(protocol, n_tags, 3, 20100562, engine=engine)
+                    execute_cells([spec])
                     best[engine] = min(best[engine],
                                        time.perf_counter() - started)
             speedup = best["scalar"] / best["kernel"]
@@ -203,6 +176,8 @@ def test_kernel_engine_beats_scalar_on_smoke_cells():
 
 
 def test_cell_keys_separate_the_engines():
-    spec = (Fcat(lam=2), 100, 10, 7, PERFECT_CHANNEL, ICODE_TIMING)
-    assert cell_key(*spec) == cell_key(*spec, engine="scalar")
-    assert cell_key(*spec) != cell_key(*spec, engine="kernel")
+    kernel = CellSpec(protocol=Fcat(lam=2), n_tags=100, runs=10, seed=7)
+    scalar = dataclasses.replace(kernel, engine="scalar")
+    assert kernel.engine == "kernel"
+    assert kernel.key() != scalar.key()
+    assert kernel.range_key() != scalar.range_key()

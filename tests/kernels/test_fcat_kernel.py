@@ -140,6 +140,11 @@ def test_batch_composition_does_not_change_a_session():
     # Fig. 5's load override, off the optimum on both sides.
     pytest.param(2, 400, {"omega": 0.6}, id="2-400-omega-0.6"),
     pytest.param(3, 400, {"omega": 2.4}, id="3-400-omega-2.4"),
+    # Fig. 6's frame-size sweep, at both ends, seeded at N as it is.
+    pytest.param(4, 400, {"frame_size": 2, "initial_estimate": 100.0},
+                 id="4-400-f2"),
+    pytest.param(2, 400, {"frame_size": 200, "initial_estimate": 100.0},
+                 id="2-400-f200"),
 ])
 def test_paired_runs_match_the_scalar_engine(lam, runs, options):
     protocol = Fcat(lam=lam, **options)
@@ -167,12 +172,18 @@ IMPAIRED_CHANNELS = {
 }
 
 
-@pytest.mark.parametrize("channel_name", sorted(IMPAIRED_CHANNELS))
-@pytest.mark.parametrize("lam", [2, 4])
-def test_paired_runs_match_on_an_impaired_channel(lam, channel_name):
+@pytest.mark.parametrize("lam,channel_name,options", [
+    *(pytest.param(lam, name, {}, id=f"{lam}-{name}")
+      for lam in (2, 4) for name in sorted(IMPAIRED_CHANNELS)),
+    # A4's "FCAT-2 (empty est.)" on a capture channel.
+    pytest.param(2, "capture", {"estimator_source": "empty"},
+                 id="2-capture-empty-source"),
+])
+def test_paired_runs_match_on_an_impaired_channel(lam, channel_name,
+                                                  options):
     """Channel draws follow the scalar engine's law on every channel."""
     channel = IMPAIRED_CHANNELS[channel_name]
-    protocol = Fcat(lam=lam)
+    protocol = Fcat(lam=lam, **options)
     scalar = _scalar_runs(protocol, 60, seed=7, runs=300, channel=channel)
     kernel = _kernel_runs(protocol, 60, seed=7, runs=300, channel=channel)
     assert all(result.complete for result in kernel)

@@ -72,10 +72,10 @@ def test_parallel_telemetry_matches_serial(engine, monkeypatch):
     in-process, and the parallel run's FCAT frame blocks (two sessions
     each at 8 runs per cell) cross the process pool.
     """
-    specs, serial_jobs = SPECS, 1
+    specs = [dataclasses.replace(spec, engine=engine) for spec in SPECS]
+    serial_jobs = 1
     if engine == "kernel":
-        specs = [dataclasses.replace(spec, engine=engine, runs=8)
-                 for spec in SPECS]
+        specs = [dataclasses.replace(spec, runs=8) for spec in specs]
         serial_jobs = 3
     with monkeypatch.context() as patch:
         # No pool context: every chunk runs in-process, in task order.

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.fcat import Fcat
 from repro.experiments.result_cache import ResultCache
-from repro.experiments.runner import run_cell
+from repro.experiments.executor import CellSpec, execute_cells
 from repro.obs.events import EventStream
 from repro.obs.report import cross_check_manifest
 from repro.service import core
@@ -130,9 +130,10 @@ def test_zone_throughput_matches_the_scalar_fcat_oracle(lam):
     payload = json.loads(InventoryService().handle(InventoryRequest(
         n_tags=n_tags, zones=1, seed=lam, runs=12, lam=lam)))
     (zone,) = payload["zones"]
-    oracle = run_cell(Fcat(lam=lam, frame_size=30,
-                           initial_estimate=float(n_tags)),
-                      n_tags, runs=6, seed=100 + lam, engine="scalar")
+    (oracle,) = execute_cells([CellSpec(
+        protocol=Fcat(lam=lam, frame_size=30,
+                      initial_estimate=float(n_tags)),
+        n_tags=n_tags, runs=6, seed=100 + lam, engine="scalar")])
     standard_error = math.sqrt(zone["throughput_std"] ** 2 / zone["runs"]
                                + oracle.throughput_std ** 2 / oracle.runs)
     assert abs(zone["throughput_mean"] - oracle.throughput_mean) \

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.fcat import Fcat
-from repro.experiments.runner import run_cell
+from repro.experiments.executor import CellSpec, execute_cells
 from repro.service.core import InventoryService
 from repro.service.requests import (
     MAX_ERROR_PROB,
@@ -136,8 +136,9 @@ def test_max_lam_sessions_finish_on_the_worst_channel(engine):
     assert MAX_LAM == 9
     for n_tags in range(1, 80, 3):
         protocol = Fcat(lam=MAX_LAM, initial_estimate=float(n_tags))
-        cell = run_cell(protocol, n_tags, runs=2, seed=n_tags,
-                        channel=_WORST_CHANNEL, engine=engine)
+        (cell,) = execute_cells([CellSpec(
+            protocol=protocol, n_tags=n_tags, runs=2, seed=n_tags,
+            channel=_WORST_CHANNEL, engine=engine)])
         assert cell.throughput_mean > 0.0
     with pytest.raises(ValueError, match="lam"):
         InventoryRequest(n_tags=10, zones=1, seed=0, lam=MAX_LAM + 1)
