@@ -13,8 +13,9 @@ this process pinned to one CPU where the platform allows it):
    the middle tenth of the requests by total, so they add up to that
    tenth's mean total, which sits at the p50.
 2. **The per-zone cost.**  Cache-served requests (λ 3, overlap 0.15,
-   4,096 tags a zone, every zone cell a result-cache hit) at 16 and 48
-   zones: p50 of ``handle`` each and the slope per zone.  The requests
+   4,096 tags a zone, every zone cell a result-cache hit) at 16, 48 and
+   ``MAX_ZONES`` (256) zones: p50 of ``handle`` each and the slope per
+   zone between neighbouring sizes.  The requests
    differ only in ``max_phases`` at or above the ring's two phases, so
    each is a new address with the same plan.
 3. **Python against C.**  A fixed set of service-sized requests (2^16 to
@@ -43,11 +44,12 @@ from repro.kernels import engine, fcat
 from repro.obs.scope import Observation
 from repro.service import core
 from repro.service.core import InventoryService, ServiceConfig
-from repro.service.requests import InventoryRequest
+from repro.service.requests import MAX_ZONES, InventoryRequest
 from repro.sim.base import TagReadingProtocol
 
 TINY_REQUESTS = 600
 SLOPE_REQUESTS = 200
+SLOPE_ZONES = (16, 48, MAX_ZONES)
 ZONE_TAGS = 4096
 
 #: (row, owner, attribute): what each ledger row wraps.  ``owner`` is
@@ -182,17 +184,20 @@ def per_zone_cost(directory: Path) -> None:
         cache=ResultCache(directory / "slope.json", signature="ledger")))
     service.handle(zone_request(8, 2))  # simulates the one cell
     p50 = {}
-    for zones in (16, 48):
-        # Interleaved with the other size would share the response store;
+    for zones in SLOPE_ZONES:
+        # Interleaved with the other sizes would share the response store;
         # a block per size keeps each p50 to one request shape.
         p50[zones] = statistics.median(
             timed(service, zone_request(zones, max_phases))
             for max_phases in range(2, SLOPE_REQUESTS + 2))
-    slope = (p50[48] - p50[16]) / 32
     print(f"2. Cache-served requests, λ 3, overlap 0.15 "
           f"({SLOPE_REQUESTS} each)")
-    print(f"   handle p50 {p50[16] * 1e3:.3f} ms at 16 zones, "
-          f"{p50[48] * 1e3:.3f} ms at 48: {slope * 1e6:.2f} µs per zone")
+    print("   handle p50 " + ", ".join(
+        f"{p50[zones] * 1e3:.3f} ms at {zones} zones"
+        for zones in SLOPE_ZONES))
+    for low, high in zip(SLOPE_ZONES, SLOPE_ZONES[1:]):
+        slope = (p50[high] - p50[low]) / (high - low)
+        print(f"   {low} to {high} zones: {slope * 1e6:.2f} µs per zone")
 
 
 def service_requests() -> list[InventoryRequest]:

@@ -4,9 +4,9 @@
 Boots the asyncio front end in-process on a free port, sustains a burst of
 inventory requests against it (cold pass over distinct facilities, then a
 warm pass re-issuing every one, a concurrent duplicate volley, and the warm
-set once more while one large cold request computes), and reports request latency quantiles from the service's own ``repro.obs``
-histograms -- the p99 the ISSUE's acceptance bar asks for comes off the
-``/stats`` endpoint, not from client-side stopwatches.
+set once more while one large cold request computes), and reports request
+latency quantiles from the service's own ``repro.obs`` histograms -- the
+p99 comes off the ``/stats`` endpoint, not from client-side stopwatches.
 
 The driver also *checks* while it drives:
 
@@ -19,8 +19,13 @@ The driver also *checks* while it drives:
   store (``responses_cached`` on ``/stats``), never re-simulated;
 * warm during cold: ``warm_during_cold`` in the report is true only when
   every warm reply re-issued while the large cold request was in flight
-  arrived before the cold reply, byte-identical to its cold-pass reply --
-  an ordering check, with no wall-clock threshold;
+  arrived, byte-identical to its cold-pass reply, before that request
+  finished computing (``/stats`` read after the last warm reply does not
+  count it yet) -- an ordering check, with no wall-clock threshold.  The
+  large request is sized from probe requests of growing size until one
+  lasts ``LARGE_MARGIN`` times the settle time plus the warm pass, so
+  the warm set has time to come back first; a service whose warm path
+  waits for the compute lane reports false;
 * artefact coherence: with ``--metrics-out``/``--manifest-out`` the event
   stream and manifest are fetched (in that order) from the live endpoints
   and must cross-check clean under ``repro.obs.report``;
@@ -53,10 +58,14 @@ from repro.obs.report import cross_check_manifest  # noqa: E402
 from repro.service.client import http_get, post_inventory  # noqa: E402
 from repro.service.core import InventoryService, ServiceConfig  # noqa: E402
 from repro.service.frontend import ServiceFrontend  # noqa: E402
+from repro.service.requests import MAX_N_TAGS, MAX_RUNS  # noqa: E402
 
-#: Monte-Carlo runs of the large cold request (the facility's usual size,
-#: a fresh seed): long enough for the warm set to finish first.
-LARGE_RUNS = 32
+#: How long the large cold request has to reach the compute lane before
+#: the warm set is re-issued.
+SETTLE_S = 0.05
+#: The large cold request must last this many times the settle time plus
+#: the warm pass, as measured on a probe request of the same size.
+LARGE_MARGIN = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,6 +114,45 @@ async def _bounded_gather(limit: int, coroutines: list) -> list:
     return await asyncio.gather(*[bounded(c) for c in coroutines])
 
 
+async def _cold_requests_done(host: str, port: int) -> int:
+    """Cold requests the service has answered, from ``/stats``."""
+    _, body = await http_get(host, port, "/stats")
+    stats = json.loads(body)
+    return stats["requests_served"] - stats["responses_cached"]
+
+
+async def _size_large_request(host: str, port: int,
+                              args: argparse.Namespace, seed: int,
+                              target_s: float) -> tuple[dict, float]:
+    """A cold request's body sized to last at least ``target_s``.
+
+    The request runs the scalar engine, the per-slot reference: per
+    second of compute it leaves far less telemetry than the kernel, so
+    the artefact dumps stay small.  Probes start at the facility's size
+    with one run, each on a fresh seed.  While a probe answers sooner
+    than ``target_s``, the next one takes twice the runs (up to
+    ``MAX_RUNS``), then twice the tags (up to ``MAX_N_TAGS``).  The body
+    returned repeats the last probe's size on the next fresh seed, so it
+    does the work of a probe measured to last long enough.  Returns it
+    with that probe's time.
+    """
+    runs, n_tags = 1, args.n_tags
+    while True:
+        body = {**_request_body(args, seed), "n_tags": n_tags, "runs": runs,
+                "engine": "scalar"}
+        started = time.perf_counter()
+        status, _ = await post_inventory(host, port, body)
+        probe_s = time.perf_counter() - started
+        assert status == 200, f"probe request failed with {status}"
+        seed += 1
+        if probe_s >= target_s or n_tags == MAX_N_TAGS:
+            return {**body, "seed": seed}, probe_s
+        if runs < MAX_RUNS:
+            runs = min(2 * runs, MAX_RUNS)
+        else:
+            n_tags = min(2 * n_tags, MAX_N_TAGS)
+
+
 async def drive(frontend: ServiceFrontend,
                 args: argparse.Namespace) -> dict:
     host, port = frontend.host, frontend.port
@@ -142,19 +190,26 @@ async def drive(frontend: ServiceFrontend,
     print(f"  concurrent volley: {args.duplicates} duplicates, "
           "1 distinct response", file=sys.stderr)
 
-    large = {**_request_body(args, args.seed + args.requests),
-             "runs": LARGE_RUNS}
+    target_s = LARGE_MARGIN * (SETTLE_S + warm_s)
+    large, probe_s = await _size_large_request(
+        host, port, args, args.seed + args.requests, target_s)
+    computed = await _cold_requests_done(host, port)
     large_task = asyncio.ensure_future(post_inventory(host, port, large))
-    await asyncio.sleep(0.05)  # let it reach the compute lane
+    await asyncio.sleep(SETTLE_S)  # let it reach the compute lane
     during = await _bounded_gather(args.concurrency, [
         post_inventory(host, port, body) for body in bodies])
-    warm_during_cold = not large_task.done() and all(
-        w == c for (_, c), (_, w) in zip(cold, during))
+    # The service accounts a cold request before it leaves the compute
+    # lane, so if /stats does not count the large one yet, its compute
+    # was still running when the last warm reply arrived.
+    warm_during_cold = await _cold_requests_done(host, port) == computed \
+        and all(w == c for (_, c), (_, w) in zip(cold, during))
     status, _ = await large_task
     assert status == 200, f"large cold request failed with {status}"
-    print(f"  warm during cold ({len(bodies)} warm replies, all before the "
-          f"{LARGE_RUNS}-run cold reply and byte-identical): "
-          f"{warm_during_cold}", file=sys.stderr)
+    print(f"  warm during cold ({len(bodies)} warm replies, all before a "
+          f"{large['n_tags']}-tag, {large['runs']}-run cold request "
+          f"finished computing, byte-identical; its probe took "
+          f"{probe_s:.3f}s, target {target_s:.3f}s): {warm_during_cold}",
+          file=sys.stderr)
 
     _, stats_body = await http_get(host, port, "/stats")
     stats = json.loads(stats_body)
@@ -175,6 +230,9 @@ async def drive(frontend: ServiceFrontend,
         "warm_pass_s": round(warm_s, 4),
         "byte_identical": byte_identical,
         "warm_during_cold": warm_during_cold,
+        "large_request": {"n_tags": large["n_tags"], "runs": large["runs"],
+                          "probe_s": round(probe_s, 4),
+                          "target_s": round(target_s, 4)},
         "latency": {key: round(latency[key], 6)
                     for key in ("count", "mean", "p50", "p90", "p99")},
         "cold_latency": {key: round(cold_hist[key], 6)
@@ -208,14 +266,18 @@ async def drive(frontend: ServiceFrontend,
     return report
 
 
-async def serve_and_drive(args: argparse.Namespace) -> dict:
-    jobs = args.jobs if args.jobs > 0 else default_jobs()
-    service = InventoryService(ServiceConfig(jobs=jobs))
+async def serve_and_drive(args: argparse.Namespace,
+                          service: InventoryService | None = None) -> dict:
+    """Serve ``service`` (by default a fresh one, ``--jobs`` wide) on a
+    free port and drive it."""
+    if service is None:
+        jobs = args.jobs if args.jobs > 0 else default_jobs()
+        service = InventoryService(ServiceConfig(jobs=jobs))
     frontend = ServiceFrontend(service, port=0,
                                workers=max(args.concurrency, 2))
     await frontend.start()
     print(f"  service on http://{frontend.host}:{frontend.port} "
-          f"(jobs={jobs})", file=sys.stderr)
+          f"(jobs={service.config.jobs})", file=sys.stderr)
     try:
         return await drive(frontend, args)
     finally:

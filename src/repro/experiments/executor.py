@@ -40,6 +40,7 @@ from repro.air.timing import ICODE_TIMING, TimingModel
 from repro.experiments.result_cache import (ResultCache, cell_address,
                                             cell_fields, range_address)
 from repro.experiments.runner import run_single, spawn_run_seeds
+from repro.kernels.engine import ENGINES
 from repro.obs import scope
 from repro.obs.manifest import CellRun
 from repro.obs.scope import Observation
@@ -86,6 +87,11 @@ class CellSpec:
     #: ``SeedSequence`` children of the cell seed -- the planner's
     #: prefix-determinism contract rests on this slicing.
     run_start: int = 0
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ValueError(f"engine must be one of {', '.join(ENGINES)}, "
+                             f"got {self.engine!r}")
 
     # Both addresses are memoised on the spec object (a spec is frozen and
     # its protocol, channel and timing are never mutated), never in a

@@ -44,13 +44,20 @@ def color_phases(n: int, edges: Iterable[tuple[int, int]]) -> list[int]:
     """
     earlier: list[list[int]] = [[] for _ in range(n)]
     for a, b in edges:
-        earlier[max(a, b)].append(min(a, b))
+        if a < b:
+            earlier[b].append(a)
+        else:
+            earlier[a].append(b)
     colors: list[int] = []
-    for vertex in range(n):
-        taken = set(map(colors.__getitem__, earlier[vertex]))
-        color = 0
-        while color in taken:
-            color += 1
+    for neighbours in earlier:
+        if len(neighbours) == 1:
+            # The common case on chains and rings, without a set.
+            color = 0 if colors[neighbours[0]] else 1
+        else:
+            taken = set(map(colors.__getitem__, neighbours))
+            color = 0
+            while color in taken:
+                color += 1
         colors.append(color)
     return colors
 

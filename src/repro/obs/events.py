@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -65,13 +66,20 @@ class EventSpec:
             if kind not in _KINDS:
                 raise ValueError(f"unknown field kind {kind!r} for {name!r}")
 
-    @property
+    @cached_property
     def field_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.fields)
 
     @cached_property
-    def _names(self) -> frozenset[str]:
-        return frozenset(self.field_names)
+    def _values(self) -> itemgetter:
+        """A fields dict's values in declared order, as a tuple (a
+        one-field spec reads its field twice, so it gets a tuple too).
+
+        Raises ``KeyError`` if a declared field is missing.
+        """
+        names = self.field_names
+        return itemgetter(*names, *names) if len(names) == 1 \
+            else itemgetter(*names)
 
     @cached_property
     def _checks(self) -> tuple[tuple[str, str, tuple[type, ...], bool], ...]:
@@ -153,20 +161,34 @@ def validate_event(name: str, fields: dict) -> None:
 
 
 def _validate_all(name: str, many: Iterable[dict]) -> None:
-    """:func:`validate_event` for each of ``many`` fields dicts."""
+    """:func:`validate_event` for each of ``many`` fields dicts.
+
+    Every dict's keys are checked.  Whether its values pass depends only
+    on their types, so the value checks run once per distinct tuple of
+    value types, in the order the dicts come.
+    """
     spec = EVENT_SCHEMA.get(name)
     if spec is None:
         raise ValueError(f"undeclared event {name!r}; add it to EVENT_SCHEMA")
-    names = spec._names
+    width = len(spec.fields)
+    values = spec._values
     checks = spec._checks
+    passed: set[tuple[type, ...]] = set()
     for fields in many:
-        if fields.keys() != names:
+        try:
+            # Every declared field is there and no other.
+            if len(fields) != width:
+                raise KeyError
+            types = tuple(map(type, values(fields)))
+        except KeyError:
             declared = spec.field_names
             missing = set(declared) - set(fields)
             extra = set(fields) - set(declared)
             raise ValueError(
                 f"event {name!r} fields mismatch: missing {sorted(missing)}, "
-                f"unexpected {sorted(extra)}")
+                f"unexpected {sorted(extra)}") from None
+        if types in passed:
+            continue
         for field_name, kind, accepted, numeric in checks:
             value = fields[field_name]
             if numeric and value.__class__ is bool:
@@ -177,6 +199,7 @@ def _validate_all(name: str, many: Iterable[dict]) -> None:
                 raise ValueError(
                     f"event {name!r} field {field_name!r} must be {kind}, "
                     f"got {type(value).__name__}")
+        passed.add(types)
 
 
 def frame_fields(protocol: str, row: tuple) -> tuple[dict, dict]:

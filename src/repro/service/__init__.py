@@ -42,6 +42,7 @@ from repro.service.requests import (
 )
 from repro.service.sharding import (
     ShardPlan,
+    ZoneShape,
     ZoneShard,
     plan_shards,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "encode_response",
     "request_from_dict",
     "ShardPlan",
+    "ZoneShape",
     "ZoneShard",
     "plan_shards",
 ]

@@ -67,9 +67,10 @@ from repro.obs import scope
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.scope import Observation
 from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
-from repro.service.requests import (InventoryRequest, encode_response,
-                                    render_entry)
-from repro.service.sharding import ShardPlan, ZoneShard, plan_shards
+from repro.service.requests import (MAX_ZONES, InventoryRequest,
+                                    encode_response, render_entry)
+from repro.service.sharding import (ShardPlan, ZoneShape, plan_shards,
+                                    zone_name)
 from repro.sim.channel import PERFECT_CHANNEL
 from repro.sim.result import AggregateResult
 
@@ -97,6 +98,11 @@ RESPONSE_STORE_BYTES = 64 * 1024 * 1024
 _NAME_MARK = "\x00"
 _NAME_MARK_JSON = encode_basestring_ascii(_NAME_MARK)
 
+#: Zone names by index, and how they render, for every ring a request
+#: may ask for (:data:`~repro.service.requests.MAX_ZONES`).
+_ZONE_NAMES = tuple(map(zone_name, range(MAX_ZONES)))
+_ZONE_NAMES_JSON = tuple(map(encode_basestring_ascii, _ZONE_NAMES))
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -114,7 +120,8 @@ class ServiceConfig:
             raise ValueError("jobs must be >= 1")
 
 
-def _zone_cell_signature(zone: ZoneShard, request: InventoryRequest) -> tuple:
+def _zone_cell_signature(shape: ZoneShape,
+                         request: InventoryRequest) -> tuple:
     """What makes two zones' simulations interchangeable.
 
     Zones with the same population size, frame and channel draw
@@ -123,7 +130,7 @@ def _zone_cell_signature(zone: ZoneShard, request: InventoryRequest) -> tuple:
     compute cost scales with *distinct zone configurations* (a handful on
     a ring) instead of zone count.
     """
-    return (zone.n_tags, zone.frame_size, zone.channel,
+    return (shape.n_tags, shape.frame_size, shape.channel,
             request.lam, request.runs, request.engine, request.precision)
 
 
@@ -248,6 +255,7 @@ class InventoryService:
         """Cold path: shard, simulate distinct zone cells, assemble.
 
         Runs inside the request's collector scope (:func:`scope.active`).
+        Everything but the zone names is worked out once per zone shape.
         """
         obs = scope.active()
         base = PERFECT_CHANNEL if request.channel == PERFECT_CHANNEL \
@@ -256,97 +264,86 @@ class InventoryService:
                            capability=request.lam, overlap=request.overlap,
                            max_phases=request.max_phases, base_channel=base,
                            interference=self.config.interference)
-        # Deduplicate interchangeable zones into distinct cells, in first-
-        # appearance order so cell seeds are stable under zone reindexing.
-        # The plan builds one channel object per distinct load, so zones
-        # are first grouped by that object (alive throughout, so its id is
-        # unique) and only each group's first zone is compared by value.
+        # Deduplicate interchangeable shapes into distinct cells.  Shapes
+        # come in order of their first zone, so cells are numbered in
+        # first-appearance order over the zones and cell seeds are stable
+        # under zone reindexing.
         signatures: dict[tuple, int] = {}
-        shapes: dict[tuple, int] = {}
         specs: list[CellSpec] = []
-        zone_cells: list[int] = []
-        for zone in plan.zones:
-            shape = (zone.n_tags, zone.frame_size, id(zone.channel))
-            cell = shapes.get(shape)
+        shape_cells: list[int] = []
+        for shape in plan.shapes:
+            signature = _zone_cell_signature(shape, request)
+            cell = signatures.get(signature)
             if cell is None:
-                signature = _zone_cell_signature(zone, request)
-                cell = signatures.get(signature)
-                if cell is None:
-                    cell = signatures[signature] = len(specs)
-                    specs.append(CellSpec(
-                        protocol=Fcat(lam=request.lam,
-                                      frame_size=zone.frame_size,
-                                      initial_estimate=float(
-                                          max(zone.n_tags, 1))),
-                        n_tags=zone.n_tags,
-                        runs=request.runs,
-                        seed=request.seed + SERVICE_CELL_STRIDE * cell,
-                        channel=zone.channel,
-                        engine=request.engine,
-                    ))
-                shapes[shape] = cell
-            zone_cells.append(cell)
+                cell = signatures[signature] = len(specs)
+                specs.append(CellSpec(
+                    protocol=Fcat(lam=request.lam,
+                                  frame_size=shape.frame_size,
+                                  initial_estimate=float(
+                                      max(shape.n_tags, 1))),
+                    n_tags=shape.n_tags,
+                    runs=request.runs,
+                    seed=request.seed + SERVICE_CELL_STRIDE * cell,
+                    channel=shape.channel,
+                    engine=request.engine,
+                ))
+            shape_cells.append(cell)
         interfered = plan.interfered_zones
-        obs.emit("shard_plan", key=key, zones=len(plan.zones),
+        obs.emit("shard_plan", key=key, zones=request.zones,
                  phases=plan.n_phases, distinct_cells=len(specs),
                  interfered_zones=interfered)
         planner = None if request.precision is None \
             else PlannerConfig(precision=request.precision)
         results = execute_cells(specs, jobs=self.config.jobs,
                                 cache=self.config.cache, planner=planner)
+        # One event dict per shape, copied for each zone with its name.
+        done = [{"key": key, "zone": "", "n_tags": shape.n_tags,
+                 "phase": shape.phase, "frame_size": shape.frame_size,
+                 "interference_load": shape.interference_load}
+                for shape in plan.shapes]
         obs.events.append_all("shard_done", [
-            {"key": key, "zone": zone.name, "n_tags": zone.n_tags,
-             "phase": zone.phase, "frame_size": zone.frame_size,
-             "interference_load": zone.interference_load}
-            for zone in plan.zones])
+            dict(done[shape], zone=name)
+            for name, shape in zip(_ZONE_NAMES, plan.zone_shapes)])
         payload, zones = self._payload(request, key, plan, results,
-                                       zone_cells, interfered)
+                                       shape_cells, interfered)
         return encode_response(payload, zones)
 
     @staticmethod
     def _payload(request: InventoryRequest, key: str, plan: ShardPlan,
-                 results: list[AggregateResult], zone_cells: list[int],
+                 results: list[AggregateResult], shape_cells: list[int],
                  interfered: int) -> tuple[dict, list[str]]:
         """Assemble the response: facility rollups plus rendered zones.
 
-        Zones of one shape -- same cell, exclusive tags, phase and load --
-        differ only in their names, so each shape is rendered once with a
-        placeholder name that each zone's fills.  A load is a ratio of
-        non-negative counts (never ``-0.0`` or NaN), so equal loads render
-        alike.
+        Zones of one shape differ only in their names, so each shape is
+        rendered once with a placeholder name that each zone's fills.
         """
-        templates: dict[tuple, tuple[str, str, float]] = {}
-        zones = []
+        templates = []
         phase_durations = [0.0] * plan.n_phases
-        for zone, cell_index in zip(plan.zones, zone_cells):
-            shape = (cell_index, zone.exclusive_tags, zone.phase,
-                     zone.interference_load)
-            template = templates.get(shape)
-            if template is None:
-                cell = results[cell_index]
-                # The mean session length of this zone's reader, from the
-                # cell's Monte-Carlo throughput (unique IDs per second).
-                duration_s = zone.n_tags / cell.throughput_mean \
-                    if cell.throughput_mean > 0 else 0.0
-                head, _, tail = render_entry({
-                    "name": _NAME_MARK,
-                    "n_tags": zone.n_tags,
-                    "exclusive_tags": zone.exclusive_tags,
-                    "phase": zone.phase,
-                    "frame_size": zone.frame_size,
-                    "interference_load": zone.interference_load,
-                    "throughput_mean": cell.throughput_mean,
-                    "throughput_std": cell.throughput_std,
-                    "total_slots_mean": cell.total_slots_mean,
-                    "resolved_mean": cell.resolved_mean,
-                    "runs": cell.runs,
-                    "estimated_duration_s": duration_s,
-                }).partition(_NAME_MARK_JSON)
-                template = templates[shape] = (head, tail, duration_s)
-            head, tail, duration_s = template
-            zones.append(head + encode_basestring_ascii(zone.name) + tail)
-            if duration_s > phase_durations[zone.phase]:
-                phase_durations[zone.phase] = duration_s
+        for shape, cell_index in zip(plan.shapes, shape_cells):
+            cell = results[cell_index]
+            # The mean session length of this zone's reader, from the
+            # cell's Monte-Carlo throughput (unique IDs per second).
+            duration_s = shape.n_tags / cell.throughput_mean \
+                if cell.throughput_mean > 0 else 0.0
+            head, _, tail = render_entry({
+                "name": _NAME_MARK,
+                "n_tags": shape.n_tags,
+                "exclusive_tags": shape.exclusive_tags,
+                "phase": shape.phase,
+                "frame_size": shape.frame_size,
+                "interference_load": shape.interference_load,
+                "throughput_mean": cell.throughput_mean,
+                "throughput_std": cell.throughput_std,
+                "total_slots_mean": cell.total_slots_mean,
+                "resolved_mean": cell.resolved_mean,
+                "runs": cell.runs,
+                "estimated_duration_s": duration_s,
+            }).partition(_NAME_MARK_JSON)
+            templates.append((head, tail))
+            if duration_s > phase_durations[shape.phase]:
+                phase_durations[shape.phase] = duration_s
+        zones = list(map(str.join, _ZONE_NAMES_JSON,
+                         map(templates.__getitem__, plan.zone_shapes)))
         facility_read_s = sum(phase_durations)
         duplicates = sum(map(itemgetter(2), plan.overlap_pairs))
         return {
@@ -354,7 +351,7 @@ class InventoryService:
             "request": request.to_dict(),
             "request_key": key,
             "plan": {
-                "zones": len(plan.zones),
+                "zones": request.zones,
                 "phases": plan.n_phases,
                 "interfered_zones": interfered,
                 "distinct_cells": len(results),

@@ -25,6 +25,12 @@ reading sessions the executor can fan out:
    sets how often ``N̂`` and ``p`` are refreshed, and throughput is flat
    for ``f >= 10`` (Fig. 6), so the frame does not scale with the zone.
 
+A ring of near-equal zones has only a handful of distinct zone shapes
+(size, phase, load and channel), so the plan holds each
+:class:`ZoneShape` once and, per zone, the index of its shape; the
+per-zone :class:`ZoneShard` view is built only when it is read.  The
+per-zone work is a few integer passes over the ring.
+
 Everything here is closed-form or combinatorial -- no RNG draws -- so a
 shard plan is a pure function of the request and the service's
 byte-identical response contract holds by construction.
@@ -33,6 +39,8 @@ byte-identical response contract holds by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, itemgetter
 
 from repro.core.fcat import FcatConfig
 from repro.inventory.scheduling import color_phases
@@ -41,9 +49,34 @@ from repro.sim.channel import ChannelModel
 
 __all__ = [
     "ShardPlan",
+    "ZoneShape",
     "ZoneShard",
     "plan_shards",
+    "zone_name",
 ]
+
+
+def zone_name(index: int) -> str:
+    """The name of the ring's ``index``-th zone: ``zone-007``."""
+    return f"zone-{index:03d}"
+
+
+@dataclass(frozen=True)
+class ZoneShape:
+    """What zones of one shape share: everything but name and index."""
+
+    #: Tags this zone's reader must identify (exclusive + borrowed).
+    n_tags: int
+    #: Tags heard exclusively by this zone.
+    exclusive_tags: int
+    #: Phase the reader is active in (phases run sequentially).
+    phase: int
+    #: Fraction of coverage shared with concurrently active zones.
+    interference_load: float
+    #: FCAT frame length of this zone's reader (the paper's ``f``).
+    frame_size: int
+    #: The per-slot error process this zone reads through.
+    channel: ChannelModel
 
 
 @dataclass(frozen=True)
@@ -68,21 +101,37 @@ class ZoneShard:
 
 @dataclass(frozen=True)
 class ShardPlan:
-    """The full facility schedule one request compiles to."""
+    """The full facility schedule one request compiles to.
+
+    A ring of near-equal zones has a handful of distinct zone shapes, so
+    the plan holds each shape once and, per zone, the index of its shape.
+    """
 
     facility_tags: int
-    zones: tuple[ZoneShard, ...]
+    #: The distinct zone shapes, in order of their first zone.
+    shapes: tuple[ZoneShape, ...]
+    #: Each zone's index into :attr:`shapes`, in zone order.
+    zone_shapes: tuple[int, ...]
     n_phases: int
     overlap: float
     capability: int
-    #: Shared-tag counts per overlapping zone pair ``(i, j)``, i < j.
+    #: ``(i, (i + 1) % zones, shared tags)`` for each zone that borrows
+    #: from its ring successor.
     overlap_pairs: tuple[tuple[int, int, int], ...]
+
+    @cached_property
+    def zones(self) -> tuple[ZoneShard, ...]:
+        """Every zone as a :class:`ZoneShard`, built on first access."""
+        shapes = self.shapes
+        return tuple(ZoneShard(zone_name(index), index,
+                               **vars(shapes[shape]))
+                     for index, shape in enumerate(self.zone_shapes))
 
     @property
     def interfered_zones(self) -> int:
         """Zones reading through a non-zero interference load."""
-        return len([zone for zone in self.zones
-                    if zone.interference_load > 0.0])
+        interfered = [shape.interference_load > 0.0 for shape in self.shapes]
+        return sum(map(interfered.__getitem__, self.zone_shapes))
 
     def phase_members(self) -> list[list[ZoneShard]]:
         """Zones grouped by phase, phases in execution order."""
@@ -93,8 +142,8 @@ class ShardPlan:
 
     def summary(self) -> str:
         return (f"shard plan: {self.facility_tags} tags over "
-                f"{len(self.zones)} zones in {self.n_phases} phase(s), "
-                f"{self.interfered_zones} zone(s) interfered")
+                f"{len(self.zone_shapes)} zones in {self.n_phases} "
+                f"phase(s), {self.interfered_zones} zone(s) interfered")
 
 
 def plan_shards(n_tags: int, zones: int, capability: int = 2,
@@ -121,53 +170,55 @@ def plan_shards(n_tags: int, zones: int, capability: int = 2,
         raise ValueError("max_phases must be >= 1")
     base = base_channel if base_channel is not None else ChannelModel()
 
-    # Near-equal exclusive split, remainder spread over the head zones.
-    exclusive = [n_tags // zones + (1 if i < n_tags % zones else 0)
-                 for i in range(zones)]
-    # Ring borrow: zone i also hears the head of zone (i+1) % zones.
+    # Near-equal exclusive split, remainder spread over the head zones, so
+    # every zone has at least one tag.
+    share, remainder = divmod(n_tags, zones)
+    exclusive = [share + 1] * remainder + [share] * (zones - remainder)
+    # Ring borrow: zone i also hears the head of zone (i+1) % zones.  The
+    # split has at most two sizes, so each size's borrow is worked out
+    # once.
+    successors = [*range(1, zones), 0]
     borrowed = [0] * zones
     if zones > 1 and overlap > 0.0:
-        borrowed = [int(exclusive[(i + 1) % zones] * overlap)
-                    for i in range(zones)]
-    covered = [exclusive[i] + borrowed[i] for i in range(zones)]
+        lent = {tags: int(tags * overlap) for tags in {share, share + 1}}
+        borrowed = list(map(lent.__getitem__,
+                            map(exclusive.__getitem__, successors)))
+    covered = list(map(add, exclusive, borrowed))
 
-    pairs = tuple((i, (i + 1) % zones, borrowed[i])
-                  for i in range(zones) if borrowed[i] > 0)
-    phases = color_phases(zones, [(left, right) for left, right, _ in pairs])
+    pairs = tuple(zip(range(zones), successors, borrowed))
+    if 0 in borrowed:
+        pairs = tuple([pair for pair in pairs if pair[2] > 0])
+    phases = color_phases(zones, map(itemgetter(0, 1), pairs))
     if max_phases is not None:
         phases = [phase % max_phases for phase in phases]
     n_phases = max(phases) + 1
 
     # Residual overlap: tags shared with zones active in the same phase.
-    # A ring pair joins two distinct zones, so one pass over the pairs
-    # credits both ends.
-    shared = [0] * zones
-    for left, right, count in pairs:
-        if phases[left] == phases[right]:
-            shared[left] += count
-            shared[right] += count
-    # Zones differ in a handful of shapes: each distinct load's channel,
-    # and each distinct shape's fields, are built once.
+    # Zone i shares its borrow with its successor, and its predecessor's
+    # borrow with that predecessor, where the two read in one phase.
+    ahead = [count if phase == successor else 0 for count, phase, successor
+             in zip(borrowed, phases, map(phases.__getitem__, successors))]
+    shared = list(map(add, ahead, ahead[-1:] + ahead[:-1]))
+
+    # Each zone's shape, numbered in order of first appearance.  A zone's
+    # load is its shared tags over its heard ones, so it is worked out
+    # once per shape.
+    signatures = list(zip(covered, exclusive, phases, shared))
+    numbers = {signature: number for number, signature
+               in enumerate(dict.fromkeys(signatures))}
     channels: dict[float, ChannelModel] = {}
-    shapes: dict[tuple, dict] = {}
     frame_size = FcatConfig.frame_size
-    shards = []
-    for index in range(zones):
-        load = min(shared[index] / covered[index], 1.0) \
-            if covered[index] else 0.0
-        signature = (covered[index], exclusive[index], phases[index], load)
-        shape = shapes.get(signature)
-        if shape is None:
-            channel = channels.get(load)
-            if channel is None:
-                channel = channels[load] = \
-                    interference.channel_for_load(load, base)
-            shape = shapes[signature] = {
-                "n_tags": covered[index], "exclusive_tags": exclusive[index],
-                "phase": phases[index], "interference_load": load,
-                "frame_size": frame_size, "channel": channel}
-        shards.append(ZoneShard(name=f"zone-{index:03d}", index=index,
-                                **shape))
-    return ShardPlan(facility_tags=n_tags, zones=tuple(shards),
+    shapes = []
+    for heard, own, phase, tags in numbers:
+        load = min(tags / heard, 1.0)
+        channel = channels.get(load)
+        if channel is None:
+            channel = channels[load] = \
+                interference.channel_for_load(load, base)
+        shapes.append(ZoneShape(n_tags=heard, exclusive_tags=own,
+                                phase=phase, interference_load=load,
+                                frame_size=frame_size, channel=channel))
+    return ShardPlan(facility_tags=n_tags, shapes=tuple(shapes),
+                     zone_shapes=tuple(map(numbers.__getitem__, signatures)),
                      n_phases=n_phases, overlap=overlap,
                      capability=capability, overlap_pairs=pairs)

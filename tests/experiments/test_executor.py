@@ -94,6 +94,19 @@ class TestCellSpec:
         keys = {base.key()} | {spec.key() for spec in variants}
         assert len(keys) == len(variants) + 1
 
+    def test_unknown_engines_are_refused(self):
+        """Anything but ``"kernel"`` would run the scalar path under a key
+        of its own, so a spec names one of the known engines or fails."""
+        for engine in ENGINES:
+            CellSpec(protocol=Fcat(lam=2), n_tags=10, runs=1, seed=1,
+                     engine=engine)
+        with pytest.raises(ValueError, match="engine must be one of"):
+            CellSpec(protocol=Fcat(lam=2), n_tags=10, runs=1, seed=1,
+                     engine="turbo")
+        spec = CellSpec(protocol=Fcat(lam=2), n_tags=10, runs=1, seed=1)
+        with pytest.raises(ValueError, match="turbo"):
+            dataclasses.replace(spec, engine="turbo")
+
 
 class TestRunStartSlicing:
     """run_start selects a window of the cell's seed spawn -- the

@@ -52,6 +52,57 @@ class TestValidateEvent:
                 assert kind in _KINDS
 
 
+class TestAppendAll:
+    """``append_all`` checks every dict's keys, and the values of each
+    distinct tuple of value types, before it records any of them."""
+
+    @staticmethod
+    def _done(zone="zone-000", **changes):
+        fields = {"key": "k", "zone": zone, "n_tags": 10, "phase": 0,
+                  "frame_size": 30, "interference_load": 0.0}
+        return {**fields, **changes}
+
+    def test_a_bad_dict_after_good_ones_raises_and_records_nothing(self):
+        good = [self._done(f"zone-{i:03d}") for i in range(3)]
+        cases = [
+            (self._done(phase=True), "'phase' must be int, got bool"),
+            (self._done(n_tags=1.5), "'n_tags' must be int, got float"),
+            (self._done(zone=7), "'zone' must be str, got int"),
+            ({**self._done(), "extra": 1}, "unexpected \\['extra'\\]"),
+            ({k: v for k, v in self._done().items() if k != "phase"},
+             "missing \\['phase'\\]"),
+        ]
+        for bad, message in cases:
+            stream = EventStream()
+            with pytest.raises(ValueError, match=message):
+                stream.append_all("shard_done", good + [bad] + good)
+            assert len(stream) == 0 and stream.counts() == {}
+
+    def test_the_first_bad_dict_names_the_error(self):
+        first = self._done(phase="0")
+        second = self._done(n_tags="10")
+        with pytest.raises(ValueError, match="'phase' must be int"):
+            EventStream().append_all("shard_done", [first, second])
+        with pytest.raises(ValueError, match="'n_tags' must be int"):
+            EventStream().append_all("shard_done", [second, first])
+
+    def test_key_order_and_value_types_may_vary(self):
+        stream = EventStream()
+        shuffled = dict(reversed(list(self._done("zone-001").items())))
+        stream.append_all("shard_done", [
+            self._done(), shuffled, self._done(interference_load=1)])
+        assert [event.fields["zone"] for event in stream.events] \
+            == ["zone-000", "zone-001", "zone-000"]
+        assert stream.counts() == {"shard_done": 3}
+
+    def test_one_field_events_are_checked_too(self):
+        stream = EventStream()
+        stream.append_all("cache_hit", [{"key": "a"}, {"key": "b"}])
+        with pytest.raises(ValueError, match="must be str"):
+            stream.append_all("cache_hit", [{"key": "c"}, {"key": 3}])
+        assert [event.fields["key"] for event in stream.events] == ["a", "b"]
+
+
 class TestEventStream:
     def test_emit_sequences_and_validates(self):
         stream = EventStream()

@@ -5,8 +5,8 @@ function calls a request makes does not.  ``sys.setprofile`` counts
 every ``call`` event inside :meth:`InventoryService.handle` on the
 calling thread (``jobs=1``, so the whole request runs there; C functions
 are not counted).  Each measured request is the first of its address on
-a service that has already served one warm-up request, so one-time
-imports and set-up stay out of the count.
+a service that has already served warm-up requests, so one-time imports
+and set-up stay out of the count.
 
 Counts before the cold path was reworked, on CPython 3.11:
 
@@ -14,8 +14,11 @@ Counts before the cold path was reworked, on CPython 3.11:
 * cache-served requests (λ 3, overlap 0.15, every zone cell a cache
   hit): 591 calls at 16 zones and 964 at 48, 11.7 calls per zone.
 
-The tiny request may make at most half its old count, and the per-zone
-slope may not exceed its old value.
+The tiny request may make at most half its old count.  Once the service
+worked per zone shape, cache-served requests made 133 calls at both 16
+and 48 zones (161 and 225, 2.0 a zone, while it still built each
+zone's shard): a zone's own work is done inside comprehensions and C
+calls, so the per-zone slope may not exceed 0.1 calls.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from repro.service.core import InventoryService, ServiceConfig
 from repro.service.requests import InventoryRequest
 
 TINY_CALLS_BEFORE = 820
-ZONE_SLOPE_BEFORE = (964 - 591) / (48 - 16)
+#: Python calls a zone may add to a cache-served request.
+ZONE_SLOPE_BOUND = 0.1
 
 
 def handle_calls(service: InventoryService,
@@ -58,13 +62,18 @@ def tiny_request_calls() -> int:
 def cache_served_calls(cache_path) -> tuple[int, int]:
     """Calls of a 16- and a 48-zone request whose one cell is cached.
 
-    The warm-up request's 8 zones of 64 tags (73 heard, with the ring
-    overlap) simulate the one cell that both measured requests, with the
-    same seed and zone size, then hit.
+    The first warm-up request's 8 zones of 64 tags (73 heard, with the
+    ring overlap) simulate the one cell that the other requests, with the
+    same seed and zone size, then hit.  The second, of 12 zones, is the
+    first to hit, so the cache-hit path's one-time set-up (memos, the
+    service's first cache-hit instruments) is done before either
+    measured request.
     """
     service = InventoryService(ServiceConfig(
         cache=ResultCache(cache_path, signature="cost-gate")))
-    service.handle(InventoryRequest(n_tags=8 * 64, zones=8, seed=5, lam=3))
+    for zones in (8, 12):
+        service.handle(InventoryRequest(n_tags=zones * 64, zones=zones,
+                                        seed=5, lam=3))
     return tuple(handle_calls(service, InventoryRequest(
         n_tags=zones * 64, zones=zones, seed=5, lam=3))
         for zones in (16, 48))
@@ -78,4 +87,4 @@ def test_a_tiny_cold_request_makes_at_most_half_the_calls():
 def test_the_per_zone_cost_does_not_grow(tmp_path):
     at_16, at_48 = cache_served_calls(tmp_path / "cache.json")
     slope = (at_48 - at_16) / (48 - 16)
-    assert slope <= ZONE_SLOPE_BEFORE, (at_16, at_48, slope)
+    assert slope <= ZONE_SLOPE_BOUND, (at_16, at_48, slope)

@@ -368,8 +368,10 @@ class _HeldService(InventoryService):
 
 def test_warm_hits_are_answered_while_every_pool_thread_waits():
     """``workers`` cold requests fill the pool: one computes in the lane
-    and the others wait for it.  Stored responses still come back at
-    once, and none of them takes a pool thread."""
+    and the others wait for it.  Stored responses still come back, all
+    50 byte-equal and every one while each cold task is held, and none
+    of them takes a pool thread.  An ordering check: no wall-clock
+    bound."""
     workers = 2
 
     async def scenario():
@@ -386,16 +388,12 @@ def test_warm_hits_are_answered_while_every_pool_thread_waits():
                 for seed in range(100, 100 + workers)]
             while service.handled < 1 + workers:
                 await asyncio.sleep(0.001)
-            latencies = []
             for _ in range(50):
-                started = time.perf_counter()
                 status, body = await post_inventory(host, port, REQUEST)
-                latencies.append(time.perf_counter() - started)
                 assert (status, body) == (200, stored)
+                # Answered while every cold task is still held.
+                assert not any(task.done() for task in cold)
             assert service.handled == 1 + workers
-            assert not any(task.done() for task in cold)
-            latencies.sort()
-            assert latencies[-1] <= 0.050, latencies[-5:]  # p99 of 50
             service.release.set()
             assert all(status == 200
                        for status, _ in await asyncio.gather(*cold))

@@ -7,7 +7,7 @@ import pytest
 from repro.core.fcat import Fcat
 from repro.service.interference import InterferenceModel
 from repro.inventory.scheduling import color_phases
-from repro.service.sharding import ZoneShard, plan_shards
+from repro.service.sharding import ZoneShape, ZoneShard, plan_shards
 from repro.sim.channel import ChannelModel
 
 
@@ -186,3 +186,26 @@ def test_the_plan_matches_the_per_zone_scan(max_phases, base):
                 assert list(plan.zones) == expected
                 assert [repr(zone) for zone in plan.zones] \
                     == [repr(zone) for zone in expected]
+
+
+@pytest.mark.parametrize("max_phases", [None, 1, 2])
+def test_the_plan_holds_each_zone_shape_once(max_phases):
+    """``shapes`` are distinct, in order of their first zone, and each
+    zone's shard is its shape plus its name and index; a ring of any
+    size has a handful of them."""
+    for n_tags, zones, overlap in ((1_001, 6, 0.15), (65_536, 17, 0.2),
+                                   (256 * 4096 + 3, 256, 0.15),
+                                   (5_000, 16, 0.0)):
+        plan = plan_shards(n_tags, zones, 3, overlap, max_phases)
+        assert len(set(plan.shapes)) == len(plan.shapes) <= 6
+        assert len(plan.zone_shapes) == zones
+        first = [plan.zone_shapes.index(number)
+                 for number in range(len(plan.shapes))]
+        assert first == sorted(first)
+        for zone, number in zip(plan.zones, plan.zone_shapes):
+            assert isinstance(plan.shapes[number], ZoneShape)
+            assert ZoneShard(zone.name, zone.index,
+                             **vars(plan.shapes[number])) == zone
+        assert plan.interfered_zones == sum(
+            zone.interference_load > 0.0 for zone in plan.zones)
+        assert f"{zones} zones" in plan.summary()
