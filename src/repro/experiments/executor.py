@@ -17,10 +17,11 @@ back to ``spawn`` where fork is unavailable; ``jobs=1`` -- or a platform
 with no multiprocessing start method at all -- runs the exact serial loop.
 
 On top sits the content-addressed result cache
-(:mod:`repro.experiments.result_cache`): cells whose canonical spec hash is
-already stored are served without simulating, and only the misses enter the
-pool.  ``python -m repro.experiments --jobs N`` and the inventory service
-drive this engine; the committed `BENCH_3.json` records measured speedups.
+(:mod:`repro.experiments.result_cache`): cells whose runs are already
+stored are folded from them without simulating, and only the misses enter
+the pool.  ``python -m repro.experiments --jobs N`` and the inventory
+service drive this engine; the committed `BENCH_3.json` records measured
+speedups.
 """
 
 from __future__ import annotations
@@ -365,11 +366,13 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
     (:func:`repro.experiments.planner.plan_cells`): each cell then runs
     only until its confidence interval reaches the requested precision.
 
-    A cache miss on the whole cell still consults the cache's *run-range*
-    entries: a contiguous prefix left behind by an earlier planner run is
-    reused and only the suffix is simulated -- bit-identically, because
-    :func:`repro.sim.result.aggregate` is a pure function of the per-run
-    :class:`RunMetrics` whoever computed them.
+    The cache holds run ranges only: a cell is served when its runs
+    ``[run_start, run_start + runs)`` are stored, whoever stored them --
+    this executor, a planner batch, a longer cell of the same seed -- and
+    folded by :func:`repro.sim.result.aggregate_metrics`, bit-identically,
+    because the fold is a pure function of the per-run
+    :class:`RunMetrics`.  A miss still reuses a stored contiguous prefix
+    and simulates only the suffix.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -379,38 +382,26 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
     obs = scope.active()
     results: list[AggregateResult | None] = [None] * len(specs)
     pending: list[int] = []
-    keys: dict[int, str] = {}
-    #: index -> range base key, hashed once per cell.
-    range_keys: dict[int, str] = {}
     #: index -> cached prefix metrics; the pool simulates only the suffix.
     prefixes: dict[int, list[RunMetrics]] = {}
     work: list[CellSpec] = list(specs)
     for index, spec in enumerate(specs):
         if cache is not None:
-            keys[index] = spec.key()
+            key, base = spec.key(), spec.range_key()
             lookup_started = time.perf_counter()
-            hit = cache.lookup(keys[index])  # emits cache_hit / cache_miss
+            hit = cache.lookup(key, base, spec.run_start,
+                               spec.run_start + spec.runs)
             if hit is not None:
-                results[index] = hit
+                results[index] = aggregate_metrics(
+                    spec.protocol.name, spec.n_tags, hit)
                 if obs is not None:
                     obs.count("executor.cells.cached")
-                    _record_cell(obs, spec, keys[index],
+                    _record_cell(obs, spec, key,
                                  time.perf_counter() - lookup_started,
                                  cached=True)
                 continue
             if spec.run_start == 0:
-                range_keys[index] = spec.range_key()
-                prefix = cache.run_prefix(range_keys[index], spec.runs)
-                if len(prefix) >= spec.runs:
-                    results[index] = aggregate_metrics(
-                        spec.protocol.name, spec.n_tags, prefix[:spec.runs])
-                    cache.store(keys[index], results[index])
-                    if obs is not None:
-                        obs.count("executor.cells.cached")
-                        _record_cell(obs, spec, keys[index],
-                                     time.perf_counter() - lookup_started,
-                                     cached=True)
-                    continue
+                prefix = cache.run_prefix(base, spec.runs)
                 if prefix:
                     prefixes[index] = prefix
                     work[index] = dataclasses.replace(
@@ -428,12 +419,10 @@ def execute_cells(specs: Sequence[CellSpec], jobs: int = 1,
                 spec.protocol.name, spec.n_tags, values)
             if obs is not None:
                 obs.count("executor.cells.computed")
-                _record_cell(obs, spec, keys.get(index) or spec.key(),
-                             elapsed, cached=False)
+                _record_cell(obs, spec, spec.key(), elapsed, cached=False)
             if cache is not None:
-                cache.store(keys[index], results[index])
-                cache.store_runs(range_keys.get(index) or spec.range_key(),
-                                 work[index].run_start, computed)
+                cache.store_runs(spec.range_key(), work[index].run_start,
+                                 computed)
         if cache is not None:
             cache.save()
     return [result for result in results if result is not None]

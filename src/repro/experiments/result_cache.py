@@ -4,44 +4,44 @@ Paper-scale reproduction re-derives identical (protocol, N) cells on every
 invocation -- Tables I-III share rosters, service requests share zone
 cells, and a ``--paper-scale --runs 100`` rerun after an unrelated doc edit
 repeats hours of simulation.  Every cell is a pure function of its spec, so
-its :class:`~repro.sim.result.AggregateResult` can be served by content
-address instead.
+it can be served by content address instead.
 
-The key is a SHA-256 over a *canonical fingerprint* of the spec: protocol
-class + config fields, ``n_tags``, ``runs``, ``seed``, channel knobs and
-timing constants, all rendered to sorted-key JSON.  The store is one
-append-only log file, ``.repro-results-cache.json`` (git-ignored), bound
-to a *signature*: schema version, ``repro.__version__`` and a digest of
-the simulator source tree -- so editing any protocol, channel or codec
-never replays stale numbers.  Each line is one JSON object
-``{"signature", "entries", "runs"}``; the first line's signature decides
-whether the file is this tree's at all, and every ``save`` appends one
-line holding only what was stored since the last save, so a save costs
-O(new entries) however long the service has run.
-
-The cache is **bounded**: it holds at most :data:`MAX_ENTRIES` cells plus
-run ranges and evicts the least recently used (a lookup hit refreshes an
-entry; a cell's run ranges go together).  Eviction only turns a hit into a
-miss.  A load that finds evicted or overwritten entries, or more than
-:data:`COMPACT_LINES` lines, rewrites the file as one line of what it
-holds, and a running process rewrites it once its log would pass twice
-the bound, so the file stays bounded too.  Loading merges the
-lines in order and skips any line with another signature, so two source
-trees sharing one path never serve each other's results.  Corrupt or
-unreadable files are treated as empty and a torn line is dropped: the
-cache can only ever make a run faster, never wrong.  Such a file -- and a
-missing one -- is rewritten whole on the next save, through a temporary
-file and ``os.replace``, so a killed process never leaves a torn file
-behind.
-
-Schema 2 adds **partial-batch entries**: per-run
+What the cache holds are **run ranges**: per-run
 :class:`~repro.sim.result.RunMetrics` vectors keyed by the run-seed range
-``[start, stop)`` under a *range base key* (the cell fingerprint minus
-``runs``).  The adaptive sweep planner stores each batch it simulates here,
-a warm planner run resumes from the cached prefix, and a later fixed-budget
-run reassembles full cells from planner batches -- bit-identically, because
-run ``i``'s metrics are a pure function of the cell config and the ``i``-th
-``SeedSequence`` child, whoever computed them.
+``[start, stop)`` under a *range base key* -- a SHA-256 over a *canonical
+fingerprint* of the cell: protocol class + config fields, ``n_tags``,
+``seed``, channel knobs and timing constants, all rendered to sorted-key
+JSON, without ``runs``.  A cell of ``runs`` runs is the fold, by
+:func:`~repro.sim.result.aggregate_metrics`, of the stored runs
+``[run_start, run_start + runs)`` -- bit-identical to the cell computed
+afresh, because run ``i``'s metrics are a pure function of the cell config
+and the ``i``-th ``SeedSequence`` child, whoever computed them.  So the
+executor's cells, the adaptive planner's batches, a warm planner resuming
+from a cached prefix and a fixed-budget rerun over planner batches all
+read and write the one store.
+
+The store is one append-only log file, ``.repro-results-cache.json``
+(git-ignored), bound to a *signature*: schema version,
+``repro.__version__`` and a digest of the simulator source tree -- so
+editing any protocol, channel or codec never replays stale numbers.  Each
+line is one JSON object ``{"signature", "runs"}``; the first line's
+signature decides whether the file is this tree's at all, and every
+``save`` appends one line holding only what was stored since the last
+save, so a save costs O(new ranges) however long the service has run.
+
+The cache is **bounded**: it holds at most :data:`MAX_ENTRIES` run ranges
+and evicts the least recently used cell's ranges together (a lookup
+refreshes them).  Eviction only turns a hit into a miss.  A load that
+finds evicted or overwritten ranges, or more than :data:`COMPACT_LINES`
+lines, rewrites the file as one line of what it holds, and a running
+process rewrites it once its log would pass twice the bound, so the file
+stays bounded too.  Loading merges the lines in order and skips any line
+with another signature, so two source trees sharing one path never serve
+each other's results.  Corrupt or unreadable files are treated as empty
+and a torn line is dropped: the cache can only ever make a run faster,
+never wrong.  Such a file -- and a missing one -- is rewritten whole on
+the next save, through a temporary file and ``os.replace``, so a killed
+process never leaves a torn file behind.
 """
 
 from __future__ import annotations
@@ -62,19 +62,21 @@ from repro.air.timing import TimingModel
 from repro.obs import scope
 from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import ChannelModel
-from repro.sim.result import AggregateResult, RunMetrics
+from repro.sim.result import RunMetrics
 
 #: Bump when the fingerprint layout or the stored-result shape changes.
 #: 2: partial-batch run-range entries (the adaptive planner's substrate).
 #: 3: an append-only log, one ``{"signature", "entries", "runs"}`` per line.
-RESULT_CACHE_SCHEMA = 3
+#: 4: run ranges only, one ``{"signature", "runs"}`` per line; a cell is the
+#:    fold of its stored runs.
+RESULT_CACHE_SCHEMA = 4
 
 DEFAULT_RESULT_CACHE_NAME = ".repro-results-cache.json"
 
-#: Cells plus run ranges one cache holds.  Past it the least recently used
-#: cell, or cell's run ranges, is evicted: an eviction only turns a hit
-#: into a miss.  A 30 s benchmark run stores one cell and one run range
-#: per cold request, under 300 entries in all.
+#: Run ranges one cache holds.  Past it the least recently used cell's run
+#: ranges are evicted: an eviction only turns a hit into a miss.  A 30 s
+#: benchmark run stores one run range per computed zone cell, under 300 in
+#: all.
 MAX_ENTRIES = 4096
 
 #: A loaded log with more lines than this is rewritten as one line.
@@ -82,7 +84,7 @@ COMPACT_LINES = 1024
 
 #: Subpackages whose source feeds the cache signature: everything a cell
 #: result can depend on.  ``devtools`` (the linter) and ``report``
-#: (rendering) cannot change an ``AggregateResult``, so they are excluded
+#: (rendering) cannot change a run's metrics, so they are excluded
 #: and editing them keeps the cache warm.
 _SIGNATURE_EXCLUDED_PACKAGES = ("devtools", "report")
 
@@ -255,7 +257,7 @@ def cell_address(fields: dict[str, str], runs: int,
 
 
 def range_address(fields: dict[str, str]) -> str:
-    """The base address partial-batch entries of one cell share.
+    """The base address all the run ranges of one cell share.
 
     The cell address minus ``runs``/``run_start``: every batch of the same
     (protocol, N, seed, channel, timing, engine) cell -- whatever range it
@@ -275,25 +277,16 @@ def _range_from_label(label: str) -> tuple[int, int]:
     return int(start), int(stop)
 
 
-def _result_to_dict(result: AggregateResult) -> dict:
-    return {f.name: getattr(result, f.name)
-            for f in dataclasses.fields(AggregateResult)}
-
-
-def _result_from_dict(data: dict) -> AggregateResult:
-    return AggregateResult(**{f.name: data[f.name]
-                              for f in dataclasses.fields(AggregateResult)})
-
-
 class ResultCache:
-    """Keyed store of ``AggregateResult``s with hit/miss accounting.
+    """Keyed store of per-run :class:`RunMetrics` ranges with hit/miss
+    accounting.
 
-    Besides whole-cell aggregates the cache holds **run-range entries**:
-    per-run :class:`RunMetrics` vectors under ``(range base key, start,
-    stop)``, written batch-by-batch by the adaptive planner and by the
-    executor for every cell it computes.  ``run_prefix`` stitches stored
-    ranges into the longest contiguous run prefix -- what both a resuming
-    planner and a fixed-budget rerun consume.
+    Ranges file under ``(range base key, start, stop)``, written
+    batch-by-batch by the adaptive planner and by the executor for every
+    cell it computes.  One walk stitches stored ranges into contiguous
+    runs: a cell lookup (:meth:`lookup`), a batch lookup
+    (:meth:`lookup_runs`) and a resume point (:meth:`run_prefix`) all
+    read through it.
     """
 
     def __init__(self, path: Path | str = DEFAULT_RESULT_CACHE_NAME,
@@ -305,26 +298,23 @@ class ResultCache:
         self.misses = 0
         self.run_hits = 0
         self.run_misses = 0
-        self._entries: dict[str, AggregateResult] = {}
         #: base key -> {(start, stop) -> per-run metric vectors}.
         self._runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
-        #: ``(False, cell key)`` and ``(True, base key)`` items, least
-        #: recently used first; a base key's ranges are evicted together.
-        self._recency: OrderedDict[tuple[bool, str], None] = OrderedDict()
-        #: Cells plus run ranges held, at most :data:`MAX_ENTRIES`.
+        #: Base keys, least recently used first; a base key's ranges are
+        #: evicted together.
+        self._recency: OrderedDict[str, None] = OrderedDict()
+        #: Run ranges held, at most :data:`MAX_ENTRIES`.
         self._size = 0
         #: What was stored since the last save: the next appended line.
-        self._new_entries: dict[str, AggregateResult] = {}
-        self._new_runs: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
+        self._new: dict[str, dict[tuple[int, int], list[RunMetrics]]] = {}
         #: True while the file is a clean log of this signature, which a
         #: save may append to; otherwise the next save rewrites it whole.
         self._appendable = False
-        #: Entries the file holds, evicted and overwritten ones included.
+        #: Ranges the file holds, evicted and overwritten ones included.
         self._logged = 0
         self._load()
 
     def _invalidate(self, reason: str) -> None:
-        self._entries = {}
         self._runs = {}
         self._recency = OrderedDict()
         self._size = 0
@@ -369,128 +359,120 @@ class ResultCache:
         self._appendable = not damaged
         if self._appendable and (self._logged > self._size
                                  or len(lines) > COMPACT_LINES):
-            # Evicted or overwritten entries, or many short lines: keep
+            # Evicted or overwritten ranges, or many short lines: keep
             # only what is held, as one line.
             try:
-                self._rewrite(self._line(*self._by_recency()))
+                self._rewrite(self._line(self._by_recency()))
             except OSError:
                 self._appendable = False
                 return
             self._logged = self._size
 
     def _merge(self, payload: dict) -> None:
-        """Fold one line's entries into the in-memory store, in order."""
-        for key, entry in payload.get("entries", {}).items():
-            self._hold(key, _result_from_dict(entry))
-            self._logged += 1
+        """Fold one line's ranges into the in-memory store, in order."""
         for key, spans in payload.get("runs", {}).items():
             for label, rows in spans.items():
-                self._hold_runs(key, _range_from_label(label),
-                                [RunMetrics.from_list(row) for row in rows])
+                self._hold(key, _range_from_label(label),
+                           [RunMetrics.from_list(row) for row in rows])
                 self._logged += 1
 
     # -- the bound ---------------------------------------------------------
 
-    def _touch(self, item: tuple[bool, str]) -> None:
-        recency = self._recency
-        if item in recency:
-            recency.move_to_end(item)
-        else:
-            recency[item] = None
-
-    def _hold(self, key: str, result: AggregateResult) -> None:
-        if key not in self._entries:
-            self._size += 1
-        self._entries[key] = result
-        self._touch((False, key))
-        self._evict()
-
-    def _hold_runs(self, key: str, span: tuple[int, int],
-                   values: list[RunMetrics]) -> None:
+    def _hold(self, key: str, span: tuple[int, int],
+              values: list[RunMetrics]) -> None:
         spans = self._runs.setdefault(key, {})
         if span not in spans:
             self._size += 1
         spans[span] = values
-        self._touch((True, key))
+        self._recency.pop(key, None)
+        self._recency[key] = None
         self._evict()
 
     def _evict(self) -> None:
-        """Drop least recently used items until the bound holds."""
+        """Drop least recently used base keys until the bound holds."""
         while self._size > MAX_ENTRIES:
-            (runs, key), _ = self._recency.popitem(last=False)
-            if runs:
-                self._size -= len(self._runs.pop(key))
-                self._new_runs.pop(key, None)
-            else:
-                del self._entries[key]
-                self._size -= 1
-                self._new_entries.pop(key, None)
+            key, _ = self._recency.popitem(last=False)
+            self._size -= len(self._runs.pop(key))
+            self._new.pop(key, None)
 
-    def _by_recency(self) -> tuple[dict, dict]:
+    def _by_recency(self) -> dict[str, dict[tuple[int, int],
+                                            list[RunMetrics]]]:
         """Everything held, least recently used first (a rewrite's order,
         which the next load restores)."""
-        entries, runs = {}, {}
-        for is_runs, key in self._recency:
-            if is_runs:
-                runs[key] = self._runs[key]
-            else:
-                entries[key] = self._entries[key]
-        return entries, runs
+        return {key: self._runs[key] for key in self._recency}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return self._size
 
-    def lookup(self, key: str) -> AggregateResult | None:
-        """Serve ``key`` if stored; every probe is counted and emitted.
+    # -- reading: one walk over the sorted spans ---------------------------
 
-        The hit path still reports telemetry: a warm run short-circuits the
-        simulation, so without these events observability would go dark
-        exactly when the cache is doing its job.
+    def _stitch(self, key: str, start: int, stop: int) -> list[RunMetrics]:
+        """The stored runs from ``start`` on, contiguous, up to ``stop``.
+
+        Stored spans may overlap or abut (planner batches, then a
+        fixed-budget write over the same runs); any span serves the runs
+        it covers, because run ``i``'s metrics are identical whoever
+        computed them.  The walk stops at the first gap.
         """
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._recency.move_to_end((False, key))
+        spans = self._runs.get(key)
+        if not spans:
+            return []
+        self._recency.move_to_end(key)
+        stitched: list[RunMetrics] = []
+        position = start
+        for (span_start, span_stop), values in sorted(spans.items()):
+            if span_start > position:
+                break
+            if span_stop > position:
+                stitched += values[position - span_start:stop - span_start]
+                position = span_stop
+                if position >= stop:
+                    break
+        return stitched
+
+    def lookup(self, key: str, base: str, start: int,
+               stop: int) -> list[RunMetrics] | None:
+        """Serve cell ``key``: runs ``[start, stop)`` under base ``base``.
+
+        ``None`` unless every run is stored; a cell is the
+        :func:`~repro.sim.result.aggregate_metrics` fold of what this
+        returns.  Every probe is counted and emitted under the cell key:
+        a warm run short-circuits the simulation, so without these events
+        observability would go dark exactly when the cache is doing its
+        job.
+        """
+        values = self._stitch(base, start, stop)
+        if len(values) == stop - start:
             self.hits += 1
             scope.inc("result_cache.hits")
             scope.emit("cache_hit", key=key)
-            return entry
+            return values
         self.misses += 1
         scope.inc("result_cache.misses")
         scope.emit("cache_miss", key=key)
         return None
 
-    def store(self, key: str, result: AggregateResult) -> None:
-        self._new_entries[key] = result
-        self._hold(key, result)
-
-    # -- run-range (partial batch) entries ---------------------------------
-
     def lookup_runs(self, key: str, start: int,
                     stop: int) -> list[RunMetrics] | None:
-        """Serve the run range ``[start, stop)`` of base ``key``.
-
-        Any stored span covering the request serves it (run ``i``'s
-        metrics are identical whoever computed them), so planner batches
-        resume from an earlier fixed-budget write just as a fixed-budget
-        run resumes from planner batches.
-        """
-        spans = self._runs.get(key, {})
-        values = spans.get((start, stop))
-        if values is None:
-            for (span_start, span_stop), stored in spans.items():
-                if span_start <= start and span_stop >= stop:
-                    values = stored[start - span_start:stop - span_start]
-                    break
-        if values is not None:
-            self._recency.move_to_end((True, key))
+        """Serve the run range ``[start, stop)`` of base ``key``: one
+        planner batch, counted as a run-range hit or miss."""
+        values = self._stitch(key, start, stop)
+        if len(values) == stop - start:
             self.run_hits += 1
             scope.inc("result_cache.run_hits")
             scope.emit("cache_hit", key=f"{key}:{start}:{stop}")
-            return list(values)
+            return values
         self.run_misses += 1
         scope.inc("result_cache.run_misses")
         scope.emit("cache_miss", key=f"{key}:{start}:{stop}")
         return None
+
+    def run_prefix(self, key: str, limit: int) -> list[RunMetrics]:
+        """The longest contiguous run prefix stored under base ``key``, at
+        most ``limit`` runs: where a resuming cell or planner starts."""
+        return self._stitch(key, 0, limit)
+
+    # -- writing -----------------------------------------------------------
 
     def store_runs(self, key: str, start: int,
                    values: list[RunMetrics]) -> None:
@@ -498,64 +480,37 @@ class ResultCache:
         if not values:
             return
         span, stored = (start, start + len(values)), list(values)
-        self._new_runs.setdefault(key, {})[span] = stored
-        self._hold_runs(key, span, stored)
+        self._new.setdefault(key, {})[span] = stored
+        self._hold(key, span, stored)
 
-    def run_prefix(self, key: str, limit: int) -> list[RunMetrics]:
-        """The longest contiguous run prefix stored under base ``key``.
-
-        Stored ranges may overlap (a planner batch and a later full-cell
-        write cover the same runs); any covering range serves, because run
-        ``i``'s metrics are identical whoever computed them.  At most
-        ``limit`` runs are returned.
-        """
-        spans = self._runs.get(key)
-        if not spans:
-            return []
-        self._recency.move_to_end((True, key))
-        ordered = sorted(spans.items())
-        prefix: list[RunMetrics] = []
-        position = 0
-        while position < limit:
-            best_stop = position
-            best: tuple[tuple[int, int], list[RunMetrics]] | None = None
-            for (start, stop), values in ordered:
-                if start > position:
-                    break
-                if stop > best_stop:
-                    best_stop = stop
-                    best = ((start, stop), values)
-            if best is None:
-                break
-            (start, _), values = best
-            prefix.extend(values[position - start:limit - start])
-            position = min(best_stop, limit)
-        return prefix
+    #: The one store under its old name too: ``perfbench/tracing.py``
+    #: patches ``store`` by name.
+    store = store_runs
 
     def save(self) -> None:
         """Persist what was stored since the last save; a no-op if nothing.
 
         A clean log of this signature gets one line appended with a single
-        ``write``, holding only the new entries, so a save costs O(new
-        entries).  A missing, invalidated or damaged file is rewritten
-        whole instead: every entry held goes to a temporary file that
+        ``write``, holding only the new ranges, so a save costs O(new
+        ranges).  A missing, invalidated or damaged file is rewritten
+        whole instead: every range held goes to a temporary file that
         ``os.replace`` moves over the path, so a process killed mid-save
         leaves either the old file or the new one, never a torn one.  So
-        is a log that would pass twice :data:`MAX_ENTRIES` entries, evicted
+        is a log that would pass twice :data:`MAX_ENTRIES` ranges, evicted
         ones included, which keeps the file bounded while the process
         runs: a rewrite comes once per about :data:`MAX_ENTRIES` new
-        entries, so a save stays O(new entries) amortised.
+        ranges, so a save stays O(new ranges) amortised.
         """
-        if not (self._new_entries or self._new_runs):
+        if not self._new:
             return
-        new = len(self._new_entries) + sum(map(len, self._new_runs.values()))
+        new = sum(map(len, self._new.values()))
         try:
             if self._appendable \
                     and self._logged + new <= 2 * MAX_ENTRIES:
-                self._append(self._line(self._new_entries, self._new_runs))
+                self._append(self._line(self._new))
                 self._logged += new
             else:
-                self._rewrite(self._line(*self._by_recency()))
+                self._rewrite(self._line(self._by_recency()))
                 self._logged = self._size
         except OSError:
             # A read-only checkout just runs cold every time; an append cut
@@ -563,17 +518,13 @@ class ResultCache:
             self._appendable = False
             return
         self._appendable = True
-        self._new_entries = {}
-        self._new_runs = {}
+        self._new = {}
 
-    def _line(self, entries: dict[str, AggregateResult],
-              runs: dict[str, dict[tuple[int, int], list[RunMetrics]]]
+    def _line(self, runs: dict[str, dict[tuple[int, int], list[RunMetrics]]]
               ) -> bytes:
         payload = {
             "signature": self.signature,
             # In the given order, which a load replays as recency.
-            "entries": {key: _result_to_dict(entry)
-                        for key, entry in entries.items()},
             "runs": {key: {_range_to_label(span):
                            [value.to_list() for value in values]
                            for span, values in sorted(spans.items())}
@@ -603,13 +554,8 @@ class ResultCache:
             raise
 
     def stats(self) -> str:
-        """One-line hit/miss summary for CLI surfacing.
-
-        Safe to call while another thread stores: the range maps are
-        snapshotted in one ``list`` call before they are counted.
-        """
-        ranges = sum(map(len, list(self._runs.values())))
+        """One-line hit/miss summary for CLI surfacing: cell hits and
+        misses first, then the batch lookups'."""
         return (f"result cache: {self.hits} hits / {self.misses} misses, "
                 f"{self.run_hits}/{self.run_misses} run-range hits/misses "
-                f"({len(self._entries)} cells + {ranges} ranges "
-                f"in {self.path})")
+                f"({self._size} ranges in {self.path})")

@@ -86,8 +86,8 @@ class ReadingResult:
 class RunMetrics:
     """The per-run scalars an :class:`AggregateResult` is computed from.
 
-    This is the unit the result cache stores for *partial* cells (run-seed
-    ranges): six JSON-exact numbers per run.  Because floats round-trip
+    This is the unit the result cache stores, in run-seed ranges: six
+    JSON-exact numbers per run.  Because floats round-trip
     through JSON bit-for-bit and :func:`aggregate` is defined over exactly
     these values, an aggregate reassembled from cached ranges is identical
     to one computed from the live :class:`ReadingResult` objects.
@@ -248,8 +248,8 @@ def aggregate_metrics(protocol: str, n_tags: int,
 
     ``aggregate`` delegates here, so a cell assembled from cached
     :class:`RunMetrics` ranges and one computed from live results agree
-    bit-for-bit -- the invariant the planner's partial-batch cache and the
-    executor's prefix reuse rest on.  Means are :func:`exact_mean`, which
+    bit-for-bit -- the invariant every result-cache hit, the planner's
+    batches and the executor's prefix reuse rest on.  Means are :func:`exact_mean`, which
     is ``statistics.mean`` without its ``Fraction`` objects, and the
     spread is :func:`exact_stdev`, which rounds as ``statistics.stdev``
     does from Python 3.11 on every interpreter.

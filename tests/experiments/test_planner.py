@@ -221,6 +221,25 @@ class TestCacheInterplay:
                         if event.name == "chunk_done")
         assert 0 < chunk_runs < sum(spec.runs for spec in SPECS)
 
+    def test_fixed_budget_inside_planner_batches_is_a_cell_hit(self,
+                                                               tmp_path):
+        """A fixed budget the planner's batches already cover is served
+        as a cell hit, folded from those batches across their seam, equal
+        to the uncached cell."""
+        path = tmp_path / "cache.json"
+        # loose precision: stops at the min-runs floor, two 2-run batches
+        plan_cells(SPECS, config(precision=10.0, batch_runs=2),
+                   cache=ResultCache(path))
+        budget = [dataclasses.replace(spec, runs=3) for spec in SPECS]
+        warm = ResultCache(path)
+        with observe() as observation:
+            served = execute_cells(budget, cache=warm)
+        for a, b in zip(execute_cells(budget), served):
+            assert_cells_identical(a, b)
+        assert (warm.hits, warm.misses) == (len(SPECS), 0)
+        assert not [event for event in observation.events.events
+                    if event.name == "chunk_done"]
+
     def test_planner_reuses_fixed_budget_batches(self, tmp_path):
         """The reverse direction: a fixed run at the nominal budget warms
         every batch the planner will ever schedule inside it."""

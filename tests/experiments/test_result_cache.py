@@ -139,6 +139,19 @@ class TestRunRangeEntries:
         cache.store_runs("k", 0, self._values(0, 10))
         assert cache.lookup_runs("k", 3, 7) == self._values(3, 7)
 
+    def test_abutting_spans_serve_a_straddling_range(self, tmp_path):
+        """Two stored batches serve a range across their seam, as a batch
+        lookup and as a cell lookup."""
+        cache = ResultCache(tmp_path / "cache.json")
+        cache.store_runs("k", 0, self._values(0, 4))
+        cache.store_runs("k", 4, self._values(4, 8))
+        assert cache.lookup_runs("k", 3, 7) == self._values(3, 7)
+        assert (cache.run_hits, cache.run_misses) == (1, 0)
+        assert cache.lookup("cell", "k", 2, 8) == self._values(2, 8)
+        assert (cache.hits, cache.misses) == (1, 0)
+        assert cache.lookup("cell", "k", 5, 9) is None
+        assert cache.misses == 1
+
     def test_prefix_spans_overlapping_batches(self, tmp_path):
         cache = ResultCache(tmp_path / "cache.json")
         cache.store_runs("k", 0, self._values(0, 3))
@@ -167,21 +180,28 @@ class TestRunRangeEntries:
         assert spec.range_key() != spec.key()
 
 
-#: One cell result, stored under many same-length keys below: every save of
-#: one such cell is the same number of bytes.
-_CELL = AggregateResult(protocol="DFSA", n_tags=50, runs=2,
-                        throughput_mean=1.25, throughput_std=0.5,
-                        empty_mean=3.0, singleton_mean=50.0,
-                        collision_mean=4.5, total_slots_mean=57.5,
-                        resolved_mean=0.0)
-
-
+#: One run, stored as a one-run range under many same-length keys below:
+#: every save of one such range is the same number of bytes.
 _RUN = RunMetrics(throughput=1.5, empty_slots=3, singleton_slots=50,
                   collision_slots=4, total_slots=57, resolved_from_collision=0)
 
 
+#: Run 1 of a two-range cell.
+_SECOND = dataclasses.replace(_RUN, throughput=2.5)
+
+
 def _key(index: int) -> str:
     return f"{index:064x}"
+
+
+def _store(cache: ResultCache, index: int) -> None:
+    """Store cell ``index``: one run under its base key."""
+    cache.store_runs(_key(index), 0, [_RUN])
+
+
+def _served(cache: ResultCache, index: int) -> list[RunMetrics] | None:
+    """The cell lookup of cell ``index``'s one run."""
+    return cache.lookup(_key(index), _key(index), 0, 1)
 
 
 def _cache(path, signature="tree-a") -> ResultCache:
@@ -197,8 +217,9 @@ class TestAppendOnlyLog:
     wrong answer."""
 
     def test_a_save_writes_only_its_new_entries(self, tmp_path):
-        """O(new entries) per save: the 200th save of one cell writes as
-        many bytes as the 2nd, and leaves the earlier bytes in place."""
+        """O(new ranges) per save: the 200th save of one cell's range
+        writes as many bytes as the 2nd, and leaves the earlier bytes in
+        place."""
         io = Path("/proc/self/io")
         if not io.exists():
             pytest.skip("needs the kernel's per-process write counter")
@@ -212,7 +233,7 @@ class TestAppendOnlyLog:
         cache = _cache(path)
         written, before = [], b""
         for index in range(200):
-            cache.store(_key(index), _CELL)
+            _store(cache, index)
             started = bytes_written()
             cache.save()
             written.append(bytes_written() - started)
@@ -226,18 +247,18 @@ class TestAppendOnlyLog:
                                                       monkeypatch):
         path = tmp_path / "cache.json"
         cache = _cache(path)
-        cache.store(_key(0), _CELL)
+        _store(cache, 0)
         cache.save()
         inode = path.stat().st_ino
         replaced = []
         monkeypatch.setattr(os, "replace",
                             lambda *args: replaced.append(args))
         for index in range(1, 4):
-            cache.store(_key(index), _CELL)
+            _store(cache, index)
             cache.save()
         assert replaced == []
         assert path.stat().st_ino == inode
-        assert [sorted(line["entries"]) for line in _lines(path)] \
+        assert [sorted(line["runs"]) for line in _lines(path)] \
             == [[_key(index)] for index in range(4)]
 
     def test_a_torn_last_line_costs_only_its_save(self, tmp_path,
@@ -245,14 +266,14 @@ class TestAppendOnlyLog:
         path = tmp_path / "cache.json"
         cache = _cache(path)
         for index in range(2):
-            cache.store(_key(index), _CELL)
+            _store(cache, index)
             cache.save()
         first, second = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(first + second[:len(second) // 2])
         with observe() as observation:
             reloaded = _cache(path)
-        assert reloaded.lookup(_key(0)) == _CELL
-        assert reloaded.lookup(_key(1)) is None
+        assert _served(reloaded, 0) == [_RUN]
+        assert _served(reloaded, 1) is None
         assert [e.fields["reason"] for e in observation.events.events
                 if e.name == "cache_invalidated"] \
             == ["torn or unparseable line dropped"]
@@ -265,7 +286,7 @@ class TestAppendOnlyLog:
             replace(source, target)
 
         monkeypatch.setattr(os, "replace", spy)
-        reloaded.store(_key(2), _CELL)
+        _store(reloaded, 2)
         reloaded.save()
         assert replaced == [path]
         assert path.read_bytes().endswith(b"\n")
@@ -273,7 +294,7 @@ class TestAppendOnlyLog:
         with observe() as observation:
             repaired = _cache(path)
         assert len(repaired) == 2
-        assert repaired.lookup(_key(1)) is None
+        assert _served(repaired, 1) is None
         assert not [e for e in observation.events.events
                     if e.name == "cache_invalidated"]
 
@@ -281,14 +302,14 @@ class TestAppendOnlyLog:
         path = tmp_path / "cache.json"
         path.write_text(json.dumps({
             "signature": "tree-b",
-            "entries": {_key(9): dataclasses.asdict(_CELL)}}) + "\n")
+            "runs": {_key(9): {"0-1": [_RUN.to_list()]}}}) + "\n")
         cache = _cache(path)
         assert len(cache) == 0
-        cache.store(_key(0), _CELL)
+        _store(cache, 0)
         cache.save()
         (line,) = _lines(path)
         assert line["signature"] == "tree-a"
-        assert list(line["entries"]) == [_key(0)]
+        assert list(line["runs"]) == [_key(0)]
 
     def test_a_failed_rewrite_leaves_the_old_file_whole(self, tmp_path,
                                                         monkeypatch):
@@ -300,7 +321,7 @@ class TestAppendOnlyLog:
 
         monkeypatch.setattr(os, "replace", killed)
         cache = _cache(path)
-        cache.store(_key(0), _CELL)
+        _store(cache, 0)
         cache.save()
         assert path.read_text() == "{ not json"
         assert sorted(tmp_path.iterdir()) == [path]
@@ -309,36 +330,36 @@ class TestAppendOnlyLog:
         path = tmp_path / "cache.json"
         tree_a = _cache(path, "tree-a")
         tree_b = _cache(path, "tree-b")
-        tree_a.store(_key(0), _CELL)
+        _store(tree_a, 0)
         tree_a.save()
-        tree_b.store(_key(1), _CELL)
+        _store(tree_b, 1)
         tree_b.save()  # tree-b's load saw no file: it rewrites
-        tree_a.store(_key(2), _CELL)
+        _store(tree_a, 2)
         tree_a.save()  # tree-a's log is clean: it appends to tree-b's file
         assert [line["signature"] for line in _lines(path)] \
             == ["tree-b", "tree-a"]
         reader_b = _cache(path, "tree-b")
-        assert reader_b.lookup(_key(1)) == _CELL
-        assert reader_b.lookup(_key(2)) is None
+        assert _served(reader_b, 1) == [_RUN]
+        assert _served(reader_b, 2) is None
         assert len(_cache(path, "tree-a")) == 0
 
     def test_two_writers_of_one_tree_both_reload_fully(self, tmp_path):
         path = tmp_path / "cache.json"
         seed = _cache(path)
-        seed.store(_key(0), _CELL)
+        _store(seed, 0)
         seed.store_runs("k", 0, TestRunRangeEntries._values(0, 2))
         seed.save()
         first, second = _cache(path), _cache(path)
-        first.store(_key(1), _CELL)
+        _store(first, 1)
         first.save()
-        second.store(_key(2), _CELL)
+        _store(second, 2)
         second.store_runs("k", 2, TestRunRangeEntries._values(2, 5))
         second.save()
-        first.store(_key(3), _CELL)
+        _store(first, 3)
         first.save()
         reloaded = _cache(path)
-        assert [reloaded.lookup(_key(index)) for index in range(4)] \
-            == [_CELL] * 4
+        assert [_served(reloaded, index) for index in range(4)] \
+            == [[_RUN]] * 4
         assert reloaded.run_prefix("k", 10) \
             == TestRunRangeEntries._values(0, 5)
         assert len(_lines(path)) == 4
@@ -347,7 +368,7 @@ class TestAppendOnlyLog:
         (json.dumps({"signature": "tree-b"}) + "\n",
          "signature mismatch (source tree or schema changed)"),
         (json.dumps({"signature": "tree-a",
-                     "entries": {_key(0): {"bogus": 1}}}) + "\n",
+                     "runs": {_key(0): {"0-1": [{"bogus": 1}]}}}) + "\n",
          "entry shape mismatch"),
         (json.dumps({"signature": "tree-a"}) + "\n{\"signa",
          "torn or unparseable line dropped"),
@@ -381,8 +402,8 @@ class TestPackageSignature:
 
 
 class TestBound:
-    """At most ``MAX_ENTRIES`` cells plus run ranges, in memory and on
-    disk; the least recently used go first."""
+    """At most ``MAX_ENTRIES`` run ranges, in memory and on disk; the
+    least recently used cell's ranges go first, together."""
 
     def test_storing_past_the_bound_keeps_memory_and_file_bounded(
             self, tmp_path):
@@ -390,36 +411,35 @@ class TestBound:
         cache = _cache(path)
         stored = 3 * MAX_ENTRIES
         for index in range(stored):
-            cache.store(_key(index), _CELL)
-            if index % 2 == 0:
-                cache.store_runs(_key(index), 0, [_RUN])
+            _store(cache, index)
+            if index % 2 == 0:  # a second range of the same cell
+                cache.store_runs(_key(index), 1, [_SECOND])
             if index == 10:
-                assert cache.lookup(_key(0)) == _CELL  # a refresh
+                assert _served(cache, 0) == [_RUN]  # a refresh
             if index == 2735:
                 # Past the bound: what was stored before the refresh goes
                 # first, and the refreshed entry outlives it.
-                assert cache.lookup(_key(1)) is None
-                assert cache.lookup(_key(0)) == _CELL
+                assert _served(cache, 1) is None
+                assert _served(cache, 0) == [_RUN]
             if index % 256 == 255:
                 cache.save()
                 assert path.stat().st_size <= 2 * _bytes_per_entry(path) \
                     * (2 * MAX_ENTRIES + 256 * 3 // 2)
         cache.save()
         assert len(cache) <= MAX_ENTRIES
-        assert cache.lookup(_key(stored - 1)) == _CELL
-        assert cache.lookup(_key(0)) is None  # evicted at last
-        assert cache.lookup(_key(MAX_ENTRIES)) is None
+        assert _served(cache, stored - 1) == [_RUN]
+        assert _served(cache, 0) is None  # evicted at last
+        assert _served(cache, MAX_ENTRIES) is None
         grown = path.stat().st_size
         reloaded = _cache(path)
         compacted = path.stat().st_size
         assert len(_lines(path)) == 1
         assert compacted <= grown
         held = _lines(path)[0]
-        assert len(held["entries"]) + sum(map(len, held["runs"].values())) \
-            <= MAX_ENTRIES
-        assert len(reloaded) == len(held["entries"]) > 0
-        assert reloaded.lookup(_key(stored - 1)) == _CELL
-        assert reloaded.run_prefix(_key(stored - 2), 1) == [_RUN]
+        assert len(reloaded) == sum(map(len, held["runs"].values())) > 0
+        assert len(reloaded) <= MAX_ENTRIES
+        assert _served(reloaded, stored - 1) == [_RUN]
+        assert reloaded.run_prefix(_key(stored - 2), 5) == [_RUN, _SECOND]
         # A second load finds nothing to compact.
         _cache(path)
         assert path.stat().st_size == compacted
@@ -428,15 +448,15 @@ class TestBound:
         path = tmp_path / "cache.json"
         cache = _cache(path)
         for index in range(MAX_ENTRIES + 8):
-            cache.store(_key(index), _CELL)
-        hits = [cache.lookup(_key(index))
+            _store(cache, index)
+        hits = [_served(cache, index)
                 for index in range(MAX_ENTRIES + 8)]
-        assert set(map(id, hits)) <= {id(None), id(_CELL)}
-        assert hits.count(_CELL) == MAX_ENTRIES
+        assert all(hit is None or hit == [_RUN] for hit in hits)
+        assert hits.count([_RUN]) == MAX_ENTRIES
         assert hits[:8] == [None] * 8
 
 
 def _bytes_per_entry(path) -> int:
     held = _lines(path)[-1]
-    count = len(held["entries"]) + sum(map(len, held["runs"].values()))
+    count = sum(map(len, held["runs"].values()))
     return len(path.read_text().splitlines()[-1]) // max(count, 1) + 1
