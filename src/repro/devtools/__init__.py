@@ -8,8 +8,8 @@ hangs on hash order or float rounding, worker code leaning on module
 globals across the fork, float-literal equality in the numeric code, and
 vectorized kernels without a paired scalar reference.  It is a two-pass
 whole-program lint engine: pass 1 indexes every module (symbol tables,
-call records, function signatures, module-global access); pass 2 runs the
-cross-file rules over that index.
+call records, module-global access); pass 2 runs the cross-file rules
+over that index.
 ``repro-lint src`` runs it from the command line and
 ``tests/test_static_analysis.py`` runs it in tier-1 CI.
 
@@ -19,7 +19,7 @@ which rules stay.
 """
 
 from repro.devtools.config import DEFAULT_CONFIG, LintConfig
-from repro.devtools.dataflow import TagFlow, build_cfg, global_access
+from repro.devtools.dataflow import global_access
 from repro.devtools.engine import LintEngine
 from repro.devtools.findings import Finding, LintReport
 from repro.devtools.index import (
@@ -42,8 +42,6 @@ from repro.devtools.rules import (
 __all__ = [
     "DEFAULT_CONFIG",
     "LintConfig",
-    "TagFlow",
-    "build_cfg",
     "global_access",
     "LintEngine",
     "Finding",

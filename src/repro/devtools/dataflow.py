@@ -1,4 +1,4 @@
-"""Intraprocedural data-flow analysis: CFG, tag lattice, global access.
+"""Intraprocedural data-flow analysis: tag map, global access.
 
 The R1 and R3 rules see *occurrences* -- a call here, a comparison there.
 R10 and R11 need to know how values *flow*: which names hold a Generator
@@ -6,30 +6,27 @@ when a loop body draws from it, and which module globals a
 worker-reachable function touches.  This module supplies the shared
 machinery:
 
-* :func:`build_cfg` -- a statement-level control-flow graph per function
-  (compound statements contribute their *header* -- test, iterator,
-  context expression -- as a CFG statement; their bodies become successor
-  blocks, with back edges for loops and conservative edges for ``try``).
-* :class:`TagFlow` -- a small abstract-value lattice (sets of
-  :data:`TAG_RNG` / :data:`TAG_UNORDERED` tags, joined by union at CFG
-  merge points) propagated through assignments, containers and calls.
-  ``sorted(...)`` launders the unordered tag; ``list(...)``/``tuple(...)``
-  keep it (materializing a set does not order it).
+* :func:`tag_map` -- one flow-insensitive map per function from each name
+  to a set of :data:`TAG_RNG` / :data:`TAG_UNORDERED` tags: every binding
+  of the name (assignment, augmented assignment, ``for`` or ``with``
+  target) unions its value's tags into the name's entry.  Tags propagate
+  through containers and calls; ``sorted(...)`` launders the unordered
+  tag; ``list(...)``/``tuple(...)`` keep it (materializing a set does not
+  order it).
 * :func:`global_access` -- per-function reads/writes of module-level
   names, the summaries the fork-safety rule (R11) aggregates over the
   call graph.
 
 Everything here is deliberately conservative in the direction each client
-rule needs: tag sets over-approximate (more flow reported than real), so
-a *hazard* finding rests on provable flow, while the absence of a tag
-never fires anything.
+rule needs: a name's tags cover every value any path could bind to it
+(more flow reported than real), while the absence of a tag never fires
+anything.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 TAG_RNG = "rng"
 TAG_UNORDERED = "unordered"
@@ -47,172 +44,6 @@ _TRANSPARENT_CALLS = {"list", "tuple", "iter", "reversed", "enumerate"}
 
 #: Generator-typed annotations that seed the RNG tag on parameters.
 _RNG_ANNOTATIONS = ("Generator", "SeedSequence")
-
-
-# ---------------------------------------------------------------------------
-# control-flow graph
-
-@dataclass
-class Block:
-    """One basic block: CFG-statement ids plus successor block ids."""
-
-    id: int
-    stmts: list[int] = field(default_factory=list)
-    succs: set[int] = field(default_factory=set)
-
-
-@dataclass
-class ControlFlowGraph:
-    """Statement-level CFG of one function body."""
-
-    blocks: list[Block] = field(default_factory=list)
-    #: CFG-statement id -> the AST statement it stands for.
-    stmts: list[ast.stmt] = field(default_factory=list)
-
-    def new_block(self) -> Block:
-        block = Block(id=len(self.blocks))
-        self.blocks.append(block)
-        return block
-
-    def preds(self) -> dict[int, set[int]]:
-        incoming: dict[int, set[int]] = {b.id: set() for b in self.blocks}
-        for block in self.blocks:
-            for succ in block.succs:
-                incoming[succ].add(block.id)
-        return incoming
-
-
-_TERMINATORS = (ast.Return, ast.Raise, ast.Break, ast.Continue)
-
-
-class _CFGBuilder:
-    def __init__(self) -> None:
-        self.cfg = ControlFlowGraph()
-        self.current = self.cfg.new_block()
-        #: (loop header block id, loop exit block id) innermost-last.
-        self.loops: list[tuple[int, int]] = []
-
-    def _add(self, node: ast.stmt) -> int:
-        stmt_id = len(self.cfg.stmts)
-        self.cfg.stmts.append(node)
-        self.current.stmts.append(stmt_id)
-        return stmt_id
-
-    def _edge(self, source: int, target: int) -> None:
-        self.cfg.blocks[source].succs.add(target)
-
-    def _start_block(self, *preds: int) -> Block:
-        block = self.cfg.new_block()
-        for pred in preds:
-            self._edge(pred, block.id)
-        return block
-
-    def build(self, body: Sequence[ast.stmt]) -> ControlFlowGraph:
-        self._body(body)
-        return self.cfg
-
-    def _body(self, body: Sequence[ast.stmt]) -> None:
-        for node in body:
-            self._stmt(node)
-
-    def _stmt(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.If):
-            self._if(node)
-        elif isinstance(node, (ast.While, ast.For, ast.AsyncFor)):
-            self._loop(node)
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            self._add(node)
-            self._body(node.body)
-        elif isinstance(node, ast.Try):
-            self._try(node)
-        elif isinstance(node, ast.Match):
-            self._match(node)
-        else:
-            self._add(node)
-            if isinstance(node, _TERMINATORS):
-                self._terminate(node)
-
-    def _terminate(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Break) and self.loops:
-            self._edge(self.current.id, self.loops[-1][1])
-        elif isinstance(node, ast.Continue) and self.loops:
-            self._edge(self.current.id, self.loops[-1][0])
-        # Whatever lexically follows is unreachable from here; give it a
-        # fresh predecessor-less block so defs do not leak across.
-        self.current = self.cfg.new_block()
-
-    def _if(self, node: ast.If) -> None:
-        self._add(node)
-        header = self.current.id
-        self.current = self._start_block(header)
-        self._body(node.body)
-        then_exit = self.current.id
-        if node.orelse:
-            self.current = self._start_block(header)
-            self._body(node.orelse)
-            else_exit = self.current.id
-            self.current = self._start_block(then_exit, else_exit)
-        else:
-            self.current = self._start_block(then_exit, header)
-
-    def _loop(self, node: ast.While | ast.For | ast.AsyncFor) -> None:
-        entry = self.current.id
-        header = self._start_block(entry)
-        self.current = header
-        self._add(node)
-        exit_block = self.cfg.new_block()
-        body_entry = self._start_block(header.id)
-        if not node.orelse:
-            # With an ``else`` clause the *only* normal exit runs through
-            # it (header -> else -> exit); ``break`` still edges straight
-            # to the exit block, correctly bypassing the else body.
-            self._edge(header.id, exit_block.id)
-        self.loops.append((header.id, exit_block.id))
-        self.current = body_entry
-        self._body(node.body)
-        self._edge(self.current.id, header.id)  # back edge
-        self.loops.pop()
-        if node.orelse:
-            self.current = self._start_block(header.id)
-            self._body(node.orelse)
-            self._edge(self.current.id, exit_block.id)
-        self.current = exit_block
-
-    def _try(self, node: ast.Try) -> None:
-        entry = self.current.id
-        self.current = self._start_block(entry)
-        self._body(node.body)
-        body_exit = self.current.id
-        exits = [body_exit]
-        for handler in node.handlers:
-            # Conservative: an exception may fire before or after any
-            # statement of the body, so the handler sees defs from both
-            # the entry and the body's end.
-            self.current = self._start_block(entry, body_exit)
-            self._body(handler.body)
-            exits.append(self.current.id)
-        if node.orelse:
-            self.current = self._start_block(body_exit)
-            self._body(node.orelse)
-            exits[0] = self.current.id
-        self.current = self._start_block(*exits)
-        if node.finalbody:
-            self._body(node.finalbody)
-
-    def _match(self, node: ast.Match) -> None:
-        self._add(node)
-        header = self.current.id
-        exits = [header]  # no case may match
-        for case in node.cases:
-            self.current = self._start_block(header)
-            self._body(case.body)
-            exits.append(self.current.id)
-        self.current = self._start_block(*exits)
-
-
-def build_cfg(body: Sequence[ast.stmt]) -> ControlFlowGraph:
-    """Statement-level CFG of a function body (or any statement list)."""
-    return _CFGBuilder().build(body)
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +99,13 @@ def _header_exprs(node: ast.stmt) -> list[ast.expr]:
     return []
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _COMPOUND = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.With,
-             ast.AsyncWith, ast.Try, ast.Match, ast.FunctionDef,
-             ast.AsyncFunctionDef, ast.ClassDef)
+             ast.AsyncWith, ast.Try, ast.Match, *_SCOPES)
 
 
 def stmt_use_exprs(node: ast.stmt) -> list[ast.expr]:
-    """Expressions evaluated by this CFG statement (bodies excluded)."""
+    """Expressions evaluated by this statement (bodies excluded)."""
     if isinstance(node, _COMPOUND):
         return _header_exprs(node)
     return [child for child in ast.iter_child_nodes(node)
@@ -361,89 +192,55 @@ def seed_param_tags(func: ast.FunctionDef | ast.AsyncFunctionDef
     return env
 
 
-class TagFlow:
-    """Fixpoint tag propagation over a function's CFG.
+def _own_statements(node: ast.AST) -> Iterator[ast.stmt]:
+    """Statements of ``node``'s body at any depth, nested scopes excluded."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+            if not isinstance(child, _SCOPES):
+                yield from _own_statements(child)
+        elif isinstance(child, (ast.excepthandler, ast.match_case)):
+            yield from _own_statements(child)
 
-    ``at(stmt)`` returns the name -> tags environment holding when the
-    given AST statement starts executing (keyed by object identity, so
-    callers walk the same tree they analyzed).
+
+def _bindings(node: ast.stmt) -> list[tuple[ast.expr, ast.expr]]:
+    """``(target, value)`` pairs a statement binds tags through."""
+    if isinstance(node, ast.Assign):
+        return [(target, node.value) for target in node.targets]
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)) \
+            and node.value is not None:
+        return [(node.target, node.value)]
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        return [(node.target, node.iter)]
+    if isinstance(node, (ast.With, ast.AsyncWith)):
+        return [(item.optional_vars, item.context_expr)
+                for item in node.items if item.optional_vars is not None]
+    return []
+
+
+def tag_map(func: ast.FunctionDef | ast.AsyncFunctionDef
+            ) -> dict[str, Tags]:
+    """One flow-insensitive name -> tags map for a whole function.
+
+    Every binding of a name unions its value's tags into the name's one
+    entry, iterated to a fixpoint over the function's own statements
+    (nested defs get their own map).  The map holds every tag any path
+    could give the name anywhere in the body.
     """
-
-    def __init__(self, func: ast.FunctionDef | ast.AsyncFunctionDef
-                 ) -> None:
-        self.cfg = build_cfg(func.body)
-        self._entry_env = seed_param_tags(func)
-        self._at: dict[int, dict[str, Tags]] = {}
-        self._solve()
-
-    def at(self, stmt: ast.stmt) -> dict[str, Tags]:
-        return self._at.get(id(stmt), {})
-
-    def _solve(self) -> None:
-        block_in: dict[int, dict[str, Tags]] = {
-            block.id: {} for block in self.cfg.blocks}
-        block_in[0] = dict(self._entry_env)
-        preds = self.cfg.preds()
-        changed = True
-        while changed:
-            changed = False
-            for block in self.cfg.blocks:
-                envs = [self._transfer_block(p, block_in)
-                        for p in sorted(preds[block.id])]
-                if block.id == 0:
-                    envs.append(dict(self._entry_env))
-                env = _join_tags(envs or [{}])
-                if env != block_in[block.id]:
-                    block_in[block.id] = env
+    env = seed_param_tags(func)
+    bindings = [pair for node in _own_statements(func)
+                for pair in _bindings(node)]
+    changed = True
+    while changed:
+        changed = False
+        for target, value in bindings:
+            tags = tags_of_expr(value, env)
+            for name in _target_names(target):
+                held = env.get(name, frozenset())
+                if not tags <= held:
+                    env[name] = held | tags
                     changed = True
-        for block in self.cfg.blocks:
-            env = dict(block_in[block.id])
-            for stmt_id in block.stmts:
-                node = self.cfg.stmts[stmt_id]
-                self._at[id(node)] = dict(env)
-                self._transfer_stmt(node, env)
-
-    def _transfer_block(self, block_id: int,
-                        block_in: dict[int, dict[str, Tags]]
-                        ) -> dict[str, Tags]:
-        env = dict(block_in[block_id])
-        for stmt_id in self.cfg.blocks[block_id].stmts:
-            self._transfer_stmt(self.cfg.stmts[stmt_id], env)
-        return env
-
-    def _transfer_stmt(self, node: ast.stmt,
-                       env: dict[str, Tags]) -> None:
-        if isinstance(node, ast.Assign):
-            tags = tags_of_expr(node.value, env)
-            for target in node.targets:
-                for name in _target_names(target):
-                    env[name] = tags
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            for name in _target_names(node.target):
-                env[name] = tags_of_expr(node.value, env)
-        elif isinstance(node, ast.AugAssign):
-            extra = tags_of_expr(node.value, env)
-            for name in _target_names(node.target):
-                env[name] = env.get(name, frozenset()) | extra
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
-            tags = tags_of_expr(node.iter, env)
-            for name in _target_names(node.target):
-                env[name] = tags
-        elif isinstance(node, (ast.With, ast.AsyncWith)):
-            for item in node.items:
-                if item.optional_vars is None:
-                    continue
-                tags = tags_of_expr(item.context_expr, env)
-                for name in _target_names(item.optional_vars):
-                    env[name] = tags
-
-
-def _join_tags(envs: Sequence[dict[str, Tags]]) -> dict[str, Tags]:
-    joined: dict[str, Tags] = {}
-    for env in envs:
-        for name, tags in env.items():
-            joined[name] = joined.get(name, frozenset()) | tags
-    return joined
+    return env
 
 
 # ---------------------------------------------------------------------------

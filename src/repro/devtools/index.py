@@ -1,15 +1,16 @@
 """Pass 1 of the whole-program analyzer: the project index.
 
 For every module the engine builds a :class:`ModuleIndex` -- import aliases,
-class bases, module-level OS handles and a :class:`FunctionInfo` per
-function or method holding its signature (parameter names and
-annotations), every call it makes (callee as written) and its
+class names, module-level OS handles and a :class:`FunctionInfo` per
+function or method holding every call it makes (callee as written) and its
 module-global reads and writes.
 
 :class:`ProjectIndex` assembles the per-module records into whole-program
-structure: a global function table, alias-aware call resolution (falling
-back to name-based method matching, the classic cheap-call-graph move) and
-the call graph the fork-safety rule walks.
+structure: a global function table, alias-aware call resolution and the
+call graph the fork-safety rule walks.  A receiver call that no import
+resolves (``timing.session_seconds()``, whatever ``timing`` is annotated
+as) matches every method of that name -- the classic cheap-call-graph
+move, which over-approximates every typed resolution.
 
 Nested functions are folded into their enclosing function: their calls
 count as the parent's, so closures do not break the call graph.  Imports
@@ -38,20 +39,11 @@ class CallInfo:
 
 
 @dataclass
-class ParamInfo:
-    """One parameter (``self``/``cls`` are never recorded)."""
-
-    name: str
-    annotation: str | None = None
-
-
-@dataclass
 class FunctionInfo:
     """One function/method (or the synthetic dataclass constructor)."""
 
     qualname: str  # ``func`` or ``Class.method`` within the module
     lineno: int
-    params: list[ParamInfo] = field(default_factory=list)
     calls: list[CallInfo] = field(default_factory=list)
     #: Module-global reads ``(name, line)`` inside this function.
     global_reads: list[tuple[str, int]] = field(default_factory=list)
@@ -71,12 +63,6 @@ class FunctionInfo:
             return self.qualname.split(".", 1)[0]
         return None
 
-    def param(self, name: str) -> ParamInfo | None:
-        for info in self.params:
-            if info.name == name:
-                return info
-        return None
-
 
 @dataclass
 class ModuleIndex:
@@ -91,8 +77,6 @@ class ModuleIndex:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: names of classes defined in this module.
     classes: tuple[str, ...] = ()
-    #: class name -> base-class names as written (virtual dispatch input).
-    class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: module globals bound to OS handles (open files, locks, queues).
     handle_globals: tuple[str, ...] = ()
 
@@ -139,15 +123,6 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if name and name.rsplit(".", 1)[-1] in _DATACLASS_NAMES:
             return True
     return False
-
-
-def _annotation_str(node: ast.expr | None) -> str | None:
-    if node is None:
-        return None
-    try:
-        return ast.unparse(node)
-    except Exception:  # pragma: no cover - malformed annotation
-        return None
 
 
 #: Call tails whose module-level result is an OS handle a forked worker
@@ -202,47 +177,25 @@ class _ModuleIndexer:
     # -- classes -----------------------------------------------------------
 
     def _index_class(self, node: ast.ClassDef) -> None:
-        bases = tuple(name for name in (_dotted(base)
-                                        for base in node.bases)
-                      if name is not None)
-        if bases:
-            self.index.class_bases[node.name] = bases
-        fields: list[ParamInfo] = []
         has_init = False
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if item.name == "__init__":
                     has_init = True
                 self._index_function(item, class_name=node.name)
-            elif isinstance(item, ast.AnnAssign) \
-                    and isinstance(item.target, ast.Name):
-                name = item.target.id
-                annotation = _annotation_str(item.annotation)
-                if annotation and annotation.startswith("ClassVar"):
-                    continue
-                fields.append(ParamInfo(name=name, annotation=annotation))
-        if fields and not has_init and _is_dataclass(node):
+        if not has_init and _is_dataclass(node):
             # Synthetic constructor: `Class(...)` call sites resolve to it.
             self.index.functions[f"{node.name}.__init__"] = FunctionInfo(
-                qualname=f"{node.name}.__init__", lineno=node.lineno,
-                params=fields)
+                qualname=f"{node.name}.__init__", lineno=node.lineno)
 
     # -- functions ---------------------------------------------------------
 
     def _index_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                         class_name: str | None) -> None:
         qualname = f"{class_name}.{node.name}" if class_name else node.name
-        args = node.args
-        positional = [*args.posonlyargs, *args.args]
-        if class_name and positional \
-                and positional[0].arg in ("self", "cls"):
-            positional = positional[1:]
-        params = [ParamInfo(name=param.arg,
-                            annotation=_annotation_str(param.annotation))
-                  for param in [*positional, *args.kwonlyargs]]
         reads, writes = global_access(node, self.module_globals)
         info = FunctionInfo(
-            qualname=qualname, lineno=node.lineno, params=params,
+            qualname=qualname, lineno=node.lineno,
             global_reads=reads, global_writes=writes)
         for statement in node.body:
             self._collect_calls(statement, info)
@@ -305,36 +258,6 @@ class ProjectIndex:
                 if info.class_name is not None:
                     self._by_method.setdefault(info.name, []).append(
                         Callee(module=module, function=info))
-        self._subclasses = self._build_subclass_map()
-
-    def _build_subclass_map(self) -> dict[str, set[str]]:
-        """Base class dotted path -> transitive subclass dotted paths."""
-        direct: dict[str, set[str]] = {}
-        for module in self.modules.values():
-            for name, bases in module.class_bases.items():
-                child = f"{module.dotted}.{name}"
-                for base in bases:
-                    if base in module.classes:
-                        resolved: str | None = f"{module.dotted}.{base}"
-                    else:
-                        head, *rest = base.split(".")
-                        target = module.aliases.get(head)
-                        resolved = ".".join([target, *rest]) \
-                            if target else None
-                    if resolved is not None:
-                        direct.setdefault(resolved, set()).add(child)
-        closed: dict[str, set[str]] = {}
-        for root in direct:
-            seen: set[str] = set()
-            frontier = list(direct[root])
-            while frontier:
-                child = frontier.pop()
-                if child in seen:
-                    continue
-                seen.add(child)
-                frontier.extend(direct.get(child, ()))
-            closed[root] = seen
-        return closed
 
     # -- lookups -----------------------------------------------------------
 
@@ -403,44 +326,7 @@ class ProjectIndex:
         resolved = self._resolve_alias_chain(aliases, call.raw)
         if resolved is not None:
             return [resolved]
-        # Receiver annotated with a known class?  `timing.session_seconds()`
-        # resolves through the `timing: TimingModel` annotation.
-        if len(parts) == 2:
-            receiver = caller.param(parts[0])
-            if receiver is not None and receiver.annotation:
-                class_target = self._annotation_class(
-                    module, receiver.annotation)
-                if class_target is not None:
-                    candidates = []
-                    method = self._function_at(
-                        f"{class_target}.{parts[1]}")
-                    if method is not None:
-                        candidates.append(method)
-                    # Virtual dispatch: a subclass instance may flow in
-                    # through the base-typed parameter, so every override
-                    # is a candidate too.
-                    for sub in sorted(self._subclasses.get(
-                            class_target, ())):
-                        override = self._function_at(f"{sub}.{parts[1]}")
-                        if override is not None:
-                            candidates.append(override)
-                    if candidates:
-                        return candidates
         return self._by_method.get(parts[-1], [])
-
-    def _annotation_class(self, module: ModuleIndex,
-                          annotation: str) -> str | None:
-        """Dotted path of the class an annotation names, if known."""
-        name = annotation.replace(" | None", "").strip()
-        if not name.replace(".", "").replace("_", "").isalnum():
-            return None
-        head = name.split(".")[0]
-        if name in module.classes:
-            return f"{module.dotted}.{name}"
-        target = module.aliases.get(head)
-        if target is None:
-            return None
-        return ".".join([target, *name.split(".")[1:]])
 
     # -- call graph --------------------------------------------------------
 

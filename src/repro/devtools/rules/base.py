@@ -3,8 +3,8 @@
 A rule sees either one parsed module at a time (:meth:`Rule.check_module`)
 or the whole project at once (:meth:`Rule.check_project`) for cross-file
 invariants.  Project rules get both the parsed modules *and* the pass-1
-:class:`~repro.devtools.index.ProjectIndex` (symbol tables, signatures,
-call records, global-access summaries) on ``project.index``.  Rules yield
+:class:`~repro.devtools.index.ProjectIndex` (symbol tables, call
+records, global-access summaries) on ``project.index``.  Rules yield
 :class:`~repro.devtools.findings.Finding` objects, and every one blocks.
 """
 

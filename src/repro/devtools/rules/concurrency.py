@@ -3,14 +3,18 @@
 Both rules guard the parallel==serial bit-identity contract of the sweep
 executor, from two directions.
 
-**R10 (``rng-order``)** is per-module data-flow: values minted by
+**R10 (``rng-order``)** is per-function data-flow: values minted by
 ``default_rng``/``rng_from_seed``/``spawn_run_seeds`` are tracked through
-the tag lattice of :mod:`repro.devtools.dataflow`, and a *draw* (any method
-call on an RNG-tagged receiver) is flagged when its execution count or
-order depends on something unordered -- iteration over a ``set`` or dict
-view, or a loop bounded by a float-equality comparison.  A Generator
-stored in a module global is flagged outright: its draw position becomes
-shared mutable state between call sites.
+the function's one tag map (:func:`repro.devtools.dataflow.tag_map`), and
+a *draw* (any method call on a receiver that may be RNG-tagged) is flagged
+when its execution count or order depends on something that may be
+unordered -- iteration over a ``set`` or dict view, or a loop bounded by a
+float-equality comparison.  The map is flow-insensitive: a name that is
+*ever* bound to a set counts as unordered everywhere in the function, so
+``names = sorted(names)`` does not launder ``names`` -- bind the sorted
+list to a new name.  A Generator stored in a module global is flagged
+outright: its draw position becomes shared mutable state between call
+sites.
 
 **R11 (``fork-safety``)** is whole-program: every function reachable from
 a worker entry point (``LintConfig.worker_roots``) runs on the far side of
@@ -21,8 +25,10 @@ flags worker-reachable writes to module globals and reads of module-level
 OS handles (open files, locks: shared kernel state that must not cross the
 fork).  Audited globals are allow-listed in
 ``LintConfig.fork_safe_globals``.  Call-graph reachability is name-based
-and over-approximate, which is the conservative direction here: nothing
-that truly runs in a worker escapes the audit.
+and over-approximate: a receiver call that no import resolves reaches
+every method of that name, whatever the receiver's type.  That is the
+conservative direction here: nothing that truly runs in a worker escapes
+the audit.
 """
 
 from __future__ import annotations
@@ -35,8 +41,8 @@ from repro.devtools.config import LintConfig
 from repro.devtools.dataflow import (
     TAG_RNG,
     TAG_UNORDERED,
-    TagFlow,
     stmt_use_exprs,
+    tag_map,
     tags_of_expr,
 )
 from repro.devtools.findings import Finding
@@ -111,21 +117,20 @@ class RngOrderSensitivity(Rule):
     def _check_function(self, module: ModuleContext,
                         func: ast.FunctionDef | ast.AsyncFunctionDef
                         ) -> Iterator[Finding]:
-        flow = TagFlow(func)
+        env = tag_map(func)
         declared_global: set[str] = set()
         for node in ast.walk(func):
             if isinstance(node, ast.Global):
                 declared_global.update(node.names)
-        yield from self._walk(module, func.body, flow, hazards=[],
+        yield from self._walk(module, func.body, env, hazards=[],
                               declared_global=declared_global)
 
     def _walk(self, module: ModuleContext, body: list[ast.stmt],
-              flow: TagFlow, hazards: list[str],
+              env: dict, hazards: list[str],
               declared_global: set[str]) -> Iterator[Finding]:
         for stmt in body:
             if isinstance(stmt, _FUNCTIONS):
-                continue  # nested defs get their own TagFlow pass
-            env = flow.at(stmt)
+                continue  # nested defs get their own tag map
             yield from self._draws_in_stmt(module, stmt, env, hazards)
             yield from self._global_rng_store(module, stmt, env,
                                               declared_global)
@@ -133,7 +138,7 @@ class RngOrderSensitivity(Rule):
             if pushed is not None:
                 hazards.append(pushed)
             for child_body in self._bodies(stmt):
-                yield from self._walk(module, child_body, flow, hazards,
+                yield from self._walk(module, child_body, env, hazards,
                                       declared_global)
             if pushed is not None:
                 hazards.pop()

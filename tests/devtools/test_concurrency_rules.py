@@ -38,6 +38,27 @@ def test_sorted_iteration_launders_the_hazard(tree):
     assert tree.rule_findings("rng-order") == []
 
 
+def test_a_name_once_bound_to_a_set_stays_unordered(tree):
+    # The tag map is flow-insensitive: ``names`` holds a set at one of its
+    # bindings, so iterating it counts as unordered even after it is
+    # rebound to the sorted list.  A new name for the sorted list is clean.
+    tree.write("repro/sim/zones.py", """\
+        def rebound(rng, zones):
+            names = set(zones)
+            names = sorted(names)
+            for name in names:
+                rng.normal()
+
+        def renamed(rng, zones):
+            names = set(zones)
+            ordered = sorted(names)
+            for name in ordered:
+                rng.normal()
+        """)
+    assert tree.rule_findings("rng-order") == [
+        "repro/sim/zones.py:5 rng-order"]
+
+
 def test_draw_inside_dict_view_iteration_is_flagged(tree):
     tree.write("repro/sim/collect.py", """\
         def jitter(rng, delays):
@@ -133,6 +154,29 @@ def test_a_function_local_import_is_followed(tree):
         """)
     assert tree.rule_findings("fork-safety") == [
         "repro/kernels/engine.py:4 fork-safety"]
+
+
+def test_a_method_called_through_an_annotated_parameter_is_reached(tree):
+    # ``clock.tick()`` resolves by method name, whatever ``clock``'s type.
+    tree.write("repro/experiments/clock.py", """\
+        TICKS = []
+
+        class Clock:
+            def tick(self):
+                TICKS.append(1)
+        """)
+    tree.write("repro/experiments/executor.py", """\
+        from repro.experiments.clock import Clock
+
+        def run(clock: Clock):
+            clock.tick()
+
+        def run_chunk(chunk, clock):
+            run(clock)
+            return list(chunk)
+        """)
+    assert tree.rule_findings("fork-safety") == [
+        "repro/experiments/clock.py:5 fork-safety"]
 
 
 def test_a_receiver_call_never_matches_a_module_function(tree):

@@ -1,4 +1,4 @@
-"""Unit tests for the data-flow layer: CFG, tags, globals."""
+"""Unit tests for the data-flow layer: tag map, globals."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ import textwrap
 from repro.devtools.dataflow import (
     TAG_RNG,
     TAG_UNORDERED,
-    TagFlow,
-    build_cfg,
     global_access,
     seed_param_tags,
+    tag_map,
     tags_of_expr,
 )
 
@@ -25,81 +24,7 @@ def _func(source: str) -> ast.FunctionDef:
 
 
 # ---------------------------------------------------------------------------
-# CFG construction
-
-def test_straight_line_is_one_block():
-    func = _func("""\
-        def f():
-            a = 1
-            b = a + 1
-            return b
-        """)
-    cfg = build_cfg(func.body)
-    assert len(cfg.stmts) == 3
-    populated = [block for block in cfg.blocks if block.stmts]
-    assert len(populated) == 1
-
-
-def test_if_else_branches_rejoin():
-    func = _func("""\
-        def f(p):
-            if p:
-                a = 1
-            else:
-                a = 2
-            return a
-        """)
-    cfg = build_cfg(func.body)
-    # The return's block must have two predecessors (then/else exits).
-    return_block = next(block for block in cfg.blocks
-                        if any(isinstance(cfg.stmts[s], ast.Return)
-                               for s in block.stmts))
-    preds = cfg.preds()[return_block.id]
-    assert len(preds) == 2
-
-
-def test_loop_has_back_edge():
-    func = _func("""\
-        def f(n):
-            total = 0
-            while n:
-                total = total + n
-            return total
-        """)
-    cfg = build_cfg(func.body)
-    header = next(block for block in cfg.blocks
-                  if any(isinstance(cfg.stmts[s], ast.While)
-                         for s in block.stmts))
-    preds = cfg.preds()[header.id]
-    assert len(preds) >= 2  # entry edge plus the back edge
-
-
-def test_break_jumps_to_loop_exit():
-    func = _func("""\
-        def f(items):
-            for item in items:
-                if item:
-                    break
-            return 1
-        """)
-    cfg = build_cfg(func.body)  # must not raise; break resolves to exit
-    assert any(isinstance(stmt, ast.Break) for stmt in cfg.stmts)
-
-
-# ---------------------------------------------------------------------------
-# which definitions reach a use (observed through the tag lattice)
-
-def test_redefinition_kills_earlier_def():
-    func = _func("""\
-        def f(seed):
-            a = default_rng(seed)
-            a = 2
-            return a
-        """)
-    flow = TagFlow(func)
-    assert TAG_RNG in flow.at(func.body[1])["a"]
-    assert TAG_RNG not in flow.at(func.body[2]).get("a", frozenset())
-
+# which bindings reach a name's entry (observed through the tag lattice)
 
 def test_branch_defs_both_reach_the_join():
     func = _func("""\
@@ -110,8 +35,7 @@ def test_branch_defs_both_reach_the_join():
                 a = set(p)
             return a
         """)
-    env = TagFlow(func).at(func.body[-1])
-    assert env["a"] == frozenset([TAG_RNG, TAG_UNORDERED])
+    assert tag_map(func)["a"] == frozenset([TAG_RNG, TAG_UNORDERED])
 
 
 def test_loop_carried_def_reaches_header():
@@ -122,32 +46,13 @@ def test_loop_carried_def_reaches_header():
                 total = default_rng(seed)
             return total
         """)
-    flow = TagFlow(func)
-    # The loop-body def flows around the back edge into the header test
-    # and on to the return.
-    assert TAG_RNG in flow.at(func.body[1])["total"]
-    assert TAG_RNG in flow.at(func.body[2])["total"]
-
-
-def test_loop_else_runs_on_normal_exit_only():
-    # The else body is the *only* normal exit: a def inside it must kill
-    # the pre-loop def at the post-loop use.
-    func = _func("""\
-        def f(n, seed):
-            x = default_rng(seed)
-            while n:
-                n = n - 1
-            else:
-                x = 1
-            return x
-        """)
-    env = TagFlow(func).at(func.body[-1])
-    assert TAG_RNG not in env.get("x", frozenset())
+    # The loop-body def reaches the header test and the return.
+    assert TAG_RNG in tag_map(func)["total"]
 
 
 def test_break_bypasses_loop_else():
-    # break edges straight to the loop exit, so the pre-loop def still
-    # reaches the post-loop use alongside the else-body def.
+    # break skips the else body, so the pre-loop def still reaches the
+    # post-loop use alongside the else-body def.
     func = _func("""\
         def f(items, seed):
             x = default_rng(seed)
@@ -158,8 +63,7 @@ def test_break_bypasses_loop_else():
                 x = set(items)
             return x
         """)
-    env = TagFlow(func).at(func.body[-1])
-    assert env["x"] == frozenset([TAG_RNG, TAG_UNORDERED])
+    assert tag_map(func)["x"] == frozenset([TAG_RNG, TAG_UNORDERED])
 
 
 def test_for_else_def_reaches_after_loop():
@@ -171,8 +75,19 @@ def test_for_else_def_reaches_after_loop():
                 y = default_rng(seed)
             return y
         """)
-    env = TagFlow(func).at(func.body[-1])
-    assert TAG_RNG in env["y"]
+    assert TAG_RNG in tag_map(func)["y"]
+
+
+def test_nested_def_bindings_stay_out_of_the_map():
+    # A nested def is its own scope and gets its own map.
+    func = _func("""\
+        def f(seed):
+            def inner():
+                a = default_rng(seed)
+                return a
+            return inner
+        """)
+    assert "a" not in tag_map(func)
 
 
 def test_comp_bound_name_is_not_an_outer_use():
@@ -197,9 +112,7 @@ def test_rng_tag_from_factory_and_through_assignment():
             alias = gen
             return alias
         """)
-    flow = TagFlow(func)
-    return_stmt = func.body[-1]
-    env = flow.at(return_stmt)
+    env = tag_map(func)
     assert TAG_RNG in env["gen"]
     assert TAG_RNG in env["alias"]
 
@@ -253,9 +166,7 @@ def test_branch_join_unions_tags():
             use = value
             return use
         """)
-    flow = TagFlow(func)
-    env = flow.at(func.body[-1])
-    assert TAG_RNG in env["value"]  # may-analysis: either branch counts
+    assert TAG_RNG in tag_map(func)["value"]  # either branch counts
 
 
 # ---------------------------------------------------------------------------
