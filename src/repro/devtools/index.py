@@ -10,7 +10,8 @@ structure: a global function table, alias-aware call resolution and the
 call graph the fork-safety rule walks.  A receiver call that no import
 resolves (``timing.session_seconds()``, whatever ``timing`` is annotated
 as) matches every method of that name -- the classic cheap-call-graph
-move, which over-approximates every typed resolution.
+move, which over-approximates every typed resolution.  ``self.m()`` does
+too, so a subclass's override of ``m`` is reached.
 
 Nested functions are folded into their enclosing function: their calls
 count as the parent's, so closures do not break the call graph.  Imports
@@ -298,17 +299,13 @@ class ProjectIndex:
 
         Exactly-resolved targets come back as a single candidate; receiver
         calls that cannot be resolved lexically fall back to matching every
-        known method of that name.
+        known method of that name.  So do ``self.m()`` and ``cls.m()``: a
+        subclass may override ``m``.
         """
         parts = call.raw.split(".")
         aliases = {**module.aliases, **caller.aliases} if caller.aliases \
             else module.aliases
-        caller_class = caller.class_name
-        if parts[0] in ("self", "cls") and caller_class is not None:
-            if len(parts) == 2:
-                own = module.functions.get(f"{caller_class}.{parts[1]}")
-                if own is not None:
-                    return [Callee(module=module, function=own)]
+        if parts[0] in ("self", "cls") and caller.class_name is not None:
             return self._by_method.get(parts[-1], [])
         if len(parts) == 1:
             name = parts[0]

@@ -26,7 +26,8 @@ OS handles (open files, locks: shared kernel state that must not cross the
 fork).  Audited globals are allow-listed in
 ``LintConfig.fork_safe_globals``.  Call-graph reachability is name-based
 and over-approximate: a receiver call that no import resolves reaches
-every method of that name, whatever the receiver's type.  That is the
+every method of that name, whatever the receiver's type (``self`` and
+``cls`` included, so subclass overrides are reached).  That is the
 conservative direction here: nothing that truly runs in a worker escapes
 the audit.
 """

@@ -43,7 +43,6 @@ from repro.experiments.result_cache import (ResultCache, cell_address,
 from repro.experiments.runner import run_single, spawn_run_seeds
 from repro.kernels.engine import ENGINES
 from repro.obs import scope
-from repro.obs.manifest import CellRun
 from repro.obs.scope import Observation
 from repro.sim.base import TagReadingProtocol
 from repro.sim.channel import PERFECT_CHANNEL, ChannelModel
@@ -297,10 +296,7 @@ def _run_tasks(tasks: list[_ChunkTask], jobs: int,
 
 def _record_cell(obs: Observation, spec: CellSpec, key: str,
                  elapsed_s: float, cached: bool) -> None:
-    """One cell's manifest record plus its ``cell_done`` event."""
-    obs.cells.append(CellRun(
-        key=key, protocol=spec.protocol.name, n_tags=spec.n_tags,
-        runs=spec.runs, seed=spec.seed, elapsed_s=elapsed_s, cached=cached))
+    """One cell's ``cell_done`` event, which is also its manifest record."""
     obs.emit("cell_done", key=key, protocol=spec.protocol.name,
              n_tags=spec.n_tags, runs=spec.runs, seed=spec.seed,
              elapsed_s=elapsed_s, cached=cached)

@@ -54,7 +54,7 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.scope import Observation, active, enabled, observe
+from repro.obs.scope import Observation, active, observe
 
 # repro.obs.report is deliberately NOT imported here: it is the
 # ``python -m repro.obs.report`` entry point, and importing it from the
@@ -82,6 +82,5 @@ __all__ = [
     "MetricsRegistry",
     "Observation",
     "active",
-    "enabled",
     "observe",
 ]

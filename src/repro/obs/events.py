@@ -233,6 +233,8 @@ FRAME_ROW = np.dtype([("index", np.int64), ("p", np.float64),
 #: A probe row's outcome, by its code.
 _PROBE_OUTCOMES = ("empty", "singleton", "collision")
 _PROBE_CODES = frozenset(range(len(_PROBE_OUTCOMES)))
+#: The events a frame-block row may stand for.
+_BLOCK_EVENTS = frozenset(("frame", "estimator_update", "termination_probe"))
 
 
 def _row_events(protocol: str, row: tuple) -> tuple[tuple[str, dict], ...]:
@@ -401,15 +403,6 @@ class EventStream:
         self._records.append(_FrameBlock(protocol, rows, size))
         self._length += size
 
-    def extend(self, events: Iterable[Event]) -> None:
-        """Append events (say, read back from a sink) at the next positions.
-
-        They were validated when emitted or read, so they are not checked
-        again.
-        """
-        for event in events:
-            self._record(event.name, event.fields)
-
     def fold(self, other: EventStream) -> None:
         """Append ``other``'s retained records and add its lifetime counts.
 
@@ -455,6 +448,22 @@ class EventStream:
         copy._forgotten = self._forgotten
         copy._length = self._length
         return copy
+
+    @property
+    def forgotten(self) -> int:
+        """Events dropped by :meth:`forget`: the first retained ``seq``."""
+        return self._forgotten
+
+    def fields_of(self, name: str) -> list[dict]:
+        """The ``fields`` of each retained ``name`` event, oldest first.
+
+        Reads the records as kept and never expands a frame block, so
+        ``name`` may not be one of the events a frame row stands for.
+        """
+        if name in _BLOCK_EVENTS:
+            raise ValueError(f"{name!r} events may sit in frame blocks")
+        return [record[1] for record in self._records
+                if record.__class__ is not _FrameBlock and record[0] == name]
 
     def _iter_records(self) -> Iterator[tuple[str, dict]]:
         for record in self._records:

@@ -3,10 +3,10 @@
 A manifest is the provenance half of observability: one JSON document per
 experiment invocation recording the command, the environment (git revision,
 python/numpy versions, platform, CPU count), wall time, and one record per
-sweep cell -- including the cell's *config fingerprint*, the same
-content-address :meth:`repro.experiments.executor.CellSpec.key` computes,
-so a manifest entry can be matched against cache entries and ``cell_done``
-events byte-for-byte.
+sweep cell, read from the run's retained ``cell_done`` events -- including
+the cell's *config fingerprint*, the same content-address
+:meth:`repro.experiments.executor.CellSpec.key` computes, so a manifest
+entry can be matched against cache entries byte-for-byte.
 
 Manifests round-trip: :func:`read_manifest` restores exactly what
 :func:`write_manifest` stored, and the schema test pins the field set.
@@ -42,7 +42,7 @@ MANIFEST_SCHEMA = "repro-manifest/1"
 
 @dataclass(frozen=True)
 class CellRun:
-    """One sweep cell as the executor ran (or cache-served) it."""
+    """One sweep cell, as its ``cell_done`` event records it."""
 
     #: Content address of the cell's canonical config fingerprint
     #: (``repro.experiments.executor.CellSpec.key``).
@@ -127,8 +127,8 @@ def build_manifest(observation: "Observation", command: list[str],
                    wall_time_s: float) -> RunManifest:
     """Assemble the manifest for one observed run.
 
-    ``observation.cells`` supplies the per-cell records the executor
-    appended.  ``started_unix`` is a wall-clock timestamp;
+    Each cell record holds the fields of one retained ``cell_done``
+    event, in stream order.  ``started_unix`` is a wall-clock timestamp;
     ``wall_time_s`` is the caller's duration on a monotonic clock, so a
     wall-clock step cannot skew it.
     """
@@ -139,7 +139,8 @@ def build_manifest(observation: "Observation", command: list[str],
         wall_time_s=wall_time_s,
         jobs=jobs,
         git_sha=git_revision(),
-        cells=list(observation.cells),
+        cells=[CellRun(**fields)
+               for fields in observation.events.fields_of("cell_done")],
         event_count=len(observation.events),
         **environment_info(),
     )

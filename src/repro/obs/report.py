@@ -98,10 +98,10 @@ def cross_check_manifest(events: list[Event],
     """Mismatches between a stream and a manifest (empty = consistent).
 
     The manifest's per-cell config fingerprints and the stream's
-    ``cell_done`` keys must be the same set: each is derived independently
-    (manifest from the executor's :class:`~repro.obs.manifest.CellRun`
-    records, events from the emission path), so agreement means neither
-    artefact dropped or invented a cell.
+    ``cell_done`` keys must be the same set, and the manifest's event
+    count the stream's length.  Both artefacts come from one event stream
+    (the manifest's cells are its ``cell_done`` events), so the check
+    catches a JSONL file and a manifest that belong to different runs.
     """
     event_keys = {event.fields["key"] for event in events
                   if event.name == "cell_done"}

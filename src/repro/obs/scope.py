@@ -2,8 +2,8 @@
 
 Observability is off by default and costs one ``is None`` test per
 instrumentation point.  Entering :func:`observe` installs an
-:class:`Observation` -- a metrics registry, an event stream and the list of
-per-cell timing records the run manifest is built from -- as the current
+:class:`Observation` -- a metrics registry and an event stream, whose
+``cell_done`` events the run manifest is built from -- as the current
 collector of the calling thread (a :class:`~contextvars.ContextVar`, so
 each thread, and each asyncio task, sees only the collectors it installed);
 instrumented code fetches it once via :func:`active` and writes through it.
@@ -30,7 +30,6 @@ __all__ = [
     "Observation",
     "active",
     "emit",
-    "enabled",
     "inc",
     "observe",
     "observe_value",
@@ -44,9 +43,6 @@ class Observation:
 
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     events: EventStream = field(default_factory=EventStream)
-    #: Per-cell :class:`~repro.obs.manifest.CellRun` records, appended by
-    #: the sweep executor, consumed by ``build_manifest``.
-    cells: list = field(default_factory=list)
 
     # -- write-through conveniences ---------------------------------------
 
@@ -66,15 +62,6 @@ class Observation:
     def set_gauge(self, name: str, value: float) -> None:
         self.metrics.gauge(name).set(value)
 
-    def forget(self, events: int, cells: int) -> None:
-        """Drop the oldest ``events`` event and ``cells`` cell records.
-
-        Metrics and the stream's lifetime event counts are untouched, so a
-        long-running owner can bound its records without losing totals.
-        """
-        self.events.forget(events)
-        del self.cells[:cells]
-
     def merge(self, other: "Observation") -> None:
         """Fold a worker's or a request's observation in.
 
@@ -86,7 +73,6 @@ class Observation:
         """
         self.metrics.absorb(other.metrics)
         self.events.fold(other.events)
-        self.cells.extend(other.cells)
 
 
 #: The current collector; ``None`` means observability is off.
@@ -100,10 +86,6 @@ def active() -> Observation | None:
     Hot paths call this once (per session / per chunk) and keep the result.
     """
     return _current.get()
-
-
-def enabled() -> bool:
-    return _current.get() is not None
 
 
 class _Scope:

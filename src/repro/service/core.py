@@ -11,11 +11,11 @@ take only the telemetry lock, so they never wait behind a cold
 simulation.
 
 **Bounded telemetry.**  Counters and histograms cover the service's whole
-life, and so do the ``/stats`` event counts.  Per-event records and the
-executor's per-cell records are kept only for the last
-:data:`RETAINED_REQUESTS` requests, so memory stays flat however many
-requests are served; ``/metrics.jsonl`` and the ``/healthz`` manifest
-both describe that window and still cross-check.
+life, and so do the ``/stats`` request and event counts.  Event records
+are kept only for the last :data:`RETAINED_REQUESTS` requests, so memory
+stays flat however many requests are served; ``/metrics.jsonl`` dumps that
+window, and the ``/healthz`` manifest reads its cells from the window's
+``cell_done`` events.
 
 **Determinism contract.**  The response bytes are a pure function of the
 request: the shard plan is closed-form (:mod:`repro.service.sharding`),
@@ -66,7 +66,6 @@ from repro.experiments.result_cache import ResultCache
 from repro.obs import scope
 from repro.obs.manifest import RunManifest, build_manifest
 from repro.obs.scope import Observation
-from repro.service.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.service.requests import (MAX_ZONES, InventoryRequest,
                                     encode_response, render_entry)
 from repro.service.sharding import (ShardPlan, ZoneShape, plan_shards,
@@ -86,7 +85,7 @@ __all__ = [
 #: (sibling of the sweep grid strides in ``repro.experiments.runner``).
 SERVICE_CELL_STRIDE = 100_003
 
-#: Requests whose event and cell records the service keeps.
+#: Requests whose event records the service keeps.
 RETAINED_REQUESTS = 32
 
 #: Bound on the response bytes the store keeps; least recently used
@@ -112,8 +111,6 @@ class ServiceConfig:
     jobs: int = 1
     #: Shared cell cache; ``None`` computes every cell fresh.
     cache: ResultCache | None = field(default=None, compare=False)
-    #: Interference calibration applied to every shard plan.
-    interference: InterferenceModel = DEFAULT_INTERFERENCE
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -150,18 +147,14 @@ class InventoryService:
         self._started_monotonic = time.monotonic()
         #: Serializes cold computes.
         self._lane = threading.Lock()
-        #: Guards the response store, ``self.obs`` and the counters below;
+        #: Guards the response store, ``self.obs`` and the window below;
         #: never held across a compute.
         self._telemetry = threading.Lock()
         self._responses: OrderedDict[str, bytes] = OrderedDict()
         self._store_bytes = 0
-        self._requests_served = 0
-        self._responses_cached = 0
-        #: (event, cell) records ever kept before each retained request's
-        #: start, oldest first, forgotten ones included.
-        self._window: deque[tuple[int, int]] = deque()
-        #: (event, cell) records forgotten so far.
-        self._forgotten = (0, 0)
+        #: Each retained request's first event position, oldest first,
+        #: counting forgotten events.
+        self._window: deque[int] = deque()
 
     # -- request handling --------------------------------------------------
 
@@ -229,21 +222,16 @@ class InventoryService:
 
     def _slide_window(self) -> None:
         """Open a request's retention slot; forget the oldest past the cap."""
-        events, cells = self._forgotten
-        self._window.append((events + len(self.obs.events),
-                             cells + len(self.obs.cells)))
+        events = self.obs.events
+        self._window.append(events.forgotten + len(events))
         if len(self._window) > RETAINED_REQUESTS:
             self._window.popleft()
-            first_events, first_cells = self._window[0]
-            self.obs.forget(first_events - events, first_cells - cells)
-            self._forgotten = (first_events, first_cells)
+            events.forget(self._window[0] - events.forgotten)
 
     def _account(self, key: str, elapsed_s: float, cached: bool) -> None:
-        self._requests_served += 1
         self.obs.count("service.requests")
         self.obs.observe_value("request.latency_s", elapsed_s)
         if cached:
-            self._responses_cached += 1
             self.obs.count("service.responses.cached")
             self.obs.observe_value("request.warm_latency_s", elapsed_s)
         else:
@@ -262,8 +250,7 @@ class InventoryService:
             else request.channel
         plan = plan_shards(request.n_tags, request.zones,
                            capability=request.lam, overlap=request.overlap,
-                           max_phases=request.max_phases, base_channel=base,
-                           interference=self.config.interference)
+                           max_phases=request.max_phases, base_channel=base)
         # Deduplicate interchangeable shapes into distinct cells.  Shapes
         # come in order of their first zone, so cells are numbered in
         # first-appearance order over the zones and cell seeds are stable
@@ -384,9 +371,11 @@ class InventoryService:
         """Counters, histograms and cache accounting for ``/stats``."""
         with self._telemetry:
             snapshot = self.obs.metrics.snapshot()
+            counters = snapshot["counters"]
             payload = {
-                "requests_served": self._requests_served,
-                "responses_cached": self._responses_cached,
+                "requests_served": int(counters.get("service.requests", 0)),
+                "responses_cached": int(
+                    counters.get("service.responses.cached", 0)),
                 "distinct_requests": len(self._responses),
                 "response_store_bytes": self._store_bytes,
                 "uptime_s": self._uptime_s(),
@@ -414,13 +403,3 @@ class InventoryService:
                           metrics=self.obs.metrics.snapshot())
             retained = self.obs.events.snapshot()
         return retained.events
-
-    def latency_quantiles(self) -> dict[str, float]:
-        """p50/p90/p99 request latency from the service histograms."""
-        with self._telemetry:
-            histogram = self.obs.metrics.histogram("request.latency_s")
-            return {"count": float(histogram.n),
-                    "mean_s": histogram.mean,
-                    "p50_s": histogram.quantile(0.50),
-                    "p90_s": histogram.quantile(0.90),
-                    "p99_s": histogram.quantile(0.99)}

@@ -179,6 +179,32 @@ def test_a_method_called_through_an_annotated_parameter_is_reached(tree):
         "repro/experiments/clock.py:5 fork-safety"]
 
 
+def test_a_self_call_reaches_a_subclass_override(tree):
+    # ``Base.run`` calls ``self.step()``: on a ``Child`` that is
+    # ``Child.step``, so the self-call resolves by method name too.
+    tree.write("repro/experiments/protocol.py", """\
+        STEPS = []
+
+        class Base:
+            def run(self):
+                self.step()
+
+            def step(self):
+                return None
+
+        class Child(Base):
+            def step(self):
+                STEPS.append(1)
+        """)
+    tree.write("repro/experiments/executor.py", """\
+        def run_chunk(chunk, proto):
+            proto.run()
+            return list(chunk)
+        """)
+    assert tree.rule_findings("fork-safety") == [
+        "repro/experiments/protocol.py:12 fork-safety"]
+
+
 def test_a_receiver_call_never_matches_a_module_function(tree):
     # ``store.register`` is some object's method; the module-level
     # ``register`` that shares its name is not reached.

@@ -113,15 +113,6 @@ class TestEventStream:
         with pytest.raises(ValueError):
             stream.emit("cache_hit")
 
-    def test_extend_resequences(self):
-        worker = EventStream()
-        worker.emit("cache_hit", key="w")
-        parent = EventStream()
-        parent.emit("cache_miss", key="p")
-        parent.extend(worker.events)
-        assert [(event.seq, event.name) for event in parent.events] == [
-            (0, "cache_miss"), (1, "cache_hit")]
-
     def test_forget_keeps_lifetime_counts_and_sequence(self):
         stream = EventStream()
         for key in "abc":
@@ -277,6 +268,26 @@ class TestFrameBlock:
             assert len(block) == len(eager), cut
             assert block.counts() == eager.counts()
             assert _seen(before) == _seen(_block_and_eager(ROWS, ROWS)[1])
+
+    def test_fields_of_reads_records_without_expanding_blocks(
+            self, monkeypatch):
+        """One kind's fields come back in stream order, after a forget,
+        from the records as kept: no frame block is expanded, and a kind
+        a frame row stands for is refused."""
+        block, eager = _block_and_eager(ROWS, ROWS)
+        for stream in (block, eager):
+            stream.emit("cache_hit", key="last")
+            stream.forget(1)
+        monkeypatch.setattr("repro.obs.events._row_events",
+                            lambda *_: pytest.fail("a frame block expanded"))
+        assert block.fields_of("cache_hit") \
+            == [{"key": "k"}, {"key": "last"}] \
+            == [e.fields for e in eager.events if e.name == "cache_hit"]
+        assert block.fields_of("cache_miss") == []
+        assert block.forgotten == eager.forgotten == 1
+        for name in ("frame", "estimator_update", "termination_probe"):
+            with pytest.raises(ValueError, match="frame blocks"):
+                block.fields_of(name)
 
     def test_fold_and_jsonl_carry_blocks(self, tmp_path):
         worker, eager_worker = _block_and_eager(ROWS)

@@ -18,6 +18,7 @@ from repro.core.scat import Scat
 from repro.experiments import executor
 from repro.experiments.executor import CellSpec, execute_cells
 from repro.experiments.result_cache import ResultCache
+from repro.obs.manifest import build_manifest
 from repro.obs.scope import observe
 from repro.sim.population import TagPopulation
 
@@ -152,9 +153,10 @@ def test_warm_cache_run_still_emits_full_telemetry(tmp_path):
         [spec.key() for spec in SPECS]
     done = [e for e in observation.events.events if e.name == "cell_done"]
     assert all(e.fields["cached"] for e in done)
-    assert [cell.key for cell in observation.cells] == \
-        [spec.key() for spec in SPECS]
-    assert all(cell.cached for cell in observation.cells)
+    cells = build_manifest(observation, command=[], started_unix=0.0,
+                           jobs=1, wall_time_s=0.0).cells
+    assert [cell.key for cell in cells] == [spec.key() for spec in SPECS]
+    assert all(cell.cached for cell in cells)
     counters = observation.metrics.snapshot()["counters"]
     assert counters["result_cache.hits"] == len(SPECS)
     assert counters["executor.cells.cached"] == len(SPECS)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.fcat import Fcat
@@ -20,7 +22,8 @@ from repro.obs.scope import Observation, observe
 
 def _manifest(cells=()):
     observation = Observation()
-    observation.cells.extend(cells)
+    for cell in cells:
+        observation.emit("cell_done", **dataclasses.asdict(cell))
     return build_manifest(observation, command=["repro-experiments", "x"],
                           started_unix=1.0, jobs=2, wall_time_s=3.5)
 
@@ -64,7 +67,8 @@ def test_cell_fingerprint_matches_the_cache_content_address():
     spec = CellSpec(protocol=Fcat(lam=2), n_tags=60, runs=2, seed=11)
     with observe() as observation:
         execute_cells([spec])
-    (cell,) = observation.cells
+    (cell,) = build_manifest(observation, command=[], started_unix=0.0,
+                             jobs=1, wall_time_s=0.0).cells
     assert cell.key == spec.key()
     assert cell.protocol == "FCAT-2" and cell.cached is False
     (done,) = [e for e in observation.events.events

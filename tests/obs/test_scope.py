@@ -6,18 +6,16 @@ import threading
 
 from repro.obs import scope
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.scope import Observation, active, enabled, observe
+from repro.obs.scope import Observation, active, observe
 
 
 def test_disabled_by_default():
     assert active() is None
-    assert not enabled()
 
 
 def test_observe_installs_and_restores():
     with observe() as observation:
         assert active() is observation
-        assert enabled()
     assert active() is None
 
 
@@ -81,12 +79,10 @@ def test_module_helpers_write_through_while_enabled():
     assert observation.events.counts() == {"cache_hit": 1}
 
 
-def test_observation_merge_folds_all_three_parts():
+def test_observation_merge_folds_metrics_and_events():
     parent, worker = Observation(), Observation()
     worker.count("slots", 3)
     worker.emit("cache_miss", key="m")
-    worker.cells.append("sentinel")
     parent.merge(worker)
     assert parent.metrics.snapshot()["counters"] == {"slots": 3.0}
     assert parent.events.counts() == {"cache_miss": 1}
-    assert parent.cells == ["sentinel"]

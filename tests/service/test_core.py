@@ -64,9 +64,10 @@ def test_bytes_identical_under_concurrency():
 def test_warm_request_skips_the_executor():
     service = InventoryService()
     service.handle(REQUEST)
-    cells_after_cold = len(service.obs.cells)
+    cells_after_cold = service.obs.events.counts()["cell_done"]
     service.handle(REQUEST)
-    assert len(service.obs.cells) == cells_after_cold  # no new simulation
+    # No new simulation.
+    assert service.obs.events.counts()["cell_done"] == cells_after_cold
     done = [event for event in service.obs.events.events
             if event.name == "request_done"]
     assert [event.fields["cached"] for event in done] == [False, True]
@@ -96,7 +97,7 @@ def test_exchangeable_zones_share_cells():
     # configurations than zones.
     assert payload["plan"]["distinct_cells"] < 16
     assert payload["plan"]["zones"] == 16
-    assert len(service.obs.cells) == payload["plan"]["distinct_cells"]
+    assert len(service.manifest().cells) == payload["plan"]["distinct_cells"]
 
 
 def test_payload_shape_and_rollups():
@@ -160,6 +161,20 @@ def test_manifest_cross_checks_against_metrics_dump():
     assert manifest.cells
 
 
+def test_cross_check_catches_a_dump_and_a_manifest_of_two_services():
+    """A ``/metrics.jsonl`` dump checked against the ``/healthz`` manifest
+    of a service that served other requests reports the cells each lacks
+    and the event-count gap."""
+    dumped, other = InventoryService(), InventoryService()
+    dumped.handle(REQUEST)
+    other.handle(InventoryRequest(n_tags=300, zones=3, seed=1))
+    problems = cross_check_manifest(dumped.metrics_events(),
+                                    other.manifest())
+    assert any("has no cell_done event" in p for p in problems)
+    assert any("missing from the manifest" in p for p in problems)
+    assert any(p.startswith("manifest records") for p in problems)
+
+
 def test_metrics_dump_builds_events_outside_the_telemetry_lock(monkeypatch):
     """Only the record list is copied under the lock that warm hits
     take; the ``Event`` list is built after it is released, and it is the
@@ -205,8 +220,8 @@ def test_a_forget_cut_inside_a_frame_block_keeps_the_retained_events():
                if event.name == "estimator_update"]
     cut = updates[2]
     assert full[cut - 1].name == "frame"
-    service.obs.forget(cut, 0)
-    service.obs.forget(5, 0)
+    service.obs.events.forget(cut)
+    service.obs.events.forget(5)
     assert [(e.seq, e.name, e.fields) for e in service.obs.events.events] \
         == [(e.seq, e.name, e.fields) for e in full[cut + 5:]]
     assert len(service.obs.events) == len(full) - cut - 5
@@ -262,13 +277,14 @@ def test_event_memory_stays_flat_over_many_distinct_requests():
         most_per_request = max(most_per_request, total - emitted)
         emitted = total
         most_retained = max(most_retained, len(service.obs.events))
-        assert len(service.obs.cells) <= RETAINED_REQUESTS
+        assert len(service.obs.events.fields_of("cell_done")) \
+            <= RETAINED_REQUESTS
     assert most_retained <= RETAINED_REQUESTS * most_per_request
     retained_keys = [event.fields["key"] for event in service.obs.events.events
                      if event.name == "request_start"]
     assert retained_keys \
         == [request.key() for request in requests[-RETAINED_REQUESTS:]]
-    assert len(service.obs.cells) == RETAINED_REQUESTS
+    assert len(service.obs.events.fields_of("cell_done")) == RETAINED_REQUESTS
 
     stats = service.stats()
     assert stats["requests_served"] == 10_000
@@ -296,10 +312,9 @@ def test_stats_accounting():
     assert stats["distinct_requests"] == 1
     assert stats["events"]["request_start"] == 2
     assert stats["events"]["shard_plan"] == 1
-    assert "request.latency_s" in stats["metrics"]["histograms"]
-    quantiles = service.latency_quantiles()
-    assert quantiles["count"] == 2.0
-    assert quantiles["p99_s"] >= quantiles["p50_s"] >= 0.0
+    latency = stats["metrics"]["histograms"]["request.latency_s"]
+    assert latency["count"] == 2
+    assert latency["p99"] >= latency["p50"] >= 0.0
 
 
 def test_uptime_ignores_wall_clock_steps(monkeypatch):
@@ -444,16 +459,15 @@ def test_telemetry_answers_while_a_cold_request_holds_the_lane():
     assert service.entered.wait(timeout=60)
     # The dump before the manifest, as the cross-check requires.
     reader, out = _in_background(lambda: (
-        service.stats(), service.latency_quantiles(),
-        service.metrics_events(), service.manifest()))
+        service.stats(), service.metrics_events(), service.manifest()))
     reader.join(timeout=10)
     answered = not reader.is_alive()
     service.release.set()
     cold.join(timeout=60)
     assert answered, "telemetry waited behind the cold compute"
-    stats, quantiles, events, manifest = out[0]
+    stats, events, manifest = out[0]
     assert stats["requests_served"] == 1
-    assert quantiles["count"] == 1.0
+    assert stats["metrics"]["histograms"]["request.latency_s"]["count"] == 1
     assert cross_check_manifest(events, manifest) == []
 
 
@@ -482,7 +496,7 @@ def test_a_failed_compute_stores_and_folds_nothing():
     assert stats["requests_served"] == 0
     assert stats["distinct_requests"] == 0
     assert stats["response_store_bytes"] == 0
-    assert len(service.obs.events) == 0 and service.obs.cells == []
+    assert len(service.obs.events) == 0
     # The lane is free again and the retry computes the usual bytes.
     assert service.handle(REQUEST) == InventoryService().handle(REQUEST)
     stats = service.stats()

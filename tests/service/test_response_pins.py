@@ -32,7 +32,8 @@ import json
 import pytest
 
 from repro.experiments.result_cache import ResultCache
-from repro.service.core import InventoryService, ServiceConfig
+from repro.service.core import (RETAINED_REQUESTS, InventoryService,
+                               ServiceConfig)
 from repro.service.requests import request_from_dict
 
 CASES = {
@@ -269,3 +270,60 @@ def test_zero_and_float_zero_keep_distinct_addresses_and_echoes(observed):
     assert int_zero["response"] != float_zero["response"]
     # The two requests simulate the same cells.
     assert int_zero["cell_keys"] == float_zero["cell_keys"]
+
+
+def _window_bodies() -> list[dict]:
+    """More requests than the service retains; every fourth repeats an
+    earlier request and is served warm from the response store."""
+    bodies: list[dict] = []
+    for index in range(RETAINED_REQUESTS + 8):
+        bodies.append(bodies[index // 2] if index % 4 == 3 else
+                      {"n_tags": 90 + 7 * index, "zones": 1 + index % 3,
+                       "seed": 100 + index})
+    return bodies
+
+
+def _untimed_metrics(snapshot: dict) -> dict:
+    """A metrics snapshot with the wall-clock histograms cut to counts."""
+    return {**snapshot, "histograms": {
+        name: (summary["count"] if name in _TIMING_HISTOGRAMS else summary)
+        for name, summary in snapshot["histograms"].items()}}
+
+
+def _untimed_fields(name: str, fields: dict) -> dict:
+    fields = {key: value for key, value in fields.items()
+              if key not in _TIMING_FIELDS.get(name, ())}
+    if name == "metrics_snapshot":
+        fields["metrics"] = _untimed_metrics(fields["metrics"])
+    return fields
+
+
+def retained_window_digest() -> str:
+    """What the telemetry surfaces show after the window has slid.
+
+    The digest covers the ``/healthz`` manifest's cells, the
+    ``/metrics.jsonl`` lines and the ``/stats`` document, each as the
+    front end renders it from the service, timing fields dropped.
+    """
+    service = InventoryService()
+    for body in _window_bodies():
+        service.handle(request_from_dict(json.loads(json.dumps(body))))
+    lines = [{"seq": event.seq, "event": event.name,
+              **_untimed_fields(event.name, event.fields)}
+             for event in service.metrics_events()]
+    cells = [{key: value for key, value in cell.items() if key != "elapsed_s"}
+             for cell in service.manifest().to_dict()["cells"]]
+    stats = {key: value for key, value in service.stats().items()
+             if key != "uptime_s"}
+    stats["metrics"] = _untimed_metrics(stats["metrics"])
+    return _digest([cells, lines, stats])
+
+
+#: Recorded before the manifest read its cells from the ``cell_done``
+#: events; never re-recorded.
+RETAINED_WINDOW_DIGEST = \
+    "bec8e7fccd934651d63705cf08c4b64a7e445315809e88a7e4ecf4bc2dde97dc"
+
+
+def test_the_retained_window_surfaces_are_pinned():
+    assert retained_window_digest() == RETAINED_WINDOW_DIGEST
