@@ -4,8 +4,7 @@
 Section V-C's estimator reads nothing but the per-frame collision count, yet
 it bootstraps from a blind guess of 64 to a 10 000-tag population within a
 dozen frames and then tracks the survivors all the way down.  The demo plots
-estimate-vs-truth over the session and reports the bootstrap cost with and
-without the early-abort shortcut.
+estimate-vs-truth over the session and shows a small session slot by slot.
 
 Run:  python examples/estimator_tracking.py [n_tags]
 """
@@ -61,12 +60,6 @@ def main() -> None:
     mid = len(truth) // 2
     print(f"mid-session: true {truth[mid]}, estimated {estimates[mid]:.0f} "
           f"({abs(estimates[mid] - truth[mid]) / max(truth[mid], 1):.1%} off)")
-
-    fast = Fcat(lam=2, bootstrap_abort_after=8)
-    fast_result, _ = traced_run(fast, population, seed=11)
-    print(f"\nbootstrap cost: {result.total_slots} slots blind vs "
-          f"{fast_result.total_slots} with early-abort "
-          f"(saves {result.total_slots - fast_result.total_slots})")
 
     # A compact per-slot view of a (smaller) session, via SessionTrace.
     from repro.report import render_session

@@ -46,26 +46,15 @@ class CollisionRecord:
 
 
 class RecordStore:
-    """All collision records of a session plus the resolution cascade.
+    """All collision records of a session plus the resolution cascade."""
 
-    ``zigzag`` enables the ZigZag decoding of Gollakota & Katabi (SIGCOMM
-    2008, the paper's ref [23]): two recorded collisions of the *same* pair
-    of tags are jointly decodable even when neither constituent is known
-    (the differing time/phase offsets of the two mixes disambiguate them).
-    At this abstraction level that means a repeated 2-collision pair
-    resolves both tags on the spot.
-    """
-
-    def __init__(self, lam: int, zigzag: bool = False) -> None:
+    def __init__(self, lam: int) -> None:
         if lam < 2:
             raise ValueError("lam must be >= 2 (ANC resolves k-collisions, k>=2)")
         self.lam = lam
-        self.zigzag = zigzag
         self._records: list[CollisionRecord] = []
         self._by_tag: dict[int, list[CollisionRecord]] = {}
         self._learned: set[int] = set()
-        self._pair_index: dict[frozenset[int], CollisionRecord] = {}
-        self.zigzag_decodes = 0
 
     @property
     def records(self) -> list[CollisionRecord]:
@@ -119,27 +108,7 @@ class RecordStore:
         if recovered is not None:
             resolved.append((recovered, record.slot_index))
             resolved.extend(self.learn(recovered))
-        elif self.zigzag and record.k == 2 and not record.retired:
-            resolved.extend(self._try_zigzag(record))
         return record, resolved
-
-    def _try_zigzag(self, record: CollisionRecord) -> list[tuple[int, int]]:
-        """Joint decoding of a repeated 2-collision pair (ref [23])."""
-        key = record.participants
-        prior = self._pair_index.get(key)
-        if prior is None or prior.retired:
-            self._pair_index[key] = record
-            return []
-        prior.resolved = prior.retired = True
-        record.resolved = record.retired = True
-        self.zigzag_decodes += 1
-        resolved: list[tuple[int, int]] = []
-        slots = (prior.slot_index, record.slot_index)
-        for tag, slot in zip(sorted(key), slots):
-            if not self.is_learned(tag):
-                resolved.append((tag, slot))
-                resolved.extend(self.learn(tag))
-        return resolved
 
     def learn(self, tag_id: int) -> list[tuple[int, int]]:
         """Feed a newly learned ID into the cascade.
@@ -153,7 +122,7 @@ class RecordStore:
         self._learned.add(tag_id)
         resolved: list[tuple[int, int]] = []
         queue = [tag_id]
-        # Zigzag decoding is a worklist fixpoint: each newly learned tag can
+        # The cascade is a worklist fixpoint: each newly learned tag can
         # unlock more records, so iterations are inherently ordered.
         while queue:
             current = queue.pop()

@@ -11,23 +11,21 @@ paper's closed form (Eq. 12) substitutes the nominal load ``omega`` for
 
     N_hat = [ln(1 - n_c/f) - ln(1 - p + omega)] / ln(1 - p) + 1
 
-Two quantities are maintained:
-
-* a **responsive** estimate of the tags still participating, used to set the
-  next frame's report probability.  By default it is an EWMA over the
-  per-frame inversions; per-frame estimates have relative standard deviation
-  ``sqrt(V(N_hat/N)) ~ 11-12%`` at f = 30 (the appendix's Eq. 25 gives
-  16-18% for the exact inversion; Eq. 12's nominal-load slope scales it by
-  ``omega / (1 + omega)``), plenty for choosing ``p``
-  because the useful-slot probability is flat around the optimum, and --
-  crucially -- the estimate tracks the population as tags leave.  (A
-  cumulative average, mode ``"average"``, matches the paper's variance
-  discussion verbatim but reacts too slowly in the endgame: a +1% error on
-  N = 10 000 total is a +100 error on the last handful of tags, which starves
-  the tail with near-zero report probabilities.)
-* the paper's cumulative average of total-population samples
-  ``N* = N_hat + already-identified``, whose variance decays as frames
-  accumulate (section V-C); exposed as :attr:`EmbeddedEstimator.total_estimate`.
+The estimate kept is a **responsive** one of the tags still participating,
+used to set the next frame's report probability: an EWMA (weight
+:data:`EWMA_WEIGHT` on the newest frame) over the per-frame inversions.
+Per-frame estimates have relative standard deviation
+``sqrt(V(N_hat/N)) ~ 11-12%`` at f = 30 (the appendix's Eq. 25 gives
+16-18% for the exact inversion; Eq. 12's nominal-load slope scales it by
+``omega / (1 + omega)``), plenty for choosing ``p`` because the
+useful-slot probability is flat around the optimum, and -- crucially --
+the estimate tracks the population as tags leave.  (The paper's cumulative
+average of total-population samples reacts too slowly in the endgame: a
++1% error on N = 10 000 total is a +100 error on the last handful of tags,
+which starves the tail with near-zero report probabilities.)  Mode
+``"last"`` keeps the newest inversion alone and method ``"exact"`` inverts
+numerically; a session always runs Eq. 12 in mode ``"ewma"``, and the
+variance oracle inverts single frames with the other two.
 
 Boundary frames the formula cannot invert are handled explicitly: an
 all-collision frame means the current guess is far too low (double and
@@ -39,8 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+#: Weight of the newest frame in mode "ewma".
+EWMA_WEIGHT = 0.6
+
 _ESTIMATOR_METHODS = ("paper", "exact")
-_ESTIMATOR_MODES = ("ewma", "last", "average")
+_ESTIMATOR_MODES = ("ewma", "last")
 _ESTIMATOR_SOURCES = ("collision", "empty")
 
 
@@ -120,18 +121,16 @@ class EmbeddedEstimator:
     initial_guess: float = 64.0
     #: Inversion formula: "paper" (Eq. 12) or "exact" (numerical).
     method: str = "paper"
-    #: How per-frame estimates combine: "ewma", "last" or "average".
+    #: How per-frame estimates combine: "ewma" or "last".
     mode: str = "ewma"
     #: Which slot count to invert: "collision" (the paper's choice, lowest
     #: variance) or "empty" (higher variance -- section V-C notes this --
     #: but immune to the capture effect, which silently converts collision
     #: slots into apparent singletons and biases the collision count).
     source: str = "collision"
-    #: Weight of the newest frame in "ewma" mode.
-    ewma_weight: float = 0.6
-    #: Total-population samples N* (one per informative frame, section V-C).
-    samples: list[float] = field(default_factory=list)
     _remaining: float = field(init=False)
+    #: Whether a frame has been inverted yet (else still bootstrapping).
+    _has_samples: bool = field(init=False, default=False)
 
     def __post_init__(self) -> None:
         if self.initial_guess < 1:
@@ -142,18 +141,9 @@ class EmbeddedEstimator:
             raise ValueError(f"unknown estimator method {self.method!r}")
         if self.mode not in _ESTIMATOR_MODES:
             raise ValueError(f"unknown estimator mode {self.mode!r}")
-        if not 0.0 < self.ewma_weight <= 1.0:
-            raise ValueError("ewma_weight must be in (0, 1]")
         if self.source not in _ESTIMATOR_SOURCES:
             raise ValueError(f"unknown estimator source {self.source!r}")
         self._remaining = float(self.initial_guess)
-
-    @property
-    def total_estimate(self) -> float:
-        """The paper's estimate of the total tag count: the average of N*."""
-        if not self.samples:
-            return self._remaining
-        return sum(self.samples) / len(self.samples)
 
     def remaining(self) -> float:
         """Estimated number of tags still participating (never below 1)."""
@@ -173,7 +163,7 @@ class EmbeddedEstimator:
             raise ValueError('source == "empty" requires n_empty')
         saturated = (n_c >= self.frame_size if self.source == "collision"
                      else n_empty == 0)
-        if saturated and not self.samples:
+        if saturated and not self._has_samples:
             # Saturated frame while still blind: the population dwarfs the
             # guess.  Double and re-probe (no invertible signal yet).
             self._remaining = max(self._remaining * 2.0, 2.0)
@@ -203,17 +193,14 @@ class EmbeddedEstimator:
                 participating = _invert_exact(effective_nc, self.frame_size,
                                               p)
         participating = max(participating, 0.0)
-        self.samples.append(participating + identified_at_frame_start)
+        self._has_samples = True
         fresh = max(participating - newly_identified, 0.0)
         if self.mode == "last":
             self._remaining = fresh
-        elif self.mode == "ewma":
+        else:
             prior = max(self._remaining - newly_identified, 0.0)
-            self._remaining = (self.ewma_weight * fresh
-                               + (1.0 - self.ewma_weight) * prior)
-        else:  # "average": the paper-literal cumulative estimate
-            self._remaining = max(
-                self.total_estimate - identified_at_frame_end, 0.0)
+            self._remaining = (EWMA_WEIGHT * fresh
+                               + (1.0 - EWMA_WEIGHT) * prior)
 
     def force_at_least(self, remaining: float) -> None:
         """Raise the estimate after external evidence of survivors.

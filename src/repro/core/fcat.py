@@ -51,22 +51,10 @@ class FcatConfig:
     omega: float | None = None
     initial_estimate: float = 64.0
     max_report_probability: float = 0.5
-    estimator_method: str = "paper"
-    estimator_mode: str = "ewma"
     #: Slot statistic the estimator inverts: "collision" (the paper's
     #: choice) or "empty" (capture-robust, on frames of 3 or more slots;
     #: see the estimator's docs).
     estimator_source: str = "collision"
-    #: Weight of the newest frame in the EWMA estimator mode.
-    estimator_ewma_weight: float = 0.6
-    #: While bootstrapping (no informative frame seen yet), abort a frame
-    #: early after this many consecutive collision slots and double the
-    #: estimate right away instead of burning the rest of the frame.  ``None``
-    #: disables the shortcut (the paper-literal behaviour).
-    bootstrap_abort_after: int | None = None
-    #: ZigZag decoding (ref [23]): a repeated 2-collision pair resolves both
-    #: constituents jointly.  Off by default (the paper does not use it).
-    zigzag: bool = False
     #: Abort (raise) if a session exceeds ``factor * N + 1000`` slots.
     max_slots_factor: float = 200.0
 
@@ -86,9 +74,6 @@ class FcatConfig:
             raise ValueError("omega must be positive")
         if not 0.0 < self.max_report_probability <= 1.0:
             raise ValueError("max_report_probability must be in (0, 1]")
-        if self.bootstrap_abort_after is not None \
-                and self.bootstrap_abort_after < 1:
-            raise ValueError("bootstrap_abort_after must be >= 1 or None")
 
     @property
     def effective_omega(self) -> float:
@@ -102,25 +87,15 @@ class Fcat(TagReadingProtocol):
                  omega: float | None = None, *,
                  initial_estimate: float = 64.0,
                  max_report_probability: float = 0.5,
-                 estimator_method: str = "paper",
-                 estimator_mode: str = "ewma",
                  estimator_source: str = "collision",
-                 estimator_ewma_weight: float = 0.6,
-                 bootstrap_abort_after: int | None = None,
-                 zigzag: bool = False,
                  max_slots_factor: float = 200.0) -> None:
         self.config = FcatConfig(
             lam=lam, frame_size=frame_size, omega=omega,
             initial_estimate=initial_estimate,
             max_report_probability=max_report_probability,
-            estimator_method=estimator_method,
-            estimator_mode=estimator_mode,
             estimator_source=estimator_source,
-            estimator_ewma_weight=estimator_ewma_weight,
-            bootstrap_abort_after=bootstrap_abort_after,
-            zigzag=zigzag,
             max_slots_factor=max_slots_factor)
-        self.name = f"FCAT-{lam}" + ("+zz" if zigzag else "")
+        self.name = f"FCAT-{lam}"
 
     def read_all(self, population: TagPopulation, rng: np.random.Generator,
                  channel: ChannelModel = PERFECT_CHANNEL,
@@ -144,14 +119,11 @@ class _FcatSession:
         self.channel = channel
         self.omega = config.effective_omega
         self.active = ActiveSet(population.ids)
-        self.store = RecordStore(config.lam, zigzag=config.zigzag)
+        self.store = RecordStore(config.lam)
         self.estimator = EmbeddedEstimator(
             omega=self.omega, frame_size=config.frame_size,
             initial_guess=config.initial_estimate,
-            method=config.estimator_method,
-            mode=config.estimator_mode,
-            source=config.estimator_source,
-            ewma_weight=config.estimator_ewma_weight)
+            source=config.estimator_source)
         self.result = ReadingResult(protocol=name, n_tags=len(population),
                                     n_read=0, timing=timing)
         self.slot_index = 0
@@ -171,15 +143,12 @@ class _FcatSession:
         # *scalar reference*: ``repro.kernels.fcat`` replays the same
         # process frame-at-once, and the kernel engine every cell asks
         # for routes sessions there -- what remains here is the
-        # bit-pinned golden path and the ZigZag/trace configurations the
-        # kernel does not implement.
+        # bit-pinned golden path and the per-slot ``SessionTrace``.
         while True:
             empty_slots_in_frame = self._run_frame()
             if empty_slots_in_frame == self.config.frame_size:
                 if self._termination_probe():
                     break
-        if self.config.zigzag:
-            self.result.extra["zigzag_decodes"] = self.store.zigzag_decodes
         return self.result
 
     # -- frame mechanics ---------------------------------------------------
@@ -191,52 +160,34 @@ class _FcatSession:
         p = min(self.omega / remaining, self.config.max_report_probability)
         self.result.advertisements += 1  # pre-frame advertisement
         self.result.frames += 1
-        abort_after = self.config.bootstrap_abort_after
-        bootstrapping = abort_after is not None and not self.estimator.samples
-        n_collision = n_empty = slots_run = 0
+        n_collision = n_empty = 0
         for _ in range(self.config.frame_size):
             slot = self._next_slot()
             transmitters = self.active.sample_binomial(p, self.rng)
             outcome = self._observe(slot, transmitters)
             self._trace_slot(slot, outcome, p)
-            slots_run += 1
             if outcome == "empty":
                 n_empty += 1
             elif outcome == "collision":
                 n_collision += 1
-            if bootstrapping and n_collision == slots_run \
-                    and n_collision >= abort_after:
-                # Still blind and the frame is wall-to-wall collisions: cut
-                # it short, double the estimate, and re-advertise.
-                self.estimator.update(self.config.frame_size, p,
-                                      identified_at_start,
-                                      self.store.learned_count, n_empty=0)
-                self._observe_frame(p, slots_run, n_empty, n_collision)
-                return n_empty
         self.estimator.update(n_collision, p, identified_at_start,
                               self.store.learned_count, n_empty=n_empty)
-        self.result.estimate_trace.append(self.estimator.remaining())
-        if self.trace is not None:
-            self.trace.record_estimate(self.result.frames - 1,
-                                       self.estimator.remaining())
-        self._observe_frame(p, slots_run, n_empty, n_collision)
-        return n_empty
-
-    def _observe_frame(self, p: float, slots_run: int, n_empty: int,
-                       n_collision: int) -> None:
-        """Telemetry for one finished (or bootstrap-aborted) frame."""
-        obs = self.obs
-        if obs is None:
-            return
         estimate = self.estimator.remaining()
-        actual = len(self.active)
-        frame, update = frame_fields(self.name, (
-            self.result.frames - 1, p, n_empty,
-            slots_run - n_empty - n_collision, n_collision, estimate, actual))
-        obs.emit("frame", **frame)
-        obs.emit("estimator_update", **update)
-        obs.observe_value("estimator.rel_error",
-                          abs(estimate - actual) / max(actual, 1))
+        self.result.estimate_trace.append(estimate)
+        if self.trace is not None:
+            self.trace.record_estimate(self.result.frames - 1, estimate)
+        obs = self.obs
+        if obs is not None:
+            actual = len(self.active)
+            frame, update = frame_fields(self.name, (
+                self.result.frames - 1, p, n_empty,
+                self.config.frame_size - n_empty - n_collision, n_collision,
+                estimate, actual))
+            obs.emit("frame", **frame)
+            obs.emit("estimator_update", **update)
+            obs.observe_value("estimator.rel_error",
+                              abs(estimate - actual) / max(actual, 1))
+        return n_empty
 
     def _next_slot(self) -> int:
         if self.slot_index >= self.max_slots:

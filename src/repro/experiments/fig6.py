@@ -7,8 +7,7 @@ flat out to f = 200 (paper section VI-D).
 To isolate the frame-size effect the sessions are seeded with the true tag
 count (the paper's flat curve implies as much: a blind bootstrap doubles its
 estimate once per *frame*, which would bias large-f sessions by whole wasted
-frames).  The FCAT option ``bootstrap_abort_after`` removes most of that
-bias for blind sessions; the default here stays faithful to the figure.
+frames).
 """
 
 from __future__ import annotations

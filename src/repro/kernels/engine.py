@@ -56,20 +56,14 @@ def kernel_supported(protocol: TagReadingProtocol,
                      channel: ChannelModel = PERFECT_CHANNEL) -> bool:
     """Whether a batched kernel implements this exact configuration.
 
-    FCAT: every channel (the kernel's one walk draws channel outcomes as
-    data), except ZigZag decoding, the ``bootstrap_abort_after`` frame
-    cut-off and the estimators the C walk does not port -- the ``exact``
-    inversion (scipy) and the ``average`` mode, whose ``sum()`` rounding
-    varies by Python version -- so the C and the Python walk accept the
-    same configurations.  SCAT: draw-free channels without the Kodialam
-    pre-estimation step.  DFSA: draw-free channels.  Everything else --
-    including every other baseline protocol -- runs scalar.
+    FCAT: every configuration on every channel (the kernel's one walk
+    draws channel outcomes as data).  SCAT: draw-free channels without
+    the Kodialam pre-estimation step.  DFSA: draw-free channels.
+    Everything else -- including every other baseline protocol -- runs
+    scalar.
     """
     if isinstance(protocol, Fcat):
-        config = protocol.config
-        return (not config.zigzag and config.bootstrap_abort_after is None
-                and config.estimator_method == "paper"
-                and config.estimator_mode != "average")
+        return True
     if isinstance(protocol, Scat):
         return _draw_free(channel) and protocol.config.pre_estimate_cv is None
     if isinstance(protocol, Dfsa):

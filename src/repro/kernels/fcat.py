@@ -23,14 +23,13 @@ never drawing them, every Bernoulli cell being independent.  One walk,
 :meth:`_FcatKernelSession._walk_frame` and its :meth:`_replay`, serves
 every channel.  ``fcat_walk.c`` ports the whole session line for line --
 ``p`` and its cap, the runaway guard, the count draw (numpy's own
-binomial on the session's ``bitgen_t``), the walk, the Eq. 12 estimator
-in modes ``ewma`` and ``last``, the termination probe and the telemetry
-rows -- and runs each batch in one call that releases the GIL, wherever
+binomial on the session's ``bitgen_t``), the walk, the Eq. 12 EWMA
+estimator, the termination probe and the telemetry rows -- and runs each
+batch in one call that releases the GIL, wherever
 :func:`repro.kernels.native.library` can build it
 (:class:`_NativeFcatSession`, :func:`_run_native`).  The two consume the
-generator identically, so which one ran never shows in a result, and they
-accept the same configurations (the ``exact`` and ``average`` estimators,
-which C does not port, run the scalar engine).  The Python walk stays as
+generator identically, so which one ran never shows in a result, and
+either runs every :class:`~repro.core.fcat.Fcat`.  The Python walk stays as
 the reference the tests hold the C loop to and as the fallback without a
 compiler, several times faster than the scalar engine
 (``docs/performance.md``, "Three FCATs, measured").  It favours plainness
@@ -69,9 +68,8 @@ tests in ``tests/kernels/``.
 Known coarsening vs the scalar engine: the ``max_slots`` runaway guard is
 checked at frame granularity (a stuck session raises at the first frame
 *starting* past the limit, up to ``frame_size - 1`` slots later than the
-scalar per-slot check).  Per-slot ``SessionTrace`` logging and the
-``bootstrap_abort_after`` frame cut-off are not offered -- those
-configurations route to the scalar engine.
+scalar per-slot check).  Per-slot ``SessionTrace`` logging is not
+offered: :meth:`repro.core.fcat.Fcat.read_all` keeps it.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ from collections.abc import Container, Sequence
 import numpy as np
 
 from repro.air.timing import ICODE_TIMING, TimingModel
-from repro.core.estimator import EmbeddedEstimator
+from repro.core.estimator import EWMA_WEIGHT, EmbeddedEstimator
 from repro.core.fcat import Fcat
 from repro.kernels import native
 from repro.kernels.frame import (RankSource, draw_slot_counts,
@@ -113,26 +111,13 @@ class _FcatKernelSession:
                  timing: TimingModel = ICODE_TIMING,
                  rows: list[tuple] | None = None) -> None:
         config = protocol.config
-        if config.zigzag:
-            raise ValueError("the FCAT kernel does not implement ZigZag; "
-                             "use the scalar engine")
-        if config.bootstrap_abort_after is not None:
-            raise ValueError("the FCAT kernel does not implement the "
-                             "bootstrap abort; use the scalar engine")
-        if config.estimator_method != "paper" \
-                or config.estimator_mode == "average":
-            raise ValueError("the FCAT kernel implements Eq. 12 in modes "
-                             "'ewma' and 'last' only; use the scalar engine")
         self.rng = rng
         self.ranks = RankSource(rng)
         self.omega = config.effective_omega
         self.estimator = EmbeddedEstimator(
             omega=self.omega, frame_size=config.frame_size,
             initial_guess=config.initial_estimate,
-            method=config.estimator_method,
-            mode=config.estimator_mode,
-            source=config.estimator_source,
-            ewma_weight=config.estimator_ewma_weight)
+            source=config.estimator_source)
         self.result = ReadingResult(protocol=name, n_tags=n_tags,
                                     n_read=0, timing=timing)
         self.slot_index = 0
@@ -512,8 +497,8 @@ _capsule_pointer = ctypes.PYFUNCTYPE(
 class _NativeFcatSession(_FcatKernelSession):
     """The same session, run by ``fcat_walk.c``.
 
-    The inherited constructor validates the configuration and builds the
-    result and the estimator exactly as the Python session does;
+    The inherited constructor builds the result and the estimator exactly
+    as the Python session does;
     :meth:`_init_walk` hands the settings, the estimator's start and the
     generator's ``bitgen_t`` to C, which then holds the roster, the record
     store, the uniform block and the estimator.  :func:`_run_native`
@@ -528,8 +513,8 @@ class _NativeFcatSession(_FcatKernelSession):
         estimator = self.estimator
         config = native.Config(
             n_tags, lam, self.frame_size, self.max_slots, self.omega,
-            self.max_p, estimator._remaining, estimator.mode == "last",
-            estimator.source == "empty", estimator.ewma_weight,
+            self.max_p, estimator._remaining, estimator.source == "empty",
+            EWMA_WEIGHT,
             *self.outcome_probs, self.draw_free)
         self._session = self._lib.fcat_new(
             ctypes.byref(config),

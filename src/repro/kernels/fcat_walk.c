@@ -17,8 +17,8 @@
  * (linked from libnpyrandom.a) above that.  The uniform block comes from
  * `random_standard_uniform_fill` (what `Generator.random` calls), so both
  * draw exactly what the Python walk's numpy calls draw.  The estimator is
- * `EmbeddedEstimator.update` for method "paper" in modes "ewma" and
- * "last": the same `log` calls in the same operation order, built with
+ * `EmbeddedEstimator.update` as every session runs it, Eq. 12 in mode
+ * "ewma": the same `log` calls in the same operation order, built with
  * -ffp-contract=off so that no product and sum fuse into an FMA.
  *
  * The duplicate repair is `resample_duplicate_slots` (frame.py), draw for
@@ -108,10 +108,10 @@ enum {
 typedef struct {
     i64 n_tags, lam, frame_size, max_slots;
     double omega, max_p;
-    /* The estimator: its start, mode "last" (else "ewma"), source
-     * "empty" (else "collision") and EWMA weight. */
+    /* The estimator: its start, source "empty" (else "collision") and
+     * EWMA weight. */
     double initial_guess;
-    i32 mode_last, source_empty;
+    i32 source_empty;
     double ewma_weight;
     /* The channel's outcome probabilities, and whether all are zero. */
     double crc_p, ack_p, unusable_p, capture_p;
@@ -869,7 +869,7 @@ static inline double py_max(double a, double b)
     return b > a ? b : a;
 }
 
-/* `EmbeddedEstimator.update` for method "paper", modes "ewma"/"last".
+/* `EmbeddedEstimator.update` for method "paper", mode "ewma".
  * Python's int operands become doubles exactly where Python converts
  * them. */
 static void estimate(Session *s, i64 n_c, i64 n_empty, double p,
@@ -904,13 +904,8 @@ static void estimate(Session *s, i64 n_c, i64 n_empty, double p,
     participating = py_max(participating, 0.0);
     s->has_samples = 1;
     double fresh = py_max(participating - (double)newly_identified, 0.0);
-    if (c->mode_last) {
-        s->remaining = fresh;
-    } else {
-        double prior = py_max(s->remaining - (double)newly_identified, 0.0);
-        s->remaining = c->ewma_weight * fresh
-                       + (1.0 - c->ewma_weight) * prior;
-    }
+    double prior = py_max(s->remaining - (double)newly_identified, 0.0);
+    s->remaining = c->ewma_weight * fresh + (1.0 - c->ewma_weight) * prior;
 }
 
 /* Open `n_slots` slots behind one advertisement, or trip the guard. */

@@ -67,7 +67,6 @@ class Config(ctypes.Structure):
                 ("max_slots", ctypes.c_int64),
                 ("omega", ctypes.c_double), ("max_p", ctypes.c_double),
                 ("initial_guess", ctypes.c_double),
-                ("mode_last", ctypes.c_int32),
                 ("source_empty", ctypes.c_int32),
                 ("ewma_weight", ctypes.c_double),
                 ("crc_p", ctypes.c_double), ("ack_p", ctypes.c_double),

@@ -49,9 +49,6 @@ Records that can never resolve (noise-unusable or ``k > lam``) are
 counted by the session but not stored at all: the scalar store keeps them
 only for introspection, and dropping them keeps the pending lists small
 when a ``p = 1`` termination probe records thousands of participants.
-
-ZigZag decoding is deliberately not implemented here; the engine falls
-back to the scalar path for ``zigzag=True`` configs.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ Manifests round-trip: :func:`read_manifest` restores exactly what
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import platform
 import subprocess
@@ -88,8 +89,14 @@ class RunManifest:
         return cls(cells=cells, **fields)
 
 
+@functools.cache
 def git_revision(root: Path | str | None = None) -> str | None:
-    """The checkout's HEAD SHA, or ``None`` outside a git work tree."""
+    """The checkout's HEAD SHA, or ``None`` outside a git work tree.
+
+    Asked of git once per process and ``root``: a running process keeps
+    the code it started with, so later calls (a manifest per ``/healthz``)
+    return the first answer.
+    """
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -78,15 +78,12 @@ class TestMeasuredTransmissions:
 
     def test_blind_bootstrap_costs_broadcasts(self, population):
         """The doubling phase runs the channel far above omega, so every tag
-        pays extra broadcasts; the early-abort option claws most back."""
+        pays extra broadcasts."""
         blind = Fcat(lam=2).read_all(population, np.random.default_rng(72))
         seeded = Fcat(lam=2, initial_estimate=2000.0).read_all(
             population, np.random.default_rng(72))
-        aborted = Fcat(lam=2, bootstrap_abort_after=8).read_all(
-            population, np.random.default_rng(72))
         assert transmissions_per_tag(blind) \
             > transmissions_per_tag(seeded) + 0.5
-        assert transmissions_per_tag(aborted) < transmissions_per_tag(blind)
 
     def test_energy_conversion(self, population):
         result = Dfsa().read_all(population, np.random.default_rng(72))

@@ -122,61 +122,6 @@ class TestFigureOne:
         assert learned[1] == [(t4, 1)]
 
 
-class TestZigzag:
-    def test_repeated_pair_decodes_both(self):
-        """Two mixes of the same pair are jointly decodable (ref [23])."""
-        store = RecordStore(lam=2, zigzag=True)
-        _, first = store.add_record(0, {1, 2})
-        assert first == []
-        _, second = store.add_record(5, {1, 2})
-        assert {tag for tag, _ in second} == {1, 2}
-        assert store.zigzag_decodes == 1
-        assert store.is_learned(1) and store.is_learned(2)
-
-    def test_disabled_by_default(self):
-        store = RecordStore(lam=2)
-        store.add_record(0, {1, 2})
-        _, resolved = store.add_record(5, {1, 2})
-        assert resolved == []
-        assert store.zigzag_decodes == 0
-
-    def test_different_pairs_do_not_trigger(self):
-        store = RecordStore(lam=2, zigzag=True)
-        store.add_record(0, {1, 2})
-        _, resolved = store.add_record(5, {1, 3})
-        assert resolved == []
-
-    def test_zigzag_cascades_through_other_records(self):
-        store = RecordStore(lam=2, zigzag=True)
-        store.add_record(0, {1, 4})   # waits for 1 or 4
-        store.add_record(1, {2, 3})
-        _, resolved = store.add_record(2, {2, 3})  # zigzag: learns 2 and 3
-        tags = {tag for tag, _ in resolved}
-        assert tags == {2, 3}
-        # Now learning 1 resolves the first record as usual.
-        assert store.learn(1) == [(4, 0)]
-
-    def test_retired_prior_does_not_zigzag(self):
-        store = RecordStore(lam=2, zigzag=True)
-        store.add_record(0, {1, 2})
-        store.learn(1)  # resolves the first record
-        _, resolved = store.add_record(5, {1, 2})
-        # Both constituents already known: nothing new, no zigzag count.
-        assert resolved == []
-        assert store.zigzag_decodes == 0
-
-    def test_fcat_with_zigzag_completes(self, rng):
-        import numpy as np
-        from repro.core.fcat import Fcat
-        from repro.sim.population import TagPopulation
-        population = TagPopulation.random(150, np.random.default_rng(5))
-        result = Fcat(lam=2, zigzag=True).read_all(population,
-                                                   np.random.default_rng(6))
-        assert result.complete
-        assert result.protocol == "FCAT-2+zz"
-        assert "zigzag_decodes" in result.extra
-
-
 class TestInvariants:
     @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                     min_size=1, max_size=30),

@@ -116,15 +116,8 @@ class TestEmbeddedEstimator:
         fresh.update(12, 1.414 / 5000, 0, 0)
         assert lower < fresh.remaining()
 
-    def test_average_mode_tracks_total(self):
-        estimator = self._estimator(mode="average")
-        for identified in (0, 500, 1000):
-            estimator.update(12, 1.414 / 5000, identified, identified)
-        assert estimator.total_estimate == pytest.approx(
-            np.mean(estimator.samples))
-
     def test_ewma_blends(self):
-        estimator = self._estimator(mode="ewma", ewma_weight=0.5)
+        estimator = self._estimator(mode="ewma")
         estimator.update(12, 1.414 / 5000, 0, 0)
         first = estimator.remaining()
         estimator.update(20, 1.414 / 5000, 0, 0)
@@ -179,8 +172,6 @@ class TestEmbeddedEstimator:
             self._estimator(method="wrong")
         with pytest.raises(ValueError):
             self._estimator(mode="wrong")
-        with pytest.raises(ValueError):
-            self._estimator(ewma_weight=0.0)
         with pytest.raises(ValueError):
             self._estimator(frame_size=0)
 

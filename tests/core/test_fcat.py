@@ -35,21 +35,6 @@ class TestCompleteness:
             population, np.random.default_rng(seed + 1))
         assert result.complete
 
-    def test_bootstrap_abort_saves_slots(self):
-        """The early-abort shortcut trims the blind doubling phase."""
-        population = TagPopulation.random(3000, np.random.default_rng(17))
-        plain = Fcat(lam=2, initial_estimate=8.0).read_all(
-            population, np.random.default_rng(5))
-        fast = Fcat(lam=2, initial_estimate=8.0,
-                    bootstrap_abort_after=8).read_all(
-            population, np.random.default_rng(5))
-        assert fast.complete
-        assert fast.total_slots < plain.total_slots
-
-    def test_bootstrap_abort_validation(self):
-        with pytest.raises(ValueError):
-            Fcat(bootstrap_abort_after=0)
-
     def test_bad_initial_estimate_still_completes(self, small_population):
         """A wildly wrong initial guess only costs bootstrap frames."""
         high = Fcat(lam=2, initial_estimate=50_000.0).read_all(

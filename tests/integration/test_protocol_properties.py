@@ -29,7 +29,6 @@ from repro.sim.population import TagPopulation
 PROTOCOL_FACTORIES = [
     lambda: Fcat(lam=2),
     lambda: Fcat(lam=3, frame_size=12),
-    lambda: Fcat(lam=2, zigzag=True),
     lambda: Fcat(lam=2, estimator_source="empty"),
     lambda: Scat(lam=2),
     Dfsa,

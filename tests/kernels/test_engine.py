@@ -38,8 +38,9 @@ NOISY = ChannelModel(ack_loss_prob=0.1)
 def test_kernel_support_matrix():
     assert kernel_supported(Fcat(lam=2))
     assert kernel_supported(Fcat(lam=4), NOISY)  # the walk draws channel
-    assert not kernel_supported(Fcat(lam=2, zigzag=True))
-    assert not kernel_supported(Fcat(lam=2, bootstrap_abort_after=8))
+    assert kernel_supported(Fcat(lam=3, estimator_source="empty",
+                                 max_report_probability=1.0),
+                            ChannelModel(capture_prob=0.2))
     assert kernel_supported(Scat(lam=2))
     assert not kernel_supported(Scat(lam=2), NOISY)
     assert not kernel_supported(Scat(lam=2, pre_estimate_cv=0.1))
@@ -58,8 +59,6 @@ def test_batch_read_all_returns_none_when_unsupported():
     (Scat(lam=2, pre_estimate_cv=0.3), PERFECT_CHANNEL),
     (Dfsa(), ChannelModel(capture_prob=0.2)),
     (SlottedAloha(), PERFECT_CHANNEL),
-    (Fcat(lam=2, bootstrap_abort_after=8), PERFECT_CHANNEL),
-    (Fcat(lam=2, zigzag=True), PERFECT_CHANNEL),
 ])
 def test_unsupported_configs_fall_back_bit_identically(protocol, channel):
     """run_batch on an unsupported config IS the scalar chunk."""

@@ -24,7 +24,7 @@ import pytest
 
 from repro.core.fcat import Fcat
 from repro.experiments.runner import rng_from_seed, spawn_run_seeds
-from repro.kernels.fcat import _FcatKernelSession, batched_fcat_sessions
+from repro.kernels.fcat import batched_fcat_sessions
 from repro.obs.scope import observe
 from repro.service.interference import DEFAULT_INTERFERENCE
 from repro.sim.channel import ChannelModel
@@ -192,18 +192,6 @@ def test_paired_runs_match_on_an_impaired_channel(lam, channel_name,
                       [_metric_values(r, metric) for r in scalar])
         assert abs(z) < Z_BOUND, \
             f"lam={lam} {channel_name} {metric}: |z|={abs(z):.2f}"
-
-
-def test_zigzag_config_is_rejected():
-    with pytest.raises(ValueError, match="ZigZag"):
-        _FcatKernelSession("FCAT-2", Fcat(lam=2, zigzag=True), 50,
-                           np.random.default_rng(0))
-
-
-def test_bootstrap_abort_config_is_rejected():
-    with pytest.raises(ValueError, match="bootstrap abort"):
-        _FcatKernelSession("FCAT-2", Fcat(lam=2, bootstrap_abort_after=8),
-                           50, np.random.default_rng(0))
 
 
 def _observed_pair(channel=None):

@@ -11,9 +11,8 @@ The channel matrix also checks, from the C loop's own counters, that it
 repaired the frames the Python walk repaired, reached both of the
 repair's branches and stored as many records as the Python walk
 registered.  The C count draw is held to ``Generator.binomial`` on its
-own, draw for draw.  Estimators C does not port run the scalar engine
-on both walks, and the empty-source estimator finishes at the service's
-frame size.  The loader tests check that a missing compiler,
+own, draw for draw, and the empty-source estimator finishes at the
+service's frame size.  The loader tests check that a missing compiler,
 header or library, a compile error or an unwritable cache each select
 the Python walk quietly, and that the cache key follows numpy.  The last
 tests check that a native batch repairs without the Python repair, that
@@ -34,7 +33,6 @@ import numpy as np
 import pytest
 
 from repro.core.fcat import Fcat
-from repro.experiments.runner import run_single, spawn_run_seeds
 from repro.kernels import engine
 from repro.kernels import fcat as fcat_kernel
 from repro.kernels import native
@@ -229,12 +227,11 @@ ESTIMATOR_CHANNELS = (PERFECT_CHANNEL, ChannelModel(0.1, 0.1, 0.1, 0.1))
 
 @needs_native
 @pytest.mark.parametrize("source", ["collision", "empty"])
-@pytest.mark.parametrize("mode", ["ewma", "last"])
-def test_the_estimator_is_bit_identical(mode, source, monkeypatch):
-    """The C estimator against ``EmbeddedEstimator`` in each mode and
-    source, from a blind, the default and an exact start, at frame sizes
-    1, 2 and 30 (3, 4 and 30 for the empty source, which refuses frames
-    under 3 slots), with ``p`` capped at 1/2 and at 1 (saturated frames,
+def test_the_estimator_is_bit_identical(source, monkeypatch):
+    """The C estimator against ``EmbeddedEstimator`` in each source, from
+    a blind, the default and an exact start, at frame sizes 1, 2 and 30
+    (3, 4 and 30 for the empty source, which refuses frames under 3
+    slots), with ``p`` capped at 1/2 and at 1 (saturated frames,
     where the estimator returns without inverting).
 
     The smallest frames run at small N only: there the estimator often
@@ -243,8 +240,8 @@ def test_the_estimator_is_bit_identical(mode, source, monkeypatch):
     """
     small = (1, 2, 30) if source == "collision" else (3, 4, 30)
     cases = [(Fcat(lam=lam, frame_size=frame_size, initial_estimate=start,
-                   max_report_probability=max_p, estimator_mode=mode,
-                   estimator_source=source), n_tags, channel)
+                   max_report_probability=max_p, estimator_source=source),
+              n_tags, channel)
              for n_tags, lam, frame_sizes in ((3, 2, small),
                                               (40, 3, small),
                                               (300, 4, (30,)))
@@ -290,37 +287,6 @@ def test_an_estimate_past_float_resolution_raises_on_both_walks(
         lambda: _observed(protocol, 100, range(2)), monkeypatch)
     assert mine == reference
     assert "ZeroDivisionError" in mine[-1]
-
-
-@needs_native
-@pytest.mark.parametrize("estimator", [{"estimator_method": "exact"},
-                                       {"estimator_mode": "average"}])
-def test_estimators_the_c_loop_lacks_run_the_scalar_engine(estimator,
-                                                           monkeypatch):
-    """Neither walk takes an estimator C does not port: the engine runs
-    it scalar, bit-identical to ``run_single``, and a kernel session
-    refuses it, so the C and the Python walk accept the same
-    configurations."""
-    calls = []
-    run_native = fcat_kernel._run_native
-
-    def counting_run_native(*args):
-        calls.append(args)
-        return run_native(*args)
-
-    monkeypatch.setattr(fcat_kernel, "_run_native", counting_run_native)
-    protocol = Fcat(lam=2, initial_estimate=300.0, **estimator)
-    channel = ESTIMATOR_CHANNELS[1]
-    assert not engine.kernel_supported(protocol, channel)
-    children = spawn_run_seeds(7, 2)
-    assert engine.run_batch(protocol, 300, children, channel=channel) \
-        == [run_single(protocol, 300, child, channel=channel)
-            for child in children]
-    with pytest.raises(ValueError, match="scalar engine"):
-        batched_fcat_sessions(protocol, 300, [np.random.default_rng(0)])
-    assert not calls
-    _observed(Fcat(lam=2), 300, range(2))
-    assert len(calls) == 1
 
 
 @needs_native

@@ -6,8 +6,8 @@ these compare the kernel's own telemetry with the paper.  Per frame, with
 slots, the slot-type counts have the expectations of Eq. 7/9/10
 (:mod:`repro.analysis.slot_distribution`).  Summed over a session's
 frames, the observed counts must sit within a few standard deviations of
-the summed expectations; a kernel drawing its slots at a biased ``p``
-misses them by tens.
+the summed expectations, at every λ the service accepts; a kernel
+drawing its slots at a biased ``p`` misses them by tens.
 
 Per session, the mean-field model of :mod:`repro.analysis.session_model`
 predicts the throughput (Table I: 201.3 tags/s for FCAT-2 at N = 10⁴);
@@ -44,6 +44,7 @@ from repro.kernels import native
 from repro.kernels.fcat import batched_fcat_sessions
 from repro.kernels.frame import draw_slot_counts
 from repro.obs.scope import observe
+from repro.service.requests import MAX_LAM
 
 N_TAGS = 10_000
 RUNS = 4
@@ -53,6 +54,10 @@ MIN_ACTIVE = 1_000
 #: Largest |z| the oracle accepts (two-sided false-alarm odds ≈ 6e-5
 #: per slot type).
 Z_BOUND = 4.0
+
+#: Every λ the inventory service accepts: the slot-type oracle and its
+#: mutant run at each (the other oracles stop at the paper's λ ≤ 4).
+SERVED_LAMS = range(2, MAX_LAM + 1)
 
 _SLOT_TYPES = ("empty", "singleton", "collision")
 _EXPECTATIONS = (expected_empty_slots, expected_singleton_slots,
@@ -100,7 +105,7 @@ def slot_type_z_scores(lam: int, seed: int,
             / math.sqrt(variance[kind]) for kind in _SLOT_TYPES}
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4])
+@pytest.mark.parametrize("lam", SERVED_LAMS)
 def test_frame_slot_counts_match_eq_7_9_10(lam):
     z = slot_type_z_scores(lam, seed=20100562 + lam)
     assert max(abs(value) for value in z.values()) <= Z_BOUND, z
@@ -122,7 +127,7 @@ def _draw_at_a_biased_p(monkeypatch) -> None:
     monkeypatch.setattr(fcat_kernel, "draw_slot_counts", biased)
 
 
-@pytest.mark.parametrize("lam", [2, 3, 4])
+@pytest.mark.parametrize("lam", SERVED_LAMS)
 def test_a_kernel_drawing_at_a_biased_p_fails_the_oracle(lam, monkeypatch):
     _draw_at_a_biased_p(monkeypatch)
     z = slot_type_z_scores(lam, seed=20100562 + lam)

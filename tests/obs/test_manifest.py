@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import subprocess
 
 import pytest
 
@@ -58,6 +59,22 @@ def test_git_revision_in_this_checkout_is_a_sha():
     sha = git_revision()
     assert sha is None or (len(sha) == 40
                            and all(c in "0123456789abcdef" for c in sha))
+
+
+def test_git_is_asked_once_per_process(monkeypatch):
+    """Two manifests, one ``git rev-parse``: the revision is memoised."""
+    calls = []
+    run = subprocess.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args)
+        return run(*args, **kwargs)
+
+    git_revision.cache_clear()
+    monkeypatch.setattr(subprocess, "run", counting_run)
+    first, second = _manifest(), _manifest()
+    assert len(calls) == 1
+    assert first.git_sha == second.git_sha == git_revision()
 
 
 def test_cell_fingerprint_matches_the_cache_content_address():

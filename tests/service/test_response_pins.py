@@ -64,10 +64,13 @@ _TIMING_HISTOGRAMS = ("chunk.duration_s", "chunk.queue_wait_s",
                       "request.warm_latency_s")
 
 #: Recorded once, before the cold path was reworked; never re-recorded,
-#: except ``saved_keys`` once: since the cache stores run ranges only, a
-#: save holds no cell entries, and each ``saved_keys`` digest is the one the
-#: earlier two-kind cache gives for its saved range keys alone (its cell
-#: entries dropped), computed on that code.
+#: except twice.  ``saved_keys`` once: since the cache stores run ranges
+#: only, a save holds no cell entries, and each ``saved_keys`` digest is the
+#: one the earlier two-kind cache gives for its saved range keys alone (its
+#: cell entries dropped), computed on that code.  ``cell_keys``,
+#: ``saved_keys`` and ``telemetry`` once more when ``FcatConfig`` lost five
+#: fields, which moved every FCAT content address: the same surfaces with
+#: every ``key`` field removed digested the same before and after.
 PINS = {
     "remainder": {
         "response":
@@ -75,11 +78,11 @@ PINS = {
         "request_key":
             "0bc4d663d12f4f426d73af87f7789c3971e8ff53eee9ee11123e9b22b44c7331",
         "cell_keys":
-            "1c3c814587b5fae1d62308fac0505afba59741e8b193fa2107316b6340517e86",
+            "4c4e279b1ecf81915c0dd6a3ab53e4dc11bb975d80dc39b7eb7c18d4b10eb754",
         "saved_keys":
-            "79be90a9183d8ef42469622d7a4ce97e2b2878b817dc684d18d5ed4eb01eb03a",
+            "51a93adf5e1e933d0573c202777522c01e85c234c224c89d1cea600c7fc26897",
         "telemetry":
-            "7524d3864d91c2f3bcc7454f422a09390f25808e42aeb1ab65c93b694e53af6e",
+            "23e1f99d1ec60cad11b363ac42ba44ca2a9cdea7bc5c0797962e9acb92d3ebf6",
     },
     "odd-ring": {
         "response":
@@ -87,11 +90,11 @@ PINS = {
         "request_key":
             "fb6b0ef82af986fc96f18fa0ea11864f29cfb1a4b35c5ea1294f50fc4b02f6df",
         "cell_keys":
-            "41d62618024112d0c553550c98ef567f698a379b8245b8c5284f0edaa54948c3",
+            "d2509ce6411154678615e0cb0103f0713511d7ce3f08e406279c7114f129cbe5",
         "saved_keys":
-            "e9f15d040a2d8b715385cc6cf29bafac2e5a918af41e95e90fe8691924618031",
+            "a57c5ff45f5ac1229b655e74f13eda062dec3473abcbca6ec7637118cf916f78",
         "telemetry":
-            "a2ee1f2e1dfd8691878a5dd32490af2f3eea3d6036f8fdcaf54f73cc4777eb1e",
+            "49b8eaf2ba9eea4620356f94e1ae83afef65f10f8e39fcc2670d076d73c82f92",
     },
     "folded-ring": {
         "response":
@@ -99,11 +102,11 @@ PINS = {
         "request_key":
             "23343e44ca8084aa3f8ce93fbeeb0ad923639cf1b69f6d734c7f6d322e5eb798",
         "cell_keys":
-            "2299a58e8bc495eaa505e8b5f00be56282074e2376a780a1db207d6088b37e58",
+            "d55083b34c32e9a98d1b2b14f3bf5ceca0aa636078e8d147b2164057d4737cc4",
         "saved_keys":
-            "c15d727f01681c3af7833664ca7f236ad6dc96fc6a174ccf983ec5fb925ac4da",
+            "b0ddc7f2777244440281b288e3a58ba774bc2d58be755e528ce946d39227c6e2",
         "telemetry":
-            "aa01398b96180a5ce3d454e49357e68bdc3cfcc113002c3b1b3c659680ceae2c",
+            "ddd15f2b965f33766b87deea069232b71b80d97ac3fb232ab74211d3d971bef5",
     },
     "one-phase": {
         "response":
@@ -111,11 +114,11 @@ PINS = {
         "request_key":
             "e00da211844fd4cadc4fc690a60ece8c700764e335ea7680a87aeef4d45a7764",
         "cell_keys":
-            "8745c152e6f3bad924e25ea5c31270e8932d8ac42d2fb29ccbfee97ae66c8c8a",
+            "d509e3620274779b5a8c490edb8aebb67afd7ccdf8e10162f971856349235173",
         "saved_keys":
-            "995ce3bb65430ba8ade4af77a0aff803d2b427f8d71264c781a44ecc78af42bc",
+            "7fb6ee6efd9d29cd220e8acf942c8b8f16daca34438e6aadd04b83b78e7aa894",
         "telemetry":
-            "a75cf63d8d063f287598475c463449d8c026f83a817ea9b9a6b419e68ea3eb53",
+            "98024b37bc89701e4fa01abb324ca45306decccf26d5b26e038f846b856299c2",
     },
     "no-overlap": {
         "response":
@@ -123,11 +126,11 @@ PINS = {
         "request_key":
             "3c2221e8e2d82866f9bd15ccdc9ed5c0d601d0e702fc43d707787eeebc96cd4e",
         "cell_keys":
-            "0848b20f99b590770994268db810b39be370b8e9cb4e3b8c577edb7218b484ef",
+            "412fe99b0b94a3e00fc100282bf27d39c7a291c9908ee63ba2459aac1a49e01b",
         "saved_keys":
-            "d007bd7c3ae4dca3706939b4e1d5ad363e75d5da8fa13a9e879247029792d276",
+            "b0cc94c117d4440b83a26731496ab0c173845bd1b59d00945f86f321b2da06be",
         "telemetry":
-            "5eb2b1d61ec31d7daf8ed41270ff5b4b3318539235c65a4361468a627d37d2b5",
+            "33331d396ccc2d01efed2fa41f1a9a046423bfc219b86ce71c0b0f561b8b8a0c",
     },
     "ambient-int-zero": {
         "response":
@@ -135,11 +138,11 @@ PINS = {
         "request_key":
             "d3fa30be311eed3b5b3710cc80455e608812aca87601bf353426a39b7162604c",
         "cell_keys":
-            "1c05868bff846c75b12b9714f88b06a35eef107f094a268b6b1067f5a519f4fc",
+            "99dbb70167c83d9ac1a6f750ce0dd5a014aefc96d4414b2faa016d61b7da4bf2",
         "saved_keys":
-            "30de39cb3cea04254caa1b18ea7a6ebf03be050f9ce8d298e76f04b9eefb766b",
+            "0ae9a1c0ee296e95f8651acd336398e3cd4356981557e4e8b3a501c47a72e14d",
         "telemetry":
-            "794bef92a75de63df4d3bc2b43a486e87756b2e558eff094ed30773c13f90c91",
+            "053bea7764ed0277f7ab860678eb7854c79891ed37324ee9f7df6aa009dd64c0",
     },
     "ambient-float-zero": {
         "response":
@@ -147,11 +150,11 @@ PINS = {
         "request_key":
             "eb152b3797f022c777bac9ffb55095b319ec3443fd0cd890f301b917b3359f73",
         "cell_keys":
-            "1c05868bff846c75b12b9714f88b06a35eef107f094a268b6b1067f5a519f4fc",
+            "99dbb70167c83d9ac1a6f750ce0dd5a014aefc96d4414b2faa016d61b7da4bf2",
         "saved_keys":
             "643d5437104296e21d906ecb15b2c96ad278f20cfc4af53b12bb6069bd853726",
         "telemetry":
-            "4095a6594d6743c02fb3a5e4699dba168b7939fa60262424dc85a03ea7e7a902",
+            "d2c81f2f76fc61689fa6a410f23e0ab56e546ee6b8f0c657befd48f210a9c881",
     },
     "three-runs": {
         "response":
@@ -159,11 +162,11 @@ PINS = {
         "request_key":
             "b3fe26b34ec5340fd109367d1956bb5b6c1435312aa83cb4202cb2ed8aed5f48",
         "cell_keys":
-            "90570cb6528fbc6721ae24e9f295ad93b9c649f06a986b56a12062296f172e38",
+            "01b8de4069f34664240e2ef64e01b117a88faf7ffe09e434a59197c58215af8b",
         "saved_keys":
-            "d78f99573bf88f25adc67357a8140d7a768f28f9ec5ccce00b33ae30a2dc0814",
+            "f23e31954012be1bd26f8a721d9f4f7b5011e262c4f6e372dbf9bd4c494ed9b1",
         "telemetry":
-            "052c1d96d726b02f108744b5b210f60c8036ac71157ac726165168c0a8e959f9",
+            "c9148de146b0b057fd67c3f29598a1b23185b7231bf9464de5e6319cd512779c",
     },
     "planner": {
         "response":
@@ -171,11 +174,11 @@ PINS = {
         "request_key":
             "c2442d9f0d1166307361c81d1bb34d01a2554dfd9a8bcf0372a8e82e10390a7e",
         "cell_keys":
-            "70b82cce09d71622758c0d12cf7d93d086c9b1bf47028ce16867aad3dd1668e7",
+            "5e59d70882162f00f4cc85adf6576ca9f985d68d9b9c94a59175cfbab4e16041",
         "saved_keys":
-            "54654ade717267303f25417751645c736c4addc0851913f99492fa0f899bf3ec",
+            "27ea2152bb7360f21110e846e62c3f2bc9102707dfbaeef46d26ae7a329b68e4",
         "telemetry":
-            "81cea18c3d9185b8eb8b5708cc4bb1f4ddb24950b23cc6458ff3a8068e485218",
+            "fcd22283f2ce0d31aaba268bf386251d520397f0dba8e3bdd4aafa2984e120e9",
     },
     "scalar": {
         "response":
@@ -183,15 +186,15 @@ PINS = {
         "request_key":
             "10bf3b869fb5bdedb15605bc0ad004d944ccd011a077d43c731d5bbce5ca16cc",
         "cell_keys":
-            "97ffafb738cd2a31133d473a955008c80d7f5071906831f90d92da5b32b99909",
+            "489f5b1060afef23823cdd0def8b5443a871dc0911548ab290552c322d9bc53b",
         "saved_keys":
-            "961777947094196202862afbf0687570c86e9030b599efeac7efbf9a38fc2755",
+            "cd2f62b4493b7c55bef9c555bec0aaa2a34b67ac26e010926df72229163b3814",
         "telemetry":
-            "6c8a69b4a4ea55774ba55fdc97bc50f6ccdfd1ff273cb4f66a887b56910ef1a0",
+            "444f570de285fb5d46180c81d81668026cd532e74a0e40891077190ecdbe24a8",
     },
     "shared-telemetry": {
         "telemetry":
-            "c2ae49d918060028a60b9c7238d4853ee5f4075b0163f2f709147b99c864ddf5",
+            "5fedcc6774e3268ad822ad1aaa3956d588837fdcd1c0cb01f44db0f06bcfae3f",
     },
 }
 
@@ -320,9 +323,11 @@ def retained_window_digest() -> str:
 
 
 #: Recorded before the manifest read its cells from the ``cell_done``
-#: events; never re-recorded.
+#: events; re-recorded once, when ``FcatConfig`` lost five fields, which
+#: moved every FCAT cell key (the surfaces without their ``key`` fields
+#: digested the same before and after).
 RETAINED_WINDOW_DIGEST = \
-    "bec8e7fccd934651d63705cf08c4b64a7e445315809e88a7e4ecf4bc2dde97dc"
+    "f4fa6446fd91e1e624a5bd29b44e946c1f7ea07130a0ae4c7bf25cb7efd325c1"
 
 
 def test_the_retained_window_surfaces_are_pinned():
