@@ -191,8 +191,15 @@ def exact_mean(values: Sequence) -> int | float:
     int when the ints divide evenly (as ``statistics.mean`` returns),
     else one correctly rounded division, as ``float(Fraction)`` does.
     Anything else -- bools, numpy scalars, mixed types, infinities --
-    goes to ``statistics.mean`` itself.
+    goes to ``statistics.mean`` itself -- except that a lone plain int
+    or nonzero float, the fold of every one-run cell, is returned as it
+    is, which is what ``statistics.mean`` returns for it (a lone ``-0.0``
+    still folds to ``0.0``).
     """
+    if len(values) == 1:
+        (value,) = values
+        if type(value) is int or (type(value) is float and value):
+            return value
     kinds = set(map(type, values))
     if kinds == {int}:
         total = sum(values)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
+import os
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -19,7 +22,11 @@ from repro.service.core import (
     InventoryService,
     ServiceConfig,
 )
-from repro.service.frontend import MAX_BODY_BYTES, ServiceFrontend
+from repro.service.frontend import (
+    MAX_BODY_BYTES,
+    ServiceFrontend,
+    _HEAD_LIMIT,
+)
 from repro.service.requests import request_from_dict
 
 REQUEST = {"n_tags": 400, "zones": 4, "seed": 13}
@@ -188,6 +195,132 @@ def test_line_over_the_reader_limit_gets_400(request_bytes):
         status, body = await _send_raw(frontend, request_bytes)
         assert status == 400
         assert "too long" in json.loads(body)["error"]
+    run(_with_frontend(scenario))
+
+
+def _post_bytes(request: dict) -> bytes:
+    body = json.dumps(request).encode("ascii")
+    return _post_head(str(len(body))) + body
+
+
+async def _pieces_exchange(frontend, pieces) -> bytes:
+    """Send ``pieces`` one write (and one loop turn) apart, without a
+    half-close: the server must frame the request from its bytes alone.
+    Returns every response byte up to the server's close."""
+    reader, writer = await asyncio.open_connection(frontend.host,
+                                                   frontend.port)
+    try:
+        for piece in pieces:
+            writer.write(piece)
+            await writer.drain()
+            await asyncio.sleep(0)
+        return await asyncio.wait_for(reader.read(), 10)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _byte_by_byte(data: bytes) -> list[bytes]:
+    return [data[i:i + 1] for i in range(len(data))]
+
+
+def _head_then_body(data: bytes) -> list[bytes]:
+    split = data.index(b"\r\n\r\n") + 3  # between the blank line's CR, LF
+    return [data[:split], data[split:-7], data[-7:]]
+
+
+@pytest.mark.parametrize("pieces", [
+    _byte_by_byte,
+    _head_then_body,
+    lambda data: [data.replace(b"\r\n", b"\n")],
+    lambda data: [data + b"GET /stats HTTP/1.1\r\n\r\ntrailing bytes"],
+], ids=["one-byte-at-a-time", "head-and-body-split", "bare-lf",
+        "trailing-bytes"])
+def test_request_framing_does_not_change_the_response(pieces):
+    """However the request's bytes arrive, the response bytes are the ones
+    a one-shot write gets."""
+    data = _post_bytes(REQUEST)
+
+    async def scenario(frontend):
+        one_shot = await _pieces_exchange(frontend, [data])
+        assert one_shot.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert await _pieces_exchange(frontend, pieces(data)) == one_shot
+    run(_with_frontend(scenario))
+
+
+def test_a_head_of_many_short_lines_past_the_limit_gets_400():
+    """The 64 KiB limit bounds the whole head, not just each line; a head
+    just inside it is served."""
+    def head(size: int) -> bytes:
+        lines = "".join(f"X-Pad-{i:05d}: {'a' * 50}\r\n"
+                        for i in range(size // 64))
+        return f"GET /healthz HTTP/1.1\r\n{lines}\r\n".encode("ascii")
+
+    assert len(head(60_000)) < _HEAD_LIMIT < len(head(70_000))
+
+    async def scenario(frontend):
+        status, body = await _send_raw(frontend, head(70_000))
+        assert status == 400
+        assert "too long" in json.loads(body)["error"]
+        status, _ = await _send_raw(frontend, head(60_000))
+        assert status == 200
+    run(_with_frontend(scenario))
+
+
+class _FakeTransport(asyncio.Transport):
+    """Records what a connection does to its transport."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.paused = False
+        self.closed = False
+        self.written = bytearray()
+
+    def pause_reading(self) -> None:
+        self.paused = True
+
+    def write(self, data) -> None:
+        self.written += data
+
+    def write_eof(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+
+@pytest.mark.parametrize("chunk", [7, 4096, 1 << 18])
+@pytest.mark.parametrize("kind", ["body", "head"])
+def test_buffered_bytes_stay_bounded_and_reading_pauses(kind, chunk):
+    """A connection never holds more than one head plus the largest body,
+    however the bytes are cut, and stops reading once the request is
+    complete -- the bytes after it are never asked for."""
+    if kind == "body":
+        request = (f"POST /nowhere HTTP/1.1\r\nContent-Length: "
+                   f"{MAX_BODY_BYTES}\r\n\r\n").encode("ascii") \
+            + b"b" * MAX_BODY_BYTES
+        expected = b"HTTP/1.1 404 "
+    else:  # short header lines running past the head limit
+        request = b"GET /healthz HTTP/1.1\r\n" \
+            + b"X-Pad: 0123456789abcdef\r\n" * 4000
+        expected = b"HTTP/1.1 400 "
+    data = request + b"t" * (1 << 18)
+
+    async def scenario(frontend):
+        connection = frontend_module._Connection(frontend)
+        transport = _FakeTransport()
+        connection.connection_made(transport)
+        fed = 0
+        while not transport.paused:
+            assert fed < len(data)
+            connection.data_received(data[fed:fed + chunk])
+            fed += chunk
+            assert len(connection._buffer) <= _HEAD_LIMIT + MAX_BODY_BYTES
+        if kind == "body":
+            assert fed - chunk < len(request) <= fed
+        assert transport.written.startswith(expected)
+        assert transport.closed
+        connection.connection_lost(None)
     run(_with_frontend(scenario))
 
 
@@ -406,3 +539,127 @@ def test_warm_hits_are_answered_while_every_pool_thread_waits():
 def test_frontend_validates_workers():
     with pytest.raises(ValueError, match="workers"):
         ServiceFrontend(InventoryService(), workers=0)
+
+
+def _fd_count() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd")
+def test_no_kind_of_connection_leaks_a_descriptor(monkeypatch):
+    """Every way a connection can end -- 200, 400, 404, 405, 408, 413,
+    500, and a client gone mid-body, by FIN or by RST -- gives its
+    descriptors back, and the lane still serves afterwards."""
+    monkeypatch.setattr(frontend_module, "READ_TIMEOUT_S", 0.2)
+    body = json.dumps(REQUEST).encode("ascii")
+
+    async def gone_mid_body(frontend, abort: bool) -> None:
+        _, writer = await asyncio.open_connection(frontend.host,
+                                                  frontend.port)
+        writer.write(_post_head(str(len(body))) + body[:5])
+        await writer.drain()
+        await asyncio.sleep(0.01)
+        if abort:
+            writer.transport.abort()
+        else:
+            writer.close()
+            await writer.wait_closed()
+
+    async def scenario():
+        service = _FailsOnceService()
+        frontend = ServiceFrontend(service, port=0, workers=2)
+        await frontend.start()
+        try:
+            host, port = frontend.host, frontend.port
+            baseline = _fd_count()
+            # The first POST meets the failing compute, the others its
+            # stored result.
+            for post in (500, 200, 200):
+                statuses = [
+                    (await post_inventory(host, port, REQUEST))[0],
+                    (await _send_raw(frontend, _post_head("2") + b"{]"))[0],
+                    (await http_get(host, port, "/nope"))[0],
+                    (await http_get(host, port, "/inventory"))[0],
+                    (await _pieces_exchange(
+                        frontend, [b"GET /stats HTTP/1.1\r\n"]))[9:12],
+                    (await _send_raw(frontend, _post_head(
+                        str(MAX_BODY_BYTES + 1))))[0],
+                ]
+                assert statuses == [post, 400, 404, 405, b"408", 413]
+                await gone_mid_body(frontend, abort=False)
+                await gone_mid_body(frontend, abort=True)
+            for _ in range(200):
+                if _fd_count() == baseline and not frontend._connections:
+                    break
+                await asyncio.sleep(0.01)
+            assert _fd_count() == baseline
+            assert not frontend._connections
+            status, response = await post_inventory(host, port, REQUEST)
+            assert status == 200
+            assert json.loads(response)["facility"]["unique_tags"] == 400
+        finally:
+            await frontend.close()
+    run(scenario())
+
+
+def test_close_answers_a_miss_in_flight_without_warnings():
+    """``close`` while a miss computes and another client is still
+    sending: it returns once the miss has been answered, drops the
+    unfinished request, and leaves nothing unclosed or unawaited."""
+    async def scenario():
+        service = _HeldService()
+        service.armed = True
+        frontend = ServiceFrontend(service, port=0, workers=2)
+        await frontend.start()
+        miss = asyncio.ensure_future(post_inventory(
+            frontend.host, frontend.port, REQUEST))
+        reader, writer = await asyncio.open_connection(frontend.host,
+                                                       frontend.port)
+        writer.write(b"GET /stats HTTP/1.1\r\n")
+        await writer.drain()
+        while service.handled < 1 or len(frontend._connections) < 2:
+            await asyncio.sleep(0.001)
+        releaser = threading.Timer(0.2, service.release.set)
+        releaser.start()
+        await asyncio.wait_for(frontend.close(), 20)
+        status, body = await asyncio.wait_for(miss, 5)
+        releaser.join()
+        assert status == 200
+        assert json.loads(body)["facility"]["unique_tags"] == 400
+        assert await asyncio.wait_for(reader.read(), 5) == b""
+        writer.close()
+        await writer.wait_closed()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run(scenario())
+        gc.collect()
+    assert [str(warning.message) for warning in caught] == []
+
+
+def test_a_stored_hit_creates_no_task():
+    """The hit path is driven from the protocol's callbacks: past the
+    Task in which asyncio's selector loop sets up each accepted
+    connection, answering stored responses creates no asyncio Task."""
+    async def scenario(frontend):
+        status, stored = await post_inventory(frontend.host, frontend.port,
+                                              REQUEST)
+        assert status == 200
+        loop = asyncio.get_running_loop()
+        created = []
+
+        def counting(loop, coroutine, **kwargs):
+            if coroutine.__name__ != "_accept_connection2":
+                created.append(coroutine)
+            return asyncio.Task(coroutine, loop=loop, **kwargs)
+
+        loop.set_task_factory(counting)
+        try:
+            for _ in range(20):
+                assert await post_inventory(frontend.host, frontend.port,
+                                            REQUEST) == (200, stored)
+        finally:
+            loop.set_task_factory(None)
+        assert created == []
+    run(_with_frontend(scenario))

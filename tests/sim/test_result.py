@@ -113,6 +113,45 @@ def test_exact_mean_is_statistics_mean_in_value_and_type():
         assert repr(got) == repr(expected), values
 
 
+@pytest.mark.parametrize("runs", [1, 2, 3, 4])
+def test_folding_a_few_runs_is_statistics_mean_and_stdev(runs):
+    """A cell of 1-4 runs folds to ``statistics.mean``/``stdev`` of each
+    column, value and type: the one-run base case of ``exact_mean``
+    included, for int and float columns alike."""
+    import math
+    import random
+
+    from repro.sim.result import RunMetrics, aggregate_metrics
+
+    rng = random.Random(runs)
+    throughputs = [0.0, -0.0, 1.0, 5e-324, 1e308, 0.1]
+    for trial in range(300):
+        values = [RunMetrics(
+            throughput=(rng.choice(throughputs) if trial < 30 else
+                        math.ldexp(rng.random(), rng.randint(-1070, 1020))),
+            empty_slots=0 if trial % 2 else rng.randrange(10 ** 12),
+            singleton_slots=rng.randrange(10 ** 6),
+            collision_slots=rng.randrange(4) * 7,
+            total_slots=rng.randrange(1, 10 ** 9),
+            resolved_from_collision=2 ** 70 + rng.randrange(3))
+            for _ in range(runs)]
+        folded = aggregate_metrics("X", 100, values)
+        columns = list(zip(*(value.to_list() for value in values)))
+        got = [folded.throughput_mean, folded.empty_mean,
+               folded.singleton_mean, folded.collision_mean,
+               folded.total_slots_mean, folded.resolved_mean]
+        for column, mean in zip(columns, got):
+            expected = statistics.mean(column)
+            assert type(mean) is type(expected), column
+            assert repr(mean) == repr(expected), column
+        if runs == 1:
+            assert repr(folded.throughput_std) == "0.0"
+        elif sys.version_info >= (3, 11):
+            # Before 3.11 ``statistics.stdev`` rounds twice.
+            assert repr(folded.throughput_std) == repr(
+                statistics.stdev(columns[0])), columns[0]
+
+
 _FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _SAMPLES = st.one_of(
     st.lists(st.integers(), min_size=2, max_size=100),
